@@ -32,15 +32,6 @@ def zdeg(p: list[int]) -> int:
     return len(p) - 1
 
 
-def zadd(p: list[int], q: list[int]) -> list[int]:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return ztrim(out)
-
-
 def zsub(p: list[int], q: list[int]) -> list[int]:
     out = list(p) + [0] * max(0, len(q) - len(p))
     for i, c in enumerate(q):
@@ -50,12 +41,6 @@ def zsub(p: list[int], q: list[int]) -> list[int]:
 
 def zneg(p: list[int]) -> list[int]:
     return [-c for c in p]
-
-
-def zscale(p: list[int], a: int) -> list[int]:
-    if a == 0:
-        return []
-    return [c * a for c in p]
 
 
 def zmul(p: list[int], q: list[int]) -> list[int]:
@@ -82,13 +67,6 @@ def zpow(p: list[int], n: int) -> list[int]:
         if n:
             base = zmul(base, base)
     return out
-
-
-def zshift(p: list[int], k: int) -> list[int]:
-    """Multiply by x^k."""
-    if not p:
-        return []
-    return [0] * k + p
 
 
 def zderiv(p: list[int]) -> list[int]:
@@ -119,16 +97,6 @@ def zprimitive(p: list[int]) -> tuple[int, list[int]]:
     if p[-1] < 0:
         c = -c
     return c, [x // c for x in p]
-
-
-def zdivexact_scalar(p: list[int], a: int) -> list[int]:
-    out = []
-    for c in p:
-        q, r = divmod(c, a)
-        if r:
-            raise ArithmeticError("inexact scalar division")
-        out.append(q)
-    return ztrim(out)
 
 
 def zdivmod(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
@@ -172,26 +140,6 @@ def zdivides(d: list[int], p: list[int]) -> bool:
     except ArithmeticError:
         return False
     return not r
-
-
-def zprem(p: list[int], d: list[int]) -> list[int]:
-    """Pseudo-remainder: lc(d)^(deg p - deg d + 1) * p  mod  d."""
-    if not d:
-        raise ZeroDivisionError("pseudo-division by zero")
-    dp, dd = zdeg(p), zdeg(d)
-    if dp < dd:
-        return list(p)
-    lead = d[-1]
-    rem = list(p)
-    mults = dp - dd + 1
-    while rem and zdeg(rem) >= dd:
-        k = zdeg(rem) - dd
-        c = rem[-1]
-        rem = zsub(zscale(rem, lead), zshift(zscale(d, c), k))
-        mults -= 1
-    if mults > 0:
-        rem = zscale(rem, lead ** mults)
-    return rem
 
 
 # ---------------------------------------------------------------------------
@@ -389,42 +337,8 @@ def zsquarefree(p: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# subresultant PRS resultants, generically over Z or Z[z]
+# subresultant PRS resultants over a coefficient ring (Z[z] via RingZPoly)
 # ---------------------------------------------------------------------------
-
-class RingZ:
-    """Coefficient-ring shim: plain integers."""
-
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def divexact(a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact division")
-        return q
-
-    @staticmethod
-    def power(a, n):
-        return a ** n
-
-    @staticmethod
-    def neg(a):
-        return -a
-
 
 class RingZPoly:
     """Coefficient-ring shim: integer polynomials in the surviving variable."""
@@ -530,12 +444,6 @@ def subres_resultant(p: list, q: list, ring) -> object:
 
 def _with_sign(val, sign: int, ring):
     return val if sign >= 0 else ring.neg(val)
-
-
-def zresultant(p: list[int], q: list[int]) -> int:
-    """Resultant of integer polynomials (p-rows-first Sylvester sign)."""
-    r = subres_resultant(p, q, RingZ)
-    return r
 
 
 def zzresultant(p: list[list[int]], q: list[list[int]]) -> list[int]:

@@ -179,13 +179,18 @@ def _cmd_family(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.spec:
-        with open(args.spec) as fh:
-            spec = SearchSpec.from_json(fh.read())
+        try:
+            with open(args.spec) as fh:
+                text = fh.read()
+        except OSError as e:
+            print(f"error: cannot read spec file: {e}", file=sys.stderr)
+            return 2
+        spec = SearchSpec.from_json(text)
     else:
         spec = SearchSpec(set_size=args.set_size,
                           denominator=args.denominator,
                           numerator_bound=args.numerator_bound)
-    results = search(spec, workers=args.workers)
+    results = search(spec)
     data = {"spec": spec.to_dict(),
             "found": [t.to_dict() for t in results]}
     if args.output:
@@ -263,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set-size", type=int, default=3)
     p.add_argument("--denominator", type=int, default=16)
     p.add_argument("--numerator-bound", type=int, default=40)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", help="write the sorted results as JSON")
     p.set_defaults(func=_cmd_search)
     return ap

@@ -74,9 +74,6 @@ class QuadMap:
             x = x * x + self.c
         return x
 
-    def as_poly(self, var: str = "x") -> UniPoly:
-        return UniPoly((self.c, 0, 1), var)
-
     def __str__(self) -> str:
         c = self.c
         if c == 0:

@@ -290,9 +290,6 @@ class UniPoly:
             acc = acc * inner + c
         return acc
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:], self.var)
-
     # -- division -----------------------------------------------------------
     def divmod(self, d: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if d.is_zero():

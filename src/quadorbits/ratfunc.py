@@ -168,9 +168,6 @@ class RatFunc:
             accd = accd * inner + c
         return acc / accd
 
-    def degree_pair(self) -> tuple[int, int]:
-        return self.num.degree, self.den.degree
-
     def __str__(self):
         if self.den == 1:
             return str(self.num)

@@ -1,31 +1,30 @@
-"""Brute-force discovery of finite-orbit tuples over height-bounded grids.
+"""Exhaustive discovery of finite-orbit tuples over height-bounded grids.
 
-The ground-truth oracle: enumerate coefficient tuples from a grid
-{k/d : |k| <= bound}, and for each tuple decide the complete set of
-finite-orbit basepoints by the guarded breadth-first closure (any
-finite-orbit point must pass the escape and denominator guards for every
-map, which confines it to a small explicit grid).
+Coefficients c run over a grid {k/d : |k| <= bound}; for every s-subset of
+the grid the search reports the complete set of rational basepoints with
+finite orbit under the s maps x^2 + c.
 
-For four or more maps the enumeration goes through the subset property: a
-basepoint with finite orbit under S keeps finite orbit under every subset,
-so only tuples whose (s-1)-subsets all appear in the smaller search, with
-a common basepoint, need a direct check.  This is an exact reduction, not
-a heuristic.
-
-Workers share nothing; results are merged and sorted, so the output is
-independent of scheduling.
+The search rests on one monotonicity fact: a point with finite orbit under
+S has finite orbit under every subset of S.  So it runs one recursion with
+a single base case.  For s = 1 each grid value is decided directly by the
+guarded breadth-first closure (``finite_orbit_points``).  For s >= 2 every
+hit S is the union of two of its (s-1)-subsets, and all s of those subsets
+are hits whose basepoint lists contain every basepoint of S; the candidates
+are therefore the size-s unions of two (s-1)-hits whose (s-1)-subsets are
+all hits, and each basepoint common to those subsets is confirmed by
+``monoid_orbit``.  The reduction is exact, not a heuristic: no tuple and no
+basepoint is lost, and every one reported is re-decided for the full set.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing as mp
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import MapSet, finite_orbit_points, monoid_orbit
-from .rationals import rat, rat_str
+from .rationals import rat_str
 
 __all__ = ["SearchSpec", "FoundTuple", "search"]
 
@@ -39,16 +38,31 @@ class SearchSpec:
     denominator: int = 16
     numerator_bound: int = 40
 
+    def __post_init__(self):
+        if self.set_size < 1:
+            raise ValueError("set_size must be at least 1")
+        if self.denominator < 1:
+            raise ValueError("denominator must be at least 1")
+        if self.numerator_bound < 0:
+            raise ValueError("numerator_bound must be at least 0")
+
     def grid(self) -> list[Fraction]:
         return [Fraction(k, self.denominator)
                 for k in range(-self.numerator_bound, self.numerator_bound + 1)]
 
     @classmethod
     def from_json(cls, text: str) -> "SearchSpec":
+        """Parse a spec; a malformed one raises ValueError."""
         data = json.loads(text)
-        return cls(set_size=int(data["set_size"]),
-                   denominator=int(data.get("denominator", 16)),
-                   numerator_bound=int(data.get("numerator_bound", 40)))
+        if not isinstance(data, dict) or "set_size" not in data:
+            raise ValueError("search spec must be a JSON object with set_size")
+        try:
+            return cls(set_size=int(data["set_size"]),
+                       denominator=int(data.get("denominator", 16)),
+                       numerator_bound=int(data.get("numerator_bound", 40)))
+        except TypeError as e:
+            raise ValueError(f"search spec fields must be integers: {e}") \
+                from None
 
     def to_dict(self) -> dict:
         return {"set_size": self.set_size, "denominator": self.denominator,
@@ -65,42 +79,21 @@ class FoundTuple:
                 "basepoints": [rat_str(p) for p in self.basepoints]}
 
 
-def _scan_chunk(chunk: list[tuple[Fraction, ...]]) -> list[FoundTuple]:
-    out = []
-    for cs in chunk:
-        pts = finite_orbit_points(MapSet(cs))
-        if pts:
-            out.append(FoundTuple(cs, tuple(r.basepoint for r in pts)))
-    return out
-
-
-def _direct_search(spec: SearchSpec, workers: int) -> list[FoundTuple]:
-    combos = list(itertools.combinations(spec.grid(), spec.set_size))
-    if workers <= 1:
-        found = _scan_chunk(combos)
-    else:
-        chunk_size = max(1, len(combos) // (workers * 16))
-        chunks = [combos[i:i + chunk_size]
-                  for i in range(0, len(combos), chunk_size)]
-        ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            found = [t for part in pool.imap_unordered(_scan_chunk, chunks)
-                     for t in part]
-    return sorted(found, key=lambda t: t.cs)
-
-
 def search(spec: SearchSpec, workers: int = 1) -> list[FoundTuple]:
     """Every tuple from the grid admitting a finite-orbit rational point,
-    with its complete basepoint list; exhaustive within the grid."""
-    if spec.set_size < 1:
-        raise ValueError("set_size must be at least 1")
-    if spec.set_size <= 3:
-        return _direct_search(spec, workers)
-    # subset reduction for larger sets: any candidate S is the union of two
-    # of its (s-1)-subsets, both of which must already be hits, so the
-    # candidates come from pairwise unions of the smaller results
+    with its complete basepoint list; exhaustive within the grid.  The
+    search is sequential: ``workers`` is accepted only as 1."""
+    if workers != 1:
+        raise ValueError("search runs in one process; workers must be 1")
+    if spec.set_size == 1:
+        out = []
+        for c in spec.grid():
+            pts = finite_orbit_points(MapSet((c,)))
+            if pts:
+                out.append(FoundTuple((c,), tuple(r.basepoint for r in pts)))
+        return out
     smaller = search(SearchSpec(spec.set_size - 1, spec.denominator,
-                                spec.numerator_bound), workers)
+                                spec.numerator_bound))
     by_set = {frozenset(t.cs): set(t.basepoints) for t in smaller}
     candidates: set[tuple[Fraction, ...]] = set()
     for k1, k2 in itertools.combinations(by_set, 2):
@@ -117,4 +110,4 @@ def search(spec: SearchSpec, workers: int = 1) -> list[FoundTuple]:
                             if monoid_orbit(MapSet(combo), p).is_finite()))
         if good:
             out.append(FoundTuple(combo, good))
-    return sorted(out, key=lambda t: t.cs)
+    return out

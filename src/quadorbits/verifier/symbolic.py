@@ -151,12 +151,6 @@ class BiRat:
         return self.num.content_primitive()[1] if not self.num.is_zero() \
             else self.num
 
-    def specialize_pair(self, a: Fraction, b: Fraction) -> Fraction:
-        d = self.den0(a) * self.den1(b)
-        if d == 0:
-            raise ZeroDivisionError("pole")
-        return self.num.eval2(a, b) / d
-
 
 def _embed(p: UniPoly, which: int, vars: tuple[str, str]) -> BiPoly:
     terms = {}

@@ -2,14 +2,18 @@
 
 These deliberately avoid the production code paths they check: the
 resultant oracle is a Sylvester-matrix determinant by Laplace expansion,
-and the preperiodicity oracle is naive bounded iteration.
+the preperiodicity oracle is naive bounded iteration, and the search oracle
+decides every tuple of the grid directly instead of by subset reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
+from quadorbits.dynamics import MapSet, finite_orbit_points
 from quadorbits.polynomials import BiPoly, UniPoly
+from quadorbits.search import FoundTuple, SearchSpec
 
 
 def sylvester_resultant(p: BiPoly, q: BiPoly, eliminate: int = 0) -> UniPoly:
@@ -70,3 +74,14 @@ def naive_preperiodic(c: Fraction, x: Fraction, steps: int = 200
             return False
         seen.add(cur)
     return None
+
+
+def direct_search(spec: SearchSpec) -> list[FoundTuple]:
+    """Brute-force grid search: the complete finite-orbit basepoint list of
+    every set_size-subset of the grid, decided one tuple at a time."""
+    found = []
+    for cs in itertools.combinations(spec.grid(), spec.set_size):
+        pts = finite_orbit_points(MapSet(cs))
+        if pts:
+            found.append(FoundTuple(cs, tuple(r.basepoint for r in pts)))
+    return found

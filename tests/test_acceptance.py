@@ -219,13 +219,13 @@ def test_criterion_8_elliptic_checks():
 
 def test_criterion_9_brute_force_rediscovery():
     t0 = time.time()
-    res3 = search(SearchSpec(3, 16, 40), workers=4)
+    res3 = search(SearchSpec(3, 16, 40))
     keys = [tuple(map(str, t.cs)) for t in res3]
     assert keys == [("-21/16", "-13/16", "-5/16"),
                     ("-13/16", "-5/16", "3/16")]
-    res4 = search(SearchSpec(4, 16, 40), workers=4)
+    res4 = search(SearchSpec(4, 16, 40))
     assert res4 == []
-    res2 = search(SearchSpec(2, 1, 5), workers=4)
+    res2 = search(SearchSpec(2, 1, 5))
     entries = {tuple(map(str, t.cs)): t for t in res2}
     assert ("-3", "-2") in entries
     assert rat("2") in entries[("-3", "-2")].basepoints

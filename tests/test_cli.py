@@ -98,6 +98,33 @@ class TestOtherVerbs:
         data = json.loads(out)
         assert data["spec"]["set_size"] == 2
 
+    def test_search_missing_spec_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "search", "--spec",
+                           str(tmp_path / "absent.json"))
+        assert code == 2 and "cannot read spec file" in err
+
+    def test_search_spec_without_set_size(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"denominator": 1, "numerator_bound": 3}')
+        code, _, err = run(capsys, "search", "--spec", str(spec))
+        assert code == 2 and "set_size" in err
+
+    def test_search_spec_null_set_size(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"set_size": null}')
+        code, _, err = run(capsys, "search", "--spec", str(spec))
+        assert code == 2 and "integers" in err
+
+    def test_search_zero_denominator(self, capsys):
+        code, _, err = run(capsys, "search", "--set-size", "2",
+                           "--denominator", "0")
+        assert code == 2 and "denominator must be at least 1" in err
+
+    def test_search_has_no_workers_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--set-size", "2", "--workers", "2"])
+        assert exc.value.code == 2
+
     def test_malformed_rational(self, capsys):
         code, _, err = run(capsys, "orbit", "--maps", "1.5", "--point", "0")
         assert code == 2 and "error" in err

@@ -6,13 +6,26 @@ route.  Computation carries an explicit resource budget (processed-pair and
 coefficient-bit ceilings): exceeding it raises ``BudgetExhausted``, which is
 a reported outcome, never a wrong answer.
 
-Reductions strip integer content aggressively (the instances here have fast
-coefficient growth) and pair selection follows the normal strategy with the
-coprime-leading-term and chain criteria.
+Reduction works over Z.  Exponents are permuted once per call so that the
+order is plain tuple comparison, coefficients are cleared to integers, and
+the largest remaining term comes off a max-heap (a cancelled term is skipped
+when it comes off).  Instead of dividing by a divisor's leading coefficient,
+a step scales the whole remainder by lc / gcd(c, lc) and then removes its
+content, so the coefficients stay bounded.  ``normal_form`` divides the
+tracked scale back out and returns the exact remainder over Q; inside
+``buchberger`` the basis is kept as primitive integer polynomials only, and
+converted to ``BiPoly`` once, to interreduce the result.
+
+Pair selection follows the normal strategy: the pair with the smallest lcm
+of leading terms, taken from a heap of lcms, with ties broken in the
+iteration order of the set of pending pairs.  The coprime-leading-term and
+chain criteria skip pairs that would reduce to zero.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,9 +54,14 @@ class MonomialOrder:
     kind: str = "lex"
     precedence: tuple[int, int] = (0, 1)
 
-    def key(self, e: Exponent):
+    def __post_init__(self):
         if self.kind != "lex":
             raise ValueError(f"unsupported order {self.kind!r}")
+        if self.precedence not in ((0, 1), (1, 0)):
+            raise ValueError(f"precedence must be (0, 1) or (1, 0), "
+                             f"not {self.precedence!r}")
+
+    def key(self, e: Exponent):
         a, b = self.precedence
         return (e[a], e[b])
 
@@ -106,6 +124,105 @@ def s_polynomial(f: BiPoly, g: BiPoly, order: MonomialOrder = LEX) -> BiPoly:
     )
 
 
+# -- integer reduction ------------------------------------------------------
+#
+# Internally a polynomial is a list of (exponent, int) items in key space:
+# exponents permuted (when the order puts vars[1] first) so that the order
+# is plain tuple comparison.  A basis element is the triple (leading
+# exponent, leading coefficient, items), the items including the leading
+# term.
+
+_Items = list[tuple[Exponent, int]]
+_Element = tuple[Exponent, int, _Items]
+
+
+def _swapped(order: MonomialOrder) -> bool:
+    return order.precedence == (1, 0)
+
+
+def _to_items(f: BiPoly, swap: bool) -> tuple[int, _Items]:
+    """(den, items): the items are den * f, with integer coefficients."""
+    den, ints = f._int_terms()
+    return den, [((j, i) if swap else (i, j), c) for (i, j), c in ints.items()]
+
+
+def _to_bipoly(items, scale, swap: bool, vars) -> BiPoly:
+    """The polynomial whose terms are the (exponent, c / scale) items."""
+    return BiPoly({((j, i) if swap else (i, j)): Fraction(c, 1) / scale
+                   for (i, j), c in items}, vars)
+
+
+def _primitive(items: _Items, swap: bool) -> _Element:
+    """Primitive part, normalised as ``BiPoly.content_primitive``: content
+    removed, positive coefficient at the lex-largest exponent in the
+    original variable order."""
+    d = math.gcd(*(c for _, c in items))
+    top = max(items, key=lambda t: (t[0][1], t[0][0])) if swap else max(items)
+    if top[1] < 0:
+        d = -d
+    if d != 1:
+        items = [(e, c // d) for e, c in items]
+    lt, lc = max(items)
+    return lt, lc, items
+
+
+def _reduce(work: dict[Exponent, int], basis: list[_Element]
+            ) -> tuple[dict[Exponent, int], Fraction]:
+    """Fraction-free division of ``work`` (consumed) by the basis, in key
+    space: (rem, scale) with rem / scale the exact remainder over Q of the
+    division that always reduces the largest term by the first divisor
+    whose leading exponent divides it."""
+    heap = [(-a, -b) for a, b in work]
+    heapq.heapify(heap)
+    pop, push, gcd = heapq.heappop, heapq.heappush, math.gcd
+    rem: dict[Exponent, int] = {}
+    scale = Fraction(1)
+    while heap:
+        na, nb = pop(heap)
+        e = (-na, -nb)
+        c = work.get(e)
+        if c is None:  # cancelled after it was pushed
+            continue
+        for (ga, gb), cg, items in basis:
+            if ga <= e[0] and gb <= e[1]:
+                break
+        else:
+            rem[e] = work.pop(e)
+            continue
+        # work * m - k * x^q * g cancels the term at e
+        qa, qb = e[0] - ga, e[1] - gb
+        g = gcd(c, cg)
+        m, k = cg // g, c // g
+        if m < 0:
+            m, k = -m, -k
+        if m != 1:
+            for t in work:
+                work[t] *= m
+            for t in rem:
+                rem[t] *= m
+        for (ta, tb), tc in items:
+            te = (ta + qa, tb + qb)
+            old = work.get(te)
+            if old is None:
+                work[te] = -k * tc
+                push(heap, (-te[0], -te[1]))
+            else:
+                s = old - k * tc
+                if s:
+                    work[te] = s
+                else:
+                    del work[te]
+        if m != 1:
+            d = gcd(*work.values(), *rem.values())
+            if d != 1:
+                for t in work:
+                    work[t] //= d
+                for t in rem:
+                    rem[t] //= d
+            scale = scale * m / d
+    return rem, scale
+
+
 def normal_form(f: BiPoly, basis, order: MonomialOrder = LEX) -> BiPoly:
     """Remainder of multivariate division of f by the basis.
 
@@ -116,39 +233,38 @@ def normal_form(f: BiPoly, basis, order: MonomialOrder = LEX) -> BiPoly:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty basis")
-    lts = [leading_term(g, order) for g in gens]
-    rem_terms: dict[Exponent, Fraction] = {}
-    work = dict(f.terms)
-    while work:
-        e = max(work, key=order.key)
-        c = work[e]
-        for g, (eg, cg) in zip(gens, lts):
-            if _divides(eg, e):
-                q = (e[0] - eg[0], e[1] - eg[1])
-                factor = c / cg
-                for ge, gc in g.terms.items():
-                    te = (ge[0] + q[0], ge[1] + q[1])
-                    s = work.get(te, Fraction(0)) - factor * gc
-                    if s:
-                        work[te] = s
-                    else:
-                        work.pop(te, None)
-                break
+    swap = _swapped(order)
+    # scaling a divisor leaves the remainder unchanged
+    divisors = [_primitive(_to_items(g, swap)[1], swap) for g in gens]
+    den, items = _to_items(f, swap)
+    rem, scale = _reduce(dict(items), divisors)
+    return _to_bipoly(rem.items(), scale * den, swap, f.vars)
+
+
+def _s_items(f: _Element, g: _Element) -> dict[Exponent, int]:
+    """An integer multiple of the S-polynomial of f and g, in key space."""
+    (fa, fb), cf, f_items = f
+    (ga, gb), cg, g_items = g
+    la, lb = max(fa, ga), max(fb, gb)
+    d = math.gcd(cf, cg)
+    mf, mg = cg // d, cf // d
+    out: dict[Exponent, int] = {}
+    for (a, b), c in f_items:
+        out[(a + la - fa, b + lb - fb)] = mf * c
+    for (a, b), c in g_items:
+        e = (a + la - ga, b + lb - gb)
+        s = out.get(e, 0) - mg * c
+        if s:
+            out[e] = s
         else:
-            rem_terms[e] = c
-            del work[e]
-    return BiPoly(rem_terms, f.vars)
+            out.pop(e, None)
+    return out
 
 
-def _strip(f: BiPoly) -> BiPoly:
-    return f.content_primitive()[1] if not f.is_zero() else f
-
-
-def _max_bits(f: BiPoly) -> int:
-    m = 0
-    for c in f.terms.values():
-        m = max(m, c.numerator.bit_length(), c.denominator.bit_length())
-    return m
+def _max_bits(items: _Items) -> int:
+    """Largest numerator or denominator bit length, the denominators of
+    integer coefficients being 1."""
+    return max(1, max(abs(c) for _, c in items).bit_length())
 
 
 def buchberger(gens, order: MonomialOrder = LEX,
@@ -158,14 +274,32 @@ def buchberger(gens, order: MonomialOrder = LEX,
     Raises BudgetExhausted when the pair count or coefficient size exceeds
     the budget; the exception carries the run statistics.
     """
-    G: list[BiPoly] = [_strip(g) for g in gens if not g.is_zero()]
-    if not G:
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         raise ValueError("no nonzero generators")
-    lt = [leading_term(g, order)[0] for g in G]
+    vars = gens[0].vars
+    swap = _swapped(order)
+    G: list[_Element] = [_primitive(_to_items(g, swap)[1], swap) for g in gens]
+    lt = [el[0] for el in G]
     pairs: set[tuple[int, int]] = {(i, j) for j in range(len(G)) for i in range(j)}
+    # pending pairs by the lcm of their leading terms, and a heap of the lcms
+    by_lcm: dict[Exponent, list[tuple[int, int]]] = {}
+    lcms: list[Exponent] = []
+
+    def file_pairs(new: set[tuple[int, int]]) -> None:
+        for p in new:
+            l = _lcm(lt[p[0]], lt[p[1]])
+            tied = by_lcm.get(l)
+            if tied is None:
+                by_lcm[l] = [p]
+                heapq.heappush(lcms, l)
+            else:
+                tied.append(p)
+
+    file_pairs(pairs)
     done: set[tuple[int, int]] = set()
     pairs_done = 0
-    max_bits = max(_max_bits(g) for g in G)
+    max_bits = max(_max_bits(el[2]) for el in G)
 
     def chain_skippable(i: int, j: int) -> bool:
         l = _lcm(lt[i], lt[j])
@@ -180,7 +314,18 @@ def buchberger(gens, order: MonomialOrder = LEX,
         return False
 
     while pairs:
-        i, j = min(pairs, key=lambda p: order.key(_lcm(lt[p[0]], lt[p[1]])))
+        l = lcms[0]
+        tied = by_lcm[l]
+        if len(tied) == 1:
+            i, j = tied.pop()
+        else:
+            # ties go to the first pair in the iteration order of ``pairs``:
+            # the statistics of an exhausted budget depend on the choice
+            i, j = next(p for p in pairs if p in tied)
+            tied.remove((i, j))
+        if not tied:
+            del by_lcm[l]
+            heapq.heappop(lcms)
         pairs.remove((i, j))
         done.add((i, j))
         pairs_done += 1
@@ -190,17 +335,15 @@ def buchberger(gens, order: MonomialOrder = LEX,
                 pairs_done, max_bits, len(G),
             )
         # Buchberger's first criterion: coprime leading terms reduce to zero
-        if lt[i][0] + lt[j][0] == _lcm(lt[i], lt[j])[0] and \
-           lt[i][1] + lt[j][1] == _lcm(lt[i], lt[j])[1]:
+        if lt[i][0] + lt[j][0] == l[0] and lt[i][1] + lt[j][1] == l[1]:
             continue
         if chain_skippable(i, j):
             continue
-        s = s_polynomial(G[i], G[j], order)
-        h = normal_form(s, G, order)
-        if h.is_zero():
+        rem, _ = _reduce(_s_items(G[i], G[j]), G)
+        if not rem:
             continue
-        h = _strip(h)
-        bits = _max_bits(h)
+        h = _primitive(list(rem.items()), swap)
+        bits = _max_bits(h[2])
         max_bits = max(max_bits, bits)
         if bits > budget.max_coeff_bits:
             raise BudgetExhausted(
@@ -208,11 +351,14 @@ def buchberger(gens, order: MonomialOrder = LEX,
                 pairs_done, max_bits, len(G),
             )
         G.append(h)
-        lt.append(leading_term(h, order)[0])
+        lt.append(h[0])
         t = len(G) - 1
-        pairs |= {(k, t) for k in range(t)}
+        new = {(k, t) for k in range(t)}
+        pairs |= new
+        file_pairs(new)
 
-    return IdealBasis(tuple(_interreduce(G, order)), order, is_groebner=True)
+    basis = [_to_bipoly(items, 1, swap, vars) for _, _, items in G]
+    return IdealBasis(tuple(_interreduce(basis, order)), order, is_groebner=True)
 
 
 def _interreduce(G: list[BiPoly], order: MonomialOrder) -> list[BiPoly]:

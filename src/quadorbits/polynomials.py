@@ -472,6 +472,14 @@ class BiPoly:
         if self.vars != other.vars and self.terms and other.terms:
             raise ValueError(f"mismatched variables {self.vars} and {other.vars}")
 
+    def _int_terms(self) -> tuple[int, dict[tuple[int, int], int]]:
+        """(common denominator d, exponent -> integer coefficient of d*self)."""
+        den = 1
+        for c in self.terms.values():
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        return den, {e: c.numerator * (den // c.denominator)
+                     for e, c in self.terms.items()}
+
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -512,13 +520,17 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._check(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        da, a = self._int_terms()
+        db, b = other._int_terms()
+        out: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
                 e = (i1 + i2, j1 + j2)
                 s = out.get(e)
                 out[e] = c1 * c2 if s is None else s + c1 * c2
-        return BiPoly(out, self.vars if self.terms else other.vars)
+        den = da * db
+        return BiPoly({e: Fraction(c, den) for e, c in out.items() if c},
+                      self.vars if self.terms else other.vars)
 
     __rmul__ = __mul__
 
@@ -616,29 +628,23 @@ class BiPoly:
         coefficient)."""
         if self.is_zero():
             raise ValueError("zero polynomial has no content decomposition")
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        g = 0
-        for c in self.terms.values():
-            g = math.gcd(g, int(c * den))
+        den, ints = self._int_terms()
+        g = math.gcd(*ints.values())
         if self.terms[max(self.terms)] < 0:
             g = -g
-        cont = Fraction(g, den)
-        return cont, BiPoly({e: c / cont for e, c in self.terms.items()}, self.vars)
+        return Fraction(g, den), BiPoly({e: c // g for e, c in ints.items()},
+                                        self.vars)
 
     # -- conversions for elimination ----------------------------------------
     def to_coeff_lists(self, eliminate: int) -> tuple[int, list[list[int]]]:
         """(denominator, lists-of-int-polys) with the outer index running over
         powers of vars[eliminate] and inner int polys in the other variable."""
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
+        den, ints = self._int_terms()
         n = self.degree(eliminate)
         rows: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-        for (i, j), c in self.terms.items():
+        for (i, j), c in ints.items():
             a, b = (i, j) if eliminate == 0 else (j, i)
-            rows[a][b] = int(c * den)
+            rows[a][b] = c
         out = []
         for row in rows:
             m = max(row, default=-1)

@@ -56,13 +56,15 @@ class SearchSpec:
         data = json.loads(text)
         if not isinstance(data, dict) or "set_size" not in data:
             raise ValueError("search spec must be a JSON object with set_size")
-        try:
-            return cls(set_size=int(data["set_size"]),
-                       denominator=int(data.get("denominator", 16)),
-                       numerator_bound=int(data.get("numerator_bound", 40)))
-        except TypeError as e:
-            raise ValueError(f"search spec fields must be integers: {e}") \
-                from None
+        fields = {"set_size": data["set_size"],
+                  "denominator": data.get("denominator", 16),
+                  "numerator_bound": data.get("numerator_bound", 40)}
+        for name, value in fields.items():
+            # bool is an int subclass; 2.7 and "3" must not be truncated
+            if type(value) is not int:
+                raise ValueError(f"search spec fields must be integers: "
+                                 f"{name} is {json.dumps(value)}")
+        return cls(**fields)
 
     def to_dict(self) -> dict:
         return {"set_size": self.set_size, "denominator": self.denominator,

@@ -2,8 +2,10 @@
 
 These deliberately avoid the production code paths they check: the
 resultant oracle is a Sylvester-matrix determinant by Laplace expansion,
-the preperiodicity oracle is naive bounded iteration, and the search oracle
-decides every tuple of the grid directly instead of by subset reduction.
+the preperiodicity oracle is naive bounded iteration, the search oracle
+decides every tuple of the grid directly instead of by subset reduction,
+and the normal-form oracle divides over Q, rescanning for the leading term
+at every step.
 """
 
 from __future__ import annotations
@@ -85,3 +87,35 @@ def direct_search(spec: SearchSpec) -> list[FoundTuple]:
         if pts:
             found.append(FoundTuple(cs, tuple(r.basepoint for r in pts)))
     return found
+
+
+def naive_normal_form(f: BiPoly, gens: list[BiPoly], order) -> BiPoly:
+    """Remainder of f by gens over Q: reduce the largest term under
+    ``order.key`` by the first generator whose leading term divides it,
+    else move it to the remainder."""
+    gens = [g for g in gens if not g.is_zero()]
+    lts = []
+    for g in gens:
+        e = max(g.terms, key=order.key)
+        lts.append((e, g.terms[e]))
+    rem_terms: dict[tuple[int, int], Fraction] = {}
+    work = dict(f.terms)
+    while work:
+        e = max(work, key=order.key)
+        c = work[e]
+        for g, (eg, cg) in zip(gens, lts):
+            if eg[0] <= e[0] and eg[1] <= e[1]:
+                q = (e[0] - eg[0], e[1] - eg[1])
+                factor = c / cg
+                for ge, gc in g.terms.items():
+                    te = (ge[0] + q[0], ge[1] + q[1])
+                    s = work.get(te, Fraction(0)) - factor * gc
+                    if s:
+                        work[te] = s
+                    else:
+                        work.pop(te, None)
+                break
+        else:
+            rem_terms[e] = c
+            del work[e]
+    return BiPoly(rem_terms, f.vars)

@@ -115,6 +115,14 @@ class TestOtherVerbs:
         code, _, err = run(capsys, "search", "--spec", str(spec))
         assert code == 2 and "integers" in err
 
+    @pytest.mark.parametrize("value", ["2.7", "true", '"3"'])
+    def test_search_spec_non_integer_set_size(self, capsys, tmp_path, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"set_size": %s, "denominator": 1, '
+                        '"numerator_bound": 3}' % value)
+        code, out, err = run(capsys, "search", "--spec", str(spec))
+        assert code == 2 and "integers" in err and not out
+
     def test_search_zero_denominator(self, capsys):
         code, _, err = run(capsys, "search", "--set-size", "2",
                            "--denominator", "0")

@@ -1,14 +1,35 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import naive_normal_form
 from quadorbits.groebner import Budget, BudgetExhausted, IdealBasis, LEX, \
-    buchberger, ideal_membership, leading_term, normal_form, s_polynomial
+    MonomialOrder, buchberger, ideal_membership, leading_term, normal_form, \
+    s_polynomial
 from quadorbits.polynomials import BiPoly
+from quadorbits.verifier.lemmas import groebner_route, lemma_setup
 
 XY = ("x", "y")
 
 
 def B(s):
     return BiPoly.parse(s, vars=XY)
+
+
+Y_FIRST = MonomialOrder(precedence=(1, 0))
+
+
+class TestMonomialOrder:
+    def test_orders(self):
+        assert LEX.key((1, 2)) == (1, 2)
+        assert Y_FIRST.key((1, 2)) == (2, 1)
+
+    @pytest.mark.parametrize("kwargs", [{"precedence": (0, 0)},
+                                        {"precedence": (1, 1)},
+                                        {"precedence": (0, 2)},
+                                        {"kind": "grevlex"}])
+    def test_invalid_order_rejected_on_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            MonomialOrder(**kwargs)
 
 
 class TestSPolynomial:
@@ -111,3 +132,60 @@ class TestEliminationConsistency:
                     rational_roots(u.squarefree_part()).root_set())
                 assert z_roots <= res_roots
         assert found_z_only
+
+
+def small_bipolys(min_terms=0):
+    coeff = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    return st.dictionaries(exps, coeff, min_size=min_terms, max_size=6).map(
+        lambda t: BiPoly(t, XY))
+
+
+nonzero_bipolys = small_bipolys(min_terms=1).filter(lambda f: not f.is_zero())
+orders = st.sampled_from([LEX, Y_FIRST])
+
+
+class TestAgainstNaiveReduction:
+    """The heap-ordered, fraction-free reduction against plain division
+    over Q, which rescans for the leading term at every step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_bipolys(), st.lists(nonzero_bipolys, min_size=1, max_size=3),
+           orders)
+    # a divisor whose leading coefficient under the order is negative
+    @example(B("y^3 + x*y"), [B("x - y^2")], Y_FIRST)
+    def test_normal_form_matches_oracle(self, f, basis, order):
+        assert normal_form(f, basis, order).terms == \
+            naive_normal_form(f, basis, order).terms
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(nonzero_bipolys, min_size=1, max_size=3), orders)
+    def test_basis_s_polynomials_reduce_to_zero(self, gens, order):
+        try:
+            basis = buchberger(gens, order, Budget(max_pairs=400))
+        except BudgetExhausted:
+            return
+        G = list(basis.generators)
+        for i in range(len(G)):
+            for j in range(i + 1, len(G)):
+                s = s_polynomial(G[i], G[j], order)
+                assert naive_normal_form(s, G, order).is_zero()
+        for g in gens:  # and the basis generates the input ideal
+            assert naive_normal_form(g, G, order).is_zero()
+
+
+class TestCriterion7Outcomes:
+    """The lemma systems of criterion 7 exhaust the budget with fixed run
+    statistics (pairs done, largest coefficient, basis size).  Pinning the
+    two cheapest shows any change of reduction or pair order that alters
+    the run."""
+
+    @pytest.mark.parametrize("lid, expected", [
+        ("2.3", ("budget-exhausted", 121, 400, 37)),
+        ("2.5", ("budget-exhausted", 121, 274, 40)),
+    ])
+    def test_pinned_outcome(self, lid, expected):
+        out = groebner_route(lemma_setup(lid),
+                             Budget(max_pairs=120, max_coeff_bits=60_000))
+        assert (out.status, out.pairs_done, out.max_coeff_bits,
+                out.basis_size) == expected

@@ -167,3 +167,22 @@ def test_content_primitive_round_trip(p):
         return
     c, prim = pp.content_primitive()
     assert prim * c == pp
+
+
+bi_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12), max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bi_terms, bi_terms)
+def test_bipoly_product_matches_fraction_product(p, q):
+    """The product over Z under one denominator against the term-by-term
+    product over Q."""
+    naive: dict = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            e = (i1 + i2, j1 + j2)
+            naive[e] = naive.get(e, Fraction(0)) + c1 * c2
+    assert (BiPoly(p) * BiPoly(q)).terms == \
+        {e: c for e, c in naive.items() if c}

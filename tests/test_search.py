@@ -89,7 +89,11 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("text", ['{"denominator": 16}',
                                       '{"set_size": null}', '[2, 16, 40]',
-                                      '{"set_size": 2, "denominator": "x"}'])
+                                      '{"set_size": 2, "denominator": "x"}',
+                                      '{"set_size": 2.7}', '{"set_size": 2.0}',
+                                      '{"set_size": true}', '{"set_size": "3"}',
+                                      '{"set_size": 2, "numerator_bound": 4.5}',
+                                      '{"set_size": 2, "denominator": false}'])
     def test_malformed_json_is_a_value_error(self, text):
         with pytest.raises(ValueError):
             SearchSpec.from_json(text)

@@ -2,9 +2,15 @@
 
 Dense univariate polynomials over Z as lists of ints indexed by degree
 (no trailing zeros; the zero polynomial is the empty list).  Everything the
-hot paths need lives here: ring arithmetic, contents, pseudo-division,
-subresultant remainder sequences, and a certified modular gcd.  The public
-Fraction-coefficient classes in ``polynomials`` delegate to these helpers.
+hot paths need lives here: ring arithmetic, contents, pseudo-division, and a
+certified modular gcd.  The public Fraction-coefficient classes in
+``polynomials`` delegate to these helpers.
+
+Bivariate integer polynomials appear in one form only, the row form: a list
+of univariate rows indexed by the power of the eliminated variable, as
+``BiPoly.to_coeff_lists`` returns it.  This module is the only one that
+computes on it: contents in the surviving variable, pseudo-remainders,
+subresultant resultants and the bivariate gcd.
 
 The modular gcd computes candidates mod independent 62-bit primes, combines
 them by CRT, and only returns after verifying exact divisibility into both
@@ -337,48 +343,12 @@ def zsquarefree(p: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# subresultant PRS resultants over a coefficient ring (Z[z] via RingZPoly)
+# bivariate integer polynomials in row form (rows in the surviving variable z,
+# indexed by the power of the eliminated variable)
 # ---------------------------------------------------------------------------
 
-class RingZPoly:
-    """Coefficient-ring shim: integer polynomials in the surviving variable."""
-
-    zero: list[int] = []
-    one = [1]
-
-    @staticmethod
-    def is_zero(a):
-        return not a
-
-    @staticmethod
-    def mul(a, b):
-        return zmul(a, b)
-
-    @staticmethod
-    def sub(a, b):
-        return zsub(a, b)
-
-    @staticmethod
-    def divexact(a, b):
-        return zdivexact(a, b)
-
-    @staticmethod
-    def power(a, n):
-        return zpow(a, n)
-
-    @staticmethod
-    def neg(a):
-        return zneg(a)
-
-
-def _gtrim(p: list, ring) -> list:
-    while p and ring.is_zero(p[-1]):
-        p.pop()
-    return p
-
-
-def _gprem(p: list, d: list, ring) -> list:
-    """Pseudo-remainder with coefficients in ``ring``."""
+def _gprem(p: list[list[int]], d: list[list[int]]) -> list[list[int]]:
+    """Pseudo-remainder of p by d in row form."""
     dp, dd = len(p) - 1, len(d) - 1
     if dp < dd:
         return list(p)
@@ -388,26 +358,27 @@ def _gprem(p: list, d: list, ring) -> list:
     while rem and len(rem) - 1 >= dd:
         k = len(rem) - 1 - dd
         c = rem[-1]
-        new = [ring.mul(rc, lead) for rc in rem]
+        rem = [zmul(rc, lead) for rc in rem]
         for i, dc in enumerate(d):
-            new[k + i] = ring.sub(new[k + i], ring.mul(c, dc))
-        rem = _gtrim(new, ring)
+            rem[k + i] = zsub(rem[k + i], zmul(c, dc))
+        while rem and not rem[-1]:
+            rem.pop()
         mults -= 1
     if mults > 0:
-        lp = ring.power(lead, mults)
-        rem = [ring.mul(c, lp) for c in rem]
+        lp = zpow(lead, mults)
+        rem = [zmul(c, lp) for c in rem]
     return rem
 
 
-def subres_resultant(p: list, q: list, ring) -> object:
-    """Resultant of p, q (coefficient lists over ``ring``) via the
-    subresultant PRS with Brown-Traub bookkeeping.
+def subres_resultant(p: list[list[int]], q: list[list[int]]) -> list[int]:
+    """Resultant of p, q (row form) via the subresultant PRS with
+    Brown-Traub bookkeeping.
 
     Convention: equals the Sylvester determinant with p's coefficient rows
     first, i.e. lc(p)^deg(q) * prod q(alpha) over the roots alpha of p.
     """
     if not p or not q:
-        return ring.zero
+        return []
     dp, dq = len(p) - 1, len(q) - 1
     sign = 1
     A, B = list(p), list(q)
@@ -416,40 +387,52 @@ def subres_resultant(p: list, q: list, ring) -> object:
         if (dp * dq) % 2:
             sign = -sign
     if len(B) == 1:
-        return _with_sign(ring.power(B[0], len(A) - 1), sign, ring)
-    g = ring.one
-    h = ring.one
+        res = zpow(B[0], len(A) - 1)
+        return res if sign > 0 else zneg(res)
+    g = [1]
+    h = [1]
     while True:
         dA, dB = len(A) - 1, len(B) - 1
         delta = dA - dB
         if (dA % 2) and (dB % 2):
             sign = -sign
-        R = _gprem(A, B, ring)
+        R = _gprem(A, B)
         A = B
         if not R:
-            return ring.zero
-        denom = ring.mul(g, ring.power(h, delta))
-        B = [ring.divexact(c, denom) for c in R]
-        B = _gtrim(B, ring)
+            return []
+        denom = zmul(g, zpow(h, delta))
+        B = [zdivexact(c, denom) for c in R]
         g = A[-1]
         if delta:
-            h = ring.divexact(ring.power(g, delta), ring.power(h, delta - 1))
-        if len(B) - 1 <= 0:
-            if not B:
-                return ring.zero
+            h = zdivexact(zpow(g, delta), zpow(h, delta - 1))
+        if len(B) == 1:
             dA = len(A) - 1
-            hfin = ring.divexact(ring.power(B[0], dA), ring.power(h, dA - 1))
-            return _with_sign(hfin, sign, ring)
+            res = zdivexact(zpow(B[0], dA), zpow(h, dA - 1))
+            return res if sign > 0 else zneg(res)
 
 
-def _with_sign(val, sign: int, ring):
-    return val if sign >= 0 else ring.neg(val)
+def zzcontent(p: list[list[int]]) -> list[int]:
+    """Content in Z[z] of a row-form polynomial: the primitive gcd of its
+    rows, [1] when it has no polynomial content."""
+    g: list[int] = []
+    for c in p:
+        if c:
+            g = zgcd(g, c) if g else zprimitive(c)[1]
+            if zdeg(g) == 0:
+                return [1]
+    return g if g else [1]
+
+
+def _strip_content(p: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(content, primitive part) of a nonzero row-form polynomial."""
+    c = zzcontent(p)
+    if c == [1]:
+        return c, p
+    return c, [zdivexact(r, c) if r else [] for r in p]
 
 
 def zzresultant(p: list[list[int]], q: list[list[int]]) -> list[int]:
-    """Resultant in the eliminated variable of two bivariate polynomials,
-    given as lists (indexed by eliminated-variable degree) of integer
-    polynomials in the surviving variable.  Returns an integer polynomial.
+    """Resultant in the eliminated variable of two row-form polynomials.
 
     Contents (in the surviving variable) are stripped first and multiplied
     back in, which keeps the PRS small on the paper-sized inputs.
@@ -462,21 +445,32 @@ def zzresultant(p: list[list[int]], q: list[list[int]]) -> list[int]:
         q.pop()
     if not p or not q:
         return []
-    cp = _bicontent(p)
-    cq = _bicontent(q)
-    pp = [zdivexact(c, cp) if c else [] for c in p]
-    qq = [zdivexact(c, cq) if c else [] for c in q]
+    cp, pp = _strip_content(p)
+    cq, qq = _strip_content(q)
     scale = zmul(zpow(cp, len(q) - 1), zpow(cq, len(p) - 1))
-    res = subres_resultant(pp, qq, RingZPoly)
-    return zmul(scale, res)
+    return zmul(scale, subres_resultant(pp, qq))
 
 
-def _bicontent(p: list[list[int]]) -> list[int]:
-    """Gcd of the coefficient polynomials (the content in Z[z])."""
-    g: list[int] = []
-    for c in p:
-        if c:
-            g = zgcd(g, c) if g else zprimitive(c)[1]
-            if zdeg(g) == 0:
-                return [1]
-    return g if g else [1]
+def zzgcd(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
+    """Gcd of two nonzero row-form polynomials, up to an integer factor.
+
+    The gcd of the contents in Z[z] times the gcd of the primitive parts,
+    found by the primitive pseudo-remainder sequence in the eliminated
+    variable.
+    """
+    cp, a = _strip_content(p)
+    cq, b = _strip_content(q)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            a = [[1]]
+            break
+        r = _gprem(a, b)
+        if r:
+            r = _strip_content(r)[1]
+        a, b = b, r
+    cont = zgcd(cp, cq)
+    if cont == [1]:
+        return a
+    return [zmul(cont, r) if r else [] for r in a]

@@ -194,9 +194,13 @@ def _cmd_search(args) -> int:
     data = {"spec": spec.to_dict(),
             "found": [t.to_dict() for t in results]}
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.output, "w") as fh:
+                json.dump(data, fh, indent=2)
+                fh.write("\n")
+        except OSError as e:
+            print(f"error: cannot write output file: {e}", file=sys.stderr)
+            return 2
     lines = [f"search over c in {{k/{spec.denominator} : |k| <= "
              f"{spec.numerator_bound}}}, sets of {spec.set_size}: "
              f"{len(results)} tuple(s)"]

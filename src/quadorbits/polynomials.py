@@ -2,8 +2,11 @@
 
 ``UniPoly`` is dense (coefficient list indexed by degree), ``BiPoly`` is a
 sparse exponent map; both carry variable labels and refuse mixed-variable
-arithmetic.  Resultants use the subresultant pseudo-remainder sequence on
-primitive integer parts, with contents multiplied back so values are exact.
+arithmetic.  ``BiPoly.to_coeff_lists`` and ``BiPoly.from_coeff_lists``
+convert to and from the integer row form on which ``_intpoly`` eliminates a
+variable; ``resultant`` and ``bivariate_gcd`` are conversion wrappers around
+its subresultant resultant and pseudo-remainder gcd, with contents and
+denominators multiplied back so values are exact.
 
 Resultant sign convention, pinned by the tests: ``resultant(p, q)`` equals
 the determinant of the Sylvester matrix whose top rows carry q, i.e.
@@ -18,6 +21,7 @@ import re
 from fractions import Fraction
 
 from . import _intpoly as zp
+from .rationals import rat_str
 
 __all__ = [
     "UniPoly",
@@ -123,10 +127,6 @@ def _parse_terms(text: str) -> dict[tuple[str, ...], Fraction]:
         key = tuple(sorted(powers))
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return {k: v for k, v in terms.items() if v}
-
-
-def _fmt_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +374,10 @@ class UniPoly:
             if c == 0:
                 continue
             if i == 0:
-                body = _fmt_coeff(abs(c))
+                body = rat_str(abs(c))
             else:
                 xs = self.var if i == 1 else f"{self.var}^{i}"
-                body = xs if abs(c) == 1 else f"{_fmt_coeff(abs(c))}*{xs}"
+                body = xs if abs(c) == 1 else f"{rat_str(abs(c))}*{xs}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -415,6 +415,21 @@ class BiPoly:
     @classmethod
     def constant(cls, c, vars=("y", "z")) -> "BiPoly":
         return cls({(0, 0): c}, vars)
+
+    @classmethod
+    def from_unipoly(cls, p: UniPoly, which: int, vars=("y", "z")) -> "BiPoly":
+        """p as a polynomial in vars[which] alone (p's own label is not
+        consulted)."""
+        return cls({(i, 0) if which == 0 else (0, i): c
+                    for i, c in enumerate(p.coeffs) if c}, vars)
+
+    @classmethod
+    def from_coeff_lists(cls, rows: list[list[int]], eliminate: int,
+                         vars=("y", "z")) -> "BiPoly":
+        """Inverse of ``to_coeff_lists`` for denominator 1."""
+        return cls({(a, b) if eliminate == 0 else (b, a): c
+                    for a, row in enumerate(rows)
+                    for b, c in enumerate(row) if c}, vars)
 
     @classmethod
     def variable(cls, name: str, vars=("y", "z")) -> "BiPoly":
@@ -455,7 +470,9 @@ class BiPoly:
         )
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.vars))
+        # labels count only where a variable occurs, as in __eq__
+        return hash((frozenset(self.terms.items()),
+                     self.vars if self.total_degree() > 0 else ""))
 
     def degree(self, which: int) -> int:
         """Degree in vars[which]; -1 for the zero polynomial."""
@@ -623,6 +640,18 @@ class BiPoly:
         except ExactDivisionError:
             return False
 
+    def divide_out(self, d: "BiPoly") -> tuple["BiPoly", int]:
+        """(q, m) with self = d^m * q and d not dividing q; one exact
+        division per step.  self must be nonzero and d nonconstant."""
+        m = 0
+        q = self
+        while True:
+            try:
+                q = q.exact_divide(d)
+            except ExactDivisionError:
+                return q, m
+            m += 1
+
     def content_primitive(self) -> tuple[Fraction, "BiPoly"]:
         """Rational content and integer-primitive part (positive lex-leading
         coefficient)."""
@@ -666,11 +695,11 @@ class BiPoly:
             if j:
                 factors.append(self.vars[1] if j == 1 else f"{self.vars[1]}^{j}")
             if not factors:
-                body = _fmt_coeff(abs(c))
+                body = rat_str(abs(c))
             elif abs(c) == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([_fmt_coeff(abs(c))] + factors)
+                body = "*".join([rat_str(abs(c))] + factors)
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -683,7 +712,7 @@ class BiPoly:
     def dump_terms(self) -> dict[str, str]:
         """Exponent-map dump used in verification reports."""
         return {
-            f"({i},{j})": _fmt_coeff(c)
+            f"({i},{j})": rat_str(c)
             for (i, j), c in sorted(self.terms.items())
         }
 
@@ -733,49 +762,8 @@ def bivariate_gcd(p: BiPoly, q: BiPoly, main: int = 0) -> BiPoly:
     if q.is_zero():
         return p.content_primitive()[1]
     p._check(q)
-    den_p, rows_p = p.to_coeff_lists(main)
-    den_q, rows_q = q.to_coeff_lists(main)
-    cont_p = zp._bicontent(rows_p)
-    cont_q = zp._bicontent(rows_q)
-    cont_g = zp.zgcd(cont_p, cont_q)
-    a = [zp.zdivexact(r, cont_p) if r else [] for r in rows_p]
-    b = [zp.zdivexact(r, cont_q) if r else [] for r in rows_q]
-    if len(a) < len(b):
-        a, b = b, a
-    # pseudo-remainder sequence on the primitive parts
-    while True:
-        if not b:
-            g_rows = a
-            break
-        if len(b) == 1:
-            g_rows = [[1]]
-            break
-        r = zp._gprem(a, b, zp.RingZPoly)
-        r = [list(c) for c in r]
-        while r and not r[-1]:
-            r.pop()
-        if r:
-            rc = zp._bicontent(r)
-            r = [zp.zdivexact(c, rc) if c else [] for c in r]
-        a, b = b, r
-    g_rows = [list(c) for c in g_rows]
-    gc = zp._bicontent(g_rows)
-    g_rows = [zp.zdivexact(c, gc) if c else [] for c in g_rows]
-    # assemble cont_g * primitive-gcd back into a BiPoly
-    terms: dict[tuple[int, int], Fraction] = {}
-    for i, row in enumerate(g_rows):
-        for j, c in enumerate(row):
-            if c:
-                e = (i, j) if main == 0 else (j, i)
-                terms[e] = Fraction(c)
-    g = BiPoly(terms, p.vars)
-    if cont_g != [1]:
-        cont_terms = {}
-        for j, c in enumerate(cont_g):
-            if c:
-                cont_terms[(0, j) if main == 0 else (j, 0)] = Fraction(c)
-        g = g * BiPoly(cont_terms, p.vars)
-    g = g.content_primitive()[1]
+    rows = zp.zzgcd(p.to_coeff_lists(main)[1], q.to_coeff_lists(main)[1])
+    g = BiPoly.from_coeff_lists(rows, main, p.vars).content_primitive()[1]
     if not (g.divides(p) and g.divides(q)):
         raise ArithmeticError("bivariate gcd verification failed")
     return g

@@ -56,9 +56,14 @@ def _multiplicity(ints: list[int], num: int, den: int = 1) -> int:
     """Multiplicity of num/den as a root of the integer polynomial."""
     factor = [-num, den]
     m = 0
-    while ints and zp.zdivides(factor, ints):
-        ints = zp.zdivexact(ints, factor)
-        m += 1
+    while ints:
+        try:
+            q, r = zp.zdivmod(ints, factor)
+        except ArithmeticError:  # a non-integral quotient step
+            break
+        if r:
+            break
+        ints, m = q, m + 1
     return m
 
 

@@ -88,15 +88,9 @@ def _options_22() -> tuple[Option, list[Option]]:
 def _p_equation(PA: RatFunc, PB: RatFunc) -> BiPoly:
     """Numerator of PA(a) - PB(b) as an integer-primitive BiPoly in (a, b)."""
     vars = ("a", "b")
-
-    def embed(p: UniPoly, which: int) -> BiPoly:
-        terms = {}
-        for i, c in enumerate(p.coeffs):
-            if c:
-                terms[(i, 0) if which == 0 else (0, i)] = c
-        return BiPoly(terms, vars)
-
-    N = embed(PA.num, 0) * embed(PB.den, 1) - embed(PB.num, 1) * embed(PA.den, 0)
+    emb = BiPoly.from_unipoly
+    N = (emb(PA.num, 0, vars) * emb(PB.den, 1, vars)
+         - emb(PB.num, 1, vars) * emb(PA.den, 0, vars))
     return N.content_primitive()[1] if not N.is_zero() else N
 
 
@@ -115,17 +109,10 @@ def _solve_linear_piece(piece: BiPoly) -> tuple[int, RatFunc]:
     g(other variable)."""
     for which in (0, 1):
         if piece.degree(which) == 1:
-            num_terms: dict[int, Fraction] = {}
-            den_terms: dict[int, Fraction] = {}
-            for (i, j), c in piece.terms.items():
-                d, other = (i, j) if which == 0 else (j, i)
-                (den_terms if d == 1 else num_terms)[other] = c
+            den, (n, d) = piece.to_coeff_lists(which)
             var = piece.vars[1 - which]
-            n = UniPoly([num_terms.get(k, Fraction(0))
-                         for k in range(max(num_terms, default=-1) + 1)], var)
-            d = UniPoly([den_terms.get(k, Fraction(0))
-                         for k in range(max(den_terms, default=-1) + 1)], var)
-            return which, RatFunc(-n, d)
+            return which, RatFunc(-UniPoly.from_int(den, n, var),
+                                  UniPoly.from_int(den, d, var))
     raise ValueError(f"piece {piece} is not linear in either variable")
 
 

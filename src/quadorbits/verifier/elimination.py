@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .. import _intpoly as zp
 from ..polynomials import BiPoly, UniPoly, bivariate_gcd, resultant
 from ..roots import rational_roots
 
@@ -94,9 +95,9 @@ def _divide_structural(gen: GeneratorFactors, structural: list[BiPoly]
     out = []
     for f in gen.factors:
         for s in structural:
-            while s.divides(f):
-                f = f.exact_divide(s)
-                divisions[str(s)] = divisions.get(str(s), 0) + 1
+            f, m = f.divide_out(s)
+            if m:
+                divisions[str(s)] = divisions.get(str(s), 0) + m
         if not f.is_zero():
             f = f.content_primitive()[1]
         out.append(f)
@@ -108,20 +109,14 @@ def _split_survivor_content(f: BiPoly, eliminate: int) -> tuple[BiPoly, set[Frac
     roots make the whole factor vanish identically and count as candidates."""
     if f.is_zero() or f.degree(1 - eliminate) <= 0:
         return f, set()
-    survivor_first = 1 - eliminate
+    survivor = 1 - eliminate
     # content of f viewed in the eliminated variable
-    from .symbolic import _directional_content  # shared helper
-
-    cont = _directional_content(f.content_primitive()[1], survivor_first)
+    cont = zp.zzcontent(f.to_coeff_lists(eliminate)[1])
     roots: set[Fraction] = set()
-    if len(cont) - 1 > 0:
-        cp = UniPoly(cont, f.vars[survivor_first])
+    if len(cont) > 1:
+        cp = UniPoly(cont, f.vars[survivor])
         roots = set(rational_roots(cp.squarefree_part()).root_set())
-        emb_terms = {}
-        for j, c in enumerate(cont):
-            if c:
-                emb_terms[(j, 0) if survivor_first == 0 else (0, j)] = Fraction(c)
-        f = f.exact_divide(BiPoly(emb_terms, f.vars))
+        f = f.exact_divide(BiPoly.from_unipoly(cp, survivor, f.vars))
     return f, roots
 
 

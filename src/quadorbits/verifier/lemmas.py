@@ -450,9 +450,9 @@ def groebner_route(setup: LemmaSetup, budget: Budget) -> GroebnerOutcome:
         q = el
         used = BiPoly.constant(1, setup.vars)
         for s in setup.structural:
-            while s.divides(q):
-                q = q.exact_divide(s)
-                used = used * s
+            q, m = q.divide_out(s)
+            if m:
+                used = used * s**m
         uni = q.as_unipoly()
         if uni is not None and uni.var == setup.vars[survivor] and uni.degree > 0:
             if best is None or uni.degree < best.degree:
@@ -465,12 +465,8 @@ def groebner_route(setup: LemmaSetup, budget: Budget) -> GroebnerOutcome:
             expected_degree=setup.groebner_expected_degree,
             note="no candidate-variable eliminant found in the basis")
     # membership of the factored combination
-    g_emb_terms = {}
-    for i, c in enumerate(best.coeffs):
-        if c:
-            g_emb_terms[(0, i)] = c
-    F = BiPoly(g_emb_terms, setup.vars) * (cofactor_used
-                                           or BiPoly.constant(1, setup.vars))
+    F = BiPoly.from_unipoly(best, survivor, setup.vars) * (
+        cofactor_used or BiPoly.constant(1, setup.vars))
     member = normal_form(F, basis).is_zero()
     return GroebnerOutcome(
         status="completed", pairs_done=0, max_coeff_bits=0,

@@ -63,7 +63,7 @@ class BiRat:
     @classmethod
     def from_ratfunc(cls, f: RatFunc, which: int, vars: tuple[str, str]) -> "BiRat":
         """Embed a univariate rational function as a BiRat in vars[which]."""
-        num = _embed(f.num, which, vars)
+        num = BiPoly.from_unipoly(f.num, which, vars)
         if which == 0:
             return cls(num, f.den, UniPoly.constant(1, vars[1])).reduced()
         return cls(num, UniPoly.constant(1, vars[0]), f.den).reduced()
@@ -85,12 +85,13 @@ class BiRat:
         for which in (0, 1):
             den = d0 if which == 0 else d1
             if den.degree > 0:
-                cont = _directional_content(num, which)
+                cont = zp.zzcontent(num.to_coeff_lists(1 - which)[1])
                 _, di = den.to_int()
                 g = zp.zgcd(cont, di)
                 if zp.zdeg(g) > 0:
                     gp = UniPoly(g, den.var)
-                    num = _divide_directional(num, gp, which)
+                    num = num.exact_divide(BiPoly.from_unipoly(gp, which,
+                                                               num.vars))
                     den = den.exact_divide(gp)
                     if which == 0:
                         d0 = den
@@ -112,8 +113,9 @@ class BiRat:
         if b is NotImplemented:
             return NotImplemented
         a = self
-        num = (a.num * _embed(b.den0, 0, a.vars) * _embed(b.den1, 1, a.vars)
-               + b.num * _embed(a.den0, 0, a.vars) * _embed(a.den1, 1, a.vars))
+        emb = BiPoly.from_unipoly
+        num = (a.num * emb(b.den0, 0, a.vars) * emb(b.den1, 1, a.vars)
+               + b.num * emb(a.den0, 0, a.vars) * emb(a.den1, 1, a.vars))
         return BiRat(num, a.den0 * b.den0, a.den1 * b.den1).reduced()
 
     __radd__ = __add__
@@ -150,37 +152,6 @@ class BiRat:
         """The reduced numerator, integer-primitive."""
         return self.num.content_primitive()[1] if not self.num.is_zero() \
             else self.num
-
-
-def _embed(p: UniPoly, which: int, vars: tuple[str, str]) -> BiPoly:
-    terms = {}
-    for i, c in enumerate(p.coeffs):
-        if c:
-            terms[(i, 0) if which == 0 else (0, i)] = c
-    return BiPoly(terms, vars)
-
-
-def _directional_content(p: BiPoly, which: int) -> list[int]:
-    """Integer content of p viewed as a polynomial in the other variable
-    with coefficients in Z[vars[which]] (p must be integer)."""
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), c in p.terms.items():
-        a, b = (j, i) if which == 0 else (i, j)
-        rows.setdefault(a, {})[b] = int(c)
-    g: list[int] = []
-    for row in rows.values():
-        m = max(row)
-        poly = [row.get(k, 0) for k in range(m + 1)]
-        g = zp.zgcd(g, poly) if g else zp.zprimitive(poly)[1]
-        if zp.zdeg(g) == 0:
-            return [1]
-    return g if g else [1]
-
-
-def _divide_directional(p: BiPoly, d: UniPoly, which: int) -> BiPoly:
-    """Exact division of p by a polynomial in vars[which] alone."""
-    emb = _embed(d, which, p.vars)
-    return p.exact_divide(emb)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,21 @@ class TestOtherVerbs:
         code, out, err = run(capsys, "search", "--spec", str(spec))
         assert code == 2 and "integers" in err and not out
 
+    def test_search_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "x.json"
+        code, out, err = run(capsys, "search", "--set-size", "2",
+                             "--denominator", "1", "--numerator-bound", "3",
+                             "--output", str(target))
+        assert code == 2 and "cannot write output file" in err and not out
+
+    def test_search_output_file(self, capsys, tmp_path):
+        target = tmp_path / "x.json"
+        code, _, _ = run(capsys, "search", "--set-size", "2",
+                         "--denominator", "1", "--numerator-bound", "3",
+                         "--output", str(target))
+        assert code == 0
+        assert json.loads(target.read_text())["spec"]["set_size"] == 2
+
     def test_search_zero_denominator(self, capsys):
         code, _, err = run(capsys, "search", "--set-size", "2",
                            "--denominator", "0")

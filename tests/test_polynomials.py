@@ -120,6 +120,49 @@ class TestBivariateGcd:
     def test_coprime(self):
         assert bivariate_gcd(B("y - z"), B("y + z")).total_degree() == 0
 
+    def test_content_in_each_variable(self):
+        # a common factor in the non-main variable is a content of both
+        a = B("z + 2") * B("y + z")
+        b = B("z + 2") * B("y^2 + 3")
+        for main in (0, 1):
+            assert bivariate_gcd(a, b, main=main) == B("z + 2")
+
+
+class TestConstructors:
+    def test_from_unipoly(self):
+        p = P("3*t^2 - 1/2", var="t")
+        assert BiPoly.from_unipoly(p, 0) == B("3*y^2 - 1/2")
+        assert BiPoly.from_unipoly(p, 1, ("a", "b")) == \
+            B("3*b^2 - 1/2", ("a", "b"))
+        assert BiPoly.from_unipoly(UniPoly.zero("t"), 1).is_zero()
+
+    def test_from_coeff_lists_inverts_to_coeff_lists(self):
+        b = B("2*y^2*z - 3*z^2 + y + 5")
+        for eliminate in (0, 1):
+            den, rows = b.to_coeff_lists(eliminate)
+            assert den == 1
+            assert BiPoly.from_coeff_lists(rows, eliminate) == b
+
+    def test_divide_out(self):
+        s = B("y - z")
+        q, m = (s**3 * B("y + z + 1")).divide_out(s)
+        assert (q, m) == (B("y + z + 1"), 3)
+        assert B("y + z").divide_out(s) == (B("y + z"), 0)
+
+
+class TestHash:
+    def test_constants_equal_across_labels_hash_equal(self):
+        a = BiPoly.constant(1, ("y", "z"))
+        b = BiPoly.constant(1, ("a", "b"))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        za, zb = BiPoly.zero(("y", "z")), BiPoly.zero(("a", "b"))
+        assert za == zb and hash(za) == hash(zb)
+
+    def test_labels_count_where_a_variable_occurs(self):
+        a = BiPoly.variable("y", ("y", "z"))
+        b = BiPoly.variable("a", ("a", "b"))
+        assert a != b and len({a, b}) == 2
+
 
 class TestParsingPrinting:
     def test_unipoly_round_trip(self):
@@ -186,3 +229,30 @@ def test_bipoly_product_matches_fraction_product(p, q):
             naive[e] = naive.get(e, Fraction(0)) + c1 * c2
     assert (BiPoly(p) * BiPoly(q)).terms == \
         {e: c for e, c in naive.items() if c}
+
+
+small_bi_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-6, 6), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_bi_terms, small_bi_terms, small_bi_terms)
+def test_bivariate_gcd_keeps_a_planted_factor(a, b, c):
+    """gcd(a*c, b*c) is a multiple of c's primitive part in either main
+    variable: the gcd is maximal, not merely a common divisor."""
+    a, b, c = BiPoly(a), BiPoly(b), BiPoly(c)
+    if a.is_zero() or b.is_zero() or c.is_zero():
+        return
+    cp = c.content_primitive()[1]
+    for main in (0, 1):
+        g = bivariate_gcd(a * c, b * c, main=main)
+        assert cp.divides(g), (main, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bi_terms, st.sampled_from([0, 1]))
+def test_coeff_lists_round_trip(terms, eliminate):
+    b = BiPoly(terms)
+    den, rows = b.to_coeff_lists(eliminate)
+    assert BiPoly.from_coeff_lists(rows, eliminate) * Fraction(1, den) == b

@@ -23,6 +23,15 @@ Points passing both guards for every map of S lie in the finite set
 { |x| <= min |c_i| + 1 and den(x)^2 | gcd den(c_i) }, so breadth-first
 closure either revisits (finite) or hits a guard (infinite): the procedure
 always terminates with a certificate.
+
+That admissible set is the grid { n/L : |n| <= N }, L the largest integer
+whose square divides gcd den(c_i).  Basepoint lists (``finite_orbit_points``)
+are decided on it in one integer pass: a grid point with an image off the
+grid has an infinite orbit, since that image violates G1 or G2, and so does
+every grid point with an image of infinite orbit.  Propagating these deaths
+backwards leaves the greatest S-stable subset of the grid, which is exactly
+the set of finite-orbit points; only those go through the breadth-first
+closure, for their certificates.
 """
 
 from __future__ import annotations
@@ -380,30 +389,76 @@ def is_stable_set(S: MapSet, T) -> bool:
     return all(f(t) in pts for f in S for t in pts)
 
 
-def finite_orbit_points(S: MapSet) -> list[OrbitResult]:
-    """Complete list of rational points with finite S-orbit.
+def _square_root_of_square_part(G: int) -> int:
+    """The largest L with L^2 | G (G >= 1), by trial division."""
+    L = 1
+    p = 2
+    while p * p <= G:
+        while G % (p * p) == 0:
+            G //= p * p
+            L *= p
+        if G % p == 0:
+            G //= p
+        p += 1
+    return L
 
-    Any such point passes both guards for every map, hence lies in the
-    finite admissible grid { k/d : d^2 | gcd den(c_i), gcd(k, d) = 1,
-    |k/d| <= min |c_i| + 1 }; running the BFS on each grid point decides the
-    set exactly.
+
+def finite_orbit_points(S: MapSet) -> list[OrbitResult]:
+    """Complete list of rational points with finite S-orbit, in increasing
+    order, each with its ``monoid_orbit`` certificate.
+
+    A finite-orbit point passes both guards for every map, so it lies in the
+    admissible grid { k/d : d^2 | G, |k/d| <= min |c_i| + 1 }, G the gcd of
+    the denominators of the c_i.  With L the largest integer such that
+    L^2 | G, d^2 | G holds iff d | L, so the grid is { n/L : |n| <= N } with
+    N = floor((min |c_i| + 1) L).  For c = a/b the image of n/L is
+    (n^2 b + a L^2) / (b L^2); it lies on the grid iff b L divides
+    n^2 b + a L^2 with quotient m, |m| <= N, and is then m/L.
+
+    A grid point with an image off the grid has an infinite orbit: that
+    image violates G1 or G2 for some map of S.  So does a grid point with an
+    image already known to be infinite.  Propagating these deaths backwards
+    along the predecessor lists leaves the greatest S-stable subset of the
+    grid.  Each survivor's orbit stays inside that finite set, hence is
+    finite; each finite-orbit point's orbit is an S-stable subset of the
+    grid, hence survives.  Only the survivors go through ``monoid_orbit``.
     """
     G = 0
     for f in S:
         G = math.gcd(G, f.c.denominator)
+    L = _square_root_of_square_part(G)
     bound = min(abs(f.c) for f in S) + 1
+    N = bound.numerator * L // bound.denominator
+    size = 2 * N + 1  # grid index of n/L is n + N
+    dead = bytearray(size)
+    preds: list[list[int]] = [[] for _ in range(size)]
+    LL = L * L
+    for f in S:
+        a, b = f.c.numerator, f.c.denominator
+        bL = b * L
+        aLL = a * LL
+        # n and -n share an image, so decide n >= 0 and mirror
+        for n in range(N + 1):
+            m, r = divmod(n * n * b + aLL, bL)
+            if r or not -N <= m <= N:
+                dead[N + n] = dead[N - n] = 1
+            else:
+                preds[m + N].append(N + n)
+                if n:
+                    preds[m + N].append(N - n)
+    stack = [i for i in range(size) if dead[i]]
+    while stack:
+        for i in preds[stack.pop()]:
+            if not dead[i]:
+                dead[i] = 1
+                stack.append(i)
     results = []
-    d = 1
-    while d * d <= G:
-        if G % (d * d) == 0:
-            kmax = int(bound * d)
-            for k in range(-kmax, kmax + 1):
-                if math.gcd(k, d) == 1:
-                    x = Fraction(k, d)
-                    if abs(x) <= bound:
-                        res = monoid_orbit(S, x)
-                        if res.is_finite():
-                            results.append(res)
-        d += 1
-    results.sort(key=lambda r: r.basepoint)
+    for i in range(size):
+        if not dead[i]:
+            res = monoid_orbit(S, Fraction(i - N, L))
+            if not res.is_finite():
+                raise ArithmeticError(
+                    f"grid survivor {rat_str(res.basepoint)} of {S} has an "
+                    f"infinite orbit")
+            results.append(res)
     return results

@@ -6,10 +6,10 @@ finite orbit under the s maps x^2 + c.
 
 The search rests on one monotonicity fact: a point with finite orbit under
 S has finite orbit under every subset of S.  So it runs one recursion with
-a single base case.  For s = 1 each grid value is decided directly by the
-guarded breadth-first closure (``finite_orbit_points``).  For s >= 2 every
-hit S is the union of two of its (s-1)-subsets, and all s of those subsets
-are hits whose basepoint lists contain every basepoint of S; the candidates
+a single base case.  For s = 1 each grid value is decided directly by its
+basepoint list (``finite_orbit_points``).  For s >= 2 every hit S is the
+union of two of its (s-1)-subsets, and all s of those subsets are hits
+whose basepoint lists contain every basepoint of S; the candidates
 are therefore the size-s unions of two (s-1)-hits whose (s-1)-subsets are
 all hits, and each basepoint common to those subsets is confirmed by
 ``monoid_orbit``.  The reduction is exact, not a heuristic: no tuple and no

@@ -88,6 +88,8 @@ def verify_theorem(run_lemmas: bool = True, cases: list[int] | None = None,
     """Run the classification end to end and compare the survivors with
     the two exceptional triples.  Lemma and case verifications are
     independent jobs; workers > 1 runs them in parallel processes."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     flags: list[str] = []
     lemma_verdicts: dict[str, str] = {}
     case_list = list(cases or range(1, 11))

@@ -2,18 +2,21 @@
 
 These deliberately avoid the production code paths they check: the
 resultant oracle is a Sylvester-matrix determinant by Laplace expansion,
-the preperiodicity oracle is naive bounded iteration, the search oracle
-decides every tuple of the grid directly instead of by subset reduction,
-and the normal-form oracle divides over Q, rescanning for the leading term
-at every step.
+the preperiodicity oracle is naive bounded iteration, the basepoint-list
+oracle runs the guarded BFS from every point of the admissible grid instead
+of pruning the grid in one integer pass, the search oracle decides every
+tuple of the grid directly with that basepoint-list oracle instead of by
+subset reduction, and the normal-form oracle divides over Q, rescanning for
+the leading term at every step.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from quadorbits.dynamics import MapSet, finite_orbit_points
+from quadorbits.dynamics import MapSet, OrbitResult, monoid_orbit
 from quadorbits.polynomials import BiPoly, UniPoly
 from quadorbits.search import FoundTuple, SearchSpec
 
@@ -78,12 +81,41 @@ def naive_preperiodic(c: Fraction, x: Fraction, steps: int = 200
     return None
 
 
+def per_point_finite_orbit_points(S: MapSet) -> list[OrbitResult]:
+    """Complete list of rational points with finite S-orbit.
+
+    Any such point passes both guards for every map, hence lies in the
+    finite admissible grid { k/d : d^2 | gcd den(c_i), gcd(k, d) = 1,
+    |k/d| <= min |c_i| + 1 }; running the BFS on each grid point decides the
+    set exactly.
+    """
+    G = 0
+    for f in S:
+        G = math.gcd(G, f.c.denominator)
+    bound = min(abs(f.c) for f in S) + 1
+    results = []
+    d = 1
+    while d * d <= G:
+        if G % (d * d) == 0:
+            kmax = int(bound * d)
+            for k in range(-kmax, kmax + 1):
+                if math.gcd(k, d) == 1:
+                    x = Fraction(k, d)
+                    if abs(x) <= bound:
+                        res = monoid_orbit(S, x)
+                        if res.is_finite():
+                            results.append(res)
+        d += 1
+    results.sort(key=lambda r: r.basepoint)
+    return results
+
+
 def direct_search(spec: SearchSpec) -> list[FoundTuple]:
     """Brute-force grid search: the complete finite-orbit basepoint list of
     every set_size-subset of the grid, decided one tuple at a time."""
     found = []
     for cs in itertools.combinations(spec.grid(), spec.set_size):
-        pts = finite_orbit_points(MapSet(cs))
+        pts = per_point_finite_orbit_points(MapSet(cs))
         if pts:
             found.append(FoundTuple(cs, tuple(r.basepoint for r in pts)))
     return found

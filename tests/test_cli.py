@@ -148,6 +148,13 @@ class TestOtherVerbs:
             main(["search", "--set-size", "2", "--workers", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_verify_theorem_workers_below_one(self, capsys, workers):
+        code, out, err = run(capsys, "verify", "theorem", "--case", "7",
+                             "--skip-lemmas", "--workers", workers)
+        assert code == 2 and "workers must be at least 1" in err
+        assert out == ""
+
     def test_malformed_rational(self, capsys):
         code, _, err = run(capsys, "orbit", "--maps", "1.5", "--point", "0")
         assert code == 2 and "error" in err

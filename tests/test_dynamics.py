@@ -1,11 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import naive_preperiodic
+from oracles import naive_preperiodic, per_point_finite_orbit_points
+from quadorbits import dynamics
 from quadorbits.dynamics import GUARD_DENOM, GUARD_ESCAPE, MapSet, QuadMap, \
-    apply_word, finite_orbit_points, guard_violation, is_preperiodic, \
-    is_stable_set, monoid_orbit, mu_set, periodic_points, word_str
+    OrbitResult, apply_word, finite_orbit_points, guard_violation, \
+    is_preperiodic, is_stable_set, monoid_orbit, mu_set, periodic_points, \
+    word_str
 from quadorbits.rationals import rat
 
 
@@ -174,6 +178,32 @@ class TestStableSet:
         assert not is_stable_set(MapSet([F(1)]), [F(0)])
 
 
+SQUARE_RICH_DENOMINATORS = (1, 4, 9, 16, 36, 64, 144, 256, 900, 3600)
+
+
+@st.composite
+def square_rich_map_sets(draw):
+    """1 to 3 maps with a common square-rich denominator D and numerators
+    in [-3D, D], so that the admissible grid is wide and often nonempty."""
+    D = draw(st.sampled_from(SQUARE_RICH_DENOMINATORS))
+    s = draw(st.integers(1, 3))
+    ks = draw(st.lists(st.integers(-3 * D, D), min_size=s, max_size=s,
+                       unique=True))
+    return MapSet([Fraction(k, D) for k in ks])
+
+
+FIXED_SETS = [
+    ["-5/16", "-13/16", "-21/16"],
+    ["3/16", "-5/16", "-13/16"],
+    ["-2", "-3"],
+    ["0"], ["-1"], ["-2"], ["-3/4"], ["1/4"],
+    ["0", "-1"], ["-1", "-2", "-3"], ["1", "2"],
+    ["255/65536"], ["255/65536", "-257/65536"],
+    ["-49153/65536", "65535/65536"],
+    ["209/44100", "-211/44100"], ["-36007/44100", "41207/44100"],
+]
+
+
 class TestFiniteOrbitPoints:
     def test_complete_enumeration(self):
         S = MapSet([F("-5/16"), F("-13/16"), F("-21/16")])
@@ -183,6 +213,69 @@ class TestFiniteOrbitPoints:
 
     def test_empty(self):
         assert finite_orbit_points(MapSet([F(1), F(2)])) == []
+
+    @pytest.mark.parametrize("cs", FIXED_SETS, ids=",".join)
+    def test_fixed_sets_match_per_point_oracle(self, cs):
+        S = MapSet([F(c) for c in cs])
+        assert finite_orbit_points(S) == per_point_finite_orbit_points(S)
+
+    def test_known_lists(self):
+        def pts(cs):
+            return [str(r.basepoint)
+                    for r in finite_orbit_points(MapSet([F(c) for c in cs]))]
+
+        assert pts(["3/16", "-5/16", "-13/16"]) == \
+            ["-3/4", "-1/4", "1/4", "3/4"]
+        assert pts(["-2", "-3"]) == ["-2", "-1", "1", "2"]
+        assert pts(["0"]) == ["-1", "0", "1"]
+        assert pts(["-2"]) == ["-2", "-1", "0", "1", "2"]
+        assert pts(["-3/4"]) == ["-3/2", "-1/2", "1/2", "3/2"]
+        # fixed points 1/256 and 255/256 of a map with denominator 2^16
+        assert pts(["255/65536"]) == \
+            ["-255/256", "-1/256", "1/256", "255/256"]
+        # x = 1/210 is fixed by the first map and sent to -x by the second,
+        # and -x goes back to x under both
+        assert pts(["209/44100", "-211/44100"]) == ["-1/210", "1/210"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(square_rich_map_sets())
+    def test_matches_per_point_oracle(self, S):
+        assert finite_orbit_points(S) == per_point_finite_orbit_points(S)
+
+    @pytest.mark.parametrize("cs", FIXED_SETS, ids=",".join)
+    def test_union_of_orbits_is_stable(self, cs):
+        S = MapSet([F(c) for c in cs])
+        results = finite_orbit_points(S)
+        union = {p for r in results for p in r.orbit}
+        assert is_stable_set(S, union)
+        # every orbit point is itself a basepoint of the list
+        assert union == {r.basepoint for r in results}
+
+    def test_bfs_runs_once_per_result(self, monkeypatch):
+        calls = []
+
+        def counting(S, P):
+            calls.append(P)
+            return monoid_orbit(S, P)
+
+        monkeypatch.setattr(dynamics, "monoid_orbit", counting)
+        for cs in FIXED_SETS:
+            calls.clear()
+            res = finite_orbit_points(MapSet([F(c) for c in cs]))
+            assert calls == [r.basepoint for r in res]
+
+    def test_grid_denominator(self):
+        for G in range(1, 2000):
+            L = max(d for d in range(1, math.isqrt(G) + 1)
+                    if G % (d * d) == 0)
+            assert dynamics._square_root_of_square_part(G) == L, G
+
+    def test_infinite_survivor_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            dynamics, "monoid_orbit",
+            lambda S, P: OrbitResult("infinite", P))
+        with pytest.raises(ArithmeticError):
+            finite_orbit_points(MapSet([F(0)]))
 
 
 class TestMapSet:

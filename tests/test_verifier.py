@@ -165,6 +165,13 @@ class TestTheoremEndToEnd:
         d = summary.to_dict()
         assert d["verdict"] == "pass" and len(d["cases"]) == 46
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        from quadorbits.verifier import verify_theorem
+
+        with pytest.raises(ValueError, match="workers"):
+            verify_theorem(run_lemmas=False, cases=[7], workers=workers)
+
 
 class TestSubcaseExclusionSearch:
     def test_finds_relation_with_known_survivor(self):

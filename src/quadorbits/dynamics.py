@@ -24,14 +24,21 @@ Points passing both guards for every map of S lie in the finite set
 closure either revisits (finite) or hits a guard (infinite): the procedure
 always terminates with a certificate.
 
-That admissible set is the grid { n/L : |n| <= N }, L the largest integer
-whose square divides gcd den(c_i).  Basepoint lists (``finite_orbit_points``)
-are decided on it in one integer pass: a grid point with an image off the
-grid has an infinite orbit, since that image violates G1 or G2, and so does
-every grid point with an image of infinite orbit.  Propagating these deaths
-backwards leaves the greatest S-stable subset of the grid, which is exactly
-the set of finite-orbit points; only those go through the breadth-first
-closure, for their certificates.
+Basepoint lists (``finite_orbit_points``) are decided on a much smaller
+grid.  A finite-orbit point of S has denominator exactly L, and the list is
+empty unless every c_i = a_i/L^2 with that one L (equal square
+denominators); it has |x| <= N/L, N about sqrt|c_i| L, because beyond the
+sharp radius x^2 - |x| - |c| > 0 the orbit escapes; and its numerator n has
+n^2 = -a_i (mod L), or its image is off the grid (square-root residues).
+On that grid, one integer pass propagates deaths backwards from the points
+with an image off it and leaves the greatest S-stable subset, which is
+exactly the set of finite-orbit points; only those go through the
+breadth-first closure, for their certificates.
+
+Every rational periodic point of a map f has a finite orbit, so it lies in
+that subset for S = {f}.  The cycles of f on it are therefore all of f's
+rational cycles, of every length; ``periodic_points`` and ``mu_set`` read
+them off it.
 """
 
 from __future__ import annotations
@@ -40,9 +47,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polynomials import UniPoly
-from .rationals import is_square, rat_str
-from .roots import rational_roots
+from .rationals import rat_str
 
 __all__ = [
     "QuadMap",
@@ -54,7 +59,6 @@ __all__ = [
     "is_preperiodic",
     "periodic_points",
     "exact_period",
-    "has_rational_point_of_exact_period",
     "mu_set",
     "monoid_orbit",
     "is_stable_set",
@@ -201,73 +205,53 @@ def exact_period(f: QuadMap, x: Fraction, max_n: int = 12) -> int | None:
     return None
 
 
-def _dynatomic(f: QuadMap, n: int) -> UniPoly:
-    """The polynomial whose roots are the points of formal period n,
-    as a quotient of iterate differences (n <= 6)."""
-    x = UniPoly.x("x")
-    fp = {0: x}
-    for k in range(1, 7):
-        fp[k] = fp[k - 1] * fp[k - 1] + f.c
-    diff = {k: fp[k] - x for k in range(1, 7)}
-    if n == 1:
-        return diff[1]
-    if n == 2:
-        return diff[2].exact_divide(diff[1])
-    if n == 3:
-        return diff[3].exact_divide(diff[1])
-    if n == 4:
-        return diff[4].exact_divide(diff[2])
-    if n == 5:
-        return diff[5].exact_divide(diff[1])
-    if n == 6:
-        return (diff[6] * diff[1]).exact_divide(diff[2] * diff[3])
-    raise ValueError("period out of range")
+def _rational_cycles(f: QuadMap) -> list[tuple[Fraction, ...]]:
+    """Every rational cycle of f, each from its least point, in increasing
+    order of that point.
+
+    A rational periodic point has a finite orbit, so it is one of the
+    finite-orbit points T of {f} (``_stable_numerators``).  T is finite and
+    f-stable; the images f(T), f(f(T)), ... shrink until f permutes them,
+    and that set is the union of the cycles.  Every image and every cycle
+    is computed here with exact ``QuadMap`` arithmetic.
+    """
+    L, ns = _stable_numerators(MapSet([f]))
+    periodic = {Fraction(n, L) for n in ns}
+    if any(f(x) not in periodic for x in periodic):
+        raise ArithmeticError(f"the finite-orbit points of {f} are not "
+                              f"stable under it")
+    while True:
+        image = {f(x) for x in periodic}
+        if len(image) == len(periodic):
+            break
+        periodic = image
+    cycles = []
+    for x in sorted(periodic):
+        if all(x not in cyc for cyc in cycles):
+            cyc = [x]
+            while (y := f(cyc[-1])) != x:
+                cyc.append(y)
+            cycles.append(tuple(cyc))
+    return cycles
 
 
 def periodic_points(f: QuadMap, n: int) -> set[Fraction]:
-    """Rational points of exact period n for f, n in {1, 2, 3}.
-
-    n = 1 and n = 2 go through the discriminants of x^2 - x + c and
-    x^2 + x + c + 1; n = 3 through the rational roots of the degree-6
-    quotient (f^3(x) - x)/(f(x) - x).  Exactness of the period is enforced
-    on every candidate.
-    """
-    if n not in (1, 2, 3):
-        raise ValueError("periodic_points handles n in {1, 2, 3}")
-    c = f.c
-    out: set[Fraction] = set()
-    if n == 1:
-        r = is_square(1 - 4 * c)
-        if r is not None:
-            out = {(1 + r) / 2, (1 - r) / 2}
-    elif n == 2:
-        r = is_square(-3 - 4 * c)
-        if r is not None:
-            out = {(-1 + r) / 2, (-1 - r) / 2}
-    else:
-        phi3 = _dynatomic(f, 3)
-        out = set(rational_roots(phi3).roots)
-    return {x for x in out if exact_period(f, x, n) == n}
-
-
-def has_rational_point_of_exact_period(f: QuadMap, n: int) -> bool:
-    """Whether f admits a rational point of exact period n (n <= 6)."""
-    if n <= 3:
-        return bool(periodic_points(f, n))
-    phi = _dynatomic(f, n)
-    for x in rational_roots(phi).roots:
-        if exact_period(f, x, n) == n:
-            return True
-    return False
+    """Rational points of exact period n for f (n >= 1): the points of the
+    rational cycles of length n (``_rational_cycles``)."""
+    if n < 1:
+        raise ValueError("the period must be at least 1")
+    return {x for cyc in _rational_cycles(f) if len(cyc) == n for x in cyc}
 
 
 @dataclass(frozen=True)
 class MuReport:
-    """mu_S over exact periods 1..3, with the 4..6 hypothesis check."""
+    """mu_S over exact periods 1..3, with the longest rational cycle of any
+    map of S and the 4..6 hypothesis check read off it."""
 
     mu: int
     witnesses: dict[int, tuple[Fraction, ...]]
     higher_periods: dict[int, bool]  # n in {4, 5, 6} -> exists rational n-cycle
+    max_cycle_length: int  # longest rational cycle over the maps of S, or 0
 
     def hypothesis_holds_up_to_6(self) -> bool:
         return not any(self.higher_periods.values())
@@ -275,22 +259,26 @@ class MuReport:
 
 def mu_set(S: MapSet) -> MuReport:
     """Largest n in {1,2,3} with a rational point of exact period n over the
-    maps of S (0 if none), plus an explicit check that no map has rational
-    exact period 4, 5 or 6.  Periods beyond 6 are outside this check."""
+    maps of S (0 if none), with the witnesses of each such n.
+
+    The rational cycles of each map are all of them, of every length
+    (``_rational_cycles``), so the report also gives the longest one, and
+    the existence of cycles of length 4, 5 and 6 is read off the same list.
+    """
+    cycles = [_rational_cycles(f) for f in S]
+    lengths = {len(cyc) for per_map in cycles for cyc in per_map}
     mu = 0
     witnesses: dict[int, tuple[Fraction, ...]] = {}
     for n in (1, 2, 3):
         pts: list[Fraction] = []
-        for f in S:
-            pts.extend(sorted(periodic_points(f, n)))
+        for per_map in cycles:
+            pts.extend(sorted(x for cyc in per_map if len(cyc) == n
+                              for x in cyc))
         if pts:
             mu = n
             witnesses[n] = tuple(pts)
-    higher = {
-        n: any(has_rational_point_of_exact_period(f, n) for f in S)
-        for n in (4, 5, 6)
-    }
-    return MuReport(mu, witnesses, higher)
+    higher = {n: n in lengths for n in (4, 5, 6)}
+    return MuReport(mu, witnesses, higher, max(lengths, default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -389,76 +377,151 @@ def is_stable_set(S: MapSet, T) -> bool:
     return all(f(t) in pts for f in S for t in pts)
 
 
-def _square_root_of_square_part(G: int) -> int:
-    """The largest L with L^2 | G (G >= 1), by trial division."""
-    L = 1
+def _factor(L: int) -> dict[int, int]:
+    """{p: e} with L the product of the p^e (L >= 1), by trial division."""
+    factors: dict[int, int] = {}
     p = 2
-    while p * p <= G:
-        while G % (p * p) == 0:
-            G //= p * p
-            L *= p
-        if G % p == 0:
-            G //= p
+    while p * p <= L:
+        while L % p == 0:
+            L //= p
+            factors[p] = factors.get(p, 0) + 1
         p += 1
-    return L
+    if L > 1:
+        factors[L] = 1
+    return factors
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of a modulo the odd prime p (p does not divide a), by
+    Tonelli-Shanks with the least quadratic non-residue; None if a is not
+    a square mod p."""
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, half, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _square_roots_mod(a: int, L: int) -> list[int]:
+    """The residues r in [0, L) with r^2 = a (mod L), for a coprime to L.
+
+    Modulo an odd prime power p^e the roots are +-r, r from
+    ``_sqrt_mod_prime`` and Hensel-lifted by Newton steps (2r is a unit);
+    modulo 2^e they are lifted one bit at a time, each root mod 2^k giving
+    the candidates r and r + 2^k mod 2^(k+1).  The prime powers are
+    combined by the Chinese remainder theorem.
+    """
+    roots, M = [0], 1
+    for p, e in _factor(L).items():
+        q = p**e
+        if p == 2:
+            prs = [1]
+            for k in range(1, e):
+                prs = [x for r in prs for x in (r, r + (1 << k))
+                       if (x * x - a) % (2 << k) == 0]
+        else:
+            r = _sqrt_mod_prime(a % p, p)
+            if r is None:
+                return []
+            m = p
+            while m < q:
+                m *= m
+                r = (r - (r * r - a) * pow(2 * r, -1, m)) % m
+            prs = sorted({r % q, -r % q})
+        if not prs:
+            return []
+        inv = pow(M, -1, q)
+        roots = [r + M * ((s - r) * inv % q) for r in roots for s in prs]
+        M *= q
+    return sorted(roots)
+
+
+def _stable_numerators(S: MapSet) -> tuple[int, list[int]]:
+    """(L, ns) such that the points of finite S-orbit are exactly the n/L,
+    n in ns (increasing).
+
+    The grid they are read from rests on three exact facts.
+
+    Equal square denominators.  Let x = p/q be a point of finite orbit and
+    c_i = a_i/b_i.  If 2 v_l(q) < v_l(b_i) for a prime l, the image under
+    c_i has l-adic denominator valuation v_l(b_i) > 0, and that image breaks
+    G2 for the same map, since 2 v_l(b_i) > v_l(b_i).  With G2 itself
+    (2 v_l(q) <= v_l(b_j)) every b_i is q^2.  So the list is empty unless
+    all c_i = a_i/L^2 with one L, and then every point is n/L.
+
+    Sharp escape radius.  If x^2 - |x| - |c| > 0 then |f(x)| - |x| >=
+    x^2 - |x| - |c|, a gap that grows along the orbit, so x escapes.  A
+    point of finite orbit thus has |n| <= N, the largest n with
+    n^2 - nL - |a_i| <= 0 for every i, which is about sqrt|c| L.
+
+    Square-root residues.  The image of n/L under c_i is (n^2 + a_i)/L^2,
+    which is on the grid iff n^2 = -a_i (mod L).  Only such n are kept
+    (``_square_roots_mod``, a_i is coprime to L).
+
+    On the grid that is left, a point with an image off it has an infinite
+    orbit, and so does a point with an image already known to be infinite.
+    Propagating these deaths backwards along the predecessor lists leaves
+    the greatest S-stable subset of the grid.  Each survivor's orbit stays
+    inside that finite set, hence is finite; each finite-orbit point's
+    orbit is an S-stable subset of the grid, hence survives.
+    """
+    b = S[0].c.denominator
+    L = math.isqrt(b)
+    if L * L != b or any(f.c.denominator != b for f in S):
+        return L, []
+    nums = [f.c.numerator for f in S]
+    N = min((L + math.isqrt(L * L + 4 * abs(a))) // 2 for a in nums)
+    residues = [r for r in _square_roots_mod(-nums[0], L)
+                if all((r * r + a) % L == 0 for a in nums[1:])]
+    grid = sorted(n for r in residues
+                  for n in range(r - (r + N) // L * L, N + 1, L))
+    index = {n: i for i, n in enumerate(grid)}
+    dead = bytearray(len(grid))
+    preds: list[list[int]] = [[] for _ in grid]
+    for a in nums:
+        for i, n in enumerate(grid):
+            j = index.get((n * n + a) // L)  # exact, by the residue filter
+            if j is None:
+                dead[i] = 1
+            else:
+                preds[j].append(i)
+    stack = [i for i in range(len(grid)) if dead[i]]
+    while stack:
+        for i in preds[stack.pop()]:
+            if not dead[i]:
+                dead[i] = 1
+                stack.append(i)
+    return L, [n for n, d in zip(grid, dead) if not d]
 
 
 def finite_orbit_points(S: MapSet) -> list[OrbitResult]:
     """Complete list of rational points with finite S-orbit, in increasing
     order, each with its ``monoid_orbit`` certificate.
 
-    A finite-orbit point passes both guards for every map, so it lies in the
-    admissible grid { k/d : d^2 | G, |k/d| <= min |c_i| + 1 }, G the gcd of
-    the denominators of the c_i.  With L the largest integer such that
-    L^2 | G, d^2 | G holds iff d | L, so the grid is { n/L : |n| <= N } with
-    N = floor((min |c_i| + 1) L).  For c = a/b the image of n/L is
-    (n^2 b + a L^2) / (b L^2); it lies on the grid iff b L divides
-    n^2 b + a L^2 with quotient m, |m| <= N, and is then m/L.
-
-    A grid point with an image off the grid has an infinite orbit: that
-    image violates G1 or G2 for some map of S.  So does a grid point with an
-    image already known to be infinite.  Propagating these deaths backwards
-    along the predecessor lists leaves the greatest S-stable subset of the
-    grid.  Each survivor's orbit stays inside that finite set, hence is
-    finite; each finite-orbit point's orbit is an S-stable subset of the
-    grid, hence survives.  Only the survivors go through ``monoid_orbit``.
+    The candidates are the survivors of ``_stable_numerators``: the grid
+    {n/L : |n| <= N, n^2 = -a_i (mod L)} for c_i = a_i/L^2 (empty unless
+    the c_i share one square denominator), pruned to its greatest S-stable
+    subset.  Only those survivors go through ``monoid_orbit``.
     """
-    G = 0
-    for f in S:
-        G = math.gcd(G, f.c.denominator)
-    L = _square_root_of_square_part(G)
-    bound = min(abs(f.c) for f in S) + 1
-    N = bound.numerator * L // bound.denominator
-    size = 2 * N + 1  # grid index of n/L is n + N
-    dead = bytearray(size)
-    preds: list[list[int]] = [[] for _ in range(size)]
-    LL = L * L
-    for f in S:
-        a, b = f.c.numerator, f.c.denominator
-        bL = b * L
-        aLL = a * LL
-        # n and -n share an image, so decide n >= 0 and mirror
-        for n in range(N + 1):
-            m, r = divmod(n * n * b + aLL, bL)
-            if r or not -N <= m <= N:
-                dead[N + n] = dead[N - n] = 1
-            else:
-                preds[m + N].append(N + n)
-                if n:
-                    preds[m + N].append(N - n)
-    stack = [i for i in range(size) if dead[i]]
-    while stack:
-        for i in preds[stack.pop()]:
-            if not dead[i]:
-                dead[i] = 1
-                stack.append(i)
+    L, ns = _stable_numerators(S)
     results = []
-    for i in range(size):
-        if not dead[i]:
-            res = monoid_orbit(S, Fraction(i - N, L))
-            if not res.is_finite():
-                raise ArithmeticError(
-                    f"grid survivor {rat_str(res.basepoint)} of {S} has an "
-                    f"infinite orbit")
-            results.append(res)
+    for n in ns:
+        res = monoid_orbit(S, Fraction(n, L))
+        if not res.is_finite():
+            raise ArithmeticError(
+                f"grid survivor {rat_str(res.basepoint)} of {S} has an "
+                f"infinite orbit")
+        results.append(res)
     return results

@@ -74,6 +74,12 @@ class Budget:
     max_pairs: int = 20_000
     max_coeff_bits: int = 1_000_000
 
+    def __post_init__(self):
+        if self.max_pairs < 0 or self.max_coeff_bits < 0:
+            raise ValueError(f"budget limits must be at least 0, not "
+                             f"max_pairs={self.max_pairs}, "
+                             f"max_coeff_bits={self.max_coeff_bits}")
+
 
 class BudgetExhausted(Exception):
     """Raised when Buchberger exceeds its resource budget."""

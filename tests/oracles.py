@@ -4,10 +4,12 @@ These deliberately avoid the production code paths they check: the
 resultant oracle is a Sylvester-matrix determinant by Laplace expansion,
 the preperiodicity oracle is naive bounded iteration, the basepoint-list
 oracle runs the guarded BFS from every point of the admissible grid instead
-of pruning the grid in one integer pass, the search oracle decides every
-tuple of the grid directly with that basepoint-list oracle instead of by
-subset reduction, and the normal-form oracle divides over Q, rescanning for
-the leading term at every step.
+of pruning a residue-filtered grid in one integer pass, the search oracle
+decides every tuple of the grid directly with that basepoint-list oracle
+instead of by subset reduction, the periodic-point and mu oracles find
+rational roots of dynatomic polynomials instead of walking the map on its
+finite-orbit points, and the normal-form oracle divides over Q, rescanning
+for the leading term at every step.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from quadorbits.dynamics import MapSet, OrbitResult, monoid_orbit
+from quadorbits.dynamics import MapSet, MuReport, OrbitResult, QuadMap, \
+    exact_period, monoid_orbit
 from quadorbits.polynomials import BiPoly, UniPoly
+from quadorbits.rationals import is_square
+from quadorbits.roots import rational_roots
 from quadorbits.search import FoundTuple, SearchSpec
 
 
@@ -108,6 +113,89 @@ def per_point_finite_orbit_points(S: MapSet) -> list[OrbitResult]:
         d += 1
     results.sort(key=lambda r: r.basepoint)
     return results
+
+
+def _dynatomic(f: QuadMap, n: int) -> UniPoly:
+    """The polynomial whose roots are the points of formal period n,
+    as a quotient of iterate differences (n <= 6)."""
+    x = UniPoly.x("x")
+    fp = {0: x}
+    for k in range(1, 7):
+        fp[k] = fp[k - 1] * fp[k - 1] + f.c
+    diff = {k: fp[k] - x for k in range(1, 7)}
+    if n == 1:
+        return diff[1]
+    if n == 2:
+        return diff[2].exact_divide(diff[1])
+    if n == 3:
+        return diff[3].exact_divide(diff[1])
+    if n == 4:
+        return diff[4].exact_divide(diff[2])
+    if n == 5:
+        return diff[5].exact_divide(diff[1])
+    if n == 6:
+        return (diff[6] * diff[1]).exact_divide(diff[2] * diff[3])
+    raise ValueError("period out of range")
+
+
+def dynatomic_periodic_points(f: QuadMap, n: int) -> set[Fraction]:
+    """Rational points of exact period n for f, n in {1, 2, 3}.
+
+    n = 1 and n = 2 go through the discriminants of x^2 - x + c and
+    x^2 + x + c + 1; n = 3 through the rational roots of the degree-6
+    quotient (f^3(x) - x)/(f(x) - x).  Exactness of the period is enforced
+    on every candidate.
+    """
+    if n not in (1, 2, 3):
+        raise ValueError("periodic_points handles n in {1, 2, 3}")
+    c = f.c
+    out: set[Fraction] = set()
+    if n == 1:
+        r = is_square(1 - 4 * c)
+        if r is not None:
+            out = {(1 + r) / 2, (1 - r) / 2}
+    elif n == 2:
+        r = is_square(-3 - 4 * c)
+        if r is not None:
+            out = {(-1 + r) / 2, (-1 - r) / 2}
+    else:
+        phi3 = _dynatomic(f, 3)
+        out = set(rational_roots(phi3).roots)
+    return {x for x in out if exact_period(f, x, n) == n}
+
+
+def has_rational_point_of_exact_period(f: QuadMap, n: int) -> bool:
+    """Whether f admits a rational point of exact period n (n <= 6)."""
+    if n <= 3:
+        return bool(dynatomic_periodic_points(f, n))
+    phi = _dynatomic(f, n)
+    for x in rational_roots(phi).roots:
+        if exact_period(f, x, n) == n:
+            return True
+    return False
+
+
+def dynatomic_mu_set(S: MapSet) -> MuReport:
+    """Largest n in {1,2,3} with a rational point of exact period n over the
+    maps of S (0 if none), plus an explicit check that no map has rational
+    exact period 4, 5 or 6.  The longest cycle it reports is the longest of
+    length at most 6: periods beyond 6 are outside this check."""
+    mu = 0
+    witnesses: dict[int, tuple[Fraction, ...]] = {}
+    for n in (1, 2, 3):
+        pts: list[Fraction] = []
+        for f in S:
+            pts.extend(sorted(dynatomic_periodic_points(f, n)))
+        if pts:
+            mu = n
+            witnesses[n] = tuple(pts)
+    higher = {
+        n: any(has_rational_point_of_exact_period(f, n) for f in S)
+        for n in (4, 5, 6)
+    }
+    longest = max([n for n in higher if higher[n]] + list(witnesses),
+                  default=0)
+    return MuReport(mu, witnesses, higher, longest)
 
 
 def direct_search(spec: SearchSpec) -> list[FoundTuple]:

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quadorbits.cli import main
-from quadorbits.dynamics import MapSet, is_stable_set, monoid_orbit
+import quadorbits
+from quadorbits import cli
+from quadorbits.cli import build_parser, main
+from quadorbits.dynamics import MapSet, MuReport, is_stable_set, monoid_orbit
 from quadorbits.rationals import rat
 
 
@@ -51,6 +57,23 @@ class TestOtherVerbs:
     def test_mu(self, capsys):
         code, out, _ = run(capsys, "mu", "--maps", "-29/16")
         assert code == 0 and "= 3" in out
+        assert "no rational cycle longer than 3 (any length): confirmed" \
+            in out
+
+    def test_mu_json(self, capsys):
+        code, out, _ = run(capsys, "mu", "--maps", "-29/16,-13/16",
+                           "--format", "json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["max_cycle_length"] == 3
+        assert data["higher_periods"] == {"4": False, "5": False, "6": False}
+        assert data["hypothesis_holds_up_to_6"] is True
+
+    def test_mu_cycle_longer_than_3_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "mu_set", lambda S: MuReport(
+            0, {}, {4: False, 5: False, 6: False}, 7))
+        code, out, _ = run(capsys, "mu", "--maps", "1")
+        assert code == 1 and "VIOLATED" in out
 
     def test_periodic(self, capsys):
         code, out, _ = run(capsys, "periodic", "--c", "-29/16", "--n", "3")
@@ -77,6 +100,12 @@ class TestOtherVerbs:
         code, out, _ = run(capsys, "verify", "lemma", "--id", "2.4",
                            "--route", "groebner", "--max-pairs", "5")
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ["--max-pairs", "--max-coeff-bits"])
+    def test_verify_lemma_negative_budget(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "lemma", "--id", "2.1",
+                             "--route", "groebner", flag, "-1")
+        assert code == 2 and "at least 0" in err and out == ""
 
     def test_verify_theorem_single_case(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem", "--case", "5",
@@ -158,3 +187,25 @@ class TestOtherVerbs:
     def test_malformed_rational(self, capsys):
         code, _, err = run(capsys, "orbit", "--maps", "1.5", "--point", "0")
         assert code == 2 and "error" in err
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_verbs_in_turn_match_verbs_alone(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"set_size": null}')
+        calls = [["orbit", "--maps", "-5/16,-13/16,-21/16", "--point", "1/4"],
+                 ["preperiodic", "--c", "1", "--point", "0"],
+                 ["mu", "--maps", "-29/16", "--format", "json"],
+                 ["search", "--spec", str(bad)]]
+        in_turn = [run(capsys, *argv) for argv in calls]
+        src = str(Path(quadorbits.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv, (code, out, err) in zip(calls, in_turn):
+            alone = subprocess.run(
+                [sys.executable, "-m", "quadorbits.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert (code, out, err) == \
+                (alone.returncode, alone.stdout, alone.stderr), argv

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_preperiodic, per_point_finite_orbit_points
+from oracles import dynatomic_mu_set, dynatomic_periodic_points, \
+    naive_preperiodic, per_point_finite_orbit_points
 from quadorbits import dynamics
-from quadorbits.dynamics import GUARD_DENOM, GUARD_ESCAPE, MapSet, QuadMap, \
-    OrbitResult, apply_word, finite_orbit_points, guard_violation, \
+from quadorbits.dynamics import GUARD_DENOM, GUARD_ESCAPE, MapSet, MuReport, \
+    QuadMap, OrbitResult, apply_word, finite_orbit_points, guard_violation, \
     is_preperiodic, is_stable_set, monoid_orbit, mu_set, periodic_points, \
     word_str
 from quadorbits.rationals import rat
@@ -75,6 +76,9 @@ class TestPeriodicPoints:
         assert periodic_points(QuadMap(F("-29/16")), 3) == \
             {F("-1/4"), F("-7/4"), F("5/4")}
         assert periodic_points(QuadMap(F(0)), 3) == set()
+        assert periodic_points(QuadMap(F("-29/16")), 4) == set()
+        with pytest.raises(ValueError):
+            periodic_points(QuadMap(F(0)), 0)
 
     def test_exactness_of_period(self):
         # c = -3/4: the period-2 discriminant vanishes; the double root is
@@ -107,6 +111,71 @@ class TestMu:
         rep = mu_set(MapSet([F("-29/16"), F("-13/16")]))
         assert rep.hypothesis_holds_up_to_6()
         assert rep.higher_periods == {4: False, 5: False, 6: False}
+        assert rep.max_cycle_length == 3
+        assert mu_set(MapSet([F("-13/16")])).max_cycle_length == 2
+        assert mu_set(MapSet([F(1)])).max_cycle_length == 0
+
+
+# the standard parametrisations of single maps with a rational fixed point,
+# 2-cycle and 3-cycle (Walde-Russo for the last)
+def c_fixed(y):  # fixes (1 + y)/2 and (1 - y)/2
+    return (1 - y * y) / 4
+
+
+def c_two(z):  # 2-cycle {(-1 + z)/2, (-1 - z)/2}
+    return -(3 + z * z) / 4
+
+
+def c_three(t):  # 3-cycle through x_three(t)
+    return -(t**6 + 2 * t**5 + 4 * t**4 + 8 * t**3 + 9 * t**2 + 4 * t + 1) \
+        / (4 * t**2 * (t + 1) ** 2)
+
+
+def x_three(t):
+    return (t**3 + 2 * t**2 + t + 1) / (2 * t * (t + 1))
+
+
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def planted_cs(draw):
+    """c with a planted fixed point, 2-cycle or 3-cycle, or a random c."""
+    kind = draw(st.sampled_from(("fixed", "two", "three", "random")))
+    p = draw(small_rationals)
+    if kind == "fixed":
+        return c_fixed(p)
+    if kind == "two":
+        return c_two(p)
+    if kind == "three":
+        if p in (0, -1):
+            p = Fraction(2)
+        return c_three(p)
+    return draw(st.builds(Fraction, st.integers(-80, 20), st.integers(1, 16)))
+
+
+class TestPeriodsAgainstDynatomicOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(planted_cs())
+    def test_periodic_points(self, c):
+        f = QuadMap(c)
+        for n in (1, 2, 3):
+            assert periodic_points(f, n) == dynatomic_periodic_points(f, n)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(planted_cs(), min_size=1, max_size=2, unique=True))
+    def test_mu_report(self, cs):
+        S = MapSet(cs)
+        assert mu_set(S) == dynatomic_mu_set(S)
+
+    @pytest.mark.parametrize("t", ["2", "-3/2", "5/4", "1000/999"])
+    def test_planted_three_cycle(self, t):
+        t = F(t)
+        f = QuadMap(c_three(t))
+        cycle = {x_three(t), f(x_three(t)), f(f(x_three(t)))}
+        assert periodic_points(f, 3) == cycle
+        assert mu_set(MapSet([f])) == MuReport(
+            3, {3: tuple(sorted(cycle))}, {4: False, 5: False, 6: False}, 3)
 
 
 class TestMonoidOrbit:
@@ -192,6 +261,28 @@ def square_rich_map_sets(draw):
     return MapSet([Fraction(k, D) for k in ks])
 
 
+@st.composite
+def mixed_denominator_map_sets(draw):
+    """1 to 3 maps whose denominators are mixed squares, non-squares, or
+    one square L^2 shared by all (numerators coprime to L)."""
+    kind = draw(st.sampled_from(("mixed", "non-square", "equal-square")))
+    s = draw(st.integers(1, 3))
+    if kind == "equal-square":
+        L = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 12, 15, 24, 60)))
+        nums = st.integers(-3 * L * L, L * L).filter(
+            lambda a: math.gcd(a, L) == 1)
+        ks = draw(st.lists(nums, min_size=s, max_size=s, unique=True))
+        return MapSet([Fraction(a, L * L) for a in ks])
+    dens = (1, 4, 9, 16, 36, 64, 144) if kind == "mixed" \
+        else (2, 3, 8, 12, 18, 32, 50, 72, 288)
+    cs = draw(st.lists(
+        st.sampled_from(dens).flatmap(
+            lambda D: st.builds(Fraction, st.integers(-3 * D, D),
+                                st.just(D))),
+        min_size=s, max_size=s, unique=True))
+    return MapSet(cs)
+
+
 FIXED_SETS = [
     ["-5/16", "-13/16", "-21/16"],
     ["3/16", "-5/16", "-13/16"],
@@ -242,6 +333,43 @@ class TestFiniteOrbitPoints:
     def test_matches_per_point_oracle(self, S):
         assert finite_orbit_points(S) == per_point_finite_orbit_points(S)
 
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_denominator_map_sets())
+    def test_mixed_denominators_match_per_point_oracle(self, S):
+        assert finite_orbit_points(S) == per_point_finite_orbit_points(S)
+
+    @pytest.mark.parametrize("c", [Fraction(-10**6), Fraction(3, 10**12),
+                                   Fraction(-1562500), Fraction(-10**8)],
+                             ids=str)
+    def test_large_heights_are_empty(self, c):
+        S = MapSet([c])
+        assert finite_orbit_points(S) == []
+        assert mu_set(S) == MuReport(0, {}, {4: False, 5: False, 6: False},
+                                     0)
+
+    def test_large_height_three_cycle_list(self):
+        # L = 2 * 1000 * 1999 * 999: far beyond a grid of all n/L
+        f = QuadMap(c_three(F("1000/999")))
+        pts = [str(r.basepoint) for r in finite_orbit_points(MapSet([f]))]
+        cycle = ["-6989005999/3994002000", "-995003999/3994002000",
+                 "4993003999/3994002000"]
+        assert [str(x) for x in sorted(periodic_points(f, 3))] == cycle
+        assert str(x_three(F("1000/999"))) in cycle
+        # the cycle and the negatives of its points, which share its images
+        assert pts == ["-6989005999/3994002000", "-4993003999/3994002000",
+                       "-995003999/3994002000", "995003999/3994002000",
+                       "4993003999/3994002000", "6989005999/3994002000"]
+
+    def test_residue_filter_keeps_every_square_root(self):
+        moduli = list(range(1, 200)) + [2**10, 3**6, 5**4, 7**3 * 4,
+                                         2**6 * 3**3 * 5]
+        for L in moduli:
+            for a in range(-20, 21):
+                if math.gcd(a, L) == 1:
+                    expected = [r for r in range(L) if (r * r - a) % L == 0]
+                    assert dynamics._square_roots_mod(a, L) == expected, \
+                        (a, L)
+
     @pytest.mark.parametrize("cs", FIXED_SETS, ids=",".join)
     def test_union_of_orbits_is_stable(self, cs):
         S = MapSet([F(c) for c in cs])
@@ -265,10 +393,12 @@ class TestFiniteOrbitPoints:
             assert calls == [r.basepoint for r in res]
 
     def test_grid_denominator(self):
-        for G in range(1, 2000):
-            L = max(d for d in range(1, math.isqrt(G) + 1)
-                    if G % (d * d) == 0)
-            assert dynamics._square_root_of_square_part(G) == L, G
+        # the factoriser of the grid denominator L, against brute force
+        for L in range(1, 2000):
+            factors = dynamics._factor(L)
+            assert math.prod(p**e for p, e in factors.items()) == L, L
+            assert all(e >= 1 and all(p % d for d in range(2, p))
+                       for p, e in factors.items()), L
 
     def test_infinite_survivor_raises(self, monkeypatch):
         monkeypatch.setattr(

@@ -92,6 +92,12 @@ class TestBuchberger:
                        budget=Budget(max_pairs=0))
         assert e.value.pairs_done > 0 or e.value.basis_size >= 2
 
+    @pytest.mark.parametrize("limits", [{"max_pairs": -1},
+                                        {"max_coeff_bits": -1}])
+    def test_negative_budget_is_rejected(self, limits):
+        with pytest.raises(ValueError):
+            Budget(**limits)
+
 
 class TestMembership:
     def test_examples(self):

@@ -79,13 +79,6 @@ def zderiv(p: list[int]) -> list[int]:
     return ztrim([i * c for i, c in enumerate(p)][1:])
 
 
-def zeval(p: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def zcontent(p: list[int]) -> int:
     g = 0
     for c in p:

@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periodic", parents=[common], help="points of exact period n")
     p.add_argument("--c", required=True)
-    p.add_argument("--n", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_periodic)
 
     p = sub.add_parser("verify", help="re-verify a lemma or the theorem")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .polynomials import BiPoly, UniPoly, resultant
 from .ratfunc import RatFunc
 from .rationals import rat_str
-from .roots import integer_roots, rational_roots
+from .roots import rational_roots
 
 __all__ = [
     "Curve",
@@ -182,13 +182,12 @@ def lutz_nagell_candidates(E: Curve) -> set[ECPoint]:
     out: set[ECPoint] = set()
     cubic = E.cubic()
     for y in sorted(ys):
-        shifted = cubic - Fraction(y * y)
-        for x in integer_roots(shifted.primitive()).roots:
-            if cubic(x) == y * y:
-                for yy in ({0} if y == 0 else {y, -y}):
-                    cand = ECPoint(Fraction(x), Fraction(yy))
-                    if ec_order(E, cand) is not None:
-                        out.add(cand)
+        # the cubic is monic and integral, so its rational roots are integers
+        for x in rational_roots(cubic - Fraction(y * y)).roots:
+            for yy in ({0} if y == 0 else {y, -y}):
+                cand = ECPoint(x, Fraction(yy))
+                if ec_order(E, cand) is not None:
+                    out.add(cand)
     return out
 
 

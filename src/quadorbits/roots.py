@@ -1,19 +1,22 @@
 """Certified, complete rational-root extraction for univariate polynomials.
 
-The engine: reduce to the squarefree part, pick a prime p0 > 50 that keeps
-the reduction squarefree, read off all roots mod p0 by exhaustive scan, and
-Hensel-lift each to a modulus past twice the relevant height bound.  Every
-lifted candidate is verified by exact evaluation, so reported roots are
-certificates.  Completeness comes from the converse direction: an integer
-root stays a root mod p0 and lies within the Cauchy bound, hence is the
-unique lift of its residue; a rational root u/v survives as the residue
-u * v^-1 and is recovered either through the classical monicizing transform
-a^(n-1) p(x/a) or, when that transform would blow up the coefficients, by
-rational reconstruction from the lifted residue (u and v are bounded by the
-constant and leading coefficients, so the reconstruction window is exact).
+One route for every degree and height (Loos 1983, "Computing rational zeros
+of integral polynomials by p-adic expansion").  Strip the zero roots, take
+the primitive integer form and its squarefree part f = a_n x^n + ... + a_0
+(a_0 != 0), pick a prime p0 > 50 that keeps f squarefree mod p0 and does
+not divide a_n, read off all roots of f mod p0 by exhaustive scan, and
+Hensel-lift each to a modulus m = p0^k > 2 |a_0| |a_n|.
 
-Linear and quadratic inputs short-circuit through the discriminant and the
-exact rational square root instead.
+A rational root u/v of f in lowest terms has u | a_0 and v | a_n, and
+v is a unit mod p0, so u/v survives as the residue u * v^-1 mod p0 and,
+its lift being unique, as a lifted residue r with u = v r (mod m).  Two
+fractions u/v and u'/v' within those bounds that share r satisfy
+u v' = u' v (mod m) with |u v' - u' v| <= 2 |a_0| |a_n| < m, hence are
+equal: rational reconstruction with numerator bound |a_0| and denominator
+bound |a_n| returns u/v itself, so no root is missed.  Every reconstructed
+candidate is verified by exact evaluation, so every reported root is a
+certificate, and its multiplicity is counted by exact division of the
+primitive form.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from fractions import Fraction
 
 from . import _intpoly as zp
 from .polynomials import UniPoly
-from .rationals import is_square, rat_str
+from .rationals import rat_str
 
-__all__ = ["RootReport", "integer_roots", "rational_roots"]
+__all__ = ["RootReport", "rational_roots"]
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class RootReport:
         return out
 
 
-def _multiplicity(ints: list[int], num: int, den: int = 1) -> int:
+def _multiplicity(ints: list[int], num: int, den: int) -> int:
     """Multiplicity of num/den as a root of the integer polynomial."""
     factor = [-num, den]
     m = 0
@@ -106,81 +109,15 @@ def _eval_mod(p: list[int], x: int, m: int) -> int:
     return acc
 
 
-def integer_roots(p: UniPoly) -> RootReport:
-    """All integer roots of a primitive integer polynomial, with
-    multiplicities, by modular root scan plus Hensel lifting."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    den, ints = p.to_int()
-    if den != 1:
-        raise ValueError("integer_roots expects integer coefficients")
-    if zp.zcontent(ints) != 1:
-        raise ValueError("integer_roots expects content 1")
-
-    roots: dict[Fraction, int] = {}
-    work = list(ints)
-    # factor out powers of x
-    k0 = 0
-    while work and work[0] == 0:
-        work = work[1:]
-        k0 += 1
-    if k0:
-        roots[Fraction(0)] = k0
-    if zp.zdeg(work) < 1:
-        return RootReport(roots, method="trivial")
-
-    sf = zp.zsquarefree(work)
-    if zp.zdeg(sf) < 1:
-        return RootReport(roots, method="trivial")
-    p0 = _pick_prime(sf)
-    # Cauchy: every root r satisfies |r| < 1 + max|a_i| / |a_n|
-    bound = 2 + max(abs(c) for c in sf[:-1]) // abs(sf[-1])
-    lifted, m, k = _lift_roots(sf, p0, 2 * bound)
-    for r in lifted:
-        cand = r if 2 * r <= m else r - m
-        if abs(cand) <= bound and zp.zeval(work, cand) == 0:
-            roots[Fraction(cand)] = _multiplicity(list(work), cand)
-    return RootReport(roots, method="hensel", prime=p0, precision=k)
-
-
-def _roots_by_discriminant(p: UniPoly) -> RootReport:
-    c = p.coeffs
-    if p.degree == 1:
-        return RootReport({-c[0] / c[1]: 1}, method="linear")
-    a, b, cc = c[2], c[1], c[0]
-    disc = b * b - 4 * a * cc
-    r = is_square(disc)
-    if r is None:
-        return RootReport({}, method="discriminant")
-    if r == 0:
-        return RootReport({-b / (2 * a): 2}, method="discriminant")
-    return RootReport(
-        {(-b + r) / (2 * a): 1, (-b - r) / (2 * a): 1}, method="discriminant"
-    )
-
-
-# Keep the classical monicizing transform while a^(n-1) stays small; beyond
-# that the transformed coefficients dwarf the input and rational
-# reconstruction from the lifted residues is the sane route.
-_TRANSFORM_BIT_LIMIT = 200_000
-
-
 def rational_roots(p: UniPoly) -> RootReport:
     """The complete set of rational roots of p, with multiplicities."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p.degree <= 0:
-        return RootReport({}, method="trivial")
-    if p.degree <= 2:
-        report = _roots_by_discriminant(p)
-        # multiplicities from the discriminant path are already exact
-        return report
-
     _, ints = p.to_int()
     _, ints = zp.zprimitive(ints)
     roots: dict[Fraction, int] = {}
     k0 = 0
-    while ints and ints[0] == 0:
+    while ints[0] == 0:
         ints = ints[1:]
         k0 += 1
     if k0:
@@ -188,60 +125,18 @@ def rational_roots(p: UniPoly) -> RootReport:
     if zp.zdeg(ints) < 1:
         return RootReport(roots, method="trivial")
 
-    a = abs(ints[-1])
-    n = zp.zdeg(ints)
-    if a == 1 or (n - 1) * a.bit_length() <= _TRANSFORM_BIT_LIMIT:
-        rep = _rational_roots_transform(ints, a)
-    else:
-        rep = _rational_roots_reconstruct(ints)
-    merged = dict(roots)
-    merged.update(rep.roots)
-    return RootReport(merged, rep.method, rep.prime, rep.precision)
-
-
-def _rational_roots_transform(ints: list[int], a: int) -> RootReport:
-    """Spec transform: roots of p <-> integer roots of a^(n-1) p(x/a)."""
-    n = zp.zdeg(ints)
-    # a^(n-1) p(x/a) has coefficients a_i a^(n-1-i); the top one is a_n/a = +-1
-    q = [c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])]
-    q.append(ints[-1] // a)
-    _, q = zp.zprimitive(q)
-    sub = integer_roots(UniPoly(q, "x"))
-    roots: dict[Fraction, int] = {}
-    for r in sub.roots:
-        x = Fraction(int(r), a)
-        mult = _multiplicity(list(ints), x.numerator, x.denominator)
-        if mult:
-            roots[x] = mult
-    return RootReport(roots, method="transform", prime=sub.prime,
-                      precision=sub.precision)
-
-
-def _rational_roots_reconstruct(ints: list[int]) -> RootReport:
-    """Rational roots via Hensel lifting plus rational reconstruction.
-
-    For a rational root u/v in lowest terms of the primitive squarefree
-    part: u divides the constant term, v divides the leading coefficient,
-    and u = v * r mod p^k for the lifted residue r.  Lifting past
-    2*|a_0|*|a_n| makes the reconstruction unique, so verifying each
-    reconstructed candidate exactly yields the complete root set.
-    """
     sf = zp.zsquarefree(ints)
     p0 = _pick_prime(sf)
     bound_num = abs(sf[0])
     bound_den = abs(sf[-1])
     lifted, m, k = _lift_roots(sf, p0, 2 * bound_num * bound_den)
-    roots: dict[Fraction, int] = {}
     for r in lifted:
         pair = _rat_recon(r, m, bound_num, bound_den)
         if pair is None:
             continue
         u, v = pair
         if _eval_homogeneous(sf, u, v) == 0:
-            x = Fraction(u, v)
-            mult = _multiplicity(list(ints), x.numerator, x.denominator)
-            if mult:
-                roots[x] = mult
+            roots[Fraction(u, v)] = _multiplicity(ints, u, v)
     return RootReport(roots, method="reconstruction", prime=p0, precision=k)
 
 

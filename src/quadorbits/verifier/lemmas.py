@@ -488,7 +488,7 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
     """Re-derive one classification lemma and compare every list against
     its statement.  Returns a report whose verdict is "pass" only when all
     candidate sets, families and sporadic pairs match exactly."""
-    t_start = time.time()
+    t_start = time.perf_counter()
     setup = lemma_setup(lemma_id)
     flags: list[str] = []
     groebner_outcome: GroebnerOutcome | None = None
@@ -643,6 +643,6 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
         flags=flags,
         verdict="pass" if not flags else "flagged",
         groebner=groebner_outcome,
-        seconds=time.time() - t_start,
+        seconds=time.perf_counter() - t_start,
     )
     return report

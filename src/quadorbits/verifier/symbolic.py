@@ -33,8 +33,6 @@ from ..roots import rational_roots
 
 __all__ = [
     "BiRat",
-    "fixed_point_parametrization",
-    "two_cycle_parametrization",
     "three_cycle_parametrization",
     "iterate_diff_factors",
     "ParamTuple",
@@ -157,20 +155,6 @@ class BiRat:
 # ---------------------------------------------------------------------------
 # parametrizations
 # ---------------------------------------------------------------------------
-
-def fixed_point_parametrization(var: str = "y") -> tuple[RatFunc, RatFunc]:
-    """(c, P) with P a rational fixed point of x^2 + c: the discriminant
-    1 - 4c must be a square s^2, giving c = (1 - s^2)/4, P = (1 + s)/2."""
-    s = RatFunc.t(var)
-    return (1 - s * s) / 4, (1 + s) / 2
-
-
-def two_cycle_parametrization(var: str = "z") -> tuple[RatFunc, RatFunc]:
-    """(c, W) with W of exact period two: -3 - 4c = s^2 gives
-    c = -(3 + s^2)/4, W = (-1 + s)/2."""
-    s = RatFunc.t(var)
-    return -(3 + s * s) / 4, (-1 + s) / 2
-
 
 def three_cycle_parametrization(var: str = "t") -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
     """(c, P1, P2, P3): the rational 3-cycles of x^2 + c.

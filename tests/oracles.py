@@ -8,8 +8,11 @@ of pruning a residue-filtered grid in one integer pass, the search oracle
 decides every tuple of the grid directly with that basepoint-list oracle
 instead of by subset reduction, the periodic-point and mu oracles find
 rational roots of dynatomic polynomials instead of walking the map on its
-finite-orbit points, and the normal-form oracle divides over Q, rescanning
-for the leading term at every step.
+finite-orbit points, the normal-form oracle divides over Q, rescanning
+for the leading term at every step, and the rational-root oracle finds the
+integer roots of the monicizing transform a^(n-1) p(x/a) (linear and
+quadratic inputs through the discriminant) instead of reconstructing
+fractions from lifted residues.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ import itertools
 import math
 from fractions import Fraction
 
+from quadorbits import _intpoly as zp
 from quadorbits.dynamics import MapSet, MuReport, OrbitResult, QuadMap, \
     exact_period, monoid_orbit
 from quadorbits.polynomials import BiPoly, UniPoly
 from quadorbits.rationals import is_square
-from quadorbits.roots import rational_roots
+from quadorbits.roots import RootReport, _lift_roots, _multiplicity, \
+    _pick_prime, rational_roots
 from quadorbits.search import FoundTuple, SearchSpec
 
 
@@ -239,3 +244,110 @@ def naive_normal_form(f: BiPoly, gens: list[BiPoly], order) -> BiPoly:
             rem_terms[e] = c
             del work[e]
     return BiPoly(rem_terms, f.vars)
+
+
+def _integer_roots(p: UniPoly) -> RootReport:
+    """All integer roots of a primitive integer polynomial, with
+    multiplicities, by modular root scan plus Hensel lifting."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    den, ints = p.to_int()
+    if den != 1:
+        raise ValueError("integer_roots expects integer coefficients")
+    if zp.zcontent(ints) != 1:
+        raise ValueError("integer_roots expects content 1")
+
+    roots: dict[Fraction, int] = {}
+    work = list(ints)
+    # factor out powers of x
+    k0 = 0
+    while work and work[0] == 0:
+        work = work[1:]
+        k0 += 1
+    if k0:
+        roots[Fraction(0)] = k0
+    if zp.zdeg(work) < 1:
+        return RootReport(roots, method="trivial")
+
+    sf = zp.zsquarefree(work)
+    if zp.zdeg(sf) < 1:
+        return RootReport(roots, method="trivial")
+    p0 = _pick_prime(sf)
+    # Cauchy: every root r satisfies |r| < 1 + max|a_i| / |a_n|
+    bound = 2 + max(abs(c) for c in sf[:-1]) // abs(sf[-1])
+    lifted, m, k = _lift_roots(sf, p0, 2 * bound)
+    for r in lifted:
+        cand = r if 2 * r <= m else r - m
+        if abs(cand) <= bound and _horner(work, cand) == 0:
+            roots[Fraction(cand)] = _multiplicity(list(work), cand, 1)
+    return RootReport(roots, method="hensel", prime=p0, precision=k)
+
+
+def _horner(p: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _roots_by_discriminant(p: UniPoly) -> RootReport:
+    c = p.coeffs
+    if p.degree == 1:
+        return RootReport({-c[0] / c[1]: 1}, method="linear")
+    a, b, cc = c[2], c[1], c[0]
+    disc = b * b - 4 * a * cc
+    r = is_square(disc)
+    if r is None:
+        return RootReport({}, method="discriminant")
+    if r == 0:
+        return RootReport({-b / (2 * a): 2}, method="discriminant")
+    return RootReport(
+        {(-b + r) / (2 * a): 1, (-b - r) / (2 * a): 1}, method="discriminant"
+    )
+
+
+def _rational_roots_transform(ints: list[int], a: int) -> RootReport:
+    """Spec transform: roots of p <-> integer roots of a^(n-1) p(x/a)."""
+    n = zp.zdeg(ints)
+    # a^(n-1) p(x/a) has coefficients a_i a^(n-1-i); the top one is a_n/a = +-1
+    q = [c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])]
+    q.append(ints[-1] // a)
+    _, q = zp.zprimitive(q)
+    sub = _integer_roots(UniPoly(q, "x"))
+    roots: dict[Fraction, int] = {}
+    for r in sub.roots:
+        x = Fraction(int(r), a)
+        mult = _multiplicity(list(ints), x.numerator, x.denominator)
+        if mult:
+            roots[x] = mult
+    return RootReport(roots, method="transform", prime=sub.prime,
+                      precision=sub.precision)
+
+
+def transform_rational_roots(p: UniPoly) -> RootReport:
+    """The complete set of rational roots of p, with multiplicities, by the
+    discriminant (degree <= 2) or the monicizing transform (at every height,
+    however large a^(n-1) grows)."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    if p.degree <= 0:
+        return RootReport({}, method="trivial")
+    if p.degree <= 2:
+        return _roots_by_discriminant(p)
+
+    _, ints = p.to_int()
+    _, ints = zp.zprimitive(ints)
+    roots: dict[Fraction, int] = {}
+    k0 = 0
+    while ints and ints[0] == 0:
+        ints = ints[1:]
+        k0 += 1
+    if k0:
+        roots[Fraction(0)] = k0
+    if zp.zdeg(ints) < 1:
+        return RootReport(roots, method="trivial")
+
+    rep = _rational_roots_transform(ints, abs(ints[-1]))
+    merged = dict(roots)
+    merged.update(rep.roots)
+    return RootReport(merged, rep.method, rep.prime, rep.precision)

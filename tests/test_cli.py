@@ -80,6 +80,15 @@ class TestOtherVerbs:
         assert code == 0
         assert "-7/4" in out and "5/4" in out
 
+    def test_periodic_beyond_three(self, capsys):
+        code, out, _ = run(capsys, "periodic", "--c", "-29/16", "--n", "4")
+        assert code == 0
+        assert out.rstrip().endswith("none")
+
+    def test_periodic_n_below_one(self, capsys):
+        code, _, err = run(capsys, "periodic", "--c", "-29/16", "--n", "0")
+        assert code == 2 and err.startswith("error:")
+
     def test_family_verify(self, capsys):
         code, out, _ = run(capsys, "family", "verify", "--id", "F-11b")
         assert code == 0 and "holds" in out

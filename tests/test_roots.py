@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-import quadorbits.roots as roots_mod
+from oracles import transform_rational_roots
 from quadorbits.polynomials import UniPoly
-from quadorbits.roots import integer_roots, rational_roots
+from quadorbits.roots import rational_roots
 
 
 def P(s):
@@ -14,24 +15,24 @@ def P(s):
 
 class TestIntegerRoots:
     def test_examples(self):
-        assert integer_roots(P("x^3 - x")).root_set() == {0, 1, -1}
-        assert integer_roots(P("x^2 + 1")).roots == {}
+        assert rational_roots(P("x^3 - x")).root_set() == {0, 1, -1}
+        assert rational_roots(P("x^2 + 1")).roots == {}
         p = P("x - 3") * P("x + 5") * P("x^2 + x + 1")
-        rep = integer_roots(p)
+        rep = rational_roots(p)
         assert rep.root_set() == {3, -5}
         for r in rep.roots:
             assert p(r) == 0
 
     def test_multiplicities(self):
         p = P("x - 2") ** 3 * P("x + 1")
-        rep = integer_roots(p)
+        rep = rational_roots(p)
         assert rep.roots == {Fraction(2): 3, Fraction(-1): 1}
 
-    def test_requires_integer_primitive(self):
-        with pytest.raises(ValueError):
-            integer_roots(P("x/1 + 1/2"))
-        with pytest.raises(ValueError):
-            integer_roots(P("2*x + 2"))
+
+# cofactors without rational roots: x^4 + x + 7 (no integer root divides 7),
+# 3x^2 - 2 and 5x^3 - 2 (2/3 and 2/5 are not a square and a cube)
+ROOTLESS = ["1", "x^4 + x + 7", "3*x^2 - 2", "5*x^3 - 2"]
+BIG = 2**64
 
 
 class TestRationalRoots:
@@ -57,6 +58,30 @@ class TestRationalRoots:
                 poly = poly * UniPoly([-r.numerator, r.denominator], "x") \
                     ** rng.randint(1, 2)
             assert rational_roots(poly).root_set() == planted
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-BIG, BIG), st.integers(1, BIG),
+                              st.integers(1, 3)), max_size=4),
+           st.sampled_from(ROOTLESS), st.integers(0, 3),
+           st.integers(1, 2**80), st.booleans())
+    def test_planted_roots_and_multiplicities(self, planted, cofactor,
+                                              x_power, scale, negate):
+        poly = P(cofactor) * UniPoly([0, 1], "x") ** x_power \
+            * (-scale if negate else scale)
+        expected: Counter = Counter()
+        for u, v, m in planted:
+            poly = poly * UniPoly([-u, v], "x") ** m
+            expected[Fraction(u, v)] += m
+        if x_power:
+            expected[Fraction(0)] += x_power
+        assert rational_roots(poly).roots == dict(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=8),
+           st.integers(-2**40, 2**40).filter(bool))
+    def test_agrees_with_transform_oracle(self, lower, lead):
+        p = UniPoly(lower + [lead], "x")
+        assert rational_roots(p).roots == transform_rational_roots(p).roots
 
     def test_rootless_quartic_is_rootless(self):
         assert rational_roots(P("x^4 + x + 7")).roots == {}
@@ -88,8 +113,7 @@ class TestRationalRoots:
             if any(c != 0 for c in p.coeffs[:1]):
                 assert found == brute
 
-    def test_reconstruction_path(self, monkeypatch):
-        monkeypatch.setattr(roots_mod, "_TRANSFORM_BIT_LIMIT", 1)
+    def test_reconstruction_path(self):
         big = 2**40 + 1
         p = P("x^4 + x + 7") * UniPoly([-3, big], "x") * UniPoly([-5, 7], "x")
         rep = rational_roots(p)

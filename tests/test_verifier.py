@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,12 @@ class TestLemma24Fast:
         d = rep.to_dict()
         assert d["lemma"] == "2.4" and d["verdict"] == "pass"
         assert d["structural_divisions"]
+
+    def test_seconds_survive_a_backward_wall_clock(self, monkeypatch):
+        # the wall clock may be stepped back mid-run; the timing must not be
+        ticks = iter(range(10**6, 0, -1000))
+        monkeypatch.setattr(time, "time", lambda: float(next(ticks)))
+        assert verify_lemma("2.4").seconds >= 0
 
 
 class TestGroebnerRoute:

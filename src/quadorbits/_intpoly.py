@@ -2,9 +2,10 @@
 
 Dense univariate polynomials over Z as lists of ints indexed by degree
 (no trailing zeros; the zero polynomial is the empty list).  Everything the
-hot paths need lives here: ring arithmetic, contents, pseudo-division, and a
-certified modular gcd.  The public Fraction-coefficient classes in
-``polynomials`` delegate to these helpers.
+hot paths need lives here: ring arithmetic, homogeneous evaluation,
+contents, pseudo-division, and a certified modular gcd.  ``UniPoly`` in
+``polynomials`` stores its integer coefficients over one denominator and
+computes through these helpers.
 
 Bivariate integer polynomials appear in one form only, the row form: a list
 of univariate rows indexed by the power of the eliminated variable, as
@@ -12,15 +13,15 @@ of univariate rows indexed by the power of the eliminated variable, as
 computes on it: contents in the surviving variable, pseudo-remainders,
 subresultant resultants and the bivariate gcd.
 
-The modular gcd computes candidates mod independent 62-bit primes, combines
-them by CRT, and only returns after verifying exact divisibility into both
-inputs, so its answers are certificates rather than probabilistic guesses.
+The modular gcd computes candidates mod the primes above 2^61 in increasing
+order, combines them by CRT, and only returns after verifying exact
+divisibility into both inputs, so its answers are certificates rather than
+probabilistic guesses.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +37,15 @@ def ztrim(p: list[int]) -> list[int]:
 def zdeg(p: list[int]) -> int:
     """Degree; the zero polynomial has degree -1."""
     return len(p) - 1
+
+
+def zadd(p: list[int], q: list[int]) -> list[int]:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return ztrim(out)
 
 
 def zsub(p: list[int], q: list[int]) -> list[int]:
@@ -73,6 +83,16 @@ def zpow(p: list[int], n: int) -> list[int]:
         if n:
             base = zmul(base, base)
     return out
+
+
+def zeval_homogeneous(p: list[int], u: int, v: int) -> int:
+    """v^deg(p) * p(u/v), an exact integer (Horner with denominator powers)."""
+    acc = 0
+    vp = 1
+    for c in reversed(p):
+        acc = acc * u + c * vp
+        vp *= v
+    return acc
 
 
 def zderiv(p: list[int]) -> list[int]:
@@ -184,14 +204,19 @@ def next_prime(n: int) -> int:
     return n
 
 
-_BIG_PRIME_RNG = random.Random(0x5EED)
+_BIG_PRIMES: list[int] = []
 
 
-def random_big_prime(bits: int = 62) -> int:
+def _big_primes():
+    """The primes above 2^61 in increasing order, extending ``_BIG_PRIMES``
+    on demand, so every caller walks the same sequence."""
+    i = 0
     while True:
-        n = _BIG_PRIME_RNG.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_prime(n):
-            return n
+        if i == len(_BIG_PRIMES):
+            _BIG_PRIMES.append(next_prime(_BIG_PRIMES[-1] if _BIG_PRIMES
+                                          else 1 << 61))
+        yield _BIG_PRIMES[i]
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +299,7 @@ def zgcd(a: list[int], b: list[int]) -> list[int]:
     best_deg: int | None = None
     crt_mod = 0
     crt_poly: list[int] = []
-    while True:
-        m = random_big_prime()
+    for m in _big_primes():
         if pa[-1] % m == 0 or pb[-1] % m == 0:
             continue
         g = pgcd_monic(pa, pb, m)
@@ -309,16 +333,6 @@ def zgcd(a: list[int], b: list[int]) -> list[int]:
             return cand
 
 
-def zgcd_is_trivial(a: list[int], b: list[int]) -> bool:
-    """Fast certified test that gcd(a, b) has degree 0 (single good prime)."""
-    if not a or not b:
-        return False
-    while True:
-        m = random_big_prime()
-        if a[-1] % m and b[-1] % m:
-            return zdeg(pgcd_monic(a, b, m)) == 0
-
-
 def zsquarefree(p: list[int]) -> list[int]:
     """Primitive squarefree part p / gcd(p, p')."""
     if not p:
@@ -326,10 +340,7 @@ def zsquarefree(p: list[int]) -> list[int]:
     _, pp = zprimitive(p)
     if zdeg(pp) <= 1:
         return pp
-    dp = zderiv(pp)
-    if zgcd_is_trivial(pp, dp):
-        return pp
-    g = zgcd(pp, dp)
+    g = zgcd(pp, zderiv(pp))
     if zdeg(g) == 0:
         return pp
     return zprimitive(zdivexact(pp, g))[1]

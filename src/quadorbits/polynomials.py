@@ -1,12 +1,14 @@
 """Exact univariate and bivariate polynomial arithmetic over Q.
 
-``UniPoly`` is dense (coefficient list indexed by degree), ``BiPoly`` is a
-sparse exponent map; both carry variable labels and refuse mixed-variable
-arithmetic.  ``BiPoly.to_coeff_lists`` and ``BiPoly.from_coeff_lists``
-convert to and from the integer row form on which ``_intpoly`` eliminates a
-variable; ``resultant`` and ``bivariate_gcd`` are conversion wrappers around
-its subresultant resultant and pseudo-remainder gcd, with contents and
-denominators multiplied back so values are exact.
+``UniPoly`` is dense: integer coefficients indexed by degree over one
+positive denominator, the form on which ``_intpoly`` computes its
+arithmetic.  ``BiPoly`` is a sparse exponent map.  Both carry variable
+labels and refuse mixed-variable arithmetic.  ``BiPoly.to_coeff_lists`` and
+``BiPoly.from_coeff_lists`` convert to and from the integer row form on
+which ``_intpoly`` eliminates a variable; ``resultant`` and
+``bivariate_gcd`` are conversion wrappers around its subresultant resultant
+and pseudo-remainder gcd, with contents and denominators multiplied back so
+values are exact.
 
 Resultant sign convention, pinned by the tests: ``resultant(p, q)`` equals
 the determinant of the Sylvester matrix whose top rows carry q, i.e.
@@ -134,16 +136,33 @@ def _parse_terms(text: str) -> dict[tuple[str, ...], Fraction]:
 # ---------------------------------------------------------------------------
 
 class UniPoly:
-    """Dense univariate polynomial over Q with a variable label."""
+    """Dense univariate polynomial over Q with a variable label.
 
-    __slots__ = ("coeffs", "var")
+    Stored as integer coefficients over one denominator: ``ints`` is a tuple
+    indexed by degree with no trailing zero, ``den`` is positive and
+    gcd(den, *ints) == 1, so equal polynomials have equal fields.  The
+    arithmetic runs on this form in ``_intpoly``.
+    """
+
+    __slots__ = ("den", "ints", "var")
 
     def __init__(self, coeffs, var: str = "x"):
         cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        self.var = var
+        den = math.lcm(*(c.denominator for c in cs))
+        self._store(den, [c.numerator * (den // c.denominator) for c in cs],
+                    var)
+
+    def _store(self, den: int, ints: list[int], var: str) -> None:
+        if den == 0:
+            raise ZeroDivisionError("polynomial with zero denominator")
+        zp.ztrim(ints)
+        if den < 0:
+            den, ints = -den, zp.zneg(ints)
+        g = math.gcd(den, *ints)
+        if g != 1:
+            den //= g
+            ints = [c // g for c in ints]
+        self.den, self.ints, self.var = den, tuple(ints), var
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -159,8 +178,11 @@ class UniPoly:
         return cls((0, 1), var)
 
     @classmethod
-    def from_int(cls, den: int, ints: list[int], var: str = "x") -> "UniPoly":
-        return cls([Fraction(c, den) for c in ints], var)
+    def from_int(cls, den: int, ints, var: str = "x") -> "UniPoly":
+        """The polynomial ints / den for any nonzero den, normalized."""
+        p = cls.__new__(cls)
+        p._store(den, list(ints), var)
+        return p
 
     @classmethod
     def parse(cls, text: str, var: str | None = None) -> "UniPoly":
@@ -178,139 +200,122 @@ class UniPoly:
 
     # -- basics -------------------------------------------------------------
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, indexed by degree."""
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = UniPoly.constant(other, self.var)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs and (
-            self.var == other.var or not self.coeffs or not other.coeffs
-            or self.degree == 0
-        )
+        return self.ints == other.ints and self.den == other.den and (
+            self.var == other.var or self.degree <= 0)
 
     def __hash__(self):
-        return hash((self.coeffs, self.var if self.degree > 0 else ""))
+        return hash((self.den, self.ints, self.var if self.degree > 0 else ""))
 
     def _check(self, other: "UniPoly"):
         if self.var != other.var and self.degree > 0 and other.degree > 0:
             raise ValueError(f"mismatched variables {self.var!r} and {other.var!r}")
 
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other):
+    def _add(self, other, zop):
+        """zop (``zadd`` or ``zsub``) on the integer coefficients of self
+        and other over the lcm of their denominators."""
         if isinstance(other, (int, Fraction)):
             other = UniPoly.constant(other, self.var)
         if not isinstance(other, UniPoly):
             return NotImplemented
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return UniPoly(a, self.var if self.coeffs else other.var)
+        da, db = self.den, other.den
+        den = math.lcm(da, db)
+        a = self.ints if da == den else [c * (den // da) for c in self.ints]
+        b = other.ints if db == den else [c * (den // db) for c in other.ints]
+        return UniPoly.from_int(den, zop(a, b),
+                                self.var if self.ints else other.var)
+
+    def __add__(self, other):
+        return self._add(other, zp.zadd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs], self.var)
+        return UniPoly.from_int(self.den, zp.zneg(self.ints), self.var)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other, self.var)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, zp.zsub)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def to_int(self) -> tuple[int, list[int]]:
-        """(common denominator, integer coefficient list)."""
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return den, [int(c * den) for c in self.coeffs]
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
-            return UniPoly([c * other for c in self.coeffs], self.var)
+            return UniPoly.from_int(self.den * other.denominator,
+                                    [c * other.numerator for c in self.ints],
+                                    self.var)
         if not isinstance(other, UniPoly):
             return NotImplemented
         self._check(other)
         if self.is_zero() or other.is_zero():
             return UniPoly.zero(self.var)
-        da, a = self.to_int()
-        db, b = other.to_int()
-        prod = zp.zmul(a, b)
-        return UniPoly.from_int(da * db, prod, self.var if self.degree > 0 else other.var)
+        return UniPoly.from_int(self.den * other.den,
+                                zp.zmul(self.ints, other.ints),
+                                self.var if self.degree > 0 else other.var)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = UniPoly.constant(1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return UniPoly.from_int(self.den**n, zp.zpow(self.ints, n), self.var)
 
     def __call__(self, x):
-        """Exact evaluation by Horner's rule."""
+        """Exact evaluation by one homogeneous Horner pass over Z."""
         x = _coerce(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.ints:
+            return Fraction(0)
+        v = x.denominator
+        return Fraction(zp.zeval_homogeneous(self.ints, x.numerator, v),
+                        self.den * v**self.degree)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """self(inner(x)); degrees multiply."""
         acc = UniPoly.zero(inner.var)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.ints):
             acc = acc * inner + c
-        return acc
+        return acc * Fraction(1, self.den)
 
     # -- division -----------------------------------------------------------
     def divmod(self, d: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        """(q, r) with self = q d + r and deg r < deg d, from the
+        pseudo-division lc(d)^k self = Q d + R over Z, which is integral
+        for k = deg self - deg d + 1."""
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         self._check(d)
-        q: dict[int, Fraction] = {}
-        rem = list(self.coeffs)
-        dd, dl = d.degree, d.lc
-        while len(rem) - 1 >= dd and rem:
-            k = len(rem) - 1 - dd
-            c = rem[-1] / dl
-            q[k] = c
-            for i, dc in enumerate(d.coeffs):
-                rem[k + i] -= c * dc
-            while rem and rem[-1] == 0:
-                rem.pop()
-        nq = max(q, default=-1)
-        return (
-            UniPoly([q.get(i, Fraction(0)) for i in range(nq + 1)], self.var),
-            UniPoly(rem, self.var),
-        )
+        scale = d.ints[-1] ** max(0, len(self.ints) - len(d.ints) + 1)
+        q, r = zp.zdivmod([c * scale for c in self.ints], d.ints)
+        den = self.den * scale
+        return (UniPoly.from_int(den, [c * d.den for c in q], self.var),
+                UniPoly.from_int(den, r, self.var))
 
     def exact_divide(self, d: "UniPoly") -> "UniPoly":
         q, r = self.divmod(d)
@@ -318,20 +323,14 @@ class UniPoly:
             raise ExactDivisionError(f"inexact division, remainder {r}", remainder=r)
         return q
 
-    def divides(self, other: "UniPoly") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return other.divmod(self)[1].is_zero()
-
     # -- content / gcd ------------------------------------------------------
     def content_primitive(self) -> tuple[Fraction, "UniPoly"]:
         """p = content * primitive with coprime integer coefficients and
         positive leading coefficient on the primitive part."""
         if self.is_zero():
             raise ValueError("zero polynomial has no content decomposition")
-        den, ints = self.to_int()
-        c, prim = zp.zprimitive(ints)
-        return Fraction(c, den), UniPoly(prim, self.var)
+        c, prim = zp.zprimitive(self.ints)
+        return Fraction(c, self.den), UniPoly.from_int(1, prim, self.var)
 
     def primitive(self) -> "UniPoly":
         return self.content_primitive()[1]
@@ -343,16 +342,13 @@ class UniPoly:
         if other.is_zero():
             return self.monic()
         self._check(other)
-        _, a = self.to_int()
-        _, b = other.to_int()
-        g = zp.zgcd(a, b)
-        return UniPoly(g, self.var).monic()
+        g = zp.zgcd(self.ints, other.ints)
+        return UniPoly.from_int(g[-1], g, self.var)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        l = self.lc
-        return UniPoly([c / l for c in self.coeffs], self.var)
+        return UniPoly.from_int(self.ints[-1], self.ints, self.var)
 
     def squarefree_part(self) -> "UniPoly":
         """Product of the distinct irreducible factors, via p / gcd(p, p').
@@ -361,16 +357,16 @@ class UniPoly:
         """
         if self.is_zero():
             raise ValueError("zero polynomial")
-        _, ints = self.to_int()
-        return UniPoly(zp.zsquarefree(ints), self.var)
+        return UniPoly.from_int(1, zp.zsquarefree(self.ints), self.var)
 
     # -- printing -----------------------------------------------------------
     def __str__(self) -> str:
-        if not self.coeffs:
+        cs = self.coeffs
+        if not cs:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -739,10 +735,9 @@ def resultant(p: BiPoly, q: BiPoly, eliminate: int = 0) -> UniPoly:
     den_p, rows_p = p.to_coeff_lists(eliminate)
     den_q, rows_q = q.to_coeff_lists(eliminate)
     # q-rows-first convention: pass q as the first argument.
-    res_int = zp.zzresultant(rows_q, rows_p)
-    scale = Fraction(1, den_q**dp * den_p**dq)
-    survivor = p.vars[1 - eliminate]
-    return UniPoly([Fraction(c) * scale for c in res_int], survivor)
+    return UniPoly.from_int(den_q**dp * den_p**dq,
+                            zp.zzresultant(rows_q, rows_p),
+                            p.vars[1 - eliminate])
 
 
 def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:

@@ -134,6 +134,8 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         o = self._coerce(other, self.var)
+        if o is NotImplemented:
+            return NotImplemented
         return o / self
 
     def __pow__(self, n: int):

@@ -4,17 +4,14 @@ Integers are plain Python ``int`` (arbitrary precision, canonical zero) and
 rationals are ``fractions.Fraction``, which already maintains the invariants
 we need: lowest terms, positive denominator, zero stored as 0/1.  This module
 adds the handful of operations the rest of the package relies on: exact
-parsing/printing of "p/q" strings, heights, and certified rational square
-roots.  No floating point is used anywhere.
+parsing/printing of "p/q" strings and certified rational square roots.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Rat = Fraction
-
 
 def normalize(num: int, den: int) -> Fraction:
     """Return num/den in canonical form; den must be nonzero."""
@@ -42,11 +39,6 @@ def rat_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def height(x: Fraction) -> int:
-    """Naive height max(|num|, den) of a rational in lowest terms."""
-    return max(abs(x.numerator), x.denominator)
 
 
 def isqrt_exact(n: int) -> int | None:

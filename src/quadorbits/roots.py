@@ -113,8 +113,7 @@ def rational_roots(p: UniPoly) -> RootReport:
     """The complete set of rational roots of p, with multiplicities."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    _, ints = p.to_int()
-    _, ints = zp.zprimitive(ints)
+    _, ints = zp.zprimitive(p.ints)
     roots: dict[Fraction, int] = {}
     k0 = 0
     while ints[0] == 0:
@@ -135,19 +134,9 @@ def rational_roots(p: UniPoly) -> RootReport:
         if pair is None:
             continue
         u, v = pair
-        if _eval_homogeneous(sf, u, v) == 0:
+        if zp.zeval_homogeneous(sf, u, v) == 0:
             roots[Fraction(u, v)] = _multiplicity(ints, u, v)
     return RootReport(roots, method="reconstruction", prime=p0, precision=k)
-
-
-def _eval_homogeneous(p: list[int], u: int, v: int) -> int:
-    """v^deg(p) * p(u/v), an exact integer (Horner with denominator powers)."""
-    acc = 0
-    vp = 1
-    for c in reversed(p):
-        acc = acc * u + c * vp
-        vp *= v
-    return acc
 
 
 def _rat_recon(r: int, m: int, max_num: int, max_den: int) -> tuple[int, int] | None:

@@ -114,7 +114,7 @@ def _split_survivor_content(f: BiPoly, eliminate: int) -> tuple[BiPoly, set[Frac
     cont = zp.zzcontent(f.to_coeff_lists(eliminate)[1])
     roots: set[Fraction] = set()
     if len(cont) > 1:
-        cp = UniPoly(cont, f.vars[survivor])
+        cp = UniPoly.from_int(1, cont, f.vars[survivor])
         roots = set(rational_roots(cp.squarefree_part()).root_set())
         f = f.exact_divide(BiPoly.from_unipoly(cp, survivor, f.vars))
     return f, roots

@@ -84,10 +84,9 @@ class BiRat:
             den = d0 if which == 0 else d1
             if den.degree > 0:
                 cont = zp.zzcontent(num.to_coeff_lists(1 - which)[1])
-                _, di = den.to_int()
-                g = zp.zgcd(cont, di)
+                g = zp.zgcd(cont, den.ints)
                 if zp.zdeg(g) > 0:
-                    gp = UniPoly(g, den.var)
+                    gp = UniPoly.from_int(1, g, den.var)
                     num = num.exact_divide(BiPoly.from_unipoly(gp, which,
                                                                num.vars))
                     den = den.exact_divide(gp)

@@ -12,7 +12,10 @@ finite-orbit points, the normal-form oracle divides over Q, rescanning
 for the leading term at every step, and the rational-root oracle finds the
 integer roots of the monicizing transform a^(n-1) p(x/a) (linear and
 quadratic inputs through the discriminant) instead of reconstructing
-fractions from lifted residues.
+fractions from lifted residues.  ``FractionUniPoly`` is the univariate
+arithmetic over a tuple of ``Fraction``s that ``UniPoly``'s integer form
+replaced: coefficient loops over Q for sums, scalar products, division and
+evaluation.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from fractions import Fraction
 from quadorbits import _intpoly as zp
 from quadorbits.dynamics import MapSet, MuReport, OrbitResult, QuadMap, \
     exact_period, monoid_orbit
-from quadorbits.polynomials import BiPoly, UniPoly
-from quadorbits.rationals import is_square
+from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly
+from quadorbits.rationals import is_square, rat_str
 from quadorbits.roots import RootReport, _lift_roots, _multiplicity, \
     _pick_prime, rational_roots
 from quadorbits.search import FoundTuple, SearchSpec
@@ -251,7 +254,7 @@ def _integer_roots(p: UniPoly) -> RootReport:
     multiplicities, by modular root scan plus Hensel lifting."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    den, ints = p.to_int()
+    den, ints = p.den, p.ints
     if den != 1:
         raise ValueError("integer_roots expects integer coefficients")
     if zp.zcontent(ints) != 1:
@@ -335,8 +338,7 @@ def transform_rational_roots(p: UniPoly) -> RootReport:
     if p.degree <= 2:
         return _roots_by_discriminant(p)
 
-    _, ints = p.to_int()
-    _, ints = zp.zprimitive(ints)
+    _, ints = zp.zprimitive(p.ints)
     roots: dict[Fraction, int] = {}
     k0 = 0
     while ints and ints[0] == 0:
@@ -351,3 +353,250 @@ def transform_rational_roots(p: UniPoly) -> RootReport:
     merged = dict(roots)
     merged.update(rep.roots)
     return RootReport(merged, rep.method, rep.prime, rep.precision)
+
+
+def _coerce(c) -> Fraction:
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"not an exact coefficient: {c!r}")
+
+
+class FractionUniPoly:
+    """Reference for ``UniPoly``: its arithmetic when it stored a tuple of
+    ``Fraction``s and converted to integers (``to_int``) for products,
+    gcds and contents."""
+
+    __slots__ = ("coeffs", "var")
+
+    def __init__(self, coeffs, var: str = "x"):
+        cs = [_coerce(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.var = var
+
+    # -- constructors -------------------------------------------------------
+    @classmethod
+    def zero(cls, var: str = "x") -> "FractionUniPoly":
+        return cls((), var)
+
+    @classmethod
+    def constant(cls, c, var: str = "x") -> "FractionUniPoly":
+        return cls((c,), var)
+
+    @classmethod
+    def x(cls, var: str = "x") -> "FractionUniPoly":
+        return cls((0, 1), var)
+
+    @classmethod
+    def from_int(cls, den: int, ints: list[int],
+                 var: str = "x") -> "FractionUniPoly":
+        return cls([Fraction(c, den) for c in ints], var)
+
+    # -- basics -------------------------------------------------------------
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def lc(self) -> Fraction:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = FractionUniPoly.constant(other, self.var)
+        if not isinstance(other, FractionUniPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs and (
+            self.var == other.var or not self.coeffs or not other.coeffs
+            or self.degree == 0
+        )
+
+    def __hash__(self):
+        return hash((self.coeffs, self.var if self.degree > 0 else ""))
+
+    def _check(self, other: "FractionUniPoly"):
+        if self.var != other.var and self.degree > 0 and other.degree > 0:
+            raise ValueError(f"mismatched variables {self.var!r} and {other.var!r}")
+
+    # -- arithmetic ---------------------------------------------------------
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionUniPoly.constant(other, self.var)
+        if not isinstance(other, FractionUniPoly):
+            return NotImplemented
+        self._check(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            a[i] += c
+        return FractionUniPoly(a, self.var if self.coeffs else other.var)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionUniPoly([-c for c in self.coeffs], self.var)
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionUniPoly.constant(other, self.var)
+        if not isinstance(other, FractionUniPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def to_int(self) -> tuple[int, list[int]]:
+        """(common denominator, integer coefficient list)."""
+        den = 1
+        for c in self.coeffs:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        return den, [int(c * den) for c in self.coeffs]
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _coerce(other)
+            return FractionUniPoly([c * other for c in self.coeffs], self.var)
+        if not isinstance(other, FractionUniPoly):
+            return NotImplemented
+        self._check(other)
+        if self.is_zero() or other.is_zero():
+            return FractionUniPoly.zero(self.var)
+        da, a = self.to_int()
+        db, b = other.to_int()
+        prod = zp.zmul(a, b)
+        return FractionUniPoly.from_int(da * db, prod, self.var if self.degree > 0 else other.var)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out = FractionUniPoly.constant(1, self.var)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def __call__(self, x):
+        """Exact evaluation by Horner's rule."""
+        x = _coerce(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def compose(self, inner: "FractionUniPoly") -> "FractionUniPoly":
+        """self(inner(x)); degrees multiply."""
+        acc = FractionUniPoly.zero(inner.var)
+        for c in reversed(self.coeffs):
+            acc = acc * inner + c
+        return acc
+
+    # -- division -----------------------------------------------------------
+    def divmod(self, d: "FractionUniPoly") -> tuple["FractionUniPoly", "FractionUniPoly"]:
+        if d.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        self._check(d)
+        q: dict[int, Fraction] = {}
+        rem = list(self.coeffs)
+        dd, dl = d.degree, d.lc
+        while len(rem) - 1 >= dd and rem:
+            k = len(rem) - 1 - dd
+            c = rem[-1] / dl
+            q[k] = c
+            for i, dc in enumerate(d.coeffs):
+                rem[k + i] -= c * dc
+            while rem and rem[-1] == 0:
+                rem.pop()
+        nq = max(q, default=-1)
+        return (
+            FractionUniPoly([q.get(i, Fraction(0)) for i in range(nq + 1)], self.var),
+            FractionUniPoly(rem, self.var),
+        )
+
+    def exact_divide(self, d: "FractionUniPoly") -> "FractionUniPoly":
+        q, r = self.divmod(d)
+        if not r.is_zero():
+            raise ExactDivisionError(f"inexact division, remainder {r}", remainder=r)
+        return q
+
+    # -- content / gcd ------------------------------------------------------
+    def content_primitive(self) -> tuple[Fraction, "FractionUniPoly"]:
+        """p = content * primitive with coprime integer coefficients and
+        positive leading coefficient on the primitive part."""
+        if self.is_zero():
+            raise ValueError("zero polynomial has no content decomposition")
+        den, ints = self.to_int()
+        c, prim = zp.zprimitive(ints)
+        return Fraction(c, den), FractionUniPoly(prim, self.var)
+
+    def primitive(self) -> "FractionUniPoly":
+        return self.content_primitive()[1]
+
+    def gcd(self, other: "FractionUniPoly") -> "FractionUniPoly":
+        """Monic gcd over Q (zero if both zero)."""
+        if self.is_zero():
+            return other.monic() if other else FractionUniPoly.zero(self.var)
+        if other.is_zero():
+            return self.monic()
+        self._check(other)
+        _, a = self.to_int()
+        _, b = other.to_int()
+        g = zp.zgcd(a, b)
+        return FractionUniPoly(g, self.var).monic()
+
+    def monic(self) -> "FractionUniPoly":
+        if self.is_zero():
+            return self
+        l = self.lc
+        return FractionUniPoly([c / l for c in self.coeffs], self.var)
+
+    def squarefree_part(self) -> "FractionUniPoly":
+        """Product of the distinct irreducible factors, via p / gcd(p, p').
+
+        Normalized to primitive integer coefficients with positive lc.
+        """
+        if self.is_zero():
+            raise ValueError("zero polynomial")
+        _, ints = self.to_int()
+        return FractionUniPoly(zp.zsquarefree(ints), self.var)
+
+    # -- printing -----------------------------------------------------------
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            if i == 0:
+                body = rat_str(abs(c))
+            else:
+                xs = self.var if i == 1 else f"{self.var}^{i}"
+                body = xs if abs(c) == 1 else f"{rat_str(abs(c))}*{xs}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"FractionUniPoly({self}, var={self.var!r})"

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sylvester_resultant
+from oracles import FractionUniPoly, sylvester_resultant
 from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
     bivariate_gcd, resultant, resultant_y
 
@@ -256,3 +257,86 @@ def test_coeff_lists_round_trip(terms, eliminate):
     b = BiPoly(terms)
     den, rows = b.to_coeff_lists(eliminate)
     assert BiPoly.from_coeff_lists(rows, eliminate) * Fraction(1, den) == b
+
+
+# -- the integer form of UniPoly against the Fraction-tuple reference --------
+
+fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+uni_coeffs = st.lists(fracs, max_size=6)
+
+
+def _pair(cs):
+    return UniPoly(cs, "x"), FractionUniPoly(cs, "x")
+
+
+def _same(new, old):
+    assert new.coeffs == old.coeffs and new.var == old.var, (new, old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(uni_coeffs, uni_coeffs, fracs, st.integers(0, 4))
+def test_ring_ops_match_fraction_reference(f, g, c, n):
+    (a, fa), (b, fb) = _pair(f), _pair(g)
+    _same(a + b, fa + fb)
+    _same(a - b, fa - fb)
+    _same(a * b, fa * fb)
+    _same(a * c, fa * c)
+    _same(c - a, c - fa)
+    _same(a**n, fa**n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(uni_coeffs, uni_coeffs.filter(any))
+def test_division_matches_fraction_reference(f, g):
+    (a, fa), (b, fb) = _pair(f), _pair(g)
+    (q, r), (fq, fr) = a.divmod(b), fa.divmod(fb)
+    _same(q, fq)
+    _same(r, fr)
+    try:
+        expected = fa.exact_divide(fb)
+    except ExactDivisionError as e:
+        with pytest.raises(ExactDivisionError) as got:
+            a.exact_divide(b)
+        _same(got.value.remainder, e.remainder)
+    else:
+        _same(a.exact_divide(b), expected)
+    _same((a * b).exact_divide(b), (fa * fb).exact_divide(fb))
+
+
+@settings(max_examples=60, deadline=None)
+@given(uni_coeffs, uni_coeffs, fracs)
+def test_eval_and_compose_match_fraction_reference(f, g, x):
+    (a, fa), (b, fb) = _pair(f), _pair(g)
+    assert a(x) == fa(x)
+    _same(a.compose(b), fa.compose(fb))
+
+
+@settings(max_examples=60, deadline=None)
+@given(uni_coeffs, uni_coeffs, uni_coeffs)
+def test_gcd_and_normal_forms_match_fraction_reference(f, g, h):
+    (a, fa), (b, fb), (c, fc) = _pair(f), _pair(g), _pair(h)
+    _same((a * c).gcd(b * c), (fa * fc).gcd(fb * fc))
+    _same(a.monic(), fa.monic())
+    assert str(a) == str(fa)
+    if a:
+        ca, pa = a.content_primitive()
+        cf, pf = fa.content_primitive()
+        assert ca == cf
+        _same(pa, pf)
+    if a and b:
+        _same((a * a * b).squarefree_part(), (fa * fa * fb).squarefree_part())
+
+
+@settings(max_examples=60, deadline=None)
+@given(uni_coeffs, st.integers(-50, 50).filter(bool))
+def test_integer_form_is_canonical(f, k):
+    """den > 0, gcd(den, *ints) == 1 and no trailing zero, however the
+    polynomial was built; equal polynomials are equal and hash-equal."""
+    p = UniPoly(f, "x")
+    assert p.den > 0 and math.gcd(p.den, *p.ints) == 1
+    assert isinstance(p.ints, tuple) and (not p.ints or p.ints[-1] != 0)
+    scaled = UniPoly.from_int(p.den * k, [c * k for c in p.ints] + [0], "x")
+    assert scaled.den == p.den and scaled.ints == p.ints
+    assert scaled == p and hash(scaled) == hash(p)
+    with pytest.raises(ZeroDivisionError):
+        UniPoly.from_int(0, p.ints)

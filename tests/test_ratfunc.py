@@ -28,6 +28,10 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             t / (t - t)
 
+    def test_inexact_operand_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            1.5 / t
+
 
 class TestQuadMap:
     def test_fixed_point_identity(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quadorbits.rationals import height, is_square, normalize, rat, rat_str
+from quadorbits.rationals import is_square, normalize, rat, rat_str
 
 
 def test_normalize_examples():
@@ -31,12 +31,6 @@ def test_parse_and_print_round_trip():
         rat("0.5")
     with pytest.raises(ZeroDivisionError):
         rat("1/0")
-
-
-def test_height_examples():
-    assert height(Fraction(5, 16)) == 16
-    assert height(Fraction(-21, 16)) == 21
-    assert height(Fraction(0)) == 1
 
 
 def test_is_square_examples():

@@ -97,7 +97,7 @@ class TestRationalRoots:
             if p.degree < 1:
                 continue
             found = rational_roots(p).root_set()
-            _, ints = p.to_int()
+            ints = p.ints
             while ints and ints[0] == 0:
                 ints = ints[1:]
             brute = set()

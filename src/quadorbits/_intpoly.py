@@ -7,11 +7,13 @@ contents, pseudo-division, and a certified modular gcd.  ``UniPoly`` in
 ``polynomials`` stores its integer coefficients over one denominator and
 computes through these helpers.
 
-Bivariate integer polynomials appear in one form only, the row form: a list
-of univariate rows indexed by the power of the eliminated variable, as
-``BiPoly.to_coeff_lists`` returns it.  This module is the only one that
-computes on it: contents in the surviving variable, pseudo-remainders,
-subresultant resultants and the bivariate gcd.
+Bivariate integer polynomials reach this module in one form only, the row
+form: a list of univariate rows indexed by the power of the eliminated
+variable, as ``BiPoly.to_coeff_lists`` reads it off ``BiPoly``'s sparse
+integer map.  This module is the only one that computes on it: contents in
+the surviving variable, pseudo-remainders, subresultant resultants and the
+bivariate gcd; ``BiPoly.specialize`` evaluates its rows with
+``zeval_homogeneous``.
 
 The modular gcd computes candidates mod the primes above 2^61 in increasing
 order, combines them by CRT, and only returns after verifying exact

@@ -240,7 +240,7 @@ def preimage_check() -> bool:
             continue
         cu = C.specialize(1, u0)      # polynomial in t
         yu = ynum.specialize(1, u0)
-        g = cu.gcd(yu) if cu and yu else (cu if yu.is_zero() else yu)
+        g = cu.gcd(yu)
         if g.degree > 0 and rational_roots(g).roots:
             return False
         if g.is_zero():

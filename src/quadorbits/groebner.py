@@ -6,13 +6,14 @@ route.  Computation carries an explicit resource budget (processed-pair and
 coefficient-bit ceilings): exceeding it raises ``BudgetExhausted``, which is
 a reported outcome, never a wrong answer.
 
-Reduction works over Z.  Exponents are permuted once per call so that the
-order is plain tuple comparison, coefficients are cleared to integers, and
-the largest remaining term comes off a max-heap (a cancelled term is skipped
-when it comes off).  Instead of dividing by a divisor's leading coefficient,
-a step scales the whole remainder by lc / gcd(c, lc) and then removes its
-content, so the coefficients stay bounded.  ``normal_form`` divides the
-tracked scale back out and returns the exact remainder over Q; inside
+The order is lex with vars[0] > vars[1], which is plain comparison of
+exponent tuples.  Reduction works over Z on ``BiPoly``'s integer map
+``ints`` (its denominator set aside), and the largest remaining term comes
+off a max-heap (a cancelled term is skipped when it comes off).  Instead of
+dividing by a divisor's leading coefficient, a step scales the whole
+remainder by lc / gcd(c, lc) and then removes its content, so the
+coefficients stay bounded.  ``normal_form`` divides the tracked scale and
+the denominator back out and returns the exact remainder over Q; inside
 ``buchberger`` the basis is kept as primitive integer polynomials only, and
 converted to ``BiPoly`` once, to interreduce the result.
 
@@ -32,8 +33,6 @@ from fractions import Fraction
 from .polynomials import BiPoly
 
 __all__ = [
-    "MonomialOrder",
-    "LEX",
     "IdealBasis",
     "Budget",
     "BudgetExhausted",
@@ -41,32 +40,9 @@ __all__ = [
     "s_polynomial",
     "normal_form",
     "buchberger",
-    "ideal_membership",
 ]
 
 Exponent = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Lex order; precedence (0, 1) means vars[0] > vars[1]."""
-
-    kind: str = "lex"
-    precedence: tuple[int, int] = (0, 1)
-
-    def __post_init__(self):
-        if self.kind != "lex":
-            raise ValueError(f"unsupported order {self.kind!r}")
-        if self.precedence not in ((0, 1), (1, 0)):
-            raise ValueError(f"precedence must be (0, 1) or (1, 0), "
-                             f"not {self.precedence!r}")
-
-    def key(self, e: Exponent):
-        a, b = self.precedence
-        return (e[a], e[b])
-
-
-LEX = MonomialOrder()
 
 
 @dataclass(frozen=True)
@@ -95,15 +71,13 @@ class BudgetExhausted(Exception):
 @dataclass(frozen=True)
 class IdealBasis:
     generators: tuple[BiPoly, ...]
-    order: MonomialOrder = LEX
-    is_groebner: bool = False
 
 
-def leading_term(f: BiPoly, order: MonomialOrder = LEX) -> tuple[Exponent, Fraction]:
+def leading_term(f: BiPoly) -> tuple[Exponent, Fraction]:
     if f.is_zero():
         raise ValueError("zero polynomial has no leading term")
-    e = max(f.terms, key=order.key)
-    return e, f.terms[e]
+    e = max(f.ints)
+    return e, Fraction(f.ints[e], f.den)
 
 
 def _divides(e1: Exponent, e2: Exponent) -> bool:
@@ -114,57 +88,35 @@ def _lcm(e1: Exponent, e2: Exponent) -> Exponent:
     return (max(e1[0], e2[0]), max(e1[1], e2[1]))
 
 
-def _mono_mul(f: BiPoly, e: Exponent, c: Fraction) -> BiPoly:
-    return BiPoly({(i + e[0], j + e[1]): cc * c for (i, j), cc in f.terms.items()},
-                  f.vars)
+def _mono_mul(f: BiPoly, e: Exponent) -> BiPoly:
+    return BiPoly.from_int(f.den, {(i + e[0], j + e[1]): c
+                                   for (i, j), c in f.ints.items()}, f.vars)
 
 
-def s_polynomial(f: BiPoly, g: BiPoly, order: MonomialOrder = LEX) -> BiPoly:
+def s_polynomial(f: BiPoly, g: BiPoly) -> BiPoly:
     """lcm-cancellation combination of f and g: the leading terms cancel."""
-    ef, cf = leading_term(f, order)
-    eg, cg = leading_term(g, order)
+    ef, cf = leading_term(f)
+    eg, cg = leading_term(g)
     l = _lcm(ef, eg)
-    return (
-        _mono_mul(f, (l[0] - ef[0], l[1] - ef[1]), 1 / cf)
-        - _mono_mul(g, (l[0] - eg[0], l[1] - eg[1]), 1 / cg)
-    )
+    return (_mono_mul(f, (l[0] - ef[0], l[1] - ef[1])) * (1 / cf)
+            - _mono_mul(g, (l[0] - eg[0], l[1] - eg[1])) * (1 / cg))
 
 
 # -- integer reduction ------------------------------------------------------
 #
-# Internally a polynomial is a list of (exponent, int) items in key space:
-# exponents permuted (when the order puts vars[1] first) so that the order
-# is plain tuple comparison.  A basis element is the triple (leading
-# exponent, leading coefficient, items), the items including the leading
-# term.
+# A basis element is the triple (leading exponent, leading coefficient,
+# items), the items being the (exponent, int) pairs of a primitive integer
+# polynomial, the leading term included.
 
 _Items = list[tuple[Exponent, int]]
 _Element = tuple[Exponent, int, _Items]
 
 
-def _swapped(order: MonomialOrder) -> bool:
-    return order.precedence == (1, 0)
-
-
-def _to_items(f: BiPoly, swap: bool) -> tuple[int, _Items]:
-    """(den, items): the items are den * f, with integer coefficients."""
-    den, ints = f._int_terms()
-    return den, [((j, i) if swap else (i, j), c) for (i, j), c in ints.items()]
-
-
-def _to_bipoly(items, scale, swap: bool, vars) -> BiPoly:
-    """The polynomial whose terms are the (exponent, c / scale) items."""
-    return BiPoly({((j, i) if swap else (i, j)): Fraction(c, 1) / scale
-                   for (i, j), c in items}, vars)
-
-
-def _primitive(items: _Items, swap: bool) -> _Element:
+def _primitive(items: _Items) -> _Element:
     """Primitive part, normalised as ``BiPoly.content_primitive``: content
-    removed, positive coefficient at the lex-largest exponent in the
-    original variable order."""
+    removed, positive leading coefficient."""
     d = math.gcd(*(c for _, c in items))
-    top = max(items, key=lambda t: (t[0][1], t[0][0])) if swap else max(items)
-    if top[1] < 0:
+    if max(items)[1] < 0:
         d = -d
     if d != 1:
         items = [(e, c // d) for e, c in items]
@@ -174,8 +126,8 @@ def _primitive(items: _Items, swap: bool) -> _Element:
 
 def _reduce(work: dict[Exponent, int], basis: list[_Element]
             ) -> tuple[dict[Exponent, int], Fraction]:
-    """Fraction-free division of ``work`` (consumed) by the basis, in key
-    space: (rem, scale) with rem / scale the exact remainder over Q of the
+    """Fraction-free division of ``work`` (consumed) by the basis:
+    (rem, scale) with rem / scale the exact remainder over Q of the
     division that always reduces the largest term by the first divisor
     whose leading exponent divides it."""
     heap = [(-a, -b) for a, b in work]
@@ -229,7 +181,7 @@ def _reduce(work: dict[Exponent, int], basis: list[_Element]
     return rem, scale
 
 
-def normal_form(f: BiPoly, basis, order: MonomialOrder = LEX) -> BiPoly:
+def normal_form(f: BiPoly, basis) -> BiPoly:
     """Remainder of multivariate division of f by the basis.
 
     No term of the remainder is divisible by any leading term of the basis;
@@ -239,16 +191,16 @@ def normal_form(f: BiPoly, basis, order: MonomialOrder = LEX) -> BiPoly:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty basis")
-    swap = _swapped(order)
     # scaling a divisor leaves the remainder unchanged
-    divisors = [_primitive(_to_items(g, swap)[1], swap) for g in gens]
-    den, items = _to_items(f, swap)
-    rem, scale = _reduce(dict(items), divisors)
-    return _to_bipoly(rem.items(), scale * den, swap, f.vars)
+    divisors = [_primitive(list(g.ints.items())) for g in gens]
+    rem, scale = _reduce(dict(f.ints), divisors)
+    scale *= f.den
+    return BiPoly.from_int(scale.numerator, {e: c * scale.denominator
+                                             for e, c in rem.items()}, f.vars)
 
 
 def _s_items(f: _Element, g: _Element) -> dict[Exponent, int]:
-    """An integer multiple of the S-polynomial of f and g, in key space."""
+    """An integer multiple of the S-polynomial of f and g."""
     (fa, fb), cf, f_items = f
     (ga, gb), cg, g_items = g
     la, lb = max(fa, ga), max(fb, gb)
@@ -273,8 +225,7 @@ def _max_bits(items: _Items) -> int:
     return max(1, max(abs(c) for _, c in items).bit_length())
 
 
-def buchberger(gens, order: MonomialOrder = LEX,
-               budget: Budget = Budget()) -> IdealBasis:
+def buchberger(gens, budget: Budget = Budget()) -> IdealBasis:
     """Reduced lex Groebner basis of the ideal generated by ``gens``.
 
     Raises BudgetExhausted when the pair count or coefficient size exceeds
@@ -284,8 +235,7 @@ def buchberger(gens, order: MonomialOrder = LEX,
     if not gens:
         raise ValueError("no nonzero generators")
     vars = gens[0].vars
-    swap = _swapped(order)
-    G: list[_Element] = [_primitive(_to_items(g, swap)[1], swap) for g in gens]
+    G: list[_Element] = [_primitive(list(g.ints.items())) for g in gens]
     lt = [el[0] for el in G]
     pairs: set[tuple[int, int]] = {(i, j) for j in range(len(G)) for i in range(j)}
     # pending pairs by the lcm of their leading terms, and a heap of the lcms
@@ -348,7 +298,7 @@ def buchberger(gens, order: MonomialOrder = LEX,
         rem, _ = _reduce(_s_items(G[i], G[j]), G)
         if not rem:
             continue
-        h = _primitive(list(rem.items()), swap)
+        h = _primitive(list(rem.items()))
         bits = _max_bits(h[2])
         max_bits = max(max_bits, bits)
         if bits > budget.max_coeff_bits:
@@ -363,11 +313,11 @@ def buchberger(gens, order: MonomialOrder = LEX,
         pairs |= new
         file_pairs(new)
 
-    basis = [_to_bipoly(items, 1, swap, vars) for _, _, items in G]
-    return IdealBasis(tuple(_interreduce(basis, order)), order, is_groebner=True)
+    basis = [BiPoly.from_int(1, dict(items), vars) for _, _, items in G]
+    return IdealBasis(tuple(_interreduce(basis)))
 
 
-def _interreduce(G: list[BiPoly], order: MonomialOrder) -> list[BiPoly]:
+def _interreduce(G: list[BiPoly]) -> list[BiPoly]:
     """Reduce each element against the others; drop zeros; monic output in
     increasing lex order of leading terms."""
     G = [g for g in G if not g.is_zero()]
@@ -378,26 +328,12 @@ def _interreduce(G: list[BiPoly], order: MonomialOrder) -> list[BiPoly]:
             others = [g for k, g in enumerate(G) if k != i and not g.is_zero()]
             if not others:
                 continue
-            r = normal_form(G[i], others, order)
-            if r.terms != G[i].terms:
+            r = normal_form(G[i], others)
+            if r != G[i]:
                 changed = True
             G[i] = r
         G = [g for g in G if not g.is_zero()]
-    out = []
-    for g in G:
-        _, c = leading_term(g, order)
-        out.append(g * (1 / c))
-    out.sort(key=lambda g: order.key(leading_term(g, order)[0]))
+    out = [BiPoly.from_int(g.ints[max(g.ints)], g.ints, g.vars) for g in G]
+    out.sort(key=lambda g: max(g.ints))
     return out
 
-
-def ideal_membership(f: BiPoly, gens, order: MonomialOrder = LEX,
-                     budget: Budget = Budget()) -> bool:
-    """Whether f lies in the ideal generated by gens (normal form w.r.t. a
-    Groebner basis vanishes).  Propagates BudgetExhausted."""
-    if f.is_zero():
-        return True
-    basis = gens if isinstance(gens, IdealBasis) and gens.is_groebner \
-        else buchberger(gens if not isinstance(gens, IdealBasis) else gens.generators,
-                        order, budget)
-    return normal_form(f, basis, order).is_zero()

@@ -1,9 +1,12 @@
 """Exact univariate and bivariate polynomial arithmetic over Q.
 
-``UniPoly`` is dense: integer coefficients indexed by degree over one
-positive denominator, the form on which ``_intpoly`` computes its
-arithmetic.  ``BiPoly`` is a sparse exponent map.  Both carry variable
-labels and refuse mixed-variable arithmetic.  ``BiPoly.to_coeff_lists`` and
+Both classes store integer coefficients over one positive denominator,
+with gcd(den, *ints) == 1, and compute on the integers.  ``UniPoly`` is
+dense, its coefficients indexed by degree, the form on which ``_intpoly``
+computes its arithmetic.  ``BiPoly`` is sparse, a map from exponent pairs
+to nonzero ints; ``groebner`` reduces on that map directly.  Both carry
+variable labels and refuse mixed-variable arithmetic.
+``BiPoly.to_coeff_lists`` and
 ``BiPoly.from_coeff_lists`` convert to and from the integer row form on
 which ``_intpoly`` eliminates a variable; ``resultant`` and
 ``bivariate_gcd`` are conversion wrappers around its subresultant resultant
@@ -30,7 +33,6 @@ __all__ = [
     "BiPoly",
     "ExactDivisionError",
     "resultant",
-    "resultant_y",
 ]
 
 
@@ -389,24 +391,44 @@ class UniPoly:
 # ---------------------------------------------------------------------------
 
 class BiPoly:
-    """Sparse bivariate polynomial over Q: exponent pair -> coefficient."""
+    """Sparse bivariate polynomial over Q with variable labels.
 
-    __slots__ = ("terms", "vars")
+    Stored as integer coefficients over one denominator: ``ints`` maps
+    exponent pairs to nonzero ints, ``den`` is positive and
+    gcd(den, *ints) == 1, so equal polynomials have equal fields.
+    """
+
+    __slots__ = ("den", "ints", "vars")
 
     def __init__(self, terms: dict, vars: tuple[str, str] = ("y", "z")):
-        self.terms: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in terms.items():
-            c = _coerce(c)
-            if c:
-                if i < 0 or j < 0:
-                    raise ValueError("negative exponent")
-                self.terms[(i, j)] = c
-        self.vars = vars
+        cs = {e: _coerce(c) for e, c in terms.items()}
+        if any(c and (e[0] < 0 or e[1] < 0) for e, c in cs.items()):
+            raise ValueError("negative exponent")
+        den = math.lcm(*(c.denominator for c in cs.values()))
+        self._store(den, {e: c.numerator * (den // c.denominator)
+                          for e, c in cs.items()}, vars)
+
+    def _store(self, den: int, ints: dict, vars: tuple[str, str]) -> None:
+        if den == 0:
+            raise ZeroDivisionError("polynomial with zero denominator")
+        sign = 1 if den > 0 else -1
+        ints = {e: sign * c for e, c in ints.items() if c}
+        g = math.gcd(den, *ints.values())
+        if g != 1:
+            ints = {e: c // g for e, c in ints.items()}
+        self.den, self.ints, self.vars = abs(den) // g, ints, vars
 
     # -- constructors -------------------------------------------------------
     @classmethod
+    def from_int(cls, den: int, ints: dict, vars=("y", "z")) -> "BiPoly":
+        """The polynomial ints / den for any nonzero den, normalized."""
+        p = cls.__new__(cls)
+        p._store(den, ints, vars)
+        return p
+
+    @classmethod
     def zero(cls, vars=("y", "z")) -> "BiPoly":
-        return cls({}, vars)
+        return cls.from_int(1, {}, vars)
 
     @classmethod
     def constant(cls, c, vars=("y", "z")) -> "BiPoly":
@@ -416,23 +438,23 @@ class BiPoly:
     def from_unipoly(cls, p: UniPoly, which: int, vars=("y", "z")) -> "BiPoly":
         """p as a polynomial in vars[which] alone (p's own label is not
         consulted)."""
-        return cls({(i, 0) if which == 0 else (0, i): c
-                    for i, c in enumerate(p.coeffs) if c}, vars)
+        return cls.from_int(p.den, {(i, 0) if which == 0 else (0, i): c
+                                    for i, c in enumerate(p.ints)}, vars)
 
     @classmethod
     def from_coeff_lists(cls, rows: list[list[int]], eliminate: int,
                          vars=("y", "z")) -> "BiPoly":
         """Inverse of ``to_coeff_lists`` for denominator 1."""
-        return cls({(a, b) if eliminate == 0 else (b, a): c
-                    for a, row in enumerate(rows)
-                    for b, c in enumerate(row) if c}, vars)
+        return cls.from_int(1, {(a, b) if eliminate == 0 else (b, a): c
+                                for a, row in enumerate(rows)
+                                for b, c in enumerate(row)}, vars)
 
     @classmethod
     def variable(cls, name: str, vars=("y", "z")) -> "BiPoly":
         if name == vars[0]:
-            return cls({(1, 0): 1}, vars)
+            return cls.from_int(1, {(1, 0): 1}, vars)
         if name == vars[1]:
-            return cls({(0, 1): 1}, vars)
+            return cls.from_int(1, {(0, 1): 1}, vars)
         raise ValueError(f"{name!r} is not one of {vars}")
 
     @classmethod
@@ -449,101 +471,86 @@ class BiPoly:
         return cls(out, vars)
 
     # -- basics -------------------------------------------------------------
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """The coefficients as Fractions, keyed by exponent pair."""
+        return {e: Fraction(c, self.den) for e, c in self.ints.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.ints)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = BiPoly.constant(other, self.vars)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.terms == other.terms and (
-            self.vars == other.vars or not self.terms or not other.terms
-            or max(max(i, j) for i, j in self.terms) == 0
-        )
+        return self.ints == other.ints and self.den == other.den and (
+            self.vars == other.vars or self.total_degree() <= 0)
 
     def __hash__(self):
         # labels count only where a variable occurs, as in __eq__
-        return hash((frozenset(self.terms.items()),
+        return hash((self.den, frozenset(self.ints.items()),
                      self.vars if self.total_degree() > 0 else ""))
 
     def degree(self, which: int) -> int:
         """Degree in vars[which]; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(e[which] for e in self.terms)
+        return max((e[which] for e in self.ints), default=-1)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i + j for i, j in self.terms)
+        return max((i + j for i, j in self.ints), default=-1)
 
     def _check(self, other: "BiPoly"):
-        if self.vars != other.vars and self.terms and other.terms:
+        if self.vars != other.vars and self.ints and other.ints:
             raise ValueError(f"mismatched variables {self.vars} and {other.vars}")
 
-    def _int_terms(self) -> tuple[int, dict[tuple[int, int], int]]:
-        """(common denominator d, exponent -> integer coefficient of d*self)."""
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return den, {e: c.numerator * (den // c.denominator)
-                     for e, c in self.terms.items()}
-
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other):
+    def _add(self, other, sign: int):
+        """self + sign * other on the integer coefficients over the lcm of
+        the two denominators."""
         if isinstance(other, (int, Fraction)):
             other = BiPoly.constant(other, self.vars)
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return BiPoly(out, self.vars if self.terms else other.vars)
+        den = math.lcm(self.den, other.den)
+        ma, mb = den // self.den, sign * (den // other.den)
+        out = {e: c * ma for e, c in self.ints.items()}
+        for e, c in other.ints.items():
+            out[e] = out.get(e, 0) + mb * c
+        return BiPoly.from_int(den, out, self.vars if self.ints else other.vars)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly({e: -c for e, c in self.terms.items()}, self.vars)
+        return BiPoly.from_int(-self.den, self.ints, self.vars)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.constant(other, self.vars)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
-            if not other:
-                return BiPoly.zero(self.vars)
-            return BiPoly({e: c * other for e, c in self.terms.items()}, self.vars)
+            return BiPoly.from_int(self.den * other.denominator,
+                                   {e: c * other.numerator
+                                    for e, c in self.ints.items()}, self.vars)
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._check(other)
-        da, a = self._int_terms()
-        db, b = other._int_terms()
         out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
+        for (i1, j1), c1 in self.ints.items():
+            for (i2, j2), c2 in other.ints.items():
                 e = (i1 + i2, j1 + j2)
-                s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        den = da * db
-        return BiPoly({e: Fraction(c, den) for e, c in out.items() if c},
-                      self.vars if self.terms else other.vars)
+                out[e] = out.get(e, 0) + c1 * c2
+        return BiPoly.from_int(self.den * other.den, out,
+                               self.vars if self.ints else other.vars)
 
     __rmul__ = __mul__
 
@@ -561,71 +568,67 @@ class BiPoly:
         return out
 
     def eval2(self, a, b) -> Fraction:
-        a, b = _coerce(a), _coerce(b)
-        byi: dict[int, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            byi[i] = byi.get(i, Fraction(0)) + c * b**j
-        acc = Fraction(0)
-        for i, inner in byi.items():
-            acc += inner * a**i
-        return acc
+        return self.specialize(1, b)(a)
 
     def specialize(self, which: int, value) -> UniPoly:
         """Substitute a rational for vars[which]; returns a UniPoly in the
-        other variable."""
+        other variable.  Each row of ``to_coeff_lists(1 - which)`` is
+        evaluated by one homogeneous pass over Z and scaled to v^deg, v the
+        value's denominator."""
         value = _coerce(value)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            fixed, free = (i, j) if which == 0 else (j, i)
-            out[free] = out.get(free, Fraction(0)) + c * value**fixed
-        n = max(out, default=-1)
-        return UniPoly([out.get(k, Fraction(0)) for k in range(n + 1)],
-                       self.vars[1 - which])
+        u, v = value.numerator, value.denominator
+        den, rows = self.to_coeff_lists(1 - which)
+        n = max(self.degree(which), 0)
+        return UniPoly.from_int(
+            den * v**n,
+            [zp.zeval_homogeneous(r, u, v) * v**(n + 1 - len(r)) for r in rows],
+            self.vars[1 - which])
 
     def as_unipoly(self) -> UniPoly | None:
         """This polynomial as a UniPoly if it involves only one variable."""
-        if all(e[0] == 0 for e in self.terms):
-            n = self.degree(1)
-            return UniPoly([self.terms.get((0, k), Fraction(0)) for k in range(n + 1)],
-                           self.vars[1])
-        if all(e[1] == 0 for e in self.terms):
-            n = self.degree(0)
-            return UniPoly([self.terms.get((k, 0), Fraction(0)) for k in range(n + 1)],
-                           self.vars[0])
+        for which in (1, 0):
+            if all(e[1 - which] == 0 for e in self.ints):
+                return UniPoly.from_int(
+                    self.den, [self.ints.get((0, k) if which else (k, 0), 0)
+                               for k in range(self.degree(which) + 1)],
+                    self.vars[which])
         return None
 
     # -- division -----------------------------------------------------------
     def exact_divide(self, d: "BiPoly") -> "BiPoly":
-        """Exact division by a single divisor; error carries the remainder.
+        """Exact division by a single divisor.
 
-        Long division by leading terms in lex order; for one divisor the
-        remainder vanishes exactly when d divides self.
+        Long division over Z by leading terms in lex order, by the primitive
+        part of d.  When the division is exact, every quotient step is an
+        integer (Gauss's lemma), so a fractional step or a remainder term
+        outside the leading term's multiples raises ExactDivisionError.
         """
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         self._check(d)
-        dl_exp = max(d.terms)  # lex on exponent tuples
-        dl_c = d.terms[dl_exp]
-        rem = dict(self.terms)
-        quot: dict[tuple[int, int], Fraction] = {}
+        content, prim = d.content_primitive()
+        (la, lb), lc = max(prim.ints.items())
+        rem = dict(self.ints)
+        quot: dict[tuple[int, int], int] = {}
         while rem:
             e = max(rem)
-            if e[0] < dl_exp[0] or e[1] < dl_exp[1]:
+            qc, r = divmod(rem[e], lc)
+            if r or e[0] < la or e[1] < lb:
                 raise ExactDivisionError(
-                    f"inexact bivariate division, remainder has leading term {e}",
-                    remainder=BiPoly(rem, self.vars),
-                )
-            q_exp = (e[0] - dl_exp[0], e[1] - dl_exp[1])
-            q_c = rem[e] / dl_c
-            quot[q_exp] = quot.get(q_exp, Fraction(0)) + q_c
-            for de, dc in d.terms.items():
-                te = (q_exp[0] + de[0], q_exp[1] + de[1])
-                s = rem.get(te, Fraction(0)) - q_c * dc
+                    f"inexact bivariate division at the term {e}")
+            qa, qb = e[0] - la, e[1] - lb
+            quot[(qa, qb)] = qc
+            for (a, b), c in prim.ints.items():
+                te = (qa + a, qb + b)
+                s = rem.get(te, 0) - qc * c
                 if s:
                     rem[te] = s
                 else:
-                    rem.pop(te, None)
-        return BiPoly(quot, self.vars)
+                    del rem[te]
+        # self = quot * prim / self.den and d = content * prim
+        return BiPoly.from_int(self.den * content.numerator,
+                               {e: c * content.denominator
+                                for e, c in quot.items()}, self.vars)
 
     def divides(self, other: "BiPoly") -> bool:
         if self.is_zero():
@@ -653,38 +656,29 @@ class BiPoly:
         coefficient)."""
         if self.is_zero():
             raise ValueError("zero polynomial has no content decomposition")
-        den, ints = self._int_terms()
-        g = math.gcd(*ints.values())
-        if self.terms[max(self.terms)] < 0:
+        g = math.gcd(*self.ints.values())
+        if self.ints[max(self.ints)] < 0:
             g = -g
-        return Fraction(g, den), BiPoly({e: c // g for e, c in ints.items()},
-                                        self.vars)
+        return Fraction(g, self.den), BiPoly.from_int(
+            1, {e: c // g for e, c in self.ints.items()}, self.vars)
 
     # -- conversions for elimination ----------------------------------------
     def to_coeff_lists(self, eliminate: int) -> tuple[int, list[list[int]]]:
         """(denominator, lists-of-int-polys) with the outer index running over
         powers of vars[eliminate] and inner int polys in the other variable."""
-        den, ints = self._int_terms()
-        n = self.degree(eliminate)
-        rows: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-        for (i, j), c in ints.items():
+        rows: list[dict[int, int]] = [{} for _ in range(self.degree(eliminate) + 1)]
+        for (i, j), c in self.ints.items():
             a, b = (i, j) if eliminate == 0 else (j, i)
             rows[a][b] = c
-        out = []
-        for row in rows:
-            m = max(row, default=-1)
-            out.append([row.get(k, 0) for k in range(m + 1)])
-        while out and not out[-1]:
-            out.pop()
-        return den, out
+        return self.den, [[row.get(k, 0) for k in range(max(row, default=-1) + 1)]
+                          for row in rows]
 
     # -- printing -----------------------------------------------------------
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.ints:
             return "0"
         parts = []
-        for (i, j) in sorted(self.terms, reverse=True):
-            c = self.terms[(i, j)]
+        for (i, j), c in sorted(self.terms.items(), reverse=True):
             factors = []
             if i:
                 factors.append(self.vars[0] if i == 1 else f"{self.vars[0]}^{i}")
@@ -708,8 +702,8 @@ class BiPoly:
     def dump_terms(self) -> dict[str, str]:
         """Exponent-map dump used in verification reports."""
         return {
-            f"({i},{j})": rat_str(c)
-            for (i, j), c in sorted(self.terms.items())
+            f"({i},{j})": rat_str(Fraction(c, self.den))
+            for (i, j), c in sorted(self.ints.items())
         }
 
 
@@ -738,11 +732,6 @@ def resultant(p: BiPoly, q: BiPoly, eliminate: int = 0) -> UniPoly:
     return UniPoly.from_int(den_q**dp * den_p**dq,
                             zp.zzresultant(rows_q, rows_p),
                             p.vars[1 - eliminate])
-
-
-def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
-    """Eliminate the first variable of p and q."""
-    return resultant(p, q, eliminate=0)
 
 
 def bivariate_gcd(p: BiPoly, q: BiPoly, main: int = 0) -> BiPoly:

@@ -20,7 +20,7 @@ from ..dynamics import MapSet, finite_orbit_points, word_str
 from ..elliptic import MAZUR_CERTIFICATE, RANK_ZERO_CERTIFICATE, \
     c_rational_points, preimage_check, verify_curve_map
 from ..families import FamilyDef, family_by_id
-from ..polynomials import BiPoly, UniPoly
+from ..polynomials import BiPoly, ExactDivisionError, UniPoly
 from ..ratfunc import RatFunc
 from ..rationals import rat, rat_str
 from ..roots import rational_roots
@@ -99,7 +99,7 @@ def _verify_factorization(N: BiPoly, pieces: list[BiPoly]) -> bool:
     try:
         for p in pieces:
             q = q.exact_divide(p)
-    except Exception:
+    except ExactDivisionError:
         return False
     return (not q.is_zero()) and q.total_degree() == 0
 
@@ -241,7 +241,7 @@ def _elliptic_piece(case: int, sub: str, piece: BiPoly, optA: Option,
     """The quartic basepoint curve of the conic-family pairing; its
     rational points come from the rank-zero elliptic curve."""
     expected = BiPoly.parse("a^2*b^2 + a*b^2 - a - b^2", ("a", "b"))
-    if piece.terms != expected.terms:
+    if piece != expected:
         flags.append(f"unexpected nonlinear curve piece {piece}")
         return
     if not verify_curve_map():

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..dynamics import MapSet, finite_orbit_points, monoid_orbit, word_str
-from ..families import FamilyDef, catalog, family_by_id
+from ..families import FamilyDef, catalog, family_by_id, \
+    family_verify_symbolic
 from ..groebner import Budget, BudgetExhausted, buchberger, normal_form
 from ..polynomials import BiPoly, UniPoly
 from ..ratfunc import RatFunc
@@ -461,7 +462,7 @@ def groebner_route(setup: LemmaSetup, budget: Budget) -> GroebnerOutcome:
         return GroebnerOutcome(
             status="completed", pairs_done=0, max_coeff_bits=0,
             basis_size=len(basis.generators),
-            basis_leading_terms=[str(max(g.terms)) for g in basis.generators],
+            basis_leading_terms=[str(max(g.ints)) for g in basis.generators],
             expected_degree=setup.groebner_expected_degree,
             note="no candidate-variable eliminant found in the basis")
     # membership of the factored combination
@@ -471,7 +472,7 @@ def groebner_route(setup: LemmaSetup, budget: Budget) -> GroebnerOutcome:
     return GroebnerOutcome(
         status="completed", pairs_done=0, max_coeff_bits=0,
         basis_size=len(basis.generators),
-        basis_leading_terms=[str(max(g.terms)) for g in basis.generators],
+        basis_leading_terms=[str(max(g.ints)) for g in basis.generators],
         eliminant_degree=best.degree,
         eliminant_roots=[rat_str(r) for r in
                          sorted(rational_roots(best.squarefree_part()).root_set())],
@@ -559,8 +560,6 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
                          "(undeclared family?)")
 
     # symbolic family identities
-    from ..families import family_verify_symbolic
-
     for fid in setup.families:
         if not family_verify_symbolic(family_by_id(fid)):
             flags.append(f"family {fid}: symbolic stability check failed")
@@ -612,9 +611,9 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
                 "bidegree": list(g.bidegree()),
                 "factor_bidegrees": [[f.degree(0), f.degree(1)]
                                      for f in g.factors],
-                "factor_terms": [len(f.terms) for f in g.factors],
+                "factor_terms": [len(f.ints) for f in g.factors],
                 "small_factor_dumps": [f.dump_terms() for f in g.factors
-                                       if len(f.terms) <= 40],
+                                       if len(f.ints) <= 40],
             } for g in setup.gens
         },
         structural_divisions=out.structural_divisions,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..dynamics import MapSet, QuadMap, finite_orbit_points, monoid_orbit, \
-    periodic_points
+from ..dynamics import MapSet, QuadMap, apply_word, finite_orbit_points, \
+    monoid_orbit, periodic_points, word_str
 from ..families import sporadic_triples
 from ..rationals import rat, rat_str
 from .axioms import poonen_criterion
@@ -37,14 +37,12 @@ def four_map_exclusion() -> dict:
     all_infinite = True
     for P in (rat("1/4"), rat("-1/4"), rat("3/4"), rat("-3/4")):
         res = monoid_orbit(S, P)
-        Q = P
-        for i in word:
-            Q = S[i](Q)
+        Q = apply_word(S, word, P)
         crit = poonen_criterion(S[0], Q)
         entries.append({
             "P": rat_str(P),
             "verdict": res.verdict,
-            "witness_word": "4124",
+            "witness_word": word_str(word),
             "Q": rat_str(Q),
             "criterion_f1": crit,
         })

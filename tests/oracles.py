@@ -15,7 +15,9 @@ quadratic inputs through the discriminant) instead of reconstructing
 fractions from lifted residues.  ``FractionUniPoly`` is the univariate
 arithmetic over a tuple of ``Fraction``s that ``UniPoly``'s integer form
 replaced: coefficient loops over Q for sums, scalar products, division and
-evaluation.
+evaluation.  ``FractionBiPoly`` is the same for ``BiPoly``: a dict of
+``Fraction``s, with sums, exact division, specialization and evaluation
+over Q.
 """
 
 from __future__ import annotations
@@ -217,19 +219,19 @@ def direct_search(spec: SearchSpec) -> list[FoundTuple]:
     return found
 
 
-def naive_normal_form(f: BiPoly, gens: list[BiPoly], order) -> BiPoly:
-    """Remainder of f by gens over Q: reduce the largest term under
-    ``order.key`` by the first generator whose leading term divides it,
-    else move it to the remainder."""
+def naive_normal_form(f: BiPoly, gens: list[BiPoly]) -> BiPoly:
+    """Remainder of f by gens over Q: reduce the lex-largest term by the
+    first generator whose leading term divides it, else move it to the
+    remainder."""
     gens = [g for g in gens if not g.is_zero()]
     lts = []
     for g in gens:
-        e = max(g.terms, key=order.key)
+        e = max(g.terms)
         lts.append((e, g.terms[e]))
     rem_terms: dict[tuple[int, int], Fraction] = {}
     work = dict(f.terms)
     while work:
-        e = max(work, key=order.key)
+        e = max(work)
         c = work[e]
         for g, (eg, cg) in zip(gens, lts):
             if eg[0] <= e[0] and eg[1] <= e[1]:
@@ -600,3 +602,317 @@ class FractionUniPoly:
 
     def __repr__(self) -> str:
         return f"FractionUniPoly({self}, var={self.var!r})"
+
+
+class FractionBiPoly:
+    """Reference for ``BiPoly``: its arithmetic when it stored a dict of
+    ``Fraction``s and converted to integers (``_int_terms``) for products,
+    contents and the row form."""
+
+    __slots__ = ("terms", "vars")
+
+    def __init__(self, terms: dict, vars: tuple[str, str] = ("y", "z")):
+        self.terms: dict[tuple[int, int], Fraction] = {}
+        for (i, j), c in terms.items():
+            c = _coerce(c)
+            if c:
+                if i < 0 or j < 0:
+                    raise ValueError("negative exponent")
+                self.terms[(i, j)] = c
+        self.vars = vars
+
+    # -- constructors -------------------------------------------------------
+    @classmethod
+    def zero(cls, vars=("y", "z")) -> "FractionBiPoly":
+        return cls({}, vars)
+
+    @classmethod
+    def constant(cls, c, vars=("y", "z")) -> "FractionBiPoly":
+        return cls({(0, 0): c}, vars)
+
+    @classmethod
+    def from_unipoly(cls, p: UniPoly, which: int, vars=("y", "z")) -> "FractionBiPoly":
+        """p as a polynomial in vars[which] alone (p's own label is not
+        consulted)."""
+        return cls({(i, 0) if which == 0 else (0, i): c
+                    for i, c in enumerate(p.coeffs) if c}, vars)
+
+    @classmethod
+    def from_coeff_lists(cls, rows: list[list[int]], eliminate: int,
+                         vars=("y", "z")) -> "FractionBiPoly":
+        """Inverse of ``to_coeff_lists`` for denominator 1."""
+        return cls({(a, b) if eliminate == 0 else (b, a): c
+                    for a, row in enumerate(rows)
+                    for b, c in enumerate(row) if c}, vars)
+
+    @classmethod
+    def variable(cls, name: str, vars=("y", "z")) -> "FractionBiPoly":
+        if name == vars[0]:
+            return cls({(1, 0): 1}, vars)
+        if name == vars[1]:
+            return cls({(0, 1): 1}, vars)
+        raise ValueError(f"{name!r} is not one of {vars}")
+
+    # -- basics -------------------------------------------------------------
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionBiPoly.constant(other, self.vars)
+        if not isinstance(other, FractionBiPoly):
+            return NotImplemented
+        return self.terms == other.terms and (
+            self.vars == other.vars or not self.terms or not other.terms
+            or max(max(i, j) for i, j in self.terms) == 0
+        )
+
+    def __hash__(self):
+        # labels count only where a variable occurs, as in __eq__
+        return hash((frozenset(self.terms.items()),
+                     self.vars if self.total_degree() > 0 else ""))
+
+    def degree(self, which: int) -> int:
+        """Degree in vars[which]; -1 for the zero polynomial."""
+        if not self.terms:
+            return -1
+        return max(e[which] for e in self.terms)
+
+    def total_degree(self) -> int:
+        if not self.terms:
+            return -1
+        return max(i + j for i, j in self.terms)
+
+    def _check(self, other: "FractionBiPoly"):
+        if self.vars != other.vars and self.terms and other.terms:
+            raise ValueError(f"mismatched variables {self.vars} and {other.vars}")
+
+    def _int_terms(self) -> tuple[int, dict[tuple[int, int], int]]:
+        """(common denominator d, exponent -> integer coefficient of d*self)."""
+        den = 1
+        for c in self.terms.values():
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        return den, {e: c.numerator * (den // c.denominator)
+                     for e, c in self.terms.items()}
+
+    # -- arithmetic ---------------------------------------------------------
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionBiPoly.constant(other, self.vars)
+        if not isinstance(other, FractionBiPoly):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, Fraction(0)) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return FractionBiPoly(out, self.vars if self.terms else other.vars)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionBiPoly({e: -c for e, c in self.terms.items()}, self.vars)
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionBiPoly.constant(other, self.vars)
+        if not isinstance(other, FractionBiPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _coerce(other)
+            if not other:
+                return FractionBiPoly.zero(self.vars)
+            return FractionBiPoly({e: c * other for e, c in self.terms.items()}, self.vars)
+        if not isinstance(other, FractionBiPoly):
+            return NotImplemented
+        self._check(other)
+        da, a = self._int_terms()
+        db, b = other._int_terms()
+        out: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
+                e = (i1 + i2, j1 + j2)
+                s = out.get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        den = da * db
+        return FractionBiPoly({e: Fraction(c, den) for e, c in out.items() if c},
+                      self.vars if self.terms else other.vars)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out = FractionBiPoly.constant(1, self.vars)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def eval2(self, a, b) -> Fraction:
+        a, b = _coerce(a), _coerce(b)
+        byi: dict[int, Fraction] = {}
+        for (i, j), c in self.terms.items():
+            byi[i] = byi.get(i, Fraction(0)) + c * b**j
+        acc = Fraction(0)
+        for i, inner in byi.items():
+            acc += inner * a**i
+        return acc
+
+    def specialize(self, which: int, value) -> UniPoly:
+        """Substitute a rational for vars[which]; returns a UniPoly in the
+        other variable."""
+        value = _coerce(value)
+        out: dict[int, Fraction] = {}
+        for (i, j), c in self.terms.items():
+            fixed, free = (i, j) if which == 0 else (j, i)
+            out[free] = out.get(free, Fraction(0)) + c * value**fixed
+        n = max(out, default=-1)
+        return UniPoly([out.get(k, Fraction(0)) for k in range(n + 1)],
+                       self.vars[1 - which])
+
+    def as_unipoly(self) -> UniPoly | None:
+        """This polynomial as a UniPoly if it involves only one variable."""
+        if all(e[0] == 0 for e in self.terms):
+            n = self.degree(1)
+            return UniPoly([self.terms.get((0, k), Fraction(0)) for k in range(n + 1)],
+                           self.vars[1])
+        if all(e[1] == 0 for e in self.terms):
+            n = self.degree(0)
+            return UniPoly([self.terms.get((k, 0), Fraction(0)) for k in range(n + 1)],
+                           self.vars[0])
+        return None
+
+    # -- division -----------------------------------------------------------
+    def exact_divide(self, d: "FractionBiPoly") -> "FractionBiPoly":
+        """Exact division by a single divisor; error carries the remainder.
+
+        Long division by leading terms in lex order; for one divisor the
+        remainder vanishes exactly when d divides self.
+        """
+        if d.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        self._check(d)
+        dl_exp = max(d.terms)  # lex on exponent tuples
+        dl_c = d.terms[dl_exp]
+        rem = dict(self.terms)
+        quot: dict[tuple[int, int], Fraction] = {}
+        while rem:
+            e = max(rem)
+            if e[0] < dl_exp[0] or e[1] < dl_exp[1]:
+                raise ExactDivisionError(
+                    f"inexact bivariate division, remainder has leading term {e}",
+                    remainder=FractionBiPoly(rem, self.vars),
+                )
+            q_exp = (e[0] - dl_exp[0], e[1] - dl_exp[1])
+            q_c = rem[e] / dl_c
+            quot[q_exp] = quot.get(q_exp, Fraction(0)) + q_c
+            for de, dc in d.terms.items():
+                te = (q_exp[0] + de[0], q_exp[1] + de[1])
+                s = rem.get(te, Fraction(0)) - q_c * dc
+                if s:
+                    rem[te] = s
+                else:
+                    rem.pop(te, None)
+        return FractionBiPoly(quot, self.vars)
+
+    def divides(self, other: "FractionBiPoly") -> bool:
+        if self.is_zero():
+            return other.is_zero()
+        try:
+            other.exact_divide(self)
+            return True
+        except ExactDivisionError:
+            return False
+
+    def divide_out(self, d: "FractionBiPoly") -> tuple["FractionBiPoly", int]:
+        """(q, m) with self = d^m * q and d not dividing q; one exact
+        division per step.  self must be nonzero and d nonconstant."""
+        m = 0
+        q = self
+        while True:
+            try:
+                q = q.exact_divide(d)
+            except ExactDivisionError:
+                return q, m
+            m += 1
+
+    def content_primitive(self) -> tuple[Fraction, "FractionBiPoly"]:
+        """Rational content and integer-primitive part (positive lex-leading
+        coefficient)."""
+        if self.is_zero():
+            raise ValueError("zero polynomial has no content decomposition")
+        den, ints = self._int_terms()
+        g = math.gcd(*ints.values())
+        if self.terms[max(self.terms)] < 0:
+            g = -g
+        return Fraction(g, den), FractionBiPoly({e: c // g for e, c in ints.items()},
+                                        self.vars)
+
+    # -- conversions for elimination ----------------------------------------
+    def to_coeff_lists(self, eliminate: int) -> tuple[int, list[list[int]]]:
+        """(denominator, lists-of-int-polys) with the outer index running over
+        powers of vars[eliminate] and inner int polys in the other variable."""
+        den, ints = self._int_terms()
+        n = self.degree(eliminate)
+        rows: list[dict[int, int]] = [dict() for _ in range(n + 1)]
+        for (i, j), c in ints.items():
+            a, b = (i, j) if eliminate == 0 else (j, i)
+            rows[a][b] = c
+        out = []
+        for row in rows:
+            m = max(row, default=-1)
+            out.append([row.get(k, 0) for k in range(m + 1)])
+        while out and not out[-1]:
+            out.pop()
+        return den, out
+
+    # -- printing -----------------------------------------------------------
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for (i, j) in sorted(self.terms, reverse=True):
+            c = self.terms[(i, j)]
+            factors = []
+            if i:
+                factors.append(self.vars[0] if i == 1 else f"{self.vars[0]}^{i}")
+            if j:
+                factors.append(self.vars[1] if j == 1 else f"{self.vars[1]}^{j}")
+            if not factors:
+                body = rat_str(abs(c))
+            elif abs(c) == 1:
+                body = "*".join(factors)
+            else:
+                body = "*".join([rat_str(abs(c))] + factors)
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def __repr__(self):
+        return f"FractionBiPoly({self}, vars={self.vars})"
+
+    def dump_terms(self) -> dict[str, str]:
+        """Exponent-map dump used in verification reports."""
+        return {
+            f"({i},{j})": rat_str(c)
+            for (i, j), c in sorted(self.terms.items())
+        }

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import FractionUniPoly, sylvester_resultant
+from oracles import FractionBiPoly, FractionUniPoly, sylvester_resultant
 from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
-    bivariate_gcd, resultant, resultant_y
+    bivariate_gcd, resultant
 
 
 def P(s, var=None):
@@ -73,7 +73,7 @@ class TestResultants:
         assert r == UniPoly.constant(1, "w")
         r = resultant(B("x^2 - 1", ("x", "w")), B("x^2 - 4", ("x", "w")), 0)
         assert r == UniPoly.constant(9, "w")
-        assert resultant_y(B("y - z"), B("y + z")) == P("-2*z")
+        assert resultant(B("y - z"), B("y + z")) == P("-2*z")
 
     def test_against_sylvester_oracle(self):
         rng = random.Random(31)
@@ -213,23 +213,92 @@ def test_content_primitive_round_trip(p):
     assert prim * c == pp
 
 
+fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 bi_terms = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)),
     st.fractions(min_value=-40, max_value=40, max_denominator=12), max_size=6)
 
 
+def _bipair(terms):
+    return BiPoly(terms), FractionBiPoly(terms)
+
+
+def _bsame(new, old):
+    assert new.terms == old.terms and new.vars == old.vars, (new, old)
+
+
 @settings(max_examples=80, deadline=None)
-@given(bi_terms, bi_terms)
-def test_bipoly_product_matches_fraction_product(p, q):
-    """The product over Z under one denominator against the term-by-term
-    product over Q."""
-    naive: dict = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            e = (i1 + i2, j1 + j2)
-            naive[e] = naive.get(e, Fraction(0)) + c1 * c2
-    assert (BiPoly(p) * BiPoly(q)).terms == \
-        {e: c for e, c in naive.items() if c}
+@given(bi_terms, bi_terms, fracs, st.integers(0, 3))
+def test_bipoly_product_matches_fraction_product(p, q, c, n):
+    """The ring operations over Z under one denominator against the
+    term-by-term operations over Q."""
+    (a, fa), (b, fb) = _bipair(p), _bipair(q)
+    _bsame(a * b, fa * fb)
+    _bsame(a + b, fa + fb)
+    _bsame(a - b, fa - fb)
+    _bsame(a * c, fa * c)
+    _bsame(c - a, c - fa)
+    _bsame(a**n, fa**n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bi_terms, bi_terms.filter(lambda t: any(t.values())))
+def test_bipoly_division_matches_fraction_reference(p, q):
+    """Exact division over Z by the divisor's primitive part against long
+    division over Q, on planted products and on arbitrary pairs."""
+    (a, fa), (b, fb) = _bipair(p), _bipair(q)
+    _bsame((a * b).exact_divide(b), (fa * fb).exact_divide(fb))
+    assert b.divides(a * b) and fb.divides(fa * fb)
+    try:
+        expected = fa.exact_divide(fb)
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            a.exact_divide(b)
+    else:
+        _bsame(a.exact_divide(b), expected)
+    assert b.divides(a) == fb.divides(fa)
+    assert b.divides(a * b + 1) == fb.divides(fa * fb + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bi_terms, fracs, fracs)
+def test_bipoly_evaluation_matches_fraction_reference(p, x, y):
+    a, fa = _bipair(p)
+    for which in (0, 1):
+        got, expected = a.specialize(which, x), fa.specialize(which, x)
+        assert got == expected and got.var == expected.var
+    assert a.eval2(x, y) == fa.eval2(x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bi_terms)
+def test_bipoly_forms_match_fraction_reference(p):
+    a, fa = _bipair(p)
+    for eliminate in (0, 1):
+        assert a.to_coeff_lists(eliminate) == fa.to_coeff_lists(eliminate)
+    assert str(a) == str(fa)
+    assert a.dump_terms() == fa.dump_terms()
+    if a:
+        (ca, pa), (cf, pf) = a.content_primitive(), fa.content_primitive()
+        assert ca == cf
+        _bsame(pa, pf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bi_terms, bi_terms, st.integers(-50, 50).filter(bool))
+def test_bipoly_integer_form_is_canonical(p, q, k):
+    """den > 0, gcd(den, *ints) == 1 and no zero entry, however the
+    polynomial was built; equal polynomials are equal and hash-equal."""
+    a, b = BiPoly(p), BiPoly(q)
+    for f in (a, b, a + b, a - b, a * b, -a, a - a, a * Fraction(1, k)):
+        assert f.den > 0 and math.gcd(f.den, *f.ints.values()) == 1
+        assert all(f.ints.values())
+    scaled = BiPoly.from_int(a.den * k, {**{e: c * k for e, c in
+                                            a.ints.items()}, (5, 5): 0})
+    assert scaled.den == a.den and scaled.ints == a.ints
+    assert scaled == a and hash(scaled) == hash(a)
+    with pytest.raises(ZeroDivisionError):
+        BiPoly.from_int(0, a.ints)
 
 
 small_bi_terms = st.dictionaries(
@@ -261,7 +330,6 @@ def test_coeff_lists_round_trip(terms, eliminate):
 
 # -- the integer form of UniPoly against the Fraction-tuple reference --------
 
-fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 uni_coeffs = st.lists(fracs, max_size=6)
 
 

@@ -5,9 +5,11 @@ import pytest
 
 from quadorbits.dynamics import MapSet, QuadMap, apply_word
 from quadorbits.groebner import Budget
+from quadorbits.polynomials import BiPoly
 from quadorbits.rationals import rat
 from quadorbits.verifier import POONEN_AXIOMS, poonen_criterion, \
     verify_lemma, verify_theorem_case
+from quadorbits.verifier.cases import _verify_factorization
 from quadorbits.verifier.lemmas import groebner_route, lemma_setup
 from quadorbits.verifier.symbolic import ParamTuple, \
     three_cycle_parametrization
@@ -119,6 +121,16 @@ class TestCaseMachinery:
                     # the word regenerates the witness point
                     word = tuple(int(ch) - 1 for ch in w["word"])
                     assert apply_word(S, word, rat(w["basepoint"])) == Q
+
+    def test_factorization_check_flags_only_inexact_division(self):
+        """An inexact claimed factorization is a verdict; a piece over the
+        wrong variables is a bug and raises."""
+        N = BiPoly.parse("a^2 - b^2", ("a", "b"))
+        pieces = [BiPoly.parse(s, ("a", "b")) for s in ("a - b", "a + b")]
+        assert _verify_factorization(N, pieces)
+        assert not _verify_factorization(N, pieces[:1] + pieces[:1])
+        with pytest.raises(ValueError):
+            _verify_factorization(N, [BiPoly.parse("y - z")])
 
 
 class TestLemmaReportSoundness:

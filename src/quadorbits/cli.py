@@ -17,8 +17,7 @@ import sys
 
 from .dynamics import MapSet, QuadMap, is_preperiodic, monoid_orbit, mu_set, \
     periodic_points
-from .families import ExcludedParameter, catalog, family_by_id, \
-    family_verify_symbolic
+from .families import catalog, family_by_id, family_verify_symbolic
 from .groebner import Budget
 from .rationals import rat, rat_str
 from .search import SearchSpec, search
@@ -308,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, ExcludedParameter) as e:
+    except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import rat_str
+from .rationals import exact_rational, rat_str
 
 __all__ = [
     "QuadMap",
@@ -75,9 +75,12 @@ GUARD_DENOM = "denominator-growth"
 
 @dataclass(frozen=True)
 class QuadMap:
-    """The quadratic polynomial x^2 + c."""
+    """The quadratic polynomial x^2 + c; c must be an int or a Fraction."""
 
     c: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", exact_rational(self.c))
 
     def __call__(self, x: Fraction) -> Fraction:
         return x * x + self.c
@@ -101,7 +104,7 @@ class MapSet:
     maps: tuple[QuadMap, ...]
 
     def __init__(self, maps):
-        ms = tuple(m if isinstance(m, QuadMap) else QuadMap(Fraction(m)) for m in maps)
+        ms = tuple(m if isinstance(m, QuadMap) else QuadMap(m) for m in maps)
         if not ms:
             raise ValueError("empty map set")
         cs = [m.c for m in ms]
@@ -170,7 +173,7 @@ class PreperiodicityReport:
 
 def is_preperiodic(f: QuadMap, x: Fraction) -> PreperiodicityReport:
     """Decide preperiodicity of x under f, exactly and with a certificate."""
-    x = Fraction(x)
+    x = exact_rational(x)
     seen: dict[Fraction, int] = {}
     traj: list[Fraction] = []
     cur = x
@@ -197,7 +200,7 @@ def is_preperiodic(f: QuadMap, x: Fraction) -> PreperiodicityReport:
 
 def exact_period(f: QuadMap, x: Fraction, max_n: int = 12) -> int | None:
     """Least n <= max_n with f^n(x) = x, else None."""
-    cur = Fraction(x)
+    cur = x = exact_rational(x)
     for n in range(1, max_n + 1):
         cur = f(cur)
         if cur == x:
@@ -341,7 +344,7 @@ def monoid_orbit(S: MapSet, P: Fraction) -> OrbitResult:
     a shortest generating word (lexicographically least among shortest,
     since the frontier is scanned in word order and maps in list order).
     """
-    P = Fraction(P)
+    P = exact_rational(P)
     visited: dict[Fraction, Word] = {P: ()}
     frontier: list[tuple[Word, Fraction]] = [((), P)]
     while frontier:
@@ -373,7 +376,7 @@ def monoid_orbit(S: MapSet, P: Fraction) -> OrbitResult:
 
 def is_stable_set(S: MapSet, T) -> bool:
     """True iff f(t) lies in T for every f in S and t in T."""
-    pts = {Fraction(t) for t in T}
+    pts = {exact_rational(t) for t in T}
     return all(f(t) in pts for f in S for t in pts)
 
 

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 
 from . import _intpoly as zp
-from .rationals import rat_str
+from .rationals import exact_rational, rat_str
 
 __all__ = [
     "UniPoly",
@@ -42,14 +42,6 @@ class ExactDivisionError(ArithmeticError):
     def __init__(self, message: str, remainder=None):
         super().__init__(message)
         self.remainder = remainder
-
-
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"not an exact coefficient: {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +141,7 @@ class UniPoly:
     __slots__ = ("den", "ints", "var")
 
     def __init__(self, coeffs, var: str = "x"):
-        cs = [_coerce(c) for c in coeffs]
+        cs = [exact_rational(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         self._store(den, [c.numerator * (den // c.denominator) for c in cs],
                     var)
@@ -291,7 +283,7 @@ class UniPoly:
 
     def __call__(self, x):
         """Exact evaluation by one homogeneous Horner pass over Z."""
-        x = _coerce(x)
+        x = exact_rational(x)
         if not self.ints:
             return Fraction(0)
         v = x.denominator
@@ -401,7 +393,7 @@ class BiPoly:
     __slots__ = ("den", "ints", "vars")
 
     def __init__(self, terms: dict, vars: tuple[str, str] = ("y", "z")):
-        cs = {e: _coerce(c) for e, c in terms.items()}
+        cs = {e: exact_rational(c) for e, c in terms.items()}
         if any(c and (e[0] < 0 or e[1] < 0) for e, c in cs.items()):
             raise ValueError("negative exponent")
         den = math.lcm(*(c.denominator for c in cs.values()))
@@ -575,7 +567,7 @@ class BiPoly:
         other variable.  Each row of ``to_coeff_lists(1 - which)`` is
         evaluated by one homogeneous pass over Z and scaled to v^deg, v the
         value's denominator."""
-        value = _coerce(value)
+        value = exact_rational(value)
         u, v = value.numerator, value.denominator
         den, rows = self.to_coeff_lists(1 - which)
         n = max(self.degree(which), 0)

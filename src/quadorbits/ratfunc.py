@@ -170,6 +170,15 @@ class RatFunc:
             accd = accd * inner + c
         return acc / accd
 
+    def relabel(self, var: str) -> "RatFunc":
+        """The same function in the variable var, equal to
+        self.compose(RatFunc.t(var)); the reduced integer coefficients are
+        kept as they are, so no gcd is taken."""
+        out = RatFunc.__new__(RatFunc)
+        out.num = UniPoly.from_int(self.num.den, self.num.ints, var)
+        out.den = UniPoly.from_int(self.den.den, self.den.ints, var)
+        return out
+
     def __str__(self):
         if self.den == 1:
             return str(self.num)

@@ -4,14 +4,25 @@ Integers are plain Python ``int`` (arbitrary precision, canonical zero) and
 rationals are ``fractions.Fraction``, which already maintains the invariants
 we need: lowest terms, positive denominator, zero stored as 0/1.  This module
 adds the handful of operations the rest of the package relies on: exact
-parsing/printing of "p/q" strings and certified rational square roots.
-No floating point is used anywhere.
+coercion of numbers, parsing/printing of "p/q" strings and certified
+rational square roots.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+
+def exact_rational(x) -> Fraction:
+    """x as a Fraction when it is an int or a Fraction; anything else,
+    floats and strings included, raises TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
+
 
 def normalize(num: int, den: int) -> Fraction:
     """Return num/den in canonical form; den must be nonzero."""

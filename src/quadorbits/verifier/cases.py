@@ -6,7 +6,7 @@ axiom), so the triple reduces to two simultaneous pair classifications.
 The subcases pair up the options of the two relevant pair lemmas, equate
 the shared data, and dispose of what is left: a symbolic coefficient
 collision, an equation with no rational roots, a delegated elliptic-curve
-argument, or a concrete tuple decided by complete basepoint enumeration.
+argument, or a concrete tuple disposed of by ``symbolic`` as in the lemmas.
 Every exclusion carries a re-verifiable witness (a composition word and a
 point failing the iterate criterion, or a collision deduction).
 """
@@ -16,17 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..dynamics import MapSet, finite_orbit_points, word_str
+from ..dynamics import OrbitResult, word_str
 from ..elliptic import MAZUR_CERTIFICATE, RANK_ZERO_CERTIFICATE, \
     c_rational_points, preimage_check, verify_curve_map
 from ..families import FamilyDef, family_by_id
 from ..polynomials import BiPoly, ExactDivisionError, UniPoly
-from ..ratfunc import RatFunc
+from ..ratfunc import PoleError, RatFunc
 from ..rationals import rat, rat_str
 from ..roots import rational_roots
-from .reports import CaseReport, fmt_pair
-from .symbolic import ParamTuple, find_exclusion_relation
-from .lemmas import _dispose_tuple
+from .reports import CaseReport, Disposition
+from .symbolic import ParamTuple, dispose_tuple, find_exclusion_relation
 
 __all__ = ["verify_theorem_case", "CASE_DESCRIPTIONS"]
 
@@ -125,44 +124,42 @@ def _report(case: int, sub: str, desc: str, deductions, witnesses, survivors,
         verdict="pass" if not flags else "flagged", flags=flags)
 
 
-def _survivor_entry(cs: tuple[Fraction, ...]) -> dict:
-    pts = finite_orbit_points(MapSet(cs))
-    return {
-        "c": [rat_str(c) for c in cs],
-        "basepoints": [rat_str(r.basepoint) for r in pts],
-        "orbit_union": sorted({rat_str(q) for r in pts for q in r.orbit}),
-    }
-
-
-def _dispose_and_collect(subject: str, cs: list[Fraction], P0,
-                         deductions, witnesses, survivors) -> None:
-    d = _dispose_tuple(subject, cs, P0, [])
-    if d.kind == "collision":
-        deductions.append(f"{subject}: coefficient collision, contradiction")
-    elif d.kind == "sporadic":
-        entry = _survivor_entry(tuple(cs))
+def _record(d: Disposition, finite: list[OrbitResult], P0: Fraction | None,
+            deductions, witnesses, survivors) -> None:
+    """Write one disposition (no families are offered, so never "family")
+    into the report lists; finite is its tuple's finite-orbit results and
+    P0 the basepoint its exclusion witness was sought from."""
+    if d.kind in ("pole", "collision"):
+        deductions.append(f"{d.subject}: {d.detail}, contradiction")
+        return
+    shown = "(" + ", ".join(d.data["c"]) + ")"
+    if d.kind == "sporadic":
+        entry = {
+            "c": d.data["c"],
+            "basepoints": d.data["basepoints"],
+            "orbit_union": sorted({rat_str(q) for r in finite
+                                   for q in r.orbit}),
+        }
         if entry not in survivors:
             survivors.append(entry)
-        deductions.append(
-            f"{subject}: tuple {fmt_pair(cs)} has finite-orbit points "
-            f"{entry['basepoints']}")
+        deductions.append(f"{d.subject}: tuple {shown} has finite-orbit "
+                          f"points {entry['basepoints']}")
     else:
         w = dict(d.data.get("witness", {}))
-        w["tuple"] = [rat_str(c) for c in cs]
+        w["tuple"] = d.data["c"]
         if P0 is not None:
             w["basepoint"] = rat_str(P0)
         witnesses.append(w)
         deductions.append(
-            f"{subject}: tuple {fmt_pair(cs)} excluded (no finite-orbit "
+            f"{d.subject}: tuple {shown} excluded (no finite-orbit "
             "points; witness recorded)")
 
 
 def _family_tuple_rf(opt: Option, var: str) -> tuple[RatFunc, RatFunc, RatFunc]:
     fam = opt.family
     assert fam is not None
-    relabel = RatFunc.t(var)
-    return (fam.c_list[0].compose(relabel), fam.c_list[1].compose(relabel),
-            fam.basepoint.compose(relabel))
+    return (fam.c_list[0].relabel(var), fam.c_list[1].relabel(var),
+            fam.basepoint.relabel(var))
 
 
 def _run_exclusion(tup: ParamTuple, subject: str, deductions, witnesses,
@@ -173,14 +170,9 @@ def _run_exclusion(tup: ParamTuple, subject: str, deductions, witnesses,
         f"{target + 1} has degree {relation.degree}; rational roots "
         f"{[rat_str(r) for r in roots]}")
     for s0 in roots:
-        reason = tup.pole_or_collision(s0)
-        rsubject = f"{subject}, parameter {rat_str(s0)}"
-        if reason is not None:
-            deductions.append(f"{rsubject}: {reason}, contradiction")
-            continue
-        cs, P0 = tup.specialize(s0)
-        _dispose_and_collect(rsubject, list(cs), P0, deductions, witnesses,
-                             survivors)
+        d, finite = tup.dispose(s0, f"{subject}, parameter {rat_str(s0)}")
+        P0 = tup.P.specialize(s0) if d.kind == "excluded" else None
+        _record(d, finite, P0, deductions, witnesses, survivors)
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +252,22 @@ def _elliptic_piece(case: int, sub: str, piece: BiPoly, optA: Option,
         + ", ".join(f"({rat_str(t)}, {rat_str(u)})" for t, u in sorted(pts)))
     cA1, cA2, PA = _family_tuple_rf(optA, "a")
     cB1, cB2, PB = _family_tuple_rf(optB, "b")
+    # in every catalog family the basepoint's poles are among the
+    # coefficients', so each pole here makes a coefficient infinite
     for (t0, u0) in sorted(pts):
         subject = f"curve point ({rat_str(t0)}, {rat_str(u0)})"
-        if cA1.den(t0) == 0 or cB1.den(u0) == 0:
+        try:
+            cs = [cA1.specialize(t0), cA2.specialize(t0), cB2.specialize(u0)]
+            c1_b, P0 = cB1.specialize(u0), PA.specialize(t0)
+        except PoleError:
             deductions.append(
                 f"{subject}: a coefficient becomes infinite, contradiction")
             continue
-        if cA1.specialize(t0) != cB1.specialize(u0):
+        if cs[0] != c1_b:
             flags.append(f"{subject}: inconsistent c1")
             continue
-        cs = [cA1.specialize(t0), cA2.specialize(t0), cB2.specialize(u0)]
-        P0 = PA.specialize(t0) if PA.den(t0) != 0 else None
-        _dispose_and_collect(subject, cs, P0, deductions, witnesses,
-                             survivors)
+        _record(*dispose_tuple(subject, cs, P0), P0, deductions, witnesses,
+                survivors)
 
 
 def _sub_family_pairs(case: int, sub: str, fam_opt: Option,
@@ -310,15 +305,15 @@ def _sub_family_pairs(case: int, sub: str, fam_opt: Option,
             f"parameters {[rat_str(r) for r in roots]}")
         for s0 in roots:
             subject = f"{popt.label}, parameter {rat_str(s0)}"
-            if c2f.den(s0) == 0 or Pf.den(s0) == 0:
+            try:
+                other, P0 = c2f.specialize(s0), Pf.specialize(s0)
+            except PoleError:
                 deductions.append(
                     f"{subject}: parametrization pole, contradiction")
                 continue
-            other = c2f.specialize(s0)
             cs = [q1, other, q2] if fam_first else [q1, q2, other]
-            P0 = Pf.specialize(s0)
-            _dispose_and_collect(subject, cs, P0, deductions, witnesses,
-                                 survivors)
+            _record(*dispose_tuple(subject, cs, P0), P0, deductions,
+                    witnesses, survivors)
     return _report(case, sub, desc, deductions, witnesses, survivors, flags)
 
 
@@ -341,8 +336,8 @@ def _sub_pairs_pairs(case: int, sub: str, optsA: list[Option],
             if q2 == r2:
                 deductions.append(f"{tag}: c2 = c3, contradiction")
                 continue
-            _dispose_and_collect(tag, [q1, q2, r2], None, deductions,
-                                 witnesses, survivors)
+            _record(*dispose_tuple(tag, [q1, q2, r2], None), None,
+                    deductions, witnesses, survivors)
     return _report(case, sub, desc, deductions, witnesses, survivors, [])
 
 

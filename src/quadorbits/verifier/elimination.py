@@ -7,12 +7,12 @@ form, the pipeline
    (to full multiplicity) -- this removes the root mass attached to the
    declared curves;
 2. takes pairwise resultants between the factors of each pair of
-   generators, eliminating the chosen variable.  A pair whose resultant
+   generators, eliminating the first variable.  A pair whose resultant
    vanishes identically shares a curve component; the component is split
    off by a bivariate gcd, recorded, and the leftovers are retried;
 3. forms, per generator pair, the union of the rational roots of the pair
-   eliminants (plus the roots of any factor's survivor-variable content,
-   which make that generator vanish identically);
+   eliminants (plus the roots of any factor's content in the second,
+   surviving variable, which make that generator vanish identically);
 4. intersects the per-pair unions: a parameter value admitting a common
    zero of all generators lies in every pair's union, so the intersection
    is a complete candidate list.
@@ -57,15 +57,12 @@ class GeneratorFactors:
 
 @dataclass
 class EliminationOutcome:
-    eliminate_var: int
     candidates: list[Fraction]
     raw_candidates: list[Fraction]
     dropped_artifacts: list[Fraction]
-    pair_unions: dict[tuple[str, str], set[Fraction]]
     eliminant_degrees: dict[tuple[str, str], list[int]]
     structural_divisions: dict[str, dict[str, int]]
     components: list[tuple[str, str, BiPoly]]
-    content_roots: set[Fraction]
     root_traces: dict[tuple[str, str], list[dict]] = field(default_factory=dict)
     reduced: list[GeneratorFactors] = field(default_factory=list)
 
@@ -104,25 +101,26 @@ def _divide_structural(gen: GeneratorFactors, structural: list[BiPoly]
     return GeneratorFactors(gen.name, tuple(out)), divisions
 
 
-def _split_survivor_content(f: BiPoly, eliminate: int) -> tuple[BiPoly, set[Fraction]]:
-    """Strip any polynomial content in the surviving variable; its rational
-    roots make the whole factor vanish identically and count as candidates."""
-    if f.is_zero() or f.degree(1 - eliminate) <= 0:
+def _split_survivor_content(f: BiPoly) -> tuple[BiPoly, set[Fraction]]:
+    """Strip any polynomial content in the surviving variable vars[1]; its
+    rational roots make the whole factor vanish identically and count as
+    candidates."""
+    if f.is_zero() or f.degree(1) <= 0:
         return f, set()
-    survivor = 1 - eliminate
     # content of f viewed in the eliminated variable
-    cont = zp.zzcontent(f.to_coeff_lists(eliminate)[1])
+    cont = zp.zzcontent(f.to_coeff_lists(0)[1])
     roots: set[Fraction] = set()
     if len(cont) > 1:
-        cp = UniPoly.from_int(1, cont, f.vars[survivor])
+        cp = UniPoly.from_int(1, cont, f.vars[1])
         roots = set(rational_roots(cp.squarefree_part()).root_set())
-        f = f.exact_divide(BiPoly.from_unipoly(cp, survivor, f.vars))
+        f = f.exact_divide(BiPoly.from_unipoly(cp, 1, f.vars))
     return f, roots
 
 
-def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly],
-                         eliminate: int = 0) -> EliminationOutcome:
-    """Run the factored-resultant candidate extraction (see module doc)."""
+def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly]
+                         ) -> EliminationOutcome:
+    """Run the factored-resultant candidate extraction (see module doc),
+    eliminating vars[0]; the candidates are values of vars[1]."""
     divisions: dict[str, dict[str, int]] = {}
     reduced: list[GeneratorFactors] = []
     content_roots: set[Fraction] = set()
@@ -130,13 +128,13 @@ def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly],
         red, div = _divide_structural(gen, structural)
         facs = []
         for f in red.factors:
-            f2, roots = _split_survivor_content(f, eliminate)
+            f2, roots = _split_survivor_content(f)
             content_roots |= roots
             facs.append(f2)
         reduced.append(GeneratorFactors(red.name, tuple(facs)))
         divisions[gen.name] = div
 
-    pair_unions: dict[tuple[str, str], set[Fraction]] = {}
+    pair_unions: list[set[Fraction]] = []
     degrees: dict[tuple[str, str], list[int]] = {}
     components: list[tuple[str, str, BiPoly]] = []
     root_traces: dict[tuple[str, str], list[dict]] = {}
@@ -150,9 +148,9 @@ def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly],
                 for b in gj.factors:
                     a_work = a
                     while True:
-                        if a_work.degree(eliminate) <= 0 or b.degree(eliminate) <= 0:
+                        if a_work.degree(0) <= 0 or b.degree(0) <= 0:
                             break
-                        r = resultant(a_work, b, eliminate=eliminate)
+                        r = resultant(a_work, b)
                         if not r.is_zero():
                             degs.append(r.degree)
                             if r.degree > 0:
@@ -160,20 +158,20 @@ def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly],
                                 union |= rep.root_set()
                                 traces.append(rep.to_dict())
                             break
-                        g = bivariate_gcd(a_work, b, main=eliminate)
+                        g = bivariate_gcd(a_work, b)
                         if g.total_degree() <= 0:
                             raise ArithmeticError(
                                 "zero resultant with trivial gcd")
                         components.append((gi.name, gj.name, g))
                         a_work = a_work.exact_divide(g)
-                        a_work, roots = _split_survivor_content(a_work, eliminate)
+                        a_work, roots = _split_survivor_content(a_work)
                         union |= roots
-            pair_unions[(gi.name, gj.name)] = union
+            pair_unions.append(union)
             degrees[(gi.name, gj.name)] = degs
             root_traces[(gi.name, gj.name)] = traces
 
     cands: set[Fraction] | None = None
-    for union in pair_unions.values():
+    for union in pair_unions:
         cands = set(union) if cands is None else cands & union
     raw = sorted(cands or set())
     # keep a value only if the reduced system has a common zero on its
@@ -181,20 +179,17 @@ def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly],
     # parametrization poles
     kept, dropped = [], []
     for v0 in raw:
-        if common_specialized_gcd(reduced, 1 - eliminate, v0).degree > 0:
+        if common_specialized_gcd(reduced, 1, v0).degree > 0:
             kept.append(v0)
         else:
             dropped.append(v0)
     return EliminationOutcome(
-        eliminate_var=eliminate,
         candidates=kept,
         raw_candidates=raw,
         dropped_artifacts=dropped,
-        pair_unions=pair_unions,
         eliminant_degrees=degrees,
         structural_divisions=divisions,
         components=components,
-        content_roots=content_roots,
         root_traces=root_traces,
         reduced=reduced,
     )

@@ -2,14 +2,15 @@
 
 Each driver rebuilds the lemma's parametrized preperiodicity relations in
 factored form, eliminates one variable by resultants, extracts the complete
-rational candidate list, back-substitutes, and disposes of every candidate
-pair by exact computation: parametrization pole, coefficient collision,
-family membership (with the basepoint matched), or a complete
-finite-orbit-basepoint decision for the concrete pair.  Structural curve
-factors get their own branch analyses: collision branches are certified by
-a symbolic identity, family branches by matching the catalog formulas, and
-excluded branches by a shortest non-vanishing word relation whose rational
-roots are disposed one by one.
+rational candidate list and back-substitutes.  A candidate pair whose
+coefficients hit a parametrization pole is reported as a pole; every other
+pair goes to ``symbolic.dispose_tuple``, which decides collision, family
+membership (with the basepoint matched), or finite-orbit points by complete
+basepoint enumeration.  Structural curve factors get their own branch
+analyses: collision branches are certified by a symbolic identity, family
+branches by matching the catalog formulas, and excluded branches by a
+shortest non-vanishing word relation whose rational roots are disposed one
+by one through ``ParamTuple.dispose``.
 
 The lemma ids are "2.1".."2.6"; the hypotheses they cover are, in order:
 fixed+fixed, fixed+2-cycle, 2-cycle+2-cycle, 3-cycle+3-cycle,
@@ -22,28 +23,24 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..dynamics import MapSet, finite_orbit_points, monoid_orbit, word_str
+from ..dynamics import word_str
 from ..families import FamilyDef, catalog, family_by_id, \
     family_verify_symbolic
 from ..groebner import Budget, BudgetExhausted, buchberger, normal_form
 from ..polynomials import BiPoly, UniPoly
-from ..ratfunc import RatFunc
+from ..ratfunc import PoleError, RatFunc
 from ..rationals import rat, rat_str
 from ..roots import rational_roots
-from .axioms import poonen_criterion
 from .elimination import GeneratorFactors, common_specialized_gcd, \
     eliminate_candidates
 from .reports import CurveBranchReport, Disposition, GroebnerOutcome, \
     LemmaReport, fmt_pair
-from .symbolic import BiRat, ParamTuple, find_exclusion_relation, \
-    iterate_diff_factors, three_cycle_parametrization
+from .symbolic import BiRat, ParamTuple, dispose_tuple, \
+    find_exclusion_relation, iterate_diff_factors, three_cycle_parametrization
 
 __all__ = ["LEMMA_IDS", "verify_lemma", "lemma_setup"]
 
 LEMMA_IDS = ("2.1", "2.2", "2.3", "2.4", "2.5", "2.6")
-
-_QUARTER = Fraction(1, 4)
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,12 @@ def _pairs(*ps: tuple[str, str]) -> list[tuple[Fraction, Fraction]]:
     return [(rat(a), rat(b)) for a, b in ps]
 
 
+def _embed(V: tuple[str, str], *fs: RatFunc) -> list[BiRat]:
+    """Each f as a BiRat in its own variable of V, so that the relations
+    are built from the very formulas the report specializes."""
+    return [BiRat.from_ratfunc(f, V.index(f.var), V) for f in fs]
+
+
 def lemma_setup(lemma_id: str) -> LemmaSetup:
     if lemma_id == "2.1":
         return _setup_21()
@@ -108,15 +111,13 @@ def lemma_setup(lemma_id: str) -> LemmaSetup:
 
 def _setup_21() -> LemmaSetup:
     V = ("y", "z")
-    yv = BiRat.from_poly(BiPoly.variable("y", V))
-    zv = BiRat.from_poly(BiPoly.variable("z", V))
-    c1 = (1 - yv * yv) * _QUARTER
-    c2 = (1 - zv * zv) * _QUARTER
-    P = (1 + yv) * _HALF
+    c1_rf, c2_rf = _rf("(1 - y^2) / (4)", "y"), _rf("(1 - z^2) / (4)", "z")
+    P_rf = _rf("(1 + y) / (2)", "y")
+    yv, zv, c1, c2, P = _embed(V, RatFunc.t("y"), RatFunc.t("z"),
+                               c1_rf, c2_rf, P_rf)
     F1 = iterate_diff_factors(c2, P, fixed_s=zv)
     Q = (P.square() + c2).square() + c2
     F2 = iterate_diff_factors(c1, Q, fixed_s=yv)
-    y, z = RatFunc.t("s"), RatFunc.t("s")
     s = RatFunc.t("s")
     conic_z = (2 * s * s + 2) / (s * s - 1)
     branches = [
@@ -134,8 +135,7 @@ def _setup_21() -> LemmaSetup:
         [GeneratorFactors("F1", tuple(F1)), GeneratorFactors("F2", tuple(F2))],
         [BiPoly.parse(b.curve, V) for b in branches],
         branches,
-        _rf("(1 - y^2) / (4)", "y"), _rf("(1 - z^2) / (4)", "z"),
-        _rf("(1 + y) / (2)", "y"), 0,
+        c1_rf, c2_rf, P_rf, 0,
         ["F-11a", "F-11b"],
         _rats("-2", "-3/2", "-1", "1", "3/2", "2"), None,
         _pairs(("-21/16", "-5/16"), ("3/16", "-5/16")),
@@ -145,11 +145,10 @@ def _setup_21() -> LemmaSetup:
 
 def _setup_22() -> LemmaSetup:
     V = ("y", "z")
-    yv = BiRat.from_poly(BiPoly.variable("y", V))
-    zv = BiRat.from_poly(BiPoly.variable("z", V))
-    c1 = (1 - yv * yv) * _QUARTER
-    c2 = -(3 + zv * zv) * _QUARTER
-    P = (1 + yv) * _HALF
+    c1_rf, c2_rf = _rf("(1 - y^2) / (4)", "y"), _rf("(-3 - z^2) / (4)", "z")
+    P_rf = _rf("(1 + y) / (2)", "y")
+    yv, zv, c1, c2, P = _embed(V, RatFunc.t("y"), RatFunc.t("z"),
+                               c1_rf, c2_rf, P_rf)
     F1 = iterate_diff_factors(c2, P, cycle_s=zv)
     Q = (P.square() + c2).square() + c2
     F2 = iterate_diff_factors(c1, Q, fixed_s=yv)
@@ -170,8 +169,7 @@ def _setup_22() -> LemmaSetup:
         [GeneratorFactors("F1", tuple(F1)), GeneratorFactors("F2", tuple(F2))],
         [BiPoly.parse(b.curve, V) for b in branches],
         branches,
-        _rf("(1 - y^2) / (4)", "y"), _rf("(-3 - z^2) / (4)", "z"),
-        _rf("(1 + y) / (2)", "y"), 0,
+        c1_rf, c2_rf, P_rf, 0,
         ["F-12a", "F-12b"],
         _rats("-1/2", "0", "1/2"), None,
         _pairs(("-5/16", "-13/16"), ("-21/16", "-13/16")),
@@ -181,11 +179,10 @@ def _setup_22() -> LemmaSetup:
 
 def _setup_23() -> LemmaSetup:
     V = ("y", "z")
-    yv = BiRat.from_poly(BiPoly.variable("y", V))
-    zv = BiRat.from_poly(BiPoly.variable("z", V))
-    c1 = -(3 + yv * yv) * _QUARTER
-    c2 = -(3 + zv * zv) * _QUARTER
-    P = (-1 + yv) * _HALF
+    c1_rf, c2_rf = _rf("(-3 - y^2) / (4)", "y"), _rf("(-3 - z^2) / (4)", "z")
+    P_rf = _rf("(-1 + y) / (2)", "y")
+    yv, zv, c1, c2, P = _embed(V, RatFunc.t("y"), RatFunc.t("z"),
+                               c1_rf, c2_rf, P_rf)
     N = iterate_diff_factors(c2, P, cycle_s=zv)
     Q1 = P.square() + c2
     A1 = iterate_diff_factors(c1, Q1, cycle_s=yv)
@@ -205,8 +202,7 @@ def _setup_23() -> LemmaSetup:
          GeneratorFactors("A2", tuple(A2))],
         [BiPoly.parse(b.curve, V) for b in branches],
         branches,
-        _rf("(-3 - y^2) / (4)", "y"), _rf("(-3 - z^2) / (4)", "z"),
-        _rf("(-1 + y) / (2)", "y"), 0,
+        c1_rf, c2_rf, P_rf, 0,
         ["F-22a"],
         _rats("-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2"), None,
         _pairs(("-3/4", "-7/4"), ("-7/4", "-3/4"), ("-13/16", "-21/16"),
@@ -218,13 +214,9 @@ def _setup_23() -> LemmaSetup:
 
 def _setup_24() -> LemmaSetup:
     V = ("y", "t")
-    cy, py1, _, _ = three_cycle_parametrization("y")
+    cy, *py = three_cycle_parametrization("y")
     ct, pt1, _, _ = three_cycle_parametrization("t")
-    c1 = BiRat.from_ratfunc(cy, 0, V)
-    c2 = BiRat.from_ratfunc(ct, 1, V)
-    Q1 = BiRat.from_ratfunc(pt1, 1, V)
-    cy_all = three_cycle_parametrization("y")
-    P_list = [BiRat.from_ratfunc(p, 0, V) for p in cy_all[1:]]
+    c1, c2, Q1, *P_list = _embed(V, cy, ct, pt1, *py)
     f1Q1 = Q1.square() + c1
     N = [(f1Q1 - Pi).numerator() for Pi in P_list]
     f1f2Q1 = (Q1.square() + c2).square() + c1
@@ -250,24 +242,21 @@ def _setup_24() -> LemmaSetup:
 
 def _setup_256(lemma_id: str) -> LemmaSetup:
     V = ("y", "t")
-    yv = BiRat.from_poly(BiPoly.variable("y", V))
+    yv, = _embed(V, RatFunc.t("y"))
     ct, pt1, _, _ = three_cycle_parametrization("t")
     if lemma_id == "2.5":
         c1_rf = _rf("(1 - y^2) / (4)", "y")
-        c1 = (1 - yv * yv) * _QUARTER
         fixed_s, cycle_s = yv, None
         hyp = ("the first map has a rational fixed point, the second a "
                "rational point of period three")
         expected_partners = _rats("-5/2", "-3/2", "3/2", "5/2")
     else:
         c1_rf = _rf("(-3 - y^2) / (4)", "y")
-        c1 = -(3 + yv * yv) * _QUARTER
         fixed_s, cycle_s = None, yv
         hyp = ("the first map has a rational point of period two, the "
                "second a rational point of period three")
         expected_partners = _rats("-5/2", "-3/2", "-1/2", "1/2", "3/2", "5/2")
-    c2 = BiRat.from_ratfunc(ct, 1, V)
-    P1 = BiRat.from_ratfunc(pt1, 1, V)
+    c1, c2, P1 = _embed(V, c1_rf, ct, pt1)
     N = iterate_diff_factors(c1, P1, fixed_s=fixed_s, cycle_s=cycle_s)
     Q = P1.square() + c2
     A = iterate_diff_factors(c1, Q, fixed_s=fixed_s, cycle_s=cycle_s)
@@ -283,77 +272,6 @@ def _setup_256(lemma_id: str) -> LemmaSetup:
         ["periods-at-most-3", "three-cycle-funnel", "tail-two"],
         68,
     )
-
-
-# ---------------------------------------------------------------------------
-# dispositions
-# ---------------------------------------------------------------------------
-
-def _family_accounts(fam: FamilyDef, c1: Fraction, c2: Fraction,
-                     basepoints: list[Fraction]) -> Fraction | None:
-    """Parameter at which the family instance equals (c1, c2) AND its
-    stable set (with the basepoint) covers every finite-orbit basepoint of
-    the pair; a pair so covered carries no structure beyond the family."""
-    diff = fam.c_list[0] - c1
-    if diff.num.degree <= 0:
-        # a constant difference either never vanishes or fails to pin the
-        # parameter; the catalog families all have non-constant c1
-        return None
-    for t0 in sorted(rational_roots(diff.num).root_set()):
-        if fam.excluded_reason(t0) is not None:
-            continue
-        if fam.c_list[1].specialize(t0) != c2:
-            continue
-        covered = {u.specialize(t0) for u in fam.stable}
-        covered.add(fam.basepoint.specialize(t0))
-        if set(basepoints) <= covered:
-            return t0
-    return None
-
-
-def _dispose_tuple(subject: str, cs: list[Fraction], P0: Fraction | None,
-                   families: list[FamilyDef]) -> Disposition:
-    """Classify a concrete coefficient tuple with optional basepoint."""
-    if len(set(cs)) != len(cs):
-        return Disposition(subject, "collision", "coefficient collision",
-                           {"c": [rat_str(c) for c in cs]})
-    S = MapSet(cs)
-    finite = finite_orbit_points(S)
-    if finite and len(cs) == 2:
-        bps = [r.basepoint for r in finite]
-        for fam in families:
-            t0 = _family_accounts(fam, cs[0], cs[1], bps)
-            if t0 is not None:
-                return Disposition(
-                    subject, "family",
-                    f"member of {fam.id} at parameter {rat_str(t0)}; the "
-                    "family stable set covers every finite-orbit basepoint",
-                    {"family": fam.id, "parameter": rat_str(t0),
-                     "c": [rat_str(c) for c in cs]})
-    if finite:
-        return Disposition(
-            subject, "sporadic",
-            f"pair {fmt_pair(cs)} has finite-orbit points",
-            {"c": [rat_str(c) for c in cs],
-             "basepoints": [rat_str(r.basepoint) for r in finite],
-             "orbit_sizes": [len(r.orbit) for r in finite]})
-    witness = {}
-    if P0 is not None:
-        res = monoid_orbit(S, P0)
-        if not res.is_finite():
-            g = res.witness
-            witness = {
-                "word": word_str((res.witness_word or ())),
-                "point": rat_str(g.point),
-                "map": g.map_index + 1,
-                "guard": g.reason,
-                "poonen_criterion": poonen_criterion(S[g.map_index], g.point),
-            }
-    return Disposition(
-        subject, "excluded",
-        f"pair {fmt_pair(cs)} admits no finite-orbit points "
-        f"(complete admissible-basepoint enumeration)",
-        {"c": [rat_str(c) for c in cs], **({"witness": witness} if witness else {})})
 
 
 def _branch_tuple(setup: LemmaSetup, br: BranchSpec) -> ParamTuple:
@@ -377,39 +295,22 @@ def _verify_branch(setup: LemmaSetup, br: BranchSpec,
     if br.kind == "family":
         fam = family_by_id(br.family_id)
         ok = (on_curve
-              and tup.cs[0] == _relabel(fam.c_list[0], br.y_of_s.var)
-              and tup.cs[1] == _relabel(fam.c_list[1], br.y_of_s.var)
-              and tup.P == _relabel(fam.basepoint, br.y_of_s.var))
+              and tup.cs[0] == fam.c_list[0].relabel(br.y_of_s.var)
+              and tup.cs[1] == fam.c_list[1].relabel(br.y_of_s.var)
+              and tup.P == fam.basepoint.relabel(br.y_of_s.var))
         return CurveBranchReport(br.curve, "family", ok,
                                  family_id=br.family_id,
                                  parametrization=param_doc)
     # excluded branch: find a non-vanishing word relation and dispose of
     # its complete rational root list
     word, target, relation, roots = find_exclusion_relation(tup)
-    dispositions = []
-    ok = on_curve
-    for s0 in roots:
-        reason = tup.pole_or_collision(s0)
-        subject = f"parameter {rat_str(s0)}"
-        if reason is not None:
-            kind = "pole" if "pole" in reason else "collision"
-            data = {}
-            if kind == "collision":
-                data["c"] = [rat_str(c.specialize(s0)) for c in tup.cs]
-            dispositions.append(Disposition(subject, kind, reason, data))
-            continue
-        cs, P0 = tup.specialize(s0)
-        dispositions.append(_dispose_tuple(subject, list(cs), P0, families))
     return CurveBranchReport(
-        br.curve, "excluded", ok, parametrization=param_doc,
+        br.curve, "excluded", on_curve, parametrization=param_doc,
         word=word_str(word), target_map=target + 1,
         relation_degree=relation.degree,
         roots=[rat_str(r) for r in roots],
-        dispositions=dispositions)
-
-
-def _relabel(f: RatFunc, var: str) -> RatFunc:
-    return f.compose(RatFunc.t(var))
+        dispositions=[tup.dispose(s0, f"parameter {rat_str(s0)}", families)[0]
+                      for s0 in roots])
 
 
 def _eval_curve(curve: BiPoly, fy: RatFunc, fv: RatFunc) -> RatFunc:
@@ -499,7 +400,7 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
             flags.append("groebner route exhausted its budget; "
                          "falling back to the resultant route")
 
-    out = eliminate_candidates(setup.gens, setup.structural, eliminate=0)
+    out = eliminate_candidates(setup.gens, setup.structural)
     fams = list(catalog()[0]) if setup.subtract_families else []
 
     # back-substitution partners per candidate, from the full generators
@@ -510,34 +411,25 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
             if g.degree > 0 else []
 
     dispositions: list[Disposition] = []
-    sporadic_found: set[tuple[Fraction, ...]] = set()
-    families_found: set[str] = set()
     for v0, partners in partner_map.items():
         for y0 in partners:
             subject = f"({setup.vars[0]}, {setup.vars[1]}) = " \
                       f"({rat_str(y0)}, {rat_str(v0)})"
-            if setup.c1_of.den(y0) == 0 or setup.c2_of.den(v0) == 0:
+            # the basepoint's poles are among the coefficients' in every
+            # lemma, so each pole is one where a coefficient becomes infinite
+            try:
+                cs = [setup.c1_of.specialize(y0), setup.c2_of.specialize(v0)]
+                P0 = setup.P_of.specialize(y0 if setup.P_var == 0 else v0)
+            except PoleError:
                 dispositions.append(Disposition(
                     subject, "pole",
-                    "parametrization pole: a coefficient becomes infinite",
-                    {}))
+                    "parametrization pole: a coefficient becomes infinite"))
                 continue
-            c1v = setup.c1_of.specialize(y0)
-            c2v = setup.c2_of.specialize(v0)
-            Pref = setup.P_of
-            Pv = None
-            p_at = y0 if setup.P_var == 0 else v0
-            if Pref.den(p_at) != 0:
-                Pv = Pref.specialize(p_at)
-            d = _dispose_tuple(subject, [c1v, c2v], Pv, fams)
-            dispositions.append(d)
-            if d.kind == "sporadic":
-                sporadic_found.add((c1v, c2v))
-            elif d.kind == "family":
-                families_found.add(d.data["family"])
+            dispositions.append(dispose_tuple(subject, cs, P0, fams)[0])
 
     # curve branches
     branch_reports: list[CurveBranchReport] = []
+    families_found: set[str] = set()
     for br in setup.branches:
         rep = _verify_branch(setup, br, fams)
         branch_reports.append(rep)
@@ -545,11 +437,13 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
             flags.append(f"branch {br.curve}: verification failed")
         if rep.kind == "family":
             families_found.add(rep.family_id)
-        for d in rep.dispositions:
-            if d.kind == "sporadic":
-                sporadic_found.add(tuple(rat(c) for c in d.data["c"]))
-            elif d.kind == "family":
-                families_found.add(d.data["family"])
+    sporadic_found: set[tuple[Fraction, ...]] = set()
+    for d in dispositions + [d for rep in branch_reports
+                             for d in rep.dispositions]:
+        if d.kind == "sporadic":
+            sporadic_found.add(tuple(rat(c) for c in d.data["c"]))
+        elif d.kind == "family":
+            families_found.add(d.data["family"])
 
     # components discovered during elimination must not be common to all
     # generators (that would be an undeclared stable family)

@@ -18,24 +18,36 @@ into (u - (1+s)/2)(u - (1-s)/2); when c = -(3 + s^2)/4 (rational 2-cycle)
 the second splits into (u + (1-s)/2)(u + (1+s)/2).  The elimination route
 works with these small factors throughout; resultant multiplicativity
 makes the product of the pairwise eliminants the full resultant.
+
+Every specialized candidate of the lemmas and the cases is disposed of
+here: ``ParamTuple.dispose`` finds a pole (a ``PoleError``) or a
+coefficient collision at a parameter value, and ``dispose_tuple`` decides a
+concrete tuple by family membership or complete basepoint enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .. import _intpoly as zp
-from ..dynamics import Word
+from ..dynamics import MapSet, OrbitResult, Word, finite_orbit_points, \
+    monoid_orbit, word_str
+from ..families import FamilyDef
 from ..polynomials import BiPoly, UniPoly
-from ..ratfunc import RatFunc
+from ..ratfunc import PoleError, RatFunc
+from ..rationals import rat_str
 from ..roots import rational_roots
+from .axioms import poonen_criterion
+from .reports import Disposition, fmt_pair
 
 __all__ = [
     "BiRat",
     "three_cycle_parametrization",
     "iterate_diff_factors",
     "ParamTuple",
+    "dispose_tuple",
     "word_relation_roots",
     "find_exclusion_relation",
 ]
@@ -232,18 +244,99 @@ class ParamTuple:
     def specialize(self, t0: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
         return tuple(c.specialize(t0) for c in self.cs), self.P.specialize(t0)
 
-    def pole_or_collision(self, t0: Fraction) -> str | None:
-        for k, c in enumerate(self.cs):
-            if c.den(t0) == 0:
-                return f"c{k + 1} has a pole at {t0}"
-        if self.P.den(t0) == 0:
-            return f"basepoint has a pole at {t0}"
-        vals = [c.specialize(t0) for c in self.cs]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if vals[i] == vals[j]:
-                    return f"c{i + 1} = c{j + 1} at {t0}"
+    def dispose(self, t0: Fraction, subject: str, families=()
+                ) -> tuple[Disposition, list[OrbitResult]]:
+        """Disposition of the tuple at parameter t0, with the finite-orbit
+        results behind it: a pole of a coefficient or of the basepoint, a
+        coefficient collision, or else ``dispose_tuple`` of the values."""
+        names = [f"c{k + 1}" for k in range(len(self.cs))] + ["basepoint"]
+        vals = []
+        for name, f in zip(names, (*self.cs, self.P)):
+            try:
+                vals.append(f.specialize(t0))
+            except PoleError:
+                return Disposition(subject, "pole",
+                                   f"{name} has a pole at {rat_str(t0)}"), []
+        *cs, P0 = vals
+        for i, j in combinations(range(len(cs)), 2):
+            if cs[i] == cs[j]:
+                return Disposition(
+                    subject, "collision",
+                    f"c{i + 1} = c{j + 1} at {rat_str(t0)}",
+                    {"c": [rat_str(c) for c in cs]}), []
+        return dispose_tuple(subject, cs, P0, families)
+
+
+def _family_accounts(fam: FamilyDef, c1: Fraction, c2: Fraction,
+                     basepoints: list[Fraction]) -> Fraction | None:
+    """Parameter at which the family instance equals (c1, c2) AND its
+    stable set (with the basepoint) covers every finite-orbit basepoint of
+    the pair; a pair so covered carries no structure beyond the family."""
+    diff = fam.c_list[0] - c1
+    if diff.num.degree <= 0:
+        # a constant difference either never vanishes or fails to pin the
+        # parameter; the catalog families all have non-constant c1
         return None
+    for t0 in sorted(rational_roots(diff.num).root_set()):
+        if fam.excluded_reason(t0) is not None:
+            continue
+        if fam.c_list[1].specialize(t0) != c2:
+            continue
+        covered = {u.specialize(t0) for u in fam.stable}
+        covered.add(fam.basepoint.specialize(t0))
+        if set(basepoints) <= covered:
+            return t0
+    return None
+
+
+def dispose_tuple(subject: str, cs: list[Fraction], P0: Fraction | None,
+                  families=()) -> tuple[Disposition, list[OrbitResult]]:
+    """Classify a concrete coefficient tuple with optional basepoint P0.
+
+    Returns the disposition -- "collision", "family" (a pair that one of
+    ``families`` accounts for), "sporadic" (finite-orbit points exist) or
+    "excluded" (none exist; with P0, a guard witness on its orbit) -- and
+    the finite-orbit results of the tuple, empty for a collision."""
+    c = [rat_str(x) for x in cs]
+    if len(set(cs)) != len(cs):
+        return Disposition(subject, "collision", "coefficient collision",
+                           {"c": c}), []
+    S = MapSet(cs)
+    finite = finite_orbit_points(S)
+    if finite and len(cs) == 2:
+        bps = [r.basepoint for r in finite]
+        for fam in families:
+            t0 = _family_accounts(fam, cs[0], cs[1], bps)
+            if t0 is not None:
+                return Disposition(
+                    subject, "family",
+                    f"member of {fam.id} at parameter {rat_str(t0)}; the "
+                    "family stable set covers every finite-orbit basepoint",
+                    {"family": fam.id, "parameter": rat_str(t0), "c": c}
+                ), finite
+    if finite:
+        return Disposition(
+            subject, "sporadic",
+            f"pair {fmt_pair(cs)} has finite-orbit points",
+            {"c": c, "basepoints": [rat_str(r.basepoint) for r in finite],
+             "orbit_sizes": [len(r.orbit) for r in finite]}), finite
+    witness = {}
+    if P0 is not None:
+        res = monoid_orbit(S, P0)
+        if not res.is_finite():
+            g = res.witness
+            witness = {
+                "word": word_str((res.witness_word or ())),
+                "point": rat_str(g.point),
+                "map": g.map_index + 1,
+                "guard": g.reason,
+                "poonen_criterion": poonen_criterion(S[g.map_index], g.point),
+            }
+    return Disposition(
+        subject, "excluded",
+        f"pair {fmt_pair(cs)} admits no finite-orbit points "
+        f"(complete admissible-basepoint enumeration)",
+        {"c": c, **({"witness": witness} if witness else {})}), finite
 
 
 def word_relation_roots(tup: ParamTuple, word: Word, target: int

@@ -8,9 +8,9 @@ from oracles import dynatomic_mu_set, dynatomic_periodic_points, \
     naive_preperiodic, per_point_finite_orbit_points
 from quadorbits import dynamics
 from quadorbits.dynamics import GUARD_DENOM, GUARD_ESCAPE, MapSet, MuReport, \
-    QuadMap, OrbitResult, apply_word, finite_orbit_points, guard_violation, \
-    is_preperiodic, is_stable_set, monoid_orbit, mu_set, periodic_points, \
-    word_str
+    QuadMap, OrbitResult, apply_word, exact_period, finite_orbit_points, \
+    guard_violation, is_preperiodic, is_stable_set, monoid_orbit, mu_set, \
+    periodic_points, word_str
 from quadorbits.rationals import rat
 
 
@@ -414,3 +414,19 @@ class TestMapSet:
             MapSet([F(1), F(1)])
         with pytest.raises(ValueError):
             MapSet([])
+
+    def test_only_ints_and_fractions_are_accepted(self):
+        assert MapSet([-1, F("1/2")]).cs() == (F(-1), F("1/2"))
+        for bad in (0.1, 0.5, "0.5", "-1"):
+            with pytest.raises(TypeError):
+                MapSet([bad])
+            with pytest.raises(TypeError):
+                QuadMap(bad)
+            with pytest.raises(TypeError):
+                monoid_orbit(MapSet([-1]), bad)
+            with pytest.raises(TypeError):
+                is_preperiodic(QuadMap(-1), bad)
+            with pytest.raises(TypeError):
+                exact_period(QuadMap(-1), bad)
+            with pytest.raises(TypeError):
+                is_stable_set(MapSet([-1]), [bad])

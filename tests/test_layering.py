@@ -1,16 +1,18 @@
-"""Layering of the polynomial core, checked on the source with ``ast``.
+"""Layering of the package, checked on the source with ``ast``.
 
-Only ``_intpoly`` computes on the integer row form, through its public
-names: no other module may use an underscore name of ``_intpoly``, or import
-an underscore name from ``verifier.symbolic``.
+A module's underscore names are its own: no module may import an underscore
+name from another quadorbits module.  The one underscore module,
+``_intpoly``, may be imported whole, and only it computes on the integer
+row form, through its public names: no other module may use an underscore
+name of ``_intpoly``.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quadorbits"
+PACKAGE_NAME = "quadorbits"
 INTPOLY = "quadorbits._intpoly"
-SYMBOLIC = "quadorbits.verifier.symbolic"
 
 
 def _module_name(path: Path, root: Path) -> str:
@@ -45,7 +47,8 @@ def violations(path: Path, root: Path = PACKAGE) -> list[str]:
             for a in node.names:
                 if f"{source}.{a.name}" == INTPOLY:
                     aliases.add(a.asname or a.name)
-                elif source in (INTPOLY, SYMBOLIC) and _is_private(a.name):
+                elif (source.partition(".")[0] == PACKAGE_NAME
+                      and _is_private(a.name)):
                     found.append(f"{modname}:{node.lineno} imports "
                                  f"{source}.{a.name}")
     for node in ast.walk(tree):
@@ -70,9 +73,15 @@ def test_checker_sees_relative_and_aliased_uses(tmp_path):
                    "from .symbolic import _helper\n"
                    "from .._intpoly import _gprem, zmul\n"
                    "x = zp._private([1])\n"
-                   "y = zp.zgcd([1], [1])\n")
+                   "y = zp.zgcd([1], [1])\n"
+                   "from .lemmas import _dispose_tuple, verify_lemma\n"
+                   "from quadorbits.dynamics import _factor\n"
+                   "from fractions import _gcd\n"
+                   "from .reports import __all__\n")
     assert violations(bad, pkg) == [
         "quadorbits.verifier.bad:2 imports quadorbits.verifier.symbolic._helper",
         "quadorbits.verifier.bad:3 imports quadorbits._intpoly._gprem",
+        "quadorbits.verifier.bad:6 imports quadorbits.verifier.lemmas._dispose_tuple",
+        "quadorbits.verifier.bad:7 imports quadorbits.dynamics._factor",
         "quadorbits.verifier.bad:4 uses _intpoly._private",
     ]

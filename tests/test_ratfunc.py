@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quadorbits.polynomials import UniPoly
 from quadorbits.ratfunc import PoleError, RatFunc, apply_quadmap
@@ -104,3 +104,16 @@ def test_apply_quadmap_matches_pointwise(cv, xv):
     c = RatFunc.constant(cv)
     x = RatFunc.constant(xv)
     assert apply_quadmap(c, x).as_constant() == xv * xv + cv
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(coef, min_size=1, max_size=4),
+       st.lists(coef, min_size=1, max_size=4),
+       st.sampled_from(["t", "s", "a"]))
+def test_relabel_matches_composition(num, den, var):
+    # one-element lists give the constants
+    assume(any(den))
+    f = RatFunc(UniPoly(num, "t"), UniPoly(den, "t"))
+    g, h = f.relabel(var), f.compose(RatFunc.t(var))
+    assert g == h
+    assert (g.var, str(g)) == (h.var, str(h))

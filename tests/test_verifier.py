@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from quadorbits.dynamics import MapSet, QuadMap, apply_word
+from quadorbits.dynamics import MapSet, QuadMap, apply_word, \
+    finite_orbit_points
 from quadorbits.groebner import Budget
 from quadorbits.polynomials import BiPoly
-from quadorbits.rationals import rat
+from quadorbits.ratfunc import RatFunc
+from quadorbits.rationals import rat, rat_str
 from quadorbits.verifier import POONEN_AXIOMS, poonen_criterion, \
     verify_lemma, verify_theorem_case
+from quadorbits.verifier import symbolic
 from quadorbits.verifier.cases import _verify_factorization
 from quadorbits.verifier.lemmas import groebner_route, lemma_setup
-from quadorbits.verifier.symbolic import ParamTuple, \
+from quadorbits.verifier.symbolic import ParamTuple, dispose_tuple, \
     three_cycle_parametrization
 
 
@@ -108,7 +111,7 @@ class TestCaseMachinery:
             assert not rep.surviving_tuples
 
     def test_exclusion_witnesses_reverify(self):
-        for n in (1, 2):
+        for n in range(1, 11):
             for rep in verify_theorem_case(n):
                 for w in rep.exclusion_witnesses:
                     if "point" not in w:
@@ -121,6 +124,31 @@ class TestCaseMachinery:
                     # the word regenerates the witness point
                     word = tuple(int(ch) - 1 for ch in w["word"])
                     assert apply_word(S, word, rat(w["basepoint"])) == Q
+
+    def test_survivors_match_a_fresh_enumeration(self):
+        survivors = [t for n in (2, 4) for rep in verify_theorem_case(n)
+                     for t in rep.surviving_tuples]
+        assert survivors
+        for t in survivors:
+            pts = finite_orbit_points(MapSet([rat(c) for c in t["c"]]))
+            assert t["basepoints"] == [rat_str(r.basepoint) for r in pts]
+            assert t["orbit_union"] == sorted({rat_str(q) for r in pts
+                                               for q in r.orbit})
+
+    def test_one_enumeration_per_disposed_tuple(self, monkeypatch):
+        calls = []
+
+        def counted(S):
+            calls.append(S.cs())
+            return finite_orbit_points(S)
+
+        monkeypatch.setattr(symbolic, "finite_orbit_points", counted)
+        deductions = [d for rep in verify_theorem_case(2)
+                      for d in rep.deductions]
+        # each tuple that is not a collision is enumerated once, and its
+        # deduction names it as "tuple (...)"
+        assert calls
+        assert len(calls) == sum(": tuple (" in d for d in deductions)
 
     def test_factorization_check_flags_only_inexact_division(self):
         """An inexact claimed factorization is a verdict; a piece over the
@@ -210,3 +238,37 @@ class TestSubcaseExclusionSearch:
         assert P0 == rat("1/4")
         # every finite-orbit parameter value must zero the relation
         assert relation(rat("-1/2")) == 0
+
+
+class TestParamTupleDispose:
+    y = RatFunc.t("y")
+    # the fixed+fixed+2-cycle tuple of TestSubcaseExclusionSearch
+    tup = ParamTuple(((1 - y * y) / 4, (1 - (y + 2) ** 2) / 4,
+                      -(3 + y * y) / 4), (1 + y) / 2)
+
+    def test_pole_of_the_basepoint_alone(self):
+        y = self.y
+        d, finite = ParamTuple((y, y + 1), 1 / y).dispose(Fraction(0), "s")
+        assert (d.kind, d.detail, d.data) == \
+            ("pole", "basepoint has a pole at 0", {})
+        assert finite == []
+
+    def test_pole_of_a_coefficient(self):
+        y = self.y
+        d, _ = ParamTuple((y, 1 / (y + 1)), 1 / y).dispose(Fraction(-1), "s")
+        assert (d.kind, d.detail) == ("pole", "c2 has a pole at -1")
+
+    def test_collision(self):
+        y = self.y
+        d, finite = ParamTuple((y * y + 1, y, -y), y).dispose(Fraction(0),
+                                                               "s")
+        assert (d.kind, d.detail) == ("collision", "c2 = c3 at 0")
+        assert d.data["c"] == ["1", "0", "0"]
+        assert finite == []
+
+    @pytest.mark.parametrize("t0", ["-1/2", "1", "3"])
+    def test_otherwise_dispose_tuple_of_the_values(self, t0):
+        t0 = rat(t0)
+        cs, P0 = self.tup.specialize(t0)
+        assert self.tup.dispose(t0, "s") == \
+            dispose_tuple("s", list(cs), P0)

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import combinations
 
 from .dynamics import MapSet
-from .ratfunc import RatFunc, apply_quadmap
+from .ratfunc import PoleError, RatFunc, apply_quadmap
 from .rationals import rat, rat_str
 from .roots import rational_roots
 
@@ -85,19 +86,20 @@ class FamilyDef:
         return out
 
     def excluded_reason(self, t0: Fraction) -> str | None:
-        for k, f in enumerate(self.c_list):
-            if f.den(t0) == 0:
-                return f"pole of c{k + 1} at {self.param} = {rat_str(t0)}"
-        if self.basepoint.den(t0) == 0:
-            return f"pole of the basepoint at {self.param} = {rat_str(t0)}"
-        for f in self.stable:
-            if f.den(t0) == 0:
-                return f"pole of a stable-set element at {self.param} = {rat_str(t0)}"
-        for i in range(len(self.c_list)):
-            for j in range(i + 1, len(self.c_list)):
-                if self.c_list[i].specialize(t0) == self.c_list[j].specialize(t0):
-                    return (f"coefficient collision c{i + 1} = c{j + 1} "
-                            f"at {self.param} = {rat_str(t0)}")
+        at = f"at {self.param} = {rat_str(t0)}"
+        names = [f"c{k + 1}" for k in range(len(self.c_list))] + \
+            ["the basepoint"] + ["a stable-set element"] * len(self.stable)
+        values = []
+        for name, f in zip(names, (*self.c_list, self.basepoint,
+                                   *self.stable)):
+            try:
+                values.append(f.specialize(t0))
+            except PoleError:
+                return f"pole of {name} {at}"
+        cs = values[:len(self.c_list)]
+        for i, j in combinations(range(len(cs)), 2):
+            if cs[i] == cs[j]:
+                return f"coefficient collision c{i + 1} = c{j + 1} {at}"
         return None
 
 

@@ -6,20 +6,20 @@ form, the pipeline
 1. divides every declared structural factor out of every generator factor
    (to full multiplicity) -- this removes the root mass attached to the
    declared curves;
-2. takes pairwise resultants between the factors of each pair of
-   generators, eliminating the first variable.  A pair whose resultant
-   vanishes identically shares a curve component; the component is split
-   off by a bivariate gcd, recorded, and the leftovers are retried;
-3. forms, per generator pair, the union of the rational roots of the pair
-   eliminants (plus the roots of any factor's content in the second,
-   surviving variable, which make that generator vanish identically);
-4. intersects the per-pair unions: a parameter value admitting a common
-   zero of all generators lies in every pair's union, so the intersection
-   is a complete candidate list.
+2. takes the resultants between the factors of the first two generators,
+   eliminating the first variable.  A factor pair whose resultant vanishes
+   identically shares a curve component; the component is split off by a
+   bivariate gcd, recorded, and the leftovers are retried;
+3. takes, for each such component g, the resultants of g with every factor
+   of every other generator: a common zero on g zeroes one of those factors;
+4. collects the rational roots of these eliminants, plus the roots of any
+   factor's content in the second, surviving variable (which make that
+   generator vanish identically).  By the specialization property of
+   resultants every value admitting a common zero is among them.
 
-With two generators there is a single union.  Components surviving step 2
-with only two generators would mean an undeclared stable family; they are
-reported loudly rather than dropped.
+A value is kept only if the generators have a common zero on its fiber.  A
+component dividing every generator would mean an undeclared stable family;
+``verify_lemma`` reports it loudly rather than dropping it.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ class GeneratorFactors:
         d1 = sum(max(f.degree(1), 0) for f in self.factors)
         return d0, d1
 
-    def specialized_product(self, which: int, v0: Fraction) -> UniPoly:
+    def specialized_product(self, v0: Fraction) -> UniPoly:
         prod = None
         for f in self.factors:
-            u = f.specialize(which, v0)
+            u = f.specialize(1, v0)
             prod = u if prod is None else prod * u
         assert prod is not None
         return prod
@@ -70,15 +70,15 @@ class EliminationOutcome:
         return sum(sum(v) for v in self.eliminant_degrees.values())
 
 
-def common_specialized_gcd(gens: list[GeneratorFactors], which: int,
+def common_specialized_gcd(gens: list[GeneratorFactors],
                            v0: Fraction) -> UniPoly:
-    """Gcd across the generators of their specializations at vars[which] =
-    v0; positive degree certifies a common zero of the system over the
+    """Gcd across the generators of their specializations at vars[1] = v0;
+    positive degree certifies a common zero of the system over the
     algebraic closure on that fiber (gcds are stable under field
     extension)."""
     g: UniPoly | None = None
     for gen in gens:
-        prod = gen.specialized_product(which, v0)
+        prod = gen.specialized_product(v0)
         g = prod if g is None else g.gcd(prod)
         if g.degree == 0:
             break
@@ -120,76 +120,70 @@ def _split_survivor_content(f: BiPoly) -> tuple[BiPoly, set[Fraction]]:
 def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly]
                          ) -> EliminationOutcome:
     """Run the factored-resultant candidate extraction (see module doc),
-    eliminating vars[0]; the candidates are values of vars[1]."""
+    eliminating vars[0] between the first two generators; the candidates
+    are values of vars[1]."""
     divisions: dict[str, dict[str, int]] = {}
     reduced: list[GeneratorFactors] = []
-    content_roots: set[Fraction] = set()
+    raw: set[Fraction] = set()
+    stripped: list[list[BiPoly]] = []  # the factors without their content
     for gen in gens:
-        red, div = _divide_structural(gen, structural)
-        facs = []
+        red, divisions[gen.name] = _divide_structural(gen, structural)
+        reduced.append(red)
+        stripped.append([])
         for f in red.factors:
-            f2, roots = _split_survivor_content(f)
-            content_roots |= roots
-            facs.append(f2)
-        reduced.append(GeneratorFactors(red.name, tuple(facs)))
-        divisions[gen.name] = div
+            f, roots = _split_survivor_content(f)
+            raw.update(roots)
+            stripped[-1].append(f)
 
-    pair_unions: list[set[Fraction]] = []
-    degrees: dict[tuple[str, str], list[int]] = {}
+    first, second = stripped[:2]
+    others = [f for factors in stripped[2:] for f in factors]
+    pair = (gens[0].name, gens[1].name)
+    degs: list[int] = []
+    traces: list[dict] = []
     components: list[tuple[str, str, BiPoly]] = []
-    root_traces: dict[tuple[str, str], list[dict]] = {}
-    for i in range(len(reduced)):
-        for j in range(i + 1, len(reduced)):
-            gi, gj = reduced[i], reduced[j]
-            union: set[Fraction] = set(content_roots)
-            degs: list[int] = []
-            traces: list[dict] = []
-            for a in gi.factors:
-                for b in gj.factors:
-                    a_work = a
-                    while True:
-                        if a_work.degree(0) <= 0 or b.degree(0) <= 0:
-                            break
-                        r = resultant(a_work, b)
-                        if not r.is_zero():
-                            degs.append(r.degree)
-                            if r.degree > 0:
-                                rep = rational_roots(r.squarefree_part())
-                                union |= rep.root_set()
-                                traces.append(rep.to_dict())
-                            break
-                        g = bivariate_gcd(a_work, b)
-                        if g.total_degree() <= 0:
-                            raise ArithmeticError(
-                                "zero resultant with trivial gcd")
-                        components.append((gi.name, gj.name, g))
-                        a_work = a_work.exact_divide(g)
-                        a_work, roots = _split_survivor_content(a_work)
-                        union |= roots
-            pair_unions.append(union)
-            degrees[(gi.name, gj.name)] = degs
-            root_traces[(gi.name, gj.name)] = traces
 
-    cands: set[Fraction] | None = None
-    for union in pair_unions:
-        cands = set(union) if cands is None else cands & union
-    raw = sorted(cands or set())
-    # keep a value only if the reduced system has a common zero on its
-    # fiber; this drops leading-coefficient artifacts such as the
-    # parametrization poles
+    def eliminate(a: BiPoly, b: BiPoly) -> None:
+        """Add the rational roots of Res(a, b) to the raw list; on an
+        identically zero resultant, split off the shared component and
+        retry the leftover of a."""
+        while a.degree(0) > 0 and b.degree(0) > 0:
+            r = resultant(a, b)
+            if not r.is_zero():
+                degs.append(r.degree)
+                if r.degree > 0:
+                    rep = rational_roots(r.squarefree_part())
+                    raw.update(rep.root_set())
+                    traces.append(rep.to_dict())
+                return
+            g = bivariate_gcd(a, b)
+            if g.total_degree() <= 0:
+                raise ArithmeticError("zero resultant with trivial gcd")
+            components.append((*pair, g))
+            a, roots = _split_survivor_content(a.exact_divide(g))
+            raw.update(roots)
+
+    for a in first:
+        for b in second:
+            eliminate(a, b)
+    for (_, _, g) in list(components):
+        for f in others:
+            eliminate(g, f)
+
+    # the fiber filter reads the factors with their content, and drops
+    # leading-coefficient artifacts such as the parametrization poles
     kept, dropped = [], []
-    for v0 in raw:
-        if common_specialized_gcd(reduced, 1, v0).degree > 0:
+    for v0 in sorted(raw):
+        if common_specialized_gcd(reduced, v0).degree > 0:
             kept.append(v0)
         else:
             dropped.append(v0)
     return EliminationOutcome(
         candidates=kept,
-        raw_candidates=raw,
+        raw_candidates=sorted(raw),
         dropped_artifacts=dropped,
-        eliminant_degrees=degrees,
+        eliminant_degrees={pair: degs},
         structural_divisions=divisions,
         components=components,
-        root_traces=root_traces,
+        root_traces={pair: traces},
         reduced=reduced,
     )

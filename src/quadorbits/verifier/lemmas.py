@@ -57,6 +57,8 @@ class LemmaSetup:
     lemma_id: str
     hypothesis: str
     vars: tuple[str, str]
+    # elimination takes resultants between the first two generators only,
+    # so each setup lists its cheapest pair first
     gens: list[GeneratorFactors]
     structural: list[BiPoly]
     branches: list[BranchSpec]
@@ -406,7 +408,7 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
     # back-substitution partners per candidate, from the full generators
     partner_map: dict[Fraction, list[Fraction]] = {}
     for v0 in out.candidates:
-        g = common_specialized_gcd(setup.gens, 1, v0)
+        g = common_specialized_gcd(setup.gens, v0)
         partner_map[v0] = sorted(rational_roots(g).root_set()) \
             if g.degree > 0 else []
 

@@ -241,9 +241,6 @@ class ParamTuple:
             x = x * x + self.cs[i]
         return x
 
-    def specialize(self, t0: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
-        return tuple(c.specialize(t0) for c in self.cs), self.P.specialize(t0)
-
     def dispose(self, t0: Fraction, subject: str, families=()
                 ) -> tuple[Disposition, list[OrbitResult]]:
         """Disposition of the tuple at parameter t0, with the finite-orbit

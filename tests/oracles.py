@@ -9,10 +9,12 @@ decides every tuple of the grid directly with that basepoint-list oracle
 instead of by subset reduction, the periodic-point and mu oracles find
 rational roots of dynatomic polynomials instead of walking the map on its
 finite-orbit points, the normal-form oracle divides over Q, rescanning
-for the leading term at every step, and the rational-root oracle finds the
+for the leading term at every step, the rational-root oracle finds the
 integer roots of the monicizing transform a^(n-1) p(x/a) (linear and
 quadratic inputs through the discriminant) instead of reconstructing
-fractions from lifted residues.  ``FractionUniPoly`` is the univariate
+fractions from lifted residues, and the candidate oracle intersects the
+resultant root unions of every generator pair instead of eliminating one
+pair and its components.  ``FractionUniPoly`` is the univariate
 arithmetic over a tuple of ``Fraction``s that ``UniPoly``'s integer form
 replaced: coefficient loops over Q for sums, scalar products, division and
 evaluation.  ``FractionBiPoly`` is the same for ``BiPoly``: a dict of
@@ -29,11 +31,14 @@ from fractions import Fraction
 from quadorbits import _intpoly as zp
 from quadorbits.dynamics import MapSet, MuReport, OrbitResult, QuadMap, \
     exact_period, monoid_orbit
-from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly
+from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
+    bivariate_gcd, resultant
 from quadorbits.rationals import is_square, rat_str
 from quadorbits.roots import RootReport, _lift_roots, _multiplicity, \
     _pick_prime, rational_roots
 from quadorbits.search import FoundTuple, SearchSpec
+from quadorbits.verifier.elimination import GeneratorFactors, \
+    _divide_structural, _split_survivor_content, common_specialized_gcd
 
 
 def sylvester_resultant(p: BiPoly, q: BiPoly, eliminate: int = 0) -> UniPoly:
@@ -249,6 +254,41 @@ def naive_normal_form(f: BiPoly, gens: list[BiPoly]) -> BiPoly:
             rem_terms[e] = c
             del work[e]
     return BiPoly(rem_terms, f.vars)
+
+
+def all_pairs_candidates(gens: list[GeneratorFactors],
+                         structural: list[BiPoly]) -> list[Fraction]:
+    """Candidate values of vars[1]: the intersection over every generator
+    pair of the rational roots of its factor-pair resultants (a zero
+    resultant splits off the shared component and retries the leftover),
+    together with the survivor-content roots, filtered by the common
+    specialized gcd of the reduced generators."""
+    content_roots: set[Fraction] = set()
+    reduced, stripped = [], []
+    for gen in gens:
+        reduced.append(_divide_structural(gen, structural)[0])
+        stripped.append([])
+        for f in reduced[-1].factors:
+            f, roots = _split_survivor_content(f)
+            content_roots |= roots
+            stripped[-1].append(f)
+    cands: set[Fraction] | None = None
+    for fi, fj in itertools.combinations(stripped, 2):
+        union = set(content_roots)
+        for a, b in itertools.product(fi, fj):
+            while a.degree(0) > 0 and b.degree(0) > 0:
+                r = resultant(a, b)
+                if not r.is_zero():
+                    if r.degree > 0:
+                        union |= rational_roots(
+                            r.squarefree_part()).root_set()
+                    break
+                a, roots = _split_survivor_content(
+                    a.exact_divide(bivariate_gcd(a, b)))
+                union |= roots
+        cands = union if cands is None else cands & union
+    return [v for v in sorted(cands)
+            if common_specialized_gcd(reduced, v).degree > 0]
 
 
 def _integer_roots(p: UniPoly) -> RootReport:

@@ -1,19 +1,26 @@
+import math
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import all_pairs_candidates
 from quadorbits.dynamics import MapSet, QuadMap, apply_word, \
     finite_orbit_points
 from quadorbits.groebner import Budget
-from quadorbits.polynomials import BiPoly
+from quadorbits.polynomials import BiPoly, bivariate_gcd
 from quadorbits.ratfunc import RatFunc
 from quadorbits.rationals import rat, rat_str
 from quadorbits.verifier import POONEN_AXIOMS, poonen_criterion, \
     verify_lemma, verify_theorem_case
 from quadorbits.verifier import symbolic
 from quadorbits.verifier.cases import _verify_factorization
-from quadorbits.verifier.lemmas import groebner_route, lemma_setup
+from quadorbits.verifier.elimination import GeneratorFactors, \
+    eliminate_candidates
+from quadorbits.verifier.lemmas import LEMMA_IDS, groebner_route, \
+    lemma_setup
 from quadorbits.verifier.symbolic import ParamTuple, dispose_tuple, \
     three_cycle_parametrization
 
@@ -233,8 +240,9 @@ class TestSubcaseExclusionSearch:
             (1 + y) / 2)
         word, target, relation, roots = find_exclusion_relation(tup)
         assert rat("-1/2") in roots
-        cs, P0 = tup.specialize(rat("-1/2"))
-        assert list(cs) == [rat("3/16"), rat("-5/16"), rat("-13/16")]
+        cs = [c.specialize(rat("-1/2")) for c in tup.cs]
+        P0 = tup.P.specialize(rat("-1/2"))
+        assert cs == [rat("3/16"), rat("-5/16"), rat("-13/16")]
         assert P0 == rat("1/4")
         # every finite-orbit parameter value must zero the relation
         assert relation(rat("-1/2")) == 0
@@ -269,6 +277,77 @@ class TestParamTupleDispose:
     @pytest.mark.parametrize("t0", ["-1/2", "1", "3"])
     def test_otherwise_dispose_tuple_of_the_values(self, t0):
         t0 = rat(t0)
-        cs, P0 = self.tup.specialize(t0)
+        cs = [c.specialize(t0) for c in self.tup.cs]
         assert self.tup.dispose(t0, "s") == \
-            dispose_tuple("s", list(cs), P0)
+            dispose_tuple("s", cs, self.tup.P.specialize(t0))
+
+
+_small = st.integers(-3, 3)
+_coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def planted_systems(draw):
+    """Two or three generators, each with a factor through a drawn point
+    (y0, v0), and sometimes a factor shared by the first two generators."""
+    y0, v0 = draw(_coord), draw(_coord)
+    Y, Z = BiPoly({(1, 0): 1, (0, 0): -y0}), BiPoly({(0, 1): 1, (0, 0): -v0})
+
+    def through_point():
+        a, b = draw(st.tuples(_small, _small).filter(any))
+        c, d, e = draw(_small), draw(_small), draw(_small)
+        return a * Y + b * Z + c * Y * Z + d * Y * Y + e * Z * Z
+
+    def any_factor():
+        cs = draw(st.lists(_small, min_size=4, max_size=4).filter(any))
+        return BiPoly(dict(zip([(0, 0), (1, 0), (0, 1), (1, 1)], cs)))
+
+    factors = [[through_point()] + [any_factor()
+                                    for _ in range(draw(st.integers(0, 1)))]
+               for _ in range(draw(st.sampled_from([2, 3])))]
+    if len(factors) == 3 and draw(st.booleans()):
+        shared = through_point()
+        factors[0] = [shared, any_factor()]
+        factors[1] = [shared, any_factor()]
+    gens = [GeneratorFactors(f"G{k + 1}", tuple(fs))
+            for k, fs in enumerate(factors)]
+    return gens, v0
+
+
+class TestOnePairElimination:
+    def test_shared_component_meeting_the_third_generator(self):
+        # (y - z) is common to G1 and G2 and meets G3 only at (5, 5); no
+        # factor pair of the three generators has 5 as a resultant root
+        B = BiPoly.parse
+        gens = [GeneratorFactors("G1", (B("y - z"), B("y + z + 1"))),
+                GeneratorFactors("G2", (B("y - z"), B("2*y + z - 3"))),
+                GeneratorFactors("G3", (B("y - 5"),))]
+        out = eliminate_candidates(gens, [])
+        assert out.candidates == [Fraction(5)]
+        assert out.raw_candidates == [Fraction(-5), Fraction(-1, 2),
+                                      Fraction(1), Fraction(5)]
+
+    def test_generator_vanishing_on_a_whole_fiber(self):
+        # G1 = z - 2 is all content in z; the fiber filter must see it
+        B = BiPoly.parse
+        gens = [GeneratorFactors("G1", (B("z - 2"),)),
+                GeneratorFactors("G2", (B("y - 1"),))]
+        assert eliminate_candidates(gens, []).candidates == [Fraction(2)]
+
+    @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+    def test_lemma_candidates_match_the_all_pairs_oracle(self, lemma_id):
+        setup = lemma_setup(lemma_id)
+        assert eliminate_candidates(setup.gens, setup.structural).candidates \
+            == all_pairs_candidates(setup.gens, setup.structural)
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted_systems())
+    def test_planted_common_zero_is_a_candidate(self, system):
+        gens, v0 = system
+        # a curve common to every generator has zeros on every fiber, and
+        # then no finite candidate list exists
+        common = reduce(bivariate_gcd, (math.prod(g.factors) for g in gens))
+        assume(common.total_degree() <= 0)
+        got = eliminate_candidates(gens, []).candidates
+        assert v0 in got
+        assert set(all_pairs_candidates(gens, [])) <= set(got)

@@ -152,7 +152,6 @@ class PreperiodicityReport:
     tail_length: int | None = None
     cycle_length: int | None = None
     cycle: tuple[Fraction, ...] | None = None
-    trajectory: tuple[Fraction, ...] = ()
     guard: GuardHit | None = None
 
     def to_dict(self) -> dict:
@@ -180,9 +179,8 @@ def is_preperiodic(f: QuadMap, x: Fraction) -> PreperiodicityReport:
     while True:
         reason = guard_violation(f, cur)
         if reason is not None:
-            return PreperiodicityReport(
-                False, trajectory=tuple(traj), guard=GuardHit(cur, 0, reason)
-            )
+            return PreperiodicityReport(False,
+                                        guard=GuardHit(cur, 0, reason))
         if cur in seen:
             tail = seen[cur]
             cycle = tuple(traj[tail:])
@@ -191,7 +189,6 @@ def is_preperiodic(f: QuadMap, x: Fraction) -> PreperiodicityReport:
                 tail_length=tail,
                 cycle_length=len(cycle),
                 cycle=cycle,
-                trajectory=tuple(traj),
             )
         seen[cur] = len(traj)
         traj.append(cur)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .polynomials import BiPoly, UniPoly, resultant
 from .ratfunc import RatFunc
-from .rationals import rat_str
+from .rationals import exact_rational, rat_str
 from .roots import rational_roots
 
 __all__ = [
@@ -72,7 +72,7 @@ INFINITY = ECPoint(None, None)
 
 
 def point(x, y) -> ECPoint:
-    return ECPoint(Fraction(x), Fraction(y))
+    return ECPoint(exact_rational(x), exact_rational(y))
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,8 @@ class Curve:
 
     def __post_init__(self):
         for name in ("a2", "a4", "a6"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name,
+                               exact_rational(getattr(self, name)))
         if self.cubic_disc() == 0:
             raise ValueError("singular curve: zero discriminant")
 

@@ -1,5 +1,10 @@
 """Catalog of parametrized finite-orbit families and sporadic tuples.
 
+The catalog is the one statement of the pair lemmas' conclusions: every
+family and sporadic pair carries the lemma that classifies it, and
+``lemma_statement`` hands the same entries to the lemma verifier, which
+re-derives them, and to the ten-case analysis, which consumes them.
+
 The catalog ships as a data file of exact rational strings; stable sets are
 stored as the orbit expressions they come from ("P", "-P", "f2(P)",
 "f1(f2(P))", ...) and expanded to reduced elements of Q(t) at load time.
@@ -19,7 +24,7 @@ from itertools import combinations
 
 from .dynamics import MapSet
 from .ratfunc import PoleError, RatFunc, apply_quadmap
-from .rationals import rat, rat_str
+from .rationals import exact_rational, rat, rat_str
 from .roots import rational_roots
 
 __all__ = [
@@ -29,6 +34,7 @@ __all__ = [
     "family_by_id",
     "family_verify_symbolic",
     "family_instance",
+    "lemma_statement",
     "ExcludedParameter",
 ]
 
@@ -85,22 +91,30 @@ class FamilyDef:
                     out |= set(rational_roots(diff.num).roots)
         return out
 
-    def excluded_reason(self, t0: Fraction) -> str | None:
+    def instance(self, t0) -> tuple[tuple[Fraction, ...], Fraction,
+                                    tuple[Fraction, ...]]:
+        """(coefficients, basepoint, stable set) at parameter t0; raises
+        ExcludedParameter, naming the pole or the coefficient collision, at
+        an excluded value."""
+        t0 = exact_rational(t0)
         at = f"at {self.param} = {rat_str(t0)}"
-        names = [f"c{k + 1}" for k in range(len(self.c_list))] + \
-            ["the basepoint"] + ["a stable-set element"] * len(self.stable)
+        n = len(self.c_list)
+        names = [f"c{k + 1}" for k in range(n)] + ["the basepoint"] + \
+            ["a stable-set element"] * len(self.stable)
         values = []
         for name, f in zip(names, (*self.c_list, self.basepoint,
                                    *self.stable)):
             try:
                 values.append(f.specialize(t0))
             except PoleError:
-                return f"pole of {name} {at}"
-        cs = values[:len(self.c_list)]
-        for i, j in combinations(range(len(cs)), 2):
+                raise ExcludedParameter(
+                    f"{self.id}: pole of {name} {at}") from None
+        cs = tuple(values[:n])
+        for i, j in combinations(range(n), 2):
             if cs[i] == cs[j]:
-                return f"coefficient collision c{i + 1} = c{j + 1} {at}"
-        return None
+                raise ExcludedParameter(f"{self.id}: coefficient collision "
+                                        f"c{i + 1} = c{j + 1} {at}")
+        return cs, values[n], tuple(values[n + 1:])
 
 
 @dataclass(frozen=True)
@@ -162,6 +176,16 @@ def sporadic_triples() -> tuple[SporadicTuple, ...]:
     return _load()[2]
 
 
+def lemma_statement(lemma_id: str
+                    ) -> tuple[tuple[FamilyDef, ...], tuple[SporadicTuple, ...]]:
+    """The families and sporadic pairs the catalog assigns to one pair
+    lemma, in catalog order: what that lemma must re-derive and what the
+    ten cases take as its conclusion."""
+    families, pairs, _ = _load()
+    return (tuple(f for f in families if f.lemma == lemma_id),
+            tuple(p for p in pairs if p.lemma == lemma_id))
+
+
 def family_by_id(fid: str) -> FamilyDef:
     for fam in _load()[0]:
         if fam.id == fid:
@@ -182,9 +206,5 @@ def family_verify_symbolic(fam: FamilyDef) -> bool:
 
 def family_instance(fam: FamilyDef, t0) -> tuple[MapSet, Fraction]:
     """Specialize the family at an admissible parameter value."""
-    t0 = Fraction(t0)
-    reason = fam.excluded_reason(t0)
-    if reason is not None:
-        raise ExcludedParameter(f"{fam.id}: {reason}")
-    S = MapSet([c.specialize(t0) for c in fam.c_list])
-    return S, fam.basepoint.specialize(t0)
+    cs, P, _ = fam.instance(t0)
+    return MapSet(cs), P

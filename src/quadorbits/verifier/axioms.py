@@ -11,9 +11,9 @@ conditionality on max exact period <= 3 visible in the audit trail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..dynamics import QuadMap
+from ..rationals import exact_rational
 
 __all__ = ["PoonenAxiom", "POONEN_AXIOMS", "poonen_criterion"]
 
@@ -59,6 +59,6 @@ def poonen_criterion(f: QuadMap, x) -> bool:
     of a map with a rational fixed point or 2-cycle (assuming mu <= 3), so
     failing it certifies non-preperiodicity.
     """
-    x = Fraction(x)
+    x = exact_rational(x)
     f2 = f(f(x))
     return f(f(f2)) == f2

@@ -3,8 +3,10 @@
 A finite-orbit point of S = {f1, f2, f3} enters, for each map, a fixed
 point, a 2-cycle or a 3-cycle (longer periods are excluded by the named
 axiom), so the triple reduces to two simultaneous pair classifications.
-The subcases pair up the options of the two relevant pair lemmas, equate
-the shared data, and dispose of what is left: a symbolic coefficient
+The subcases pair up the conclusions of the two relevant pair lemmas --
+the catalog families and sporadic pairs that ``families.lemma_statement``
+gives for each, the very entries the lemma verifier checks -- equate the
+shared data, and dispose of what is left: a symbolic coefficient
 collision, an equation with no rational roots, a delegated elliptic-curve
 argument, or a concrete tuple disposed of by ``symbolic`` as in the lemmas.
 Every exclusion carries a re-verifiable witness (a composition word and a
@@ -13,18 +15,18 @@ point failing the iterate criterion, or a collision deduction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 
 from ..dynamics import OrbitResult, word_str
 from ..elliptic import MAZUR_CERTIFICATE, RANK_ZERO_CERTIFICATE, \
     c_rational_points, preimage_check, verify_curve_map
-from ..families import FamilyDef, family_by_id
+from ..families import FamilyDef, SporadicTuple, lemma_statement
 from ..polynomials import BiPoly, ExactDivisionError, UniPoly
 from ..ratfunc import PoleError, RatFunc
-from ..rationals import rat, rat_str
+from ..rationals import rat_str
 from ..roots import rational_roots
-from .reports import CaseReport, Disposition
+from .reports import CaseReport, Disposition, fmt_pair
 from .symbolic import ParamTuple, dispose_tuple, find_exclusion_relation
 
 __all__ = ["verify_theorem_case", "CASE_DESCRIPTIONS"]
@@ -41,43 +43,6 @@ CASE_DESCRIPTIONS = {
     9: "2-cycles for two maps, a 3-cycle for the third",
     10: "a 2-cycle for one map, 3-cycles for the other two",
 }
-
-
-# ---------------------------------------------------------------------------
-# options of the pair lemmas
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Option:
-    kind: str  # "family" | "pair"
-    label: str
-    family: FamilyDef | None = None
-    pair: tuple[Fraction, Fraction] | None = None
-
-
-def _fam(fid: str) -> Option:
-    return Option("family", fid, family=family_by_id(fid))
-
-
-def _pr(a: str, b: str) -> Option:
-    return Option("pair", f"({a}, {b})", pair=(rat(a), rat(b)))
-
-
-def _options_11() -> tuple[Option, Option, list[Option]]:
-    return (_fam("F-11a"), _fam("F-11b"),
-            [_pr("-21/16", "-5/16"), _pr("3/16", "-5/16")])
-
-
-def _options_12() -> tuple[Option, Option, list[Option]]:
-    return (_fam("F-12a"), _fam("F-12b"),
-            [_pr("-5/16", "-13/16"), _pr("-21/16", "-13/16")])
-
-
-def _options_22() -> tuple[Option, list[Option]]:
-    return (_fam("F-22a"),
-            [_pr("-3/4", "-7/4"), _pr("-7/4", "-3/4"),
-             _pr("-13/16", "-21/16"), _pr("-21/16", "-13/16"),
-             _pr("-37/16", "-21/16")])
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +120,8 @@ def _record(d: Disposition, finite: list[OrbitResult], P0: Fraction | None,
             "points; witness recorded)")
 
 
-def _family_tuple_rf(opt: Option, var: str) -> tuple[RatFunc, RatFunc, RatFunc]:
-    fam = opt.family
-    assert fam is not None
+def _family_tuple_rf(fam: FamilyDef, var: str
+                     ) -> tuple[RatFunc, RatFunc, RatFunc]:
     return (fam.c_list[0].relabel(var), fam.c_list[1].relabel(var),
             fam.basepoint.relabel(var))
 
@@ -179,20 +143,20 @@ def _run_exclusion(tup: ParamTuple, subject: str, deductions, witnesses,
 # subcase drivers
 # ---------------------------------------------------------------------------
 
-def _sub_family_family(case: int, sub: str, optA: Option, optB: Option,
+def _sub_family_family(case: int, sub: str, famA: FamilyDef, famB: FamilyDef,
                        claimed_pieces: list[str], mirrored: bool = False
                        ) -> CaseReport:
-    """Both options parametrized: equate the shared basepoint and follow
-    every branch of the resulting curve."""
-    desc = (f"(c1, c2, P) from {optA.label}, (c1, c3, P) from {optB.label}"
+    """Both conclusions parametrized: equate the shared basepoint and
+    follow every branch of the resulting curve."""
+    desc = (f"(c1, c2, P) from {famA.id}, (c1, c3, P) from {famB.id}"
             + (" (mirrored roles)" if mirrored else ""))
     deductions: list[str] = []
     witnesses: list[dict] = []
     survivors: list[dict] = []
     flags: list[str] = []
 
-    cA1, cA2, PA = _family_tuple_rf(optA, "a")
-    cB1, cB2, PB = _family_tuple_rf(optB, "b")
+    cA1, cA2, PA = _family_tuple_rf(famA, "a")
+    cB1, cB2, PB = _family_tuple_rf(famB, "b")
     N = _p_equation(PA, PB)
     pieces = [BiPoly.parse(s, ("a", "b")) for s in claimed_pieces]
     if not _verify_factorization(N, pieces):
@@ -205,8 +169,8 @@ def _sub_family_family(case: int, sub: str, optA: Option, optB: Option,
 
     for piece in pieces:
         if piece.degree(0) > 1 and piece.degree(1) > 1:
-            _elliptic_piece(case, sub, piece, optA, optB, deductions,
-                            witnesses, survivors, flags)
+            _elliptic_piece(piece, famA, famB, deductions, witnesses,
+                            survivors, flags)
             continue
         which, val = _solve_linear_piece(piece)
         if which == 1:  # b = g(a)
@@ -227,9 +191,8 @@ def _sub_family_family(case: int, sub: str, optA: Option, optB: Option,
     return _report(case, sub, desc, deductions, witnesses, survivors, flags)
 
 
-def _elliptic_piece(case: int, sub: str, piece: BiPoly, optA: Option,
-                    optB: Option, deductions, witnesses, survivors, flags
-                    ) -> None:
+def _elliptic_piece(piece: BiPoly, famA: FamilyDef, famB: FamilyDef,
+                    deductions, witnesses, survivors, flags) -> None:
     """The quartic basepoint curve of the conic-family pairing; its
     rational points come from the rank-zero elliptic curve."""
     expected = BiPoly.parse("a^2*b^2 + a*b^2 - a - b^2", ("a", "b"))
@@ -250,8 +213,8 @@ def _elliptic_piece(case: int, sub: str, piece: BiPoly, optA: Option,
     deductions.append(
         "rational points of the basepoint curve: "
         + ", ".join(f"({rat_str(t)}, {rat_str(u)})" for t, u in sorted(pts)))
-    cA1, cA2, PA = _family_tuple_rf(optA, "a")
-    cB1, cB2, PB = _family_tuple_rf(optB, "b")
+    cA1, cA2, PA = _family_tuple_rf(famA, "a")
+    cB1, cB2, PB = _family_tuple_rf(famB, "b")
     # in every catalog family the basepoint's poles are among the
     # coefficients', so each pole here makes a coefficient infinite
     for (t0, u0) in sorted(pts):
@@ -270,41 +233,42 @@ def _elliptic_piece(case: int, sub: str, piece: BiPoly, optA: Option,
                 survivors)
 
 
-def _sub_family_pairs(case: int, sub: str, fam_opt: Option,
-                      pair_opts: list[Option], fam_first: bool,
+def _sub_family_pairs(case: int, sub: str, fam: FamilyDef,
+                      pairs: Sequence[SporadicTuple], fam_first: bool,
                       mirrored: bool = False) -> CaseReport:
-    """A parametrized option against sporadic pairs: pin the shared c1,
-    then dispose of the finitely many concrete triples.
+    """A family against sporadic pairs: pin the shared c1, then dispose of
+    the finitely many concrete triples.
 
     fam_first: the family supplies (c1, c2, P) and each pair (c1, c3);
     otherwise each pair supplies (c1, c2) and the family (c1, c3, P).
     """
-    labels = ", ".join(p.label for p in pair_opts)
-    desc = (f"(c1, c2, P) from {fam_opt.label}, (c1, c3) in {{{labels}}}"
+    labels = ", ".join(fmt_pair(sp.cs) for sp in pairs)
+    desc = (f"(c1, c2, P) from {fam.id}, (c1, c3) in {{{labels}}}"
             if fam_first else
-            f"(c1, c2) in {{{labels}}}, (c1, c3, P) from {fam_opt.label}")
+            f"(c1, c2) in {{{labels}}}, (c1, c3, P) from {fam.id}")
     if mirrored:
         desc += " (mirrored roles)"
     deductions: list[str] = []
     witnesses: list[dict] = []
     survivors: list[dict] = []
     flags: list[str] = []
-    c1f, c2f, Pf = _family_tuple_rf(fam_opt, "s")
-    for popt in pair_opts:
-        q1, q2 = popt.pair
+    c1f, c2f, Pf = _family_tuple_rf(fam, "s")
+    for sp in pairs:
+        q1, q2 = sp.cs
+        label = fmt_pair(sp.cs)
         eq = c1f - q1
         roots = sorted(rational_roots(eq.num).root_set()) \
             if eq.num.degree > 0 else []
         if not roots:
             deductions.append(
-                f"{fam_opt.label} with {popt.label}: c1 = {rat_str(q1)} has "
+                f"{fam.id} with {label}: c1 = {rat_str(q1)} has "
                 "no rational solutions, contradiction")
             continue
         deductions.append(
-            f"{fam_opt.label} with {popt.label}: c1 = {rat_str(q1)} at "
+            f"{fam.id} with {label}: c1 = {rat_str(q1)} at "
             f"parameters {[rat_str(r) for r in roots]}")
         for s0 in roots:
-            subject = f"{popt.label}, parameter {rat_str(s0)}"
+            subject = f"{label}, parameter {rat_str(s0)}"
             try:
                 other, P0 = c2f.specialize(s0), Pf.specialize(s0)
             except PoleError:
@@ -317,18 +281,18 @@ def _sub_family_pairs(case: int, sub: str, fam_opt: Option,
     return _report(case, sub, desc, deductions, witnesses, survivors, flags)
 
 
-def _sub_pairs_pairs(case: int, sub: str, optsA: list[Option],
-                     optsB: list[Option]) -> CaseReport:
-    desc = (f"(c1, c2) in {{{', '.join(p.label for p in optsA)}}}, "
-            f"(c1, c3) in {{{', '.join(p.label for p in optsB)}}}")
+def _sub_pairs_pairs(case: int, sub: str, pairsA: Sequence[SporadicTuple],
+                     pairsB: Sequence[SporadicTuple]) -> CaseReport:
+    desc = (f"(c1, c2) in {{{', '.join(fmt_pair(p.cs) for p in pairsA)}}}, "
+            f"(c1, c3) in {{{', '.join(fmt_pair(p.cs) for p in pairsB)}}}")
     deductions: list[str] = []
     witnesses: list[dict] = []
     survivors: list[dict] = []
-    for pa in optsA:
-        for pb in optsB:
-            q1, q2 = pa.pair
-            r1, r2 = pb.pair
-            tag = f"{pa.label} with {pb.label}"
+    for pa in pairsA:
+        for pb in pairsB:
+            q1, q2 = pa.cs
+            r1, r2 = pb.cs
+            tag = f"{fmt_pair(pa.cs)} with {fmt_pair(pb.cs)}"
             if q1 != r1:
                 deductions.append(f"{tag}: the demanded values of c1 differ, "
                                   "impossible")
@@ -404,7 +368,7 @@ def verify_theorem_case(case: int) -> list[CaseReport]:
 
 
 def _case1() -> list[CaseReport]:
-    a, b, pairs = _options_11()
+    (a, b), pairs = lemma_statement("2.1")
     return [
         _sub_family_family(1, "1.1", a, a, ["a - b"]),
         _sub_family_family(1, "1.2", a, b, ["a*b^2 - a - 4*b"]),
@@ -420,8 +384,8 @@ def _case1() -> list[CaseReport]:
 
 
 def _case2() -> list[CaseReport]:
-    a11, b11, pairs11 = _options_11()
-    a12, b12, pairs12 = _options_12()
+    (a11, b11), pairs11 = lemma_statement("2.1")
+    (a12, b12), pairs12 = lemma_statement("2.2")
     return [
         _sub_family_family(2, "2.1", a11, a12, ["a - b"]),
         _sub_family_family(2, "2.2", a11, b12, ["a*b^2 - a + 4*b^2"]),
@@ -439,8 +403,7 @@ def _case2() -> list[CaseReport]:
 
 
 def _case4() -> list[CaseReport]:
-    a, b, pairs = _options_12()
-    p1, p2 = pairs
+    (a, b), (p1, p2) = lemma_statement("2.2")
     return [
         _sub_family_family(4, "4.1", a, a, ["a - b"]),
         _sub_family_family(4, "4.2", a, b, ["a*b^2 - a + 4*b^2"]),
@@ -463,7 +426,7 @@ def _case4() -> list[CaseReport]:
 
 
 def _case7() -> list[CaseReport]:
-    fam, pairs = _options_22()
+    (fam,), pairs = lemma_statement("2.3")
     return [
         _sub_family_family(7, "7.1", fam, fam, ["a - b", "a + b"]),
         _sub_family_pairs(7, "7.2", fam, pairs, fam_first=True),

@@ -24,7 +24,7 @@ component dividing every generator would mean an undeclared stable family;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .. import _intpoly as zp
@@ -60,14 +60,12 @@ class EliminationOutcome:
     candidates: list[Fraction]
     raw_candidates: list[Fraction]
     dropped_artifacts: list[Fraction]
-    eliminant_degrees: dict[tuple[str, str], list[int]]
+    pair: tuple[str, str]  # the names of the two generators eliminated
+    eliminant_degrees: list[int]
     structural_divisions: dict[str, dict[str, int]]
-    components: list[tuple[str, str, BiPoly]]
-    root_traces: dict[tuple[str, str], list[dict]] = field(default_factory=dict)
-    reduced: list[GeneratorFactors] = field(default_factory=list)
-
-    def eliminant_total_degree(self) -> int:
-        return sum(sum(v) for v in self.eliminant_degrees.values())
+    components: list[BiPoly]
+    root_traces: list[dict]
+    reduced: list[GeneratorFactors]
 
 
 def common_specialized_gcd(gens: list[GeneratorFactors],
@@ -137,10 +135,9 @@ def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly]
 
     first, second = stripped[:2]
     others = [f for factors in stripped[2:] for f in factors]
-    pair = (gens[0].name, gens[1].name)
     degs: list[int] = []
     traces: list[dict] = []
-    components: list[tuple[str, str, BiPoly]] = []
+    components: list[BiPoly] = []
 
     def eliminate(a: BiPoly, b: BiPoly) -> None:
         """Add the rational roots of Res(a, b) to the raw list; on an
@@ -158,14 +155,14 @@ def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly]
             g = bivariate_gcd(a, b)
             if g.total_degree() <= 0:
                 raise ArithmeticError("zero resultant with trivial gcd")
-            components.append((*pair, g))
+            components.append(g)
             a, roots = _split_survivor_content(a.exact_divide(g))
             raw.update(roots)
 
     for a in first:
         for b in second:
             eliminate(a, b)
-    for (_, _, g) in list(components):
+    for g in list(components):
         for f in others:
             eliminate(g, f)
 
@@ -181,9 +178,10 @@ def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly]
         candidates=kept,
         raw_candidates=sorted(raw),
         dropped_artifacts=dropped,
-        eliminant_degrees={pair: degs},
+        pair=(gens[0].name, gens[1].name),
+        eliminant_degrees=degs,
         structural_divisions=divisions,
         components=components,
-        root_traces={pair: traces},
+        root_traces=traces,
         reduced=reduced,
     )

@@ -12,6 +12,10 @@ branches by matching the catalog formulas, and excluded branches by a
 shortest non-vanishing word relation whose rational roots are disposed one
 by one through ``ParamTuple.dispose``.
 
+The families and sporadic pairs each lemma must re-derive are not written
+here: they are the catalog entries ``families.lemma_statement`` returns for
+the setup's ``statement``, the same entries the ten-case analysis consumes.
+
 The lemma ids are "2.1".."2.6"; the hypotheses they cover are, in order:
 fixed+fixed, fixed+2-cycle, 2-cycle+2-cycle, 3-cycle+3-cycle,
 fixed+3-cycle, 2-cycle+3-cycle.
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 from ..dynamics import word_str
 from ..families import FamilyDef, catalog, family_by_id, \
-    family_verify_symbolic
+    family_verify_symbolic, lemma_statement
 from ..groebner import Budget, BudgetExhausted, buchberger, normal_form
 from ..polynomials import BiPoly, UniPoly
 from ..ratfunc import PoleError, RatFunc
@@ -60,16 +64,16 @@ class LemmaSetup:
     # elimination takes resultants between the first two generators only,
     # so each setup lists its cheapest pair first
     gens: list[GeneratorFactors]
-    structural: list[BiPoly]
     branches: list[BranchSpec]
     c1_of: RatFunc  # c1 as a function of the partner variable
     c2_of: RatFunc  # c2 as a function of the candidate variable
     P_of: RatFunc  # lemma basepoint; of the partner var (2.1-2.3) or the
     P_var: int     # candidate var (2.4-2.6): index into vars
-    families: list[str]
+    # the catalog lemma id whose families and sporadic pairs this lemma
+    # must re-derive (see ``families.lemma_statement``)
+    statement: str
     expected_candidates: list[Fraction]
     expected_partners: list[Fraction] | None
-    expected_sporadic: list[tuple[Fraction, Fraction]]
     conclusion_kind: str  # "classification" | "no-points" | "unique-pair"
     axioms: list[str]
     groebner_expected_degree: int
@@ -78,6 +82,12 @@ class LemmaSetup:
     # states its pair list without that subtraction)
     subtract_families: bool = True
 
+    @property
+    def structural(self) -> list[BiPoly]:
+        """The branch curves, divided out of the generators before
+        elimination."""
+        return [BiPoly.parse(b.curve, self.vars) for b in self.branches]
+
 
 def _rf(expr: str, var: str) -> RatFunc:
     return RatFunc.parse(expr, var)
@@ -85,10 +95,6 @@ def _rf(expr: str, var: str) -> RatFunc:
 
 def _rats(*xs: str) -> list[Fraction]:
     return [rat(x) for x in xs]
-
-
-def _pairs(*ps: tuple[str, str]) -> list[tuple[Fraction, Fraction]]:
-    return [(rat(a), rat(b)) for a, b in ps]
 
 
 def _embed(V: tuple[str, str], *fs: RatFunc) -> list[BiRat]:
@@ -135,12 +141,9 @@ def _setup_21() -> LemmaSetup:
     return LemmaSetup(
         "2.1", "both maps have rational fixed points", V,
         [GeneratorFactors("F1", tuple(F1)), GeneratorFactors("F2", tuple(F2))],
-        [BiPoly.parse(b.curve, V) for b in branches],
         branches,
-        c1_rf, c2_rf, P_rf, 0,
-        ["F-11a", "F-11b"],
+        c1_rf, c2_rf, P_rf, 0, "2.1",
         _rats("-2", "-3/2", "-1", "1", "3/2", "2"), None,
-        _pairs(("-21/16", "-5/16"), ("3/16", "-5/16")),
         "classification", ["tail-two"], 28,
     )
 
@@ -169,12 +172,9 @@ def _setup_22() -> LemmaSetup:
         "2.2", "the first map has a rational fixed point, the second a "
                "rational 2-cycle", V,
         [GeneratorFactors("F1", tuple(F1)), GeneratorFactors("F2", tuple(F2))],
-        [BiPoly.parse(b.curve, V) for b in branches],
         branches,
-        c1_rf, c2_rf, P_rf, 0,
-        ["F-12a", "F-12b"],
+        c1_rf, c2_rf, P_rf, 0, "2.2",
         _rats("-1/2", "0", "1/2"), None,
-        _pairs(("-5/16", "-13/16"), ("-21/16", "-13/16")),
         "classification", ["tail-two"], 30,
     )
 
@@ -202,13 +202,9 @@ def _setup_23() -> LemmaSetup:
         "2.3", "both maps have rational points of period two", V,
         [GeneratorFactors("N", tuple(N)), GeneratorFactors("A1", tuple(A1)),
          GeneratorFactors("A2", tuple(A2))],
-        [BiPoly.parse(b.curve, V) for b in branches],
         branches,
-        c1_rf, c2_rf, P_rf, 0,
-        ["F-22a"],
+        c1_rf, c2_rf, P_rf, 0, "2.3",
         _rats("-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2"), None,
-        _pairs(("-3/4", "-7/4"), ("-7/4", "-3/4"), ("-13/16", "-21/16"),
-               ("-21/16", "-13/16"), ("-37/16", "-21/16")),
         "classification", ["tail-two"], 64,
         subtract_families=False,
     )
@@ -232,12 +228,9 @@ def _setup_24() -> LemmaSetup:
     return LemmaSetup(
         "2.4", "both maps have rational points of period three", V,
         [GeneratorFactors("N", tuple(N)), GeneratorFactors("A", tuple(A))],
-        [BiPoly.parse(b.curve, V) for b in branches],
         branches,
-        cy, ct, pt1, 1,
-        [],
+        cy, ct, pt1, 1, "2.4",
         _rats("-1", "0"), None,
-        [],
         "no-points", ["periods-at-most-3", "three-cycle-funnel"], 38,
     )
 
@@ -265,11 +258,10 @@ def _setup_256(lemma_id: str) -> LemmaSetup:
     return LemmaSetup(
         lemma_id, hyp, V,
         [GeneratorFactors("N", tuple(N)), GeneratorFactors("A", tuple(A))],
-        [], [],
-        c1_rf, ct, pt1, 1,
         [],
+        # lemma 2.6 concludes the same unique pair as lemma 2.5
+        c1_rf, ct, pt1, 1, "2.5",
         _rats("-2", "-1/2", "1"), expected_partners,
-        _pairs(("-21/16", "-29/16")),
         "unique-pair",
         ["periods-at-most-3", "three-cycle-funnel", "tail-two"],
         68,
@@ -283,9 +275,8 @@ def _branch_tuple(setup: LemmaSetup, br: BranchSpec) -> ParamTuple:
     return ParamTuple((c1, c2), P)
 
 
-def _verify_branch(setup: LemmaSetup, br: BranchSpec,
+def _verify_branch(setup: LemmaSetup, br: BranchSpec, curve: BiPoly,
                    families: list[FamilyDef]) -> CurveBranchReport:
-    curve = BiPoly.parse(br.curve, setup.vars)
     # the parametrization must satisfy the curve equation identically
     on_curve = _eval_curve(curve, br.y_of_s, br.v_of_s).is_zero()
     tup = _branch_tuple(setup, br)
@@ -402,8 +393,10 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
             flags.append("groebner route exhausted its budget; "
                          "falling back to the resultant route")
 
-    out = eliminate_candidates(setup.gens, setup.structural)
+    structural = setup.structural
+    out = eliminate_candidates(setup.gens, structural)
     fams = list(catalog()[0]) if setup.subtract_families else []
+    stated_fams, stated_pairs = lemma_statement(setup.statement)
 
     # back-substitution partners per candidate, from the full generators
     partner_map: dict[Fraction, list[Fraction]] = {}
@@ -432,8 +425,8 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
     # curve branches
     branch_reports: list[CurveBranchReport] = []
     families_found: set[str] = set()
-    for br in setup.branches:
-        rep = _verify_branch(setup, br, fams)
+    for br, curve in zip(setup.branches, structural):
+        rep = _verify_branch(setup, br, curve, fams)
         branch_reports.append(rep)
         if not rep.verified:
             flags.append(f"branch {br.curve}: verification failed")
@@ -449,16 +442,16 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
 
     # components discovered during elimination must not be common to all
     # generators (that would be an undeclared stable family)
-    for (na, nb, comp) in out.components:
+    for comp in out.components:
         if all(any(comp.divides(f) for f in g.factors) or
                comp.divides(_expand(g, setup.vars)) for g in setup.gens):
             flags.append(f"component {comp} divides every generator "
                          "(undeclared family?)")
 
     # symbolic family identities
-    for fid in setup.families:
-        if not family_verify_symbolic(family_by_id(fid)):
-            flags.append(f"family {fid}: symbolic stability check failed")
+    for fam in stated_fams:
+        if not family_verify_symbolic(fam):
+            flags.append(f"family {fam.id}: symbolic stability check failed")
 
     # compare against the lemma statement
     if out.candidates != sorted(setup.expected_candidates):
@@ -473,14 +466,15 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
                 f"partner set {[rat_str(c) for c in all_partners]} differs "
                 f"from the stated "
                 f"{[rat_str(c) for c in sorted(setup.expected_partners)]}")
-    expected_sp = {tuple(p) for p in setup.expected_sporadic}
+    expected_sp = {p.cs for p in stated_pairs}
     if sporadic_found != expected_sp:
         flags.append(
             f"sporadic pairs {sorted(fmt_pair(p) for p in sporadic_found)} "
             f"differ from the stated "
             f"{sorted(fmt_pair(p) for p in expected_sp)}")
-    if set(setup.families) - families_found:
-        flags.append(f"families {set(setup.families) - families_found} "
+    missing = {fam.id for fam in stated_fams} - families_found
+    if missing:
+        flags.append(f"families {missing} "
                      "not reached by any branch or candidate")
 
     if setup.conclusion_kind == "no-points":
@@ -491,7 +485,7 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
             flags.append("expected no surviving tuples")
     elif setup.conclusion_kind == "unique-pair":
         conclusion = ("the only pair admitting a finite-orbit rational point "
-                      "is (-21/16, -29/16)")
+                      "is " + ", ".join(fmt_pair(p.cs) for p in stated_pairs))
     else:
         conclusion = ("classification: families "
                       + ", ".join(sorted(families_found))
@@ -513,11 +507,9 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
             } for g in setup.gens
         },
         structural_divisions=out.structural_divisions,
-        eliminant_degrees={f"{a}*{b}": degs for (a, b), degs in
-                           out.eliminant_degrees.items()},
-        eliminant_total_degree=out.eliminant_total_degree(),
-        root_traces={f"{a}*{b}": traces for (a, b), traces in
-                     out.root_traces.items()},
+        eliminant_degrees={"*".join(out.pair): out.eliminant_degrees},
+        eliminant_total_degree=sum(out.eliminant_degrees),
+        root_traces={"*".join(out.pair): out.root_traces},
         raw_candidates=[rat_str(c) for c in out.raw_candidates],
         dropped_artifacts=[rat_str(c) for c in out.dropped_artifacts],
         candidates=[rat_str(c) for c in out.candidates],
@@ -531,8 +523,7 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
         curve_branches=branch_reports,
         families_found=sorted(families_found),
         sporadic_found=sorted(fmt_pair(p) for p in sporadic_found),
-        expected_sporadic=sorted(fmt_pair(p) for p in
-                                 setup.expected_sporadic),
+        expected_sporadic=sorted(fmt_pair(p.cs) for p in stated_pairs),
         conclusion=conclusion,
         axioms_used=setup.axioms,
         flags=flags,

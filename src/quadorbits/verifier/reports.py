@@ -7,7 +7,6 @@ CLI renders them as text or JSON.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 from ..rationals import rat_str
 

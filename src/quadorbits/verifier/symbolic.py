@@ -34,7 +34,7 @@ from itertools import combinations
 from .. import _intpoly as zp
 from ..dynamics import MapSet, OrbitResult, Word, finite_orbit_points, \
     monoid_orbit, word_str
-from ..families import FamilyDef
+from ..families import ExcludedParameter, FamilyDef
 from ..polynomials import BiPoly, UniPoly
 from ..ratfunc import PoleError, RatFunc
 from ..rationals import rat_str
@@ -275,13 +275,11 @@ def _family_accounts(fam: FamilyDef, c1: Fraction, c2: Fraction,
         # parameter; the catalog families all have non-constant c1
         return None
     for t0 in sorted(rational_roots(diff.num).root_set()):
-        if fam.excluded_reason(t0) is not None:
+        try:
+            cs, P, stable = fam.instance(t0)
+        except ExcludedParameter:
             continue
-        if fam.c_list[1].specialize(t0) != c2:
-            continue
-        covered = {u.specialize(t0) for u in fam.stable}
-        covered.add(fam.basepoint.specialize(t0))
-        if set(basepoints) <= covered:
+        if cs[1] == c2 and set(basepoints) <= {P, *stable}:
             return t0
     return None
 

@@ -79,6 +79,19 @@ class TestLutzNagell:
             lutz_nagell_candidates(Curve(Fraction(1, 2), 0, 1))
 
 
+class TestExactness:
+    def test_only_ints_and_fractions_are_accepted(self):
+        assert point(Fraction(1, 2), 3) == point(Fraction(1, 2), Fraction(3))
+        with pytest.raises(TypeError):
+            point(0.1, "2")
+        with pytest.raises(TypeError):
+            point(0, "1")
+        with pytest.raises(TypeError):
+            Curve(0.5, 0, 1)
+        with pytest.raises(TypeError):
+            Curve(0, "-1", 0)
+
+
 class TestCurveMap:
     def test_identity_holds(self):
         assert verify_curve_map()

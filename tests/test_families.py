@@ -6,7 +6,8 @@ import pytest
 
 from quadorbits.dynamics import monoid_orbit
 from quadorbits.families import ExcludedParameter, catalog, family_by_id, \
-    family_instance, family_verify_symbolic, sporadic_pairs, sporadic_triples
+    family_instance, family_verify_symbolic, lemma_statement, \
+    sporadic_pairs, sporadic_triples
 from quadorbits.rationals import rat
 
 
@@ -97,6 +98,61 @@ class TestInstances:
         assert family_by_id("F-11b").excluded_values() == \
             {Fraction(1), Fraction(-1)}
         assert family_by_id("F-12a").excluded_values() == set()
+
+    def test_only_ints_and_fractions_are_accepted(self):
+        fam = family_by_id("F-12a")
+        for bad in (0.5, "1/2", "3"):
+            with pytest.raises(TypeError):
+                family_instance(fam, bad)
+            with pytest.raises(TypeError):
+                fam.instance(bad)
+
+
+class TestFamilyInstance:
+    def test_raises_at_every_excluded_value(self):
+        fams, _ = catalog()
+        for fam in fams:
+            for t0 in fam.excluded_values():
+                with pytest.raises(ExcludedParameter,
+                                   match=f"^{fam.id}: (pole|coefficient)"):
+                    fam.instance(t0)
+
+    def test_equals_specialize_elsewhere(self):
+        fams, _ = catalog()
+        for fam in fams:
+            excluded = fam.excluded_values()
+            for t0 in (Fraction(k, 3) for k in range(-9, 10)):
+                if t0 in excluded:
+                    continue
+                cs, P, stable = fam.instance(t0)
+                assert cs == tuple(c.specialize(t0) for c in fam.c_list)
+                assert P == fam.basepoint.specialize(t0)
+                assert stable == tuple(u.specialize(t0) for u in fam.stable)
+
+    def test_reason_names_the_function_and_the_value(self):
+        with pytest.raises(ExcludedParameter) as e:
+            family_by_id("F-11b").instance(1)
+        assert str(e.value) == "F-11b: pole of c1 at t = 1"
+        with pytest.raises(ExcludedParameter) as e:
+            family_by_id("F-11a").instance(-1)
+        assert str(e.value) == \
+            "F-11a: coefficient collision c1 = c2 at y = -1"
+
+
+class TestLemmaStatement:
+    def test_entries_of_each_lemma_in_catalog_order(self):
+        fams, _ = catalog()
+        for lemma_id in ("2.1", "2.2", "2.3", "2.4", "2.5", "2.6"):
+            stated_fams, stated_pairs = lemma_statement(lemma_id)
+            assert stated_fams == tuple(f for f in fams
+                                        if f.lemma == lemma_id)
+            assert stated_pairs == tuple(p for p in sporadic_pairs()
+                                         if p.lemma == lemma_id)
+        assert [f.id for f in lemma_statement("2.1")[0]] == \
+            ["F-11a", "F-11b"]
+        assert [p.id for p in lemma_statement("2.3")[1]] == \
+            ["SP-22-1", "SP-22-2", "SP-22-3", "SP-22-4", "SP-22-5"]
+        assert lemma_statement("2.4") == ((), ())
 
 
 class TestRandomSpecializations:

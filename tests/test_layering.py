@@ -5,6 +5,9 @@ name from another quadorbits module.  The one underscore module,
 ``_intpoly``, may be imported whole, and only it computes on the integer
 row form, through its public names: no other module may use an underscore
 name of ``_intpoly``.
+
+No module imports a name it never uses; a name listed in ``__all__`` counts
+as used (it is re-exported).
 """
 
 import ast
@@ -84,4 +87,54 @@ def test_checker_sees_relative_and_aliased_uses(tmp_path):
         "quadorbits.verifier.bad:6 imports quadorbits.verifier.lemmas._dispose_tuple",
         "quadorbits.verifier.bad:7 imports quadorbits.dynamics._factor",
         "quadorbits.verifier.bad:4 uses _intpoly._private",
+    ]
+
+
+def unused_imports(path: Path, root: Path = PACKAGE) -> list[str]:
+    modname = _module_name(path, root)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                if a.name != "*":
+                    imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {e.value for e in node.value.elts
+                     if isinstance(e, ast.Constant)}
+    return [f"{modname}:{line} imports {name}, never used"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_an_unused_name():
+    found = [v for p in sorted(PACKAGE.rglob("*.py"))
+             for v in unused_imports(p)]
+    assert not found, found
+
+
+def test_unused_import_checker_sees_every_import_form(tmp_path):
+    pkg = tmp_path / "quadorbits"
+    pkg.mkdir()
+    bad = pkg / "bad.py"
+    bad.write_text("from __future__ import annotations\n"
+                   "import os.path\n"
+                   "import json as js\n"
+                   "from fractions import Fraction\n"
+                   "from . import _intpoly as zp\n"
+                   "from .rationals import rat, rat_str as show\n"
+                   "from .dynamics import MapSet\n"
+                   "__all__ = ['MapSet']\n"
+                   "def f(x: Fraction) -> str:\n"
+                   "    return show(zp.zmul([1], [1]))\n")
+    assert unused_imports(bad, pkg) == [
+        "quadorbits.bad:2 imports os, never used",
+        "quadorbits.bad:3 imports js, never used",
+        "quadorbits.bad:6 imports rat, never used",
     ]

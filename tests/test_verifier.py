@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import all_pairs_candidates
+from quadorbits import families
 from quadorbits.dynamics import MapSet, QuadMap, apply_word, \
     finite_orbit_points
+from quadorbits.families import lemma_statement
 from quadorbits.groebner import Budget
 from quadorbits.polynomials import BiPoly, bivariate_gcd
 from quadorbits.ratfunc import RatFunc
@@ -21,6 +23,7 @@ from quadorbits.verifier.elimination import GeneratorFactors, \
     eliminate_candidates
 from quadorbits.verifier.lemmas import LEMMA_IDS, groebner_route, \
     lemma_setup
+from quadorbits.verifier.reports import fmt_pair
 from quadorbits.verifier.symbolic import ParamTuple, dispose_tuple, \
     three_cycle_parametrization
 
@@ -40,6 +43,11 @@ class TestAxioms:
                     rat("-21/16")])
         Q = apply_word(S, (3, 0, 1, 3), rat("1/4"))
         assert not poonen_criterion(S[0], Q)
+
+    def test_poonen_criterion_takes_only_exact_points(self):
+        for bad in (0.1, "1/2"):
+            with pytest.raises(TypeError):
+                poonen_criterion(QuadMap(-1), bad)
 
 
 class TestThreeCycleParametrization:
@@ -198,6 +206,51 @@ class TestLemmaReportSoundness:
                 cs = [rat(c) for c in d.data["c"]]
                 assert [c.specialize(t0) for c in fam.c_list] == cs
         assert {"sporadic", "family"} <= seen_kinds
+
+
+class TestLemmaStatementFromCatalog:
+    @pytest.mark.parametrize("lemma_id", ["2.1", "2.2", "2.3", "2.5", "2.6"])
+    def test_report_concludes_the_catalog_statement(self, lemma_id):
+        """What each lemma re-derives is what the ten cases consume: its
+        curve branches reach exactly the stated families, and its sporadic
+        pairs are exactly the stated pairs.  The report's families add only
+        those that account for a disposed candidate pair (lemma 2.2 meets
+        pairs of F-11a, whose second map also has a rational 2-cycle)."""
+        fams, pairs = lemma_statement(lemma_setup(lemma_id).statement)
+        d = verify_lemma(lemma_id).to_dict()
+        assert d["verdict"] == "pass"
+        stated = {f.id for f in fams}
+        assert {b["family"] for b in d["curve_branches"]
+                if b["kind"] == "family"} == stated
+        members = {x["family"] for x in d["pair_dispositions"]
+                   if x["kind"] == "family"}
+        assert d["families"] == sorted(stated | members)
+        assert d["sporadic_pairs"] == sorted(fmt_pair(p.cs) for p in pairs)
+        assert d["expected_sporadic_pairs"] == d["sporadic_pairs"]
+
+    @staticmethod
+    def _catalog_without(monkeypatch, pair_id):
+        load = families._load()
+        pairs = tuple(p for p in load[1] if p.id != pair_id)
+        assert len(pairs) == len(load[1]) - 1
+        monkeypatch.setattr(families, "_load",
+                            lambda: (load[0], pairs, load[2]))
+
+    def test_a_pair_missing_from_the_catalog_is_flagged(self, monkeypatch):
+        self._catalog_without(monkeypatch, "SP-12-2")
+        rep = verify_lemma("2.2")
+        assert rep.verdict == "flagged"
+        assert rep.flags == [
+            "sporadic pairs ['(-21/16, -13/16)', '(-5/16, -13/16)'] differ "
+            "from the stated ['(-5/16, -13/16)']"]
+
+    def test_the_cases_consume_the_same_entries(self, monkeypatch):
+        def descriptions():
+            return " ".join(r.description for r in verify_theorem_case(7))
+
+        assert "(-37/16, -21/16)" in descriptions()
+        self._catalog_without(monkeypatch, "SP-22-5")
+        assert "(-37/16, -21/16)" not in descriptions()
 
 
 class TestTheoremEndToEnd:

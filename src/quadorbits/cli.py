@@ -135,8 +135,7 @@ def _cmd_verify_lemma(args) -> int:
 
 def _cmd_verify_theorem(args) -> int:
     cases = [args.case] if args.case else None
-    summary = verify_theorem(run_lemmas=not args.skip_lemmas, cases=cases,
-                             workers=args.workers)
+    summary = verify_theorem(run_lemmas=not args.skip_lemmas, cases=cases)
     data = summary.to_dict()
     lines = [f"cases run: {sorted({c.case for c in summary.cases})}",
              f"surviving triples: "
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--case", type=int, choices=range(1, 11))
     pt.add_argument("--skip-lemmas", action="store_true",
                     help="cite the pair lemmas instead of re-running them")
-    pt.add_argument("--workers", type=int, default=1)
     pt.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("family", help="catalog family operations")

@@ -338,8 +338,10 @@ def monoid_orbit(S: MapSet, P: Fraction) -> OrbitResult:
     violation certifies the whole S-orbit infinite, because the offending
     point would need a finite forward orbit under that map and cannot have
     one.  If the closure stabilizes the orbit is finite and each point gets
-    a shortest generating word (lexicographically least among shortest,
-    since the frontier is scanned in word order and maps in list order).
+    a shortest generating word (lexicographically least among shortest).
+    The frontier stays in word order without sorting: it starts as the
+    empty word, and each level appends the children of its words in word
+    order, each word's children in map order.
     """
     P = exact_rational(P)
     visited: dict[Fraction, Word] = {P: ()}
@@ -362,7 +364,7 @@ def monoid_orbit(S: MapSet, P: Fraction) -> OrbitResult:
                     w = word + (i,)
                     visited[y] = w
                     next_frontier.append((w, y))
-        frontier = sorted(next_frontier, key=lambda t: t[0])
+        frontier = next_frontier
     return OrbitResult(
         "finite",
         P,

@@ -233,7 +233,7 @@ def preimage_check() -> bool:
     """
     C = curve_c_poly()
     ynum = BiPoly.parse("t*u^2 + u^2 - 1", vars=_TU)
-    elim = resultant(C, ynum, eliminate=0)  # eliminate t, result in u
+    elim = resultant(C, ynum)  # eliminates t, result in u
     if elim.is_zero():
         return False
     for u0 in rational_roots(elim.squarefree_part()).roots:

@@ -703,8 +703,9 @@ class BiPoly:
 # resultants
 # ---------------------------------------------------------------------------
 
-def resultant(p: BiPoly, q: BiPoly, eliminate: int = 0) -> UniPoly:
-    """Resultant of p and q with respect to vars[eliminate].
+def resultant(p: BiPoly, q: BiPoly) -> UniPoly:
+    """Resultant of p and q with respect to vars[0], a polynomial in
+    vars[1].
 
     Computed by the subresultant PRS on primitive integer parts; the stripped
     contents and cleared denominators are multiplied back, so the value is
@@ -713,17 +714,16 @@ def resultant(p: BiPoly, q: BiPoly, eliminate: int = 0) -> UniPoly:
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial")
     p._check(q)
-    dp = p.degree(eliminate)
-    dq = q.degree(eliminate)
+    dp = p.degree(0)
+    dq = q.degree(0)
     if dp <= 0 or dq <= 0:
         raise ValueError("both polynomials must have positive degree in the "
                          "eliminated variable")
-    den_p, rows_p = p.to_coeff_lists(eliminate)
-    den_q, rows_q = q.to_coeff_lists(eliminate)
+    den_p, rows_p = p.to_coeff_lists(0)
+    den_q, rows_q = q.to_coeff_lists(0)
     # q-rows-first convention: pass q as the first argument.
     return UniPoly.from_int(den_q**dp * den_p**dq,
-                            zp.zzresultant(rows_q, rows_p),
-                            p.vars[1 - eliminate])
+                            zp.zzresultant(rows_q, rows_p), p.vars[1])
 
 
 def bivariate_gcd(p: BiPoly, q: BiPoly, main: int = 0) -> BiPoly:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .dynamics import MapSet, finite_orbit_points, monoid_orbit
@@ -67,8 +67,7 @@ class SearchSpec:
         return cls(**fields)
 
     def to_dict(self) -> dict:
-        return {"set_size": self.set_size, "denominator": self.denominator,
-                "numerator_bound": self.numerator_bound}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

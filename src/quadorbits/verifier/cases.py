@@ -9,6 +9,8 @@ gives for each, the very entries the lemma verifier checks -- equate the
 shared data, and dispose of what is left: a symbolic coefficient
 collision, an equation with no rational roots, a delegated elliptic-curve
 argument, or a concrete tuple disposed of by ``symbolic`` as in the lemmas.
+A case whose lemmas' catalog statements do not have the shape it consumes
+(so many families, so many sporadic pairs) returns one flagged report.
 Every exclusion carries a re-verifiable witness (a composition word and a
 point failing the iterate criterion, or a collision deduction).
 """
@@ -305,66 +307,74 @@ def _sub_pairs_pairs(case: int, sub: str, pairsA: Sequence[SporadicTuple],
     return _report(case, sub, desc, deductions, witnesses, survivors, [])
 
 
-def _lemma_conclusion_case(case: int, desc: str, deductions: list[str]
-                           ) -> list[CaseReport]:
-    return [_report(case, str(case), desc, deductions, [], [], [])]
-
-
 # ---------------------------------------------------------------------------
 # the ten cases
 # ---------------------------------------------------------------------------
 
+# the catalog entries each case consumes: lemma -> (number of families,
+# number of sporadic pairs or "any").  Lemma 2.6 concludes the same unique
+# pair as lemma 2.5, which is where the catalog states it.
+_CONSUMES: dict[int, dict[str, tuple[int, int | str]]] = {
+    1: {"2.1": (2, "any")},
+    2: {"2.1": (2, "any"), "2.2": (2, 2)},
+    3: {"2.5": (0, 1)},
+    4: {"2.2": (2, 2)},
+    5: {"2.4": (0, 0)},
+    6: {"2.5": (0, 1)},
+    7: {"2.3": (1, "any")},
+    8: {"2.4": (0, 0)},
+    9: {"2.5": (0, 1)},
+    10: {"2.4": (0, 0)},
+}
+
+
+def _statement_mismatch(case: int) -> str | None:
+    """Why the catalog statements do not fit what the case consumes, or
+    None when they do."""
+    for lemma_id, (n_fams, n_pairs) in _CONSUMES[case].items():
+        fams, pairs = lemma_statement(lemma_id)
+        if len(fams) != n_fams or n_pairs not in ("any", len(pairs)):
+            return (f"case {case} consumes {n_fams} families and {n_pairs} "
+                    f"sporadic pairs of lemma {lemma_id}, whose catalog "
+                    f"statement has {len(fams)} and {len(pairs)}")
+    return None
+
+
 def verify_theorem_case(case: int) -> list[CaseReport]:
     """Subcase reports for one of the ten period-type distributions."""
-    if case == 1:
-        return _case1()
-    if case == 2:
-        return _case2()
-    if case == 3:
-        return _lemma_conclusion_case(
-            3, CASE_DESCRIPTIONS[3],
-            ["the fixed+3-cycle classification applied to {f1, f3} forces "
-             "c1 = -21/16 and c3 = -29/16",
-             "applied to {f2, f3} it forces c2 = -21/16",
-             "hence c1 = c2, a contradiction"])
-    if case == 4:
-        return _case4()
-    if case == 5:
-        return _lemma_conclusion_case(
-            5, CASE_DESCRIPTIONS[5],
-            ["{f2, f3} is a pair of maps with rational 3-cycles and a "
-             "common finite-orbit point, which the 3-cycle+3-cycle "
-             "classification rules out"])
-    if case == 6:
-        return _lemma_conclusion_case(
-            6, CASE_DESCRIPTIONS[6],
-            ["the fixed+3-cycle classification on {f1, f3} forces "
-             "c1 = -21/16 and c3 = -29/16",
-             "the 2-cycle+3-cycle classification on {f2, f3} forces "
-             "c2 = -21/16",
-             "hence c1 = c2, a contradiction"])
-    if case == 7:
-        return _case7()
-    if case == 8:
-        return _lemma_conclusion_case(
-            8, CASE_DESCRIPTIONS[8],
-            ["{f1, f2} is a pair of maps with rational 3-cycles and a "
-             "common finite-orbit point, which the 3-cycle+3-cycle "
-             "classification rules out"])
-    if case == 9:
-        return _lemma_conclusion_case(
-            9, CASE_DESCRIPTIONS[9],
-            ["the 2-cycle+3-cycle classification on {f1, f3} forces "
-             "c1 = -21/16 and c3 = -29/16",
-             "applied to {f2, f3} it forces c2 = -21/16",
-             "hence c1 = c2, a contradiction"])
-    if case == 10:
-        return _lemma_conclusion_case(
-            10, CASE_DESCRIPTIONS[10],
-            ["{f2, f3} is a pair of maps with rational 3-cycles and a "
-             "common finite-orbit point, which the 3-cycle+3-cycle "
-             "classification rules out"])
-    raise ValueError(f"case must be 1..10, got {case}")
+    if case not in _CONSUMES:
+        raise ValueError(f"case must be 1..10, got {case}")
+    mismatch = _statement_mismatch(case)
+    if mismatch is not None:
+        return [_report(case, str(case), CASE_DESCRIPTIONS[case], [], [], [],
+                        [mismatch])]
+    return _CASES[case]()
+
+
+def _conclusion(case: int, deductions: list[str]) -> list[CaseReport]:
+    return [_report(case, str(case), CASE_DESCRIPTIONS[case], deductions,
+                    [], [], [])]
+
+
+def _unique_pair(case: int, first: str, second: str) -> list[CaseReport]:
+    """Cases 3, 6 and 9: f3 has a 3-cycle, and the lemmas on {f1, f3} and
+    {f2, f3} (stated by ``first`` and ``second``) both conclude the unique
+    pair of lemma 2.5, so c1 = c2."""
+    _, (sp,) = lemma_statement("2.5")
+    c, c3 = (rat_str(q) for q in sp.cs)
+    return _conclusion(case, [
+        f"{first} forces c1 = {c} and c3 = {c3}",
+        f"{second} forces c2 = {c}",
+        "hence c1 = c2, a contradiction"])
+
+
+def _no_points(case: int, pair: str) -> list[CaseReport]:
+    """Cases 5, 8 and 10: two of the maps have 3-cycles, which lemma 2.4
+    rules out."""
+    return _conclusion(case, [
+        f"{pair} is a pair of maps with rational 3-cycles and a common "
+        "finite-orbit point, which the 3-cycle+3-cycle classification "
+        "rules out"])
 
 
 def _case1() -> list[CaseReport]:
@@ -434,3 +444,23 @@ def _case7() -> list[CaseReport]:
                           mirrored=True),
         _sub_pairs_pairs(7, "7.4", pairs, pairs),
     ]
+
+
+_CASES = {
+    1: _case1,
+    2: _case2,
+    3: lambda: _unique_pair(
+        3, "the fixed+3-cycle classification applied to {f1, f3}",
+        "applied to {f2, f3} it"),
+    4: _case4,
+    5: lambda: _no_points(5, "{f2, f3}"),
+    6: lambda: _unique_pair(
+        6, "the fixed+3-cycle classification on {f1, f3}",
+        "the 2-cycle+3-cycle classification on {f2, f3}"),
+    7: _case7,
+    8: lambda: _no_points(8, "{f1, f2}"),
+    9: lambda: _unique_pair(
+        9, "the 2-cycle+3-cycle classification on {f1, f3}",
+        "applied to {f2, f3} it"),
+    10: lambda: _no_points(10, "{f2, f3}"),
+}

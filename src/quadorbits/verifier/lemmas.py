@@ -67,14 +67,14 @@ class LemmaSetup:
     branches: list[BranchSpec]
     c1_of: RatFunc  # c1 as a function of the partner variable
     c2_of: RatFunc  # c2 as a function of the candidate variable
-    P_of: RatFunc  # lemma basepoint; of the partner var (2.1-2.3) or the
-    P_var: int     # candidate var (2.4-2.6): index into vars
+    # the lemma basepoint, written in the variable whose value specializes
+    # it: the partner (2.1-2.3) or the candidate (2.4-2.6)
+    P_of: RatFunc
     # the catalog lemma id whose families and sporadic pairs this lemma
     # must re-derive (see ``families.lemma_statement``)
     statement: str
     expected_candidates: list[Fraction]
     expected_partners: list[Fraction] | None
-    conclusion_kind: str  # "classification" | "no-points" | "unique-pair"
     axioms: list[str]
     groebner_expected_degree: int
     # whether finite-orbit pairs fully covered by a catalog family are
@@ -142,9 +142,9 @@ def _setup_21() -> LemmaSetup:
         "2.1", "both maps have rational fixed points", V,
         [GeneratorFactors("F1", tuple(F1)), GeneratorFactors("F2", tuple(F2))],
         branches,
-        c1_rf, c2_rf, P_rf, 0, "2.1",
+        c1_rf, c2_rf, P_rf, "2.1",
         _rats("-2", "-3/2", "-1", "1", "3/2", "2"), None,
-        "classification", ["tail-two"], 28,
+        ["tail-two"], 28,
     )
 
 
@@ -173,9 +173,9 @@ def _setup_22() -> LemmaSetup:
                "rational 2-cycle", V,
         [GeneratorFactors("F1", tuple(F1)), GeneratorFactors("F2", tuple(F2))],
         branches,
-        c1_rf, c2_rf, P_rf, 0, "2.2",
+        c1_rf, c2_rf, P_rf, "2.2",
         _rats("-1/2", "0", "1/2"), None,
-        "classification", ["tail-two"], 30,
+        ["tail-two"], 30,
     )
 
 
@@ -203,9 +203,9 @@ def _setup_23() -> LemmaSetup:
         [GeneratorFactors("N", tuple(N)), GeneratorFactors("A1", tuple(A1)),
          GeneratorFactors("A2", tuple(A2))],
         branches,
-        c1_rf, c2_rf, P_rf, 0, "2.3",
+        c1_rf, c2_rf, P_rf, "2.3",
         _rats("-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2"), None,
-        "classification", ["tail-two"], 64,
+        ["tail-two"], 64,
         subtract_families=False,
     )
 
@@ -229,9 +229,9 @@ def _setup_24() -> LemmaSetup:
         "2.4", "both maps have rational points of period three", V,
         [GeneratorFactors("N", tuple(N)), GeneratorFactors("A", tuple(A))],
         branches,
-        cy, ct, pt1, 1, "2.4",
+        cy, ct, pt1, "2.4",
         _rats("-1", "0"), None,
-        "no-points", ["periods-at-most-3", "three-cycle-funnel"], 38,
+        ["periods-at-most-3", "three-cycle-funnel"], 38,
     )
 
 
@@ -260,9 +260,8 @@ def _setup_256(lemma_id: str) -> LemmaSetup:
         [GeneratorFactors("N", tuple(N)), GeneratorFactors("A", tuple(A))],
         [],
         # lemma 2.6 concludes the same unique pair as lemma 2.5
-        c1_rf, ct, pt1, 1, "2.5",
+        c1_rf, ct, pt1, "2.5",
         _rats("-2", "-1/2", "1"), expected_partners,
-        "unique-pair",
         ["periods-at-most-3", "three-cycle-funnel", "tail-two"],
         68,
     )
@@ -271,8 +270,8 @@ def _setup_256(lemma_id: str) -> LemmaSetup:
 def _branch_tuple(setup: LemmaSetup, br: BranchSpec) -> ParamTuple:
     c1 = setup.c1_of.compose(br.y_of_s)
     c2 = setup.c2_of.compose(br.v_of_s)
-    P = setup.P_of.compose(br.y_of_s if setup.P_var == 0 else br.v_of_s)
-    return ParamTuple((c1, c2), P)
+    of_var = dict(zip(setup.vars, (br.y_of_s, br.v_of_s)))
+    return ParamTuple((c1, c2), setup.P_of.compose(of_var[setup.P_of.var]))
 
 
 def _verify_branch(setup: LemmaSetup, br: BranchSpec, curve: BiPoly,
@@ -410,11 +409,12 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
         for y0 in partners:
             subject = f"({setup.vars[0]}, {setup.vars[1]}) = " \
                       f"({rat_str(y0)}, {rat_str(v0)})"
+            point = dict(zip(setup.vars, (y0, v0)))
             # the basepoint's poles are among the coefficients' in every
             # lemma, so each pole is one where a coefficient becomes infinite
             try:
                 cs = [setup.c1_of.specialize(y0), setup.c2_of.specialize(v0)]
-                P0 = setup.P_of.specialize(y0 if setup.P_var == 0 else v0)
+                P0 = setup.P_of.specialize(point[setup.P_of.var])
             except PoleError:
                 dispositions.append(Disposition(
                     subject, "pole",
@@ -477,13 +477,14 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
         flags.append(f"families {missing} "
                      "not reached by any branch or candidate")
 
-    if setup.conclusion_kind == "no-points":
+    # the statement's shape decides the form of the conclusion
+    if not stated_fams and not stated_pairs:
         conclusion = ("no rational point has finite orbit under such a pair: "
                       "every candidate is a parametrization pole or a "
                       "coefficient collision")
         if sporadic_found or families_found:
             flags.append("expected no surviving tuples")
-    elif setup.conclusion_kind == "unique-pair":
+    elif not stated_fams and len(stated_pairs) == 1:
         conclusion = ("the only pair admitting a finite-orbit rational point "
                       "is " + ", ".join(fmt_pair(p.cs) for p in stated_pairs))
     else:

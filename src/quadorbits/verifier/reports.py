@@ -157,16 +157,7 @@ class CaseReport:
     flags: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "subcase": self.subcase,
-            "description": self.description,
-            "deductions": self.deductions,
-            "exclusion_witnesses": self.exclusion_witnesses,
-            "surviving_tuples": self.surviving_tuples,
-            "verdict": self.verdict,
-            "flags": self.flags,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -181,13 +172,4 @@ class TheoremSummary:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "cases": [c.to_dict() for c in self.cases],
-            "surviving_triples": self.surviving_triples,
-            "expected_triples": self.expected_triples,
-            "four_map_exclusion": self.four_map_exclusion,
-            "corollary_check": self.corollary_check,
-            "lemma_verdicts": self.lemma_verdicts,
-            "flags": self.flags,
-            "verdict": self.verdict,
-        }
+        return asdict(self)

@@ -350,7 +350,11 @@ def word_relation_roots(tup: ParamTuple, word: Word, target: int
     return num, sorted(rational_roots(num.squarefree_part()).root_set())
 
 
-def find_exclusion_relation(tup: ParamTuple, max_len: int = 4
+# the longest word find_exclusion_relation tries
+MAX_WORD_LEN = 4
+
+
+def find_exclusion_relation(tup: ParamTuple
                             ) -> tuple[Word, int, UniPoly, list[Fraction]]:
     """Shortest word w (lexicographically least among shortest) and target
     map index such that the preperiodicity relation for w(P) under the
@@ -362,7 +366,7 @@ def find_exclusion_relation(tup: ParamTuple, max_len: int = 4
     """
     s = len(tup.cs)
     words: list[Word] = [()]
-    for _ in range(max_len + 1):
+    for _ in range(MAX_WORD_LEN + 1):
         next_words: list[Word] = []
         for w in words:
             for target in range(s):
@@ -374,4 +378,4 @@ def find_exclusion_relation(tup: ParamTuple, max_len: int = 4
                 next_words.append(w + (i,))
         words = next_words
     raise ArithmeticError("no non-vanishing word relation up to length "
-                          f"{max_len}; the family looks finite-orbit")
+                          f"{MAX_WORD_LEN}; the family looks finite-orbit")

@@ -9,6 +9,7 @@ a bounded grid.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 from ..dynamics import MapSet, QuadMap, apply_word, finite_orbit_points, \
@@ -21,6 +22,9 @@ from .lemmas import LEMMA_IDS, verify_lemma
 from .reports import CaseReport, TheoremSummary
 
 __all__ = ["verify_theorem", "four_map_exclusion", "corollary_integral_check"]
+
+# the integral-coefficient grid is |c| <= INTEGRAL_BOUND
+INTEGRAL_BOUND = 25
 
 
 def four_map_exclusion() -> dict:
@@ -55,19 +59,19 @@ def four_map_exclusion() -> dict:
     }
 
 
-def corollary_integral_check(bound: int = 25) -> dict:
+def corollary_integral_check() -> dict:
     """Integral coefficients: exact rational periods are at most 2 (period
     1 iff 1-4c is a square, period 2 iff -3-4c is one; no integral c in the
     grid has a rational 3-cycle), and the two-map sharpness instance
     {x^2-2, x^2-3} with basepoint 2 has finite orbit."""
     three_cycle_cs = []
-    for c in range(-bound, bound + 1):
+    for c in range(-INTEGRAL_BOUND, INTEGRAL_BOUND + 1):
         if periodic_points(QuadMap(Fraction(c)), 3):
             three_cycle_cs.append(c)
     S = MapSet([Fraction(-2), Fraction(-3)])
     res = monoid_orbit(S, Fraction(2))
     return {
-        "grid": f"|c| <= {bound}, c integral",
+        "grid": f"|c| <= {INTEGRAL_BOUND}, c integral",
         "integral_c_with_3_cycles": three_cycle_cs,
         "period_1_test": "1 - 4c a rational square",
         "period_2_test": "-3 - 4c a rational square",
@@ -81,28 +85,33 @@ def corollary_integral_check(bound: int = 25) -> dict:
     }
 
 
-def verify_theorem(run_lemmas: bool = True, cases: list[int] | None = None,
-                   workers: int = 1) -> TheoremSummary:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform
+    cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def verify_theorem(run_lemmas: bool = True, cases: list[int] | None = None
+                   ) -> TheoremSummary:
     """Run the classification end to end and compare the survivors with
     the two exceptional triples.  Lemma and case verifications are
-    independent jobs; workers > 1 runs them in parallel processes."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    independent jobs, run on a process pool with one process per usable
+    CPU (and no more processes than jobs)."""
+    # imported here: every command imports this module, and most never
+    # start the pool
+    import multiprocessing
+
     flags: list[str] = []
     lemma_verdicts: dict[str, str] = {}
     case_list = list(cases or range(1, 11))
-    if workers > 1:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            lemma_reps = pool.map(verify_lemma, LEMMA_IDS) if run_lemmas \
-                else []
-            case_parts = pool.map(verify_theorem_case, case_list)
-    else:
-        lemma_reps = [verify_lemma(lid) for lid in LEMMA_IDS] if run_lemmas \
-            else []
-        case_parts = [verify_theorem_case(n) for n in case_list]
+    lemma_ids = LEMMA_IDS if run_lemmas else ()
+    jobs = len(lemma_ids) + len(case_list)
+    with multiprocessing.Pool(min(_usable_cpus(), jobs)) as pool:
+        lemma_reps = pool.map(verify_lemma, lemma_ids)
+        case_parts = pool.map(verify_theorem_case, case_list)
 
     if run_lemmas:
         for rep in lemma_reps:

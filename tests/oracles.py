@@ -2,7 +2,9 @@
 
 These deliberately avoid the production code paths they check: the
 resultant oracle is a Sylvester-matrix determinant by Laplace expansion,
-the preperiodicity oracle is naive bounded iteration, the basepoint-list
+the preperiodicity oracle is naive bounded iteration, the orbit-word
+oracle enumerates every word by length and then lexicographically instead
+of expanding a breadth-first frontier, the basepoint-list
 oracle runs the guarded BFS from every point of the admissible grid instead
 of pruning a residue-filtered grid in one integer pass, the search oracle
 decides every tuple of the grid directly with that basepoint-list oracle
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 from quadorbits import _intpoly as zp
 from quadorbits.dynamics import MapSet, MuReport, OrbitResult, QuadMap, \
-    exact_period, monoid_orbit
+    Word, exact_period, guard_violation, monoid_orbit
 from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
     bivariate_gcd, resultant
 from quadorbits.rationals import is_square, rat_str
@@ -99,6 +101,30 @@ def naive_preperiodic(c: Fraction, x: Fraction, steps: int = 200
             return False
         seen.add(cur)
     return None
+
+
+def word_order_orbit(S: MapSet, P: Fraction
+                     ) -> tuple[dict[Fraction, Word] | None, Word | None]:
+    """The words ``monoid_orbit`` documents, by brute force: run through
+    every word (maps applied left to right) by length and then
+    lexicographically, and take the first word that reaches each point, or
+    stop at the first word whose point violates a guard of some map.
+    Returns (words, None) for a finite orbit, (None, witness word) for an
+    infinite one.  A length that reaches no new point closes the orbit."""
+    words: dict[Fraction, Word] = {}
+    for length in itertools.count():
+        grew = False
+        for w in itertools.product(range(len(S)), repeat=length):
+            x = P
+            for i in w:
+                x = S[i](x)
+            if any(guard_violation(f, x) is not None for f in S):
+                return None, w
+            if x not in words:
+                words[x] = w
+                grew = True
+        if not grew:
+            return words, None
 
 
 def per_point_finite_orbit_points(S: MapSet) -> list[OrbitResult]:

@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import dynatomic_mu_set, dynatomic_periodic_points, \
-    naive_preperiodic, per_point_finite_orbit_points
+    naive_preperiodic, per_point_finite_orbit_points, word_order_orbit
 from quadorbits import dynamics
 from quadorbits.dynamics import GUARD_DENOM, GUARD_ESCAPE, MapSet, MuReport, \
     QuadMap, OrbitResult, apply_word, exact_period, finite_orbit_points, \
@@ -281,6 +281,27 @@ def mixed_denominator_map_sets(draw):
                                 st.just(D))),
         min_size=s, max_size=s, unique=True))
     return MapSet(cs)
+
+
+class TestMonoidOrbitWords:
+    @settings(max_examples=300, deadline=None)
+    @given(square_rich_map_sets(),
+           st.builds(Fraction, st.integers(-30, 30),
+                     st.sampled_from((1, 2, 3, 4, 6))))
+    @example(MapSet([F("-5/16"), F("-13/16"), F("-21/16")]), F("1/4"))
+    @example(MapSet([F("3/16"), F("-5/16"), F("-13/16")]), F("-3/4"))
+    @example(MapSet([F("-21/16"), F("-29/16")]), F("-1/4"))
+    @example(MapSet([F(-2), F(-3)]), F(2))
+    @example(MapSet([F(-1), F(-2)]), F(0))
+    def test_words_are_first_in_word_order(self, S, P):
+        """Each point's word, or the witness word, is the first in order of
+        length and then lexicographic order."""
+        res = monoid_orbit(S, P)
+        words, witness_word = word_order_orbit(S, P)
+        if res.is_finite():
+            assert (res.words, None) == (words, witness_word)
+        else:
+            assert (None, res.witness_word) == (words, witness_word)
 
 
 FIXED_SETS = [

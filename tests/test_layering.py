@@ -8,9 +8,15 @@ name of ``_intpoly``.
 
 No module imports a name it never uses; a name listed in ``__all__`` counts
 as used (it is re-exported).
+
+Importing ``quadorbits.cli``, which every command does, does not import
+``multiprocessing``: only ``verify_theorem`` starts a process pool.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quadorbits"
@@ -138,3 +144,13 @@ def test_unused_import_checker_sees_every_import_form(tmp_path):
         "quadorbits.bad:3 imports js, never used",
         "quadorbits.bad:6 imports rat, never used",
     ]
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, quadorbits.cli; "
+         "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"

@@ -252,6 +252,23 @@ class TestLemmaStatementFromCatalog:
         self._catalog_without(monkeypatch, "SP-22-5")
         assert "(-37/16, -21/16)" not in descriptions()
 
+    @pytest.mark.parametrize("pair_id, cases, mismatch", [
+        ("SP-12-2", [2, 4], "2 families and 2 sporadic pairs of lemma 2.2, "
+                            "whose catalog statement has 2 and 1"),
+        ("SP-13-1", [3, 6, 9], "0 families and 1 sporadic pairs of lemma "
+                               "2.5, whose catalog statement has 0 and 0"),
+    ], ids=["SP-12-2", "SP-13-1"])
+    def test_a_case_whose_statement_changes_shape_is_flagged(
+            self, monkeypatch, pair_id, cases, mismatch):
+        """A case that consumes a set number of a lemma's entries returns
+        one flagged report, naming the lemma and both counts, when the
+        catalog states another number."""
+        self._catalog_without(monkeypatch, pair_id)
+        for n in cases:
+            reps = verify_theorem_case(n)
+            assert [(r.subcase, r.verdict, r.flags) for r in reps] == \
+                [(str(n), "flagged", [f"case {n} consumes {mismatch}"])]
+
 
 class TestTheoremEndToEnd:
     def test_full_verification(self):
@@ -272,12 +289,13 @@ class TestTheoremEndToEnd:
         d = summary.to_dict()
         assert d["verdict"] == "pass" and len(d["cases"]) == 46
 
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_workers_below_one_rejected(self, workers):
+    def test_pool_reports_equal_the_in_process_cases(self):
         from quadorbits.verifier import verify_theorem
 
-        with pytest.raises(ValueError, match="workers"):
-            verify_theorem(run_lemmas=False, cases=[7], workers=workers)
+        summary = verify_theorem(run_lemmas=False)
+        assert [r.to_dict() for r in summary.cases] == \
+            [r.to_dict() for n in range(1, 11)
+             for r in verify_theorem_case(n)]
 
 
 class TestSubcaseExclusionSearch:

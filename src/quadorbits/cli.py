@@ -162,17 +162,17 @@ def _cmd_family(args) -> int:
     data = {
         "id": fam.id,
         "description": fam.description,
-        "c": [str(c) for c in fam.c_list],
-        "basepoint": str(fam.basepoint),
+        "c": [str(c) for c in fam.tup.cs],
+        "basepoint": str(fam.tup.P),
         "stable": fam.stable_exprs,
         "excluded_parameters": [rat_str(x) for x in
-                                sorted(fam.excluded_values())],
+                                sorted(fam.tup.excluded_values())],
         "symbolic_identity_holds": ok,
     }
     _emit(data, args.format,
           [f"family {fam.id}: {fam.description}",
-           f"  maps: {[str(c) for c in fam.c_list]}",
-           f"  basepoint: {fam.basepoint}",
+           f"  maps: {[str(c) for c in fam.tup.cs]}",
+           f"  basepoint: {fam.tup.P}",
            f"  stable set: {list(fam.stable_exprs)}",
            f"  symbolic stability: {'holds' if ok else 'FAILS'}"])
     return 0 if ok else 1

@@ -8,8 +8,12 @@ re-derives them, and to the ten-case analysis, which consumes them.
 The catalog ships as a data file of exact rational strings; stable sets are
 stored as the orbit expressions they come from ("P", "-P", "f2(P)",
 "f1(f2(P))", ...) and expanded to reduced elements of Q(t) at load time.
-Excluded parameter values are computed, not hard-coded: poles of any
-component plus the rational roots of numerator(c_i - c_j).
+
+``ParamTuple`` is the one form of a one-parameter tuple (c_1(t), ...,
+c_s(t), P(t)), for a family, a lemma's curve branch or a case's subcase;
+``ParamTuple.at`` alone specializes one and names a pole or a coefficient
+collision.  Excluded values are computed, not hard-coded: the rational
+poles of every function plus the rational roots of c_i - c_j.
 """
 
 from __future__ import annotations
@@ -22,26 +26,90 @@ from functools import lru_cache
 from importlib import resources
 from itertools import combinations
 
-from .dynamics import MapSet
+from .dynamics import Word
 from .ratfunc import PoleError, RatFunc, apply_quadmap
 from .rationals import exact_rational, rat, rat_str
 from .roots import rational_roots
 
 __all__ = [
+    "ParamTuple",
+    "ExcludedParameter",
     "FamilyDef",
     "SporadicTuple",
     "catalog",
     "family_by_id",
     "family_verify_symbolic",
-    "family_instance",
     "lemma_statement",
-    "ExcludedParameter",
 ]
 
 
 class ExcludedParameter(ValueError):
-    """Specialization at an excluded parameter value; the message names the
-    violated condition (pole or coefficient collision)."""
+    """A one-parameter tuple specialized at ``t0``, where it degenerates:
+    ``pole`` names the function with a pole there ("c1", ..., "c<s>" or
+    "basepoint"); otherwise ``pair`` holds the 1-based indices (i, j) of two
+    coefficients that coincide, and ``cs`` the coefficient values."""
+
+    def __init__(self, message: str, t0, pole=None, pair=None, cs=()):
+        super().__init__(message)
+        self.t0, self.pole, self.pair, self.cs = t0, pole, pair, cs
+
+
+@dataclass(frozen=True)
+class ParamTuple:
+    """(c_1(t), ..., c_s(t), P(t)) in one parameter t: a catalog family, a
+    lemma's curve branch or a case's subcase."""
+
+    cs: tuple[RatFunc, ...]
+    P: RatFunc
+
+    def apply_word(self, word: Word) -> RatFunc:
+        x = self.P
+        for i in word:
+            x = x * x + self.cs[i]
+        return x
+
+    def relabel(self, var: str) -> "ParamTuple":
+        """The same tuple in the parameter var."""
+        return ParamTuple(tuple(c.relabel(var) for c in self.cs),
+                          self.P.relabel(var))
+
+    def at(self, t0) -> tuple[tuple[Fraction, ...], Fraction]:
+        """(coefficients, basepoint) at t0; raises ExcludedParameter at a
+        pole of any function, or else where two coefficients coincide."""
+        t0 = exact_rational(t0)
+        at = f"at {self.P.var} = {rat_str(t0)}"
+        names = [f"c{k + 1}" for k in range(len(self.cs))] + ["basepoint"]
+        values = []
+        for name, f in zip(names, (*self.cs, self.P)):
+            try:
+                values.append(f.specialize(t0))
+            except PoleError:
+                shown = "the basepoint" if f is self.P else name
+                raise ExcludedParameter(f"pole of {shown} {at}", t0,
+                                        pole=name) from None
+        *cs, P = values
+        for i, j in combinations(range(len(cs)), 2):
+            if cs[i] == cs[j]:
+                raise ExcludedParameter(
+                    f"coefficient collision c{i + 1} = c{j + 1} {at}", t0,
+                    pair=(i + 1, j + 1), cs=tuple(cs))
+        return tuple(cs), P
+
+    def excluded_values(self) -> set[Fraction]:
+        """The values at which ``at`` raises: the rational poles of every
+        function and the rational roots of every c_i - c_j; coefficients
+        that are identically equal, excluded everywhere, raise ValueError."""
+        out: set[Fraction] = set()
+        for f in (*self.cs, self.P):
+            if f.den.degree > 0:
+                out |= rational_roots(f.den).root_set()
+        for (i, a), (j, b) in combinations(enumerate(self.cs, 1), 2):
+            diff = a - b
+            if diff.is_zero():
+                raise ValueError(f"identically equal maps c{i} = c{j}")
+            if diff.num.degree > 0:
+                out |= rational_roots(diff.num).root_set()
+        return out
 
 
 _STABLE_EXPR = re.compile(r"^(-)?((?:f\d+\()*)P(\)*)$")
@@ -64,57 +132,28 @@ def _expand_stable(expr: str, cs: list[RatFunc], basepoint: RatFunc) -> RatFunc:
 
 @dataclass(frozen=True)
 class FamilyDef:
-    """A parametrized finite-orbit tuple with its claimed stable set."""
+    """A catalog family: its parametrized tuple and claimed stable set."""
 
     id: str
     description: str
     lemma: str
-    param: str
-    c_list: tuple[RatFunc, ...]
-    basepoint: RatFunc
+    tup: ParamTuple
     stable_exprs: tuple[str, ...]
     stable: tuple[RatFunc, ...]
-
-    def excluded_values(self) -> set[Fraction]:
-        """Parameter values where the family degenerates: any pole, or any
-        coefficient collision c_i = c_j."""
-        out: set[Fraction] = set()
-        for f in (*self.c_list, self.basepoint, *self.stable):
-            if f.den.degree > 0:
-                out |= set(rational_roots(f.den).roots)
-        for i in range(len(self.c_list)):
-            for j in range(i + 1, len(self.c_list)):
-                diff = self.c_list[i] - self.c_list[j]
-                if diff.is_zero():
-                    raise ValueError(f"{self.id}: identically equal maps")
-                if diff.num.degree > 0:
-                    out |= set(rational_roots(diff.num).roots)
-        return out
 
     def instance(self, t0) -> tuple[tuple[Fraction, ...], Fraction,
                                     tuple[Fraction, ...]]:
         """(coefficients, basepoint, stable set) at parameter t0; raises
         ExcludedParameter, naming the pole or the coefficient collision, at
-        an excluded value."""
-        t0 = exact_rational(t0)
-        at = f"at {self.param} = {rat_str(t0)}"
-        n = len(self.c_list)
-        names = [f"c{k + 1}" for k in range(n)] + ["the basepoint"] + \
-            ["a stable-set element"] * len(self.stable)
-        values = []
-        for name, f in zip(names, (*self.c_list, self.basepoint,
-                                   *self.stable)):
-            try:
-                values.append(f.specialize(t0))
-            except PoleError:
-                raise ExcludedParameter(
-                    f"{self.id}: pole of {name} {at}") from None
-        cs = tuple(values[:n])
-        for i, j in combinations(range(n), 2):
-            if cs[i] == cs[j]:
-                raise ExcludedParameter(f"{self.id}: coefficient collision "
-                                        f"c{i + 1} = c{j + 1} {at}")
-        return cs, values[n], tuple(values[n + 1:])
+        an excluded value.  The stable elements are polynomials in the
+        coefficients and the basepoint, so they have no poles of their
+        own."""
+        try:
+            cs, P = self.tup.at(t0)
+        except ExcludedParameter as e:
+            raise ExcludedParameter(f"{self.id}: {e}", e.t0, e.pole, e.pair,
+                                    e.cs) from None
+        return cs, P, tuple(u.specialize(t0) for u in self.stable)
 
 
 @dataclass(frozen=True)
@@ -125,9 +164,6 @@ class SporadicTuple:
     lemma: str | None
     cs: tuple[Fraction, ...]
     basepoints: tuple[Fraction, ...]
-
-    def map_set(self) -> MapSet:
-        return MapSet(self.cs)
 
 
 @lru_cache(maxsize=1)
@@ -143,8 +179,8 @@ def _load() -> tuple[tuple[FamilyDef, ...], tuple[SporadicTuple, ...],
         bp = RatFunc.parse(f["basepoint"], var)
         stable = tuple(_expand_stable(e, list(cs), bp) for e in f["stable"])
         families.append(
-            FamilyDef(f["id"], f["description"], f["lemma"], var, cs, bp,
-                      tuple(f["stable"]), stable)
+            FamilyDef(f["id"], f["description"], f["lemma"],
+                      ParamTuple(cs, bp), tuple(f["stable"]), stable)
         )
     pairs = tuple(
         SporadicTuple(s["id"], s.get("lemma"),
@@ -197,14 +233,9 @@ def family_verify_symbolic(fam: FamilyDef) -> bool:
     """Exact identity check in Q(t): every map of the family sends every
     claimed stable element to a claimed stable element."""
     stable = list(fam.stable)
-    for c in fam.c_list:
+    for c in fam.tup.cs:
         for u in stable:
             if apply_quadmap(c, u) not in stable:
                 return False
     return True
 
-
-def family_instance(fam: FamilyDef, t0) -> tuple[MapSet, Fraction]:
-    """Specialize the family at an admissible parameter value."""
-    cs, P, _ = fam.instance(t0)
-    return MapSet(cs), P

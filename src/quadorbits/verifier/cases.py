@@ -9,6 +9,9 @@ gives for each, the very entries the lemma verifier checks -- equate the
 shared data, and dispose of what is left: a symbolic coefficient
 collision, an equation with no rational roots, a delegated elliptic-curve
 argument, or a concrete tuple disposed of by ``symbolic`` as in the lemmas.
+A subcase branch in one parameter is a ``families.ParamTuple``, specialized
+only by ``ParamTuple.at``; each subcase driver records into one
+``CaseReport``.
 A case whose lemmas' catalog statements do not have the shape it consumes
 (so many families, so many sporadic pairs) returns one flagged report.
 Every exclusion carries a re-verifiable witness (a composition word and a
@@ -23,13 +26,14 @@ from fractions import Fraction
 from ..dynamics import OrbitResult, word_str
 from ..elliptic import MAZUR_CERTIFICATE, RANK_ZERO_CERTIFICATE, \
     c_rational_points, preimage_check, verify_curve_map
-from ..families import FamilyDef, SporadicTuple, lemma_statement
+from ..families import ExcludedParameter, FamilyDef, ParamTuple, \
+    SporadicTuple, lemma_statement
 from ..polynomials import BiPoly, ExactDivisionError, UniPoly
 from ..ratfunc import PoleError, RatFunc
 from ..rationals import rat_str
 from ..roots import rational_roots
 from .reports import CaseReport, Disposition, fmt_pair
-from .symbolic import ParamTuple, dispose_tuple, find_exclusion_relation
+from .symbolic import dispose_tuple, exclude_by_relation
 
 __all__ = ["verify_theorem_case", "CASE_DESCRIPTIONS"]
 
@@ -82,22 +86,18 @@ def _solve_linear_piece(piece: BiPoly) -> tuple[int, RatFunc]:
     raise ValueError(f"piece {piece} is not linear in either variable")
 
 
-def _report(case: int, sub: str, desc: str, deductions, witnesses, survivors,
-            flags) -> CaseReport:
-    return CaseReport(
-        case=case, subcase=sub, description=desc,
-        deductions=deductions, exclusion_witnesses=witnesses,
-        surviving_tuples=survivors,
-        verdict="pass" if not flags else "flagged", flags=flags)
+def _close(rep: CaseReport) -> CaseReport:
+    rep.verdict = "pass" if not rep.flags else "flagged"
+    return rep
 
 
-def _record(d: Disposition, finite: list[OrbitResult], P0: Fraction | None,
-            deductions, witnesses, survivors) -> None:
-    """Write one disposition (no families are offered, so never "family")
-    into the report lists; finite is its tuple's finite-orbit results and
-    P0 the basepoint its exclusion witness was sought from."""
+def _record(rep: CaseReport, d: Disposition, finite: list[OrbitResult],
+            P0: Fraction | None) -> None:
+    """Record one disposition (no families are offered, so never "family");
+    finite is its tuple's finite-orbit results and P0 the basepoint its
+    exclusion witness was sought from."""
     if d.kind in ("pole", "collision"):
-        deductions.append(f"{d.subject}: {d.detail}, contradiction")
+        rep.deductions.append(f"{d.subject}: {d.detail}, contradiction")
         return
     shown = "(" + ", ".join(d.data["c"]) + ")"
     if d.kind == "sporadic":
@@ -107,38 +107,30 @@ def _record(d: Disposition, finite: list[OrbitResult], P0: Fraction | None,
             "orbit_union": sorted({rat_str(q) for r in finite
                                    for q in r.orbit}),
         }
-        if entry not in survivors:
-            survivors.append(entry)
-        deductions.append(f"{d.subject}: tuple {shown} has finite-orbit "
-                          f"points {entry['basepoints']}")
+        if entry not in rep.surviving_tuples:
+            rep.surviving_tuples.append(entry)
+        rep.deductions.append(f"{d.subject}: tuple {shown} has finite-orbit "
+                              f"points {entry['basepoints']}")
     else:
         w = dict(d.data.get("witness", {}))
         w["tuple"] = d.data["c"]
         if P0 is not None:
             w["basepoint"] = rat_str(P0)
-        witnesses.append(w)
-        deductions.append(
+        rep.exclusion_witnesses.append(w)
+        rep.deductions.append(
             f"{d.subject}: tuple {shown} excluded (no finite-orbit "
             "points; witness recorded)")
 
 
-def _family_tuple_rf(fam: FamilyDef, var: str
-                     ) -> tuple[RatFunc, RatFunc, RatFunc]:
-    return (fam.c_list[0].relabel(var), fam.c_list[1].relabel(var),
-            fam.basepoint.relabel(var))
-
-
-def _run_exclusion(tup: ParamTuple, subject: str, deductions, witnesses,
-                   survivors) -> None:
-    word, target, relation, roots = find_exclusion_relation(tup)
-    deductions.append(
+def _run_exclusion(rep: CaseReport, tup: ParamTuple, subject: str) -> None:
+    word, target, relation, roots, disposed = \
+        exclude_by_relation(tup, f"{subject}, ")
+    rep.deductions.append(
         f"{subject}: relation from word '{word_str(word) or 'id'}' under map "
         f"{target + 1} has degree {relation.degree}; rational roots "
         f"{[rat_str(r) for r in roots]}")
-    for s0 in roots:
-        d, finite = tup.dispose(s0, f"{subject}, parameter {rat_str(s0)}")
-        P0 = tup.P.specialize(s0) if d.kind == "excluded" else None
-        _record(d, finite, P0, deductions, witnesses, survivors)
+    for d, finite, P0 in disposed:
+        _record(rep, d, finite, P0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,73 +142,69 @@ def _sub_family_family(case: int, sub: str, famA: FamilyDef, famB: FamilyDef,
                        ) -> CaseReport:
     """Both conclusions parametrized: equate the shared basepoint and
     follow every branch of the resulting curve."""
-    desc = (f"(c1, c2, P) from {famA.id}, (c1, c3, P) from {famB.id}"
-            + (" (mirrored roles)" if mirrored else ""))
-    deductions: list[str] = []
-    witnesses: list[dict] = []
-    survivors: list[dict] = []
-    flags: list[str] = []
-
-    cA1, cA2, PA = _family_tuple_rf(famA, "a")
-    cB1, cB2, PB = _family_tuple_rf(famB, "b")
-    N = _p_equation(PA, PB)
+    rep = CaseReport(case, sub,
+                     f"(c1, c2, P) from {famA.id}, (c1, c3, P) from {famB.id}"
+                     + (" (mirrored roles)" if mirrored else ""))
+    A, B = famA.tup.relabel("a"), famB.tup.relabel("b")
+    (cA1, cA2), (cB1, cB2) = A.cs, B.cs
+    N = _p_equation(A.P, B.P)
     pieces = [BiPoly.parse(s, ("a", "b")) for s in claimed_pieces]
     if not _verify_factorization(N, pieces):
-        flags.append(f"claimed factorization of the basepoint equation "
-                     f"failed: got {N}")
-        return _report(case, sub, desc, deductions, witnesses, survivors,
-                       flags)
-    deductions.append("basepoint equation factors exactly as "
-                      + " * ".join(f"({p})" for p in pieces))
+        rep.flags.append(f"claimed factorization of the basepoint equation "
+                         f"failed: got {N}")
+        return _close(rep)
+    rep.deductions.append("basepoint equation factors exactly as "
+                          + " * ".join(f"({p})" for p in pieces))
 
     for piece in pieces:
         if piece.degree(0) > 1 and piece.degree(1) > 1:
-            _elliptic_piece(piece, famA, famB, deductions, witnesses,
-                            survivors, flags)
+            _elliptic_piece(rep, piece, famA, famB)
             continue
         which, val = _solve_linear_piece(piece)
         if which == 1:  # b = g(a)
             consistent = (cB1.compose(val) - cA1).is_zero()
-            tup = ParamTuple((cA1, cA2, cB2.compose(val)), PA)
+            tup = ParamTuple((cA1, cA2, cB2.compose(val)), A.P)
             label = f"branch {piece} (b = {val})"
         else:  # a = g(b)
             consistent = (cA1.compose(val) - cB1).is_zero()
-            tup = ParamTuple((cB1, cA2.compose(val), cB2), PB)
+            tup = ParamTuple((cB1, cA2.compose(val), cB2), B.P)
             label = f"branch {piece} (a = {val})"
         if not consistent:
-            flags.append(f"{label}: the two expressions for c1 disagree")
+            rep.flags.append(f"{label}: the two expressions for c1 disagree")
             continue
         if (tup.cs[1] - tup.cs[2]).is_zero():
-            deductions.append(f"{label}: c2 = c3 identically, contradiction")
+            rep.deductions.append(
+                f"{label}: c2 = c3 identically, contradiction")
             continue
-        _run_exclusion(tup, label, deductions, witnesses, survivors)
-    return _report(case, sub, desc, deductions, witnesses, survivors, flags)
+        _run_exclusion(rep, tup, label)
+    return _close(rep)
 
 
-def _elliptic_piece(piece: BiPoly, famA: FamilyDef, famB: FamilyDef,
-                    deductions, witnesses, survivors, flags) -> None:
+def _elliptic_piece(rep: CaseReport, piece: BiPoly, famA: FamilyDef,
+                    famB: FamilyDef) -> None:
     """The quartic basepoint curve of the conic-family pairing; its
     rational points come from the rank-zero elliptic curve."""
     expected = BiPoly.parse("a^2*b^2 + a*b^2 - a - b^2", ("a", "b"))
     if piece != expected:
-        flags.append(f"unexpected nonlinear curve piece {piece}")
+        rep.flags.append(f"unexpected nonlinear curve piece {piece}")
         return
     if not verify_curve_map():
-        flags.append("the degree-one map onto y^2 = x^3 - 2x^2 + 1 failed "
-                     "its identity check")
+        rep.flags.append("the degree-one map onto y^2 = x^3 - 2x^2 + 1 "
+                         "failed its identity check")
         return
     if not preimage_check():
-        flags.append("unexpected preimages of (1, 0) on the basepoint curve")
+        rep.flags.append("unexpected preimages of (1, 0) on the basepoint "
+                         "curve")
         return
-    deductions.append(
+    rep.deductions.append(
         "basepoint curve maps with degree one onto y^2 = x^3 - 2x^2 + 1; "
         + RANK_ZERO_CERTIFICATE + "; " + MAZUR_CERTIFICATE)
     pts = c_rational_points()
-    deductions.append(
+    rep.deductions.append(
         "rational points of the basepoint curve: "
         + ", ".join(f"({rat_str(t)}, {rat_str(u)})" for t, u in sorted(pts)))
-    cA1, cA2, PA = _family_tuple_rf(famA, "a")
-    cB1, cB2, PB = _family_tuple_rf(famB, "b")
+    (cA1, cA2), PA = famA.tup.cs, famA.tup.P
+    cB1, cB2 = famB.tup.cs
     # in every catalog family the basepoint's poles are among the
     # coefficients', so each pole here makes a coefficient infinite
     for (t0, u0) in sorted(pts):
@@ -225,14 +213,13 @@ def _elliptic_piece(piece: BiPoly, famA: FamilyDef, famB: FamilyDef,
             cs = [cA1.specialize(t0), cA2.specialize(t0), cB2.specialize(u0)]
             c1_b, P0 = cB1.specialize(u0), PA.specialize(t0)
         except PoleError:
-            deductions.append(
+            rep.deductions.append(
                 f"{subject}: a coefficient becomes infinite, contradiction")
             continue
         if cs[0] != c1_b:
-            flags.append(f"{subject}: inconsistent c1")
+            rep.flags.append(f"{subject}: inconsistent c1")
             continue
-        _record(*dispose_tuple(subject, cs, P0), P0, deductions, witnesses,
-                survivors)
+        _record(rep, *dispose_tuple(subject, cs, P0), P0)
 
 
 def _sub_family_pairs(case: int, sub: str, fam: FamilyDef,
@@ -248,63 +235,54 @@ def _sub_family_pairs(case: int, sub: str, fam: FamilyDef,
     desc = (f"(c1, c2, P) from {fam.id}, (c1, c3) in {{{labels}}}"
             if fam_first else
             f"(c1, c2) in {{{labels}}}, (c1, c3, P) from {fam.id}")
-    if mirrored:
-        desc += " (mirrored roles)"
-    deductions: list[str] = []
-    witnesses: list[dict] = []
-    survivors: list[dict] = []
-    flags: list[str] = []
-    c1f, c2f, Pf = _family_tuple_rf(fam, "s")
+    rep = CaseReport(case, sub,
+                     desc + (" (mirrored roles)" if mirrored else ""))
     for sp in pairs:
         q1, q2 = sp.cs
         label = fmt_pair(sp.cs)
-        eq = c1f - q1
+        eq = fam.tup.cs[0] - q1
         roots = sorted(rational_roots(eq.num).root_set()) \
             if eq.num.degree > 0 else []
         if not roots:
-            deductions.append(
+            rep.deductions.append(
                 f"{fam.id} with {label}: c1 = {rat_str(q1)} has "
                 "no rational solutions, contradiction")
             continue
-        deductions.append(
+        rep.deductions.append(
             f"{fam.id} with {label}: c1 = {rat_str(q1)} at "
             f"parameters {[rat_str(r) for r in roots]}")
         for s0 in roots:
             subject = f"{label}, parameter {rat_str(s0)}"
             try:
-                other, P0 = c2f.specialize(s0), Pf.specialize(s0)
-            except PoleError:
-                deductions.append(
-                    f"{subject}: parametrization pole, contradiction")
+                (_, other), P0 = fam.tup.at(s0)
+            except ExcludedParameter as e:  # a collision of the triple too
+                what = "parametrization pole" if e.pole else \
+                    "coefficient collision"
+                rep.deductions.append(f"{subject}: {what}, contradiction")
                 continue
             cs = [q1, other, q2] if fam_first else [q1, q2, other]
-            _record(*dispose_tuple(subject, cs, P0), P0, deductions,
-                    witnesses, survivors)
-    return _report(case, sub, desc, deductions, witnesses, survivors, flags)
+            _record(rep, *dispose_tuple(subject, cs, P0), P0)
+    return _close(rep)
 
 
 def _sub_pairs_pairs(case: int, sub: str, pairsA: Sequence[SporadicTuple],
                      pairsB: Sequence[SporadicTuple]) -> CaseReport:
-    desc = (f"(c1, c2) in {{{', '.join(fmt_pair(p.cs) for p in pairsA)}}}, "
-            f"(c1, c3) in {{{', '.join(fmt_pair(p.cs) for p in pairsB)}}}")
-    deductions: list[str] = []
-    witnesses: list[dict] = []
-    survivors: list[dict] = []
+    la, lb = (", ".join(fmt_pair(p.cs) for p in ps) for ps in (pairsA, pairsB))
+    rep = CaseReport(case, sub, f"(c1, c2) in {{{la}}}, (c1, c3) in {{{lb}}}")
     for pa in pairsA:
         for pb in pairsB:
             q1, q2 = pa.cs
             r1, r2 = pb.cs
             tag = f"{fmt_pair(pa.cs)} with {fmt_pair(pb.cs)}"
             if q1 != r1:
-                deductions.append(f"{tag}: the demanded values of c1 differ, "
-                                  "impossible")
+                rep.deductions.append(f"{tag}: the demanded values of c1 "
+                                      "differ, impossible")
                 continue
             if q2 == r2:
-                deductions.append(f"{tag}: c2 = c3, contradiction")
+                rep.deductions.append(f"{tag}: c2 = c3, contradiction")
                 continue
-            _record(*dispose_tuple(tag, [q1, q2, r2], None), None,
-                    deductions, witnesses, survivors)
-    return _report(case, sub, desc, deductions, witnesses, survivors, [])
+            _record(rep, *dispose_tuple(tag, [q1, q2, r2], None), None)
+    return _close(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +324,14 @@ def verify_theorem_case(case: int) -> list[CaseReport]:
         raise ValueError(f"case must be 1..10, got {case}")
     mismatch = _statement_mismatch(case)
     if mismatch is not None:
-        return [_report(case, str(case), CASE_DESCRIPTIONS[case], [], [], [],
-                        [mismatch])]
+        return [_close(CaseReport(case, str(case), CASE_DESCRIPTIONS[case],
+                                  flags=[mismatch]))]
     return _CASES[case]()
 
 
 def _conclusion(case: int, deductions: list[str]) -> list[CaseReport]:
-    return [_report(case, str(case), CASE_DESCRIPTIONS[case], deductions,
-                    [], [], [])]
+    return [_close(CaseReport(case, str(case), CASE_DESCRIPTIONS[case],
+                              deductions))]
 
 
 def _unique_pair(case: int, first: str, second: str) -> list[CaseReport]:

@@ -2,15 +2,15 @@
 
 Each driver rebuilds the lemma's parametrized preperiodicity relations in
 factored form, eliminates one variable by resultants, extracts the complete
-rational candidate list and back-substitutes.  A candidate pair whose
-coefficients hit a parametrization pole is reported as a pole; every other
-pair goes to ``symbolic.dispose_tuple``, which decides collision, family
-membership (with the basepoint matched), or finite-orbit points by complete
-basepoint enumeration.  Structural curve factors get their own branch
-analyses: collision branches are certified by a symbolic identity, family
-branches by matching the catalog formulas, and excluded branches by a
-shortest non-vanishing word relation whose rational roots are disposed one
-by one through ``ParamTuple.dispose``.
+rational candidate list and back-substitutes.  A candidate pair (two
+parameter values) whose coefficients hit a parametrization pole is reported
+as a pole; every other pair goes to ``symbolic.dispose_tuple``, which
+decides collision, family membership (with the basepoint matched), or
+finite-orbit points by complete basepoint enumeration.  Each structural
+curve factor is parametrized as a ``families.ParamTuple`` and analysed on
+its own: collision branches are certified by a symbolic identity, family
+branches by equality with the catalog family's tuple, and excluded branches
+by ``symbolic.exclude_by_relation``.
 
 The families and sporadic pairs each lemma must re-derive are not written
 here: they are the catalog entries ``families.lemma_statement`` returns for
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..dynamics import word_str
-from ..families import FamilyDef, catalog, family_by_id, \
+from ..families import FamilyDef, ParamTuple, catalog, family_by_id, \
     family_verify_symbolic, lemma_statement
 from ..groebner import Budget, BudgetExhausted, buchberger, normal_form
 from ..polynomials import BiPoly, UniPoly
@@ -39,8 +39,8 @@ from .elimination import GeneratorFactors, common_specialized_gcd, \
     eliminate_candidates
 from .reports import CurveBranchReport, Disposition, GroebnerOutcome, \
     LemmaReport, fmt_pair
-from .symbolic import BiRat, ParamTuple, dispose_tuple, \
-    find_exclusion_relation, iterate_diff_factors, three_cycle_parametrization
+from .symbolic import BiRat, dispose_tuple, exclude_by_relation, \
+    iterate_diff_factors, three_cycle_parametrization
 
 __all__ = ["LEMMA_IDS", "verify_lemma", "lemma_setup"]
 
@@ -286,23 +286,20 @@ def _verify_branch(setup: LemmaSetup, br: BranchSpec, curve: BiPoly,
                                  parametrization=param_doc)
     if br.kind == "family":
         fam = family_by_id(br.family_id)
-        ok = (on_curve
-              and tup.cs[0] == fam.c_list[0].relabel(br.y_of_s.var)
-              and tup.cs[1] == fam.c_list[1].relabel(br.y_of_s.var)
-              and tup.P == fam.basepoint.relabel(br.y_of_s.var))
+        ok = on_curve and tup == fam.tup.relabel(br.y_of_s.var)
         return CurveBranchReport(br.curve, "family", ok,
                                  family_id=br.family_id,
                                  parametrization=param_doc)
     # excluded branch: find a non-vanishing word relation and dispose of
     # its complete rational root list
-    word, target, relation, roots = find_exclusion_relation(tup)
+    word, target, relation, roots, disposed = \
+        exclude_by_relation(tup, families=families)
     return CurveBranchReport(
         br.curve, "excluded", on_curve, parametrization=param_doc,
         word=word_str(word), target_map=target + 1,
         relation_degree=relation.degree,
         roots=[rat_str(r) for r in roots],
-        dispositions=[tup.dispose(s0, f"parameter {rat_str(s0)}", families)[0]
-                      for s0 in roots])
+        dispositions=[d for d, _, _ in disposed])
 
 
 def _eval_curve(curve: BiPoly, fy: RatFunc, fv: RatFunc) -> RatFunc:
@@ -489,7 +486,7 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
                       "is " + ", ".join(fmt_pair(p.cs) for p in stated_pairs))
     else:
         conclusion = ("classification: families "
-                      + ", ".join(sorted(families_found))
+                      + ", ".join(sorted(f.id for f in stated_fams))
                       + " plus sporadic pairs "
                       + ", ".join(sorted(fmt_pair(p) for p in sporadic_found)))
 

@@ -147,13 +147,15 @@ class LemmaReport:
 
 @dataclass
 class CaseReport:
+    """One subcase; its driver fills the lists, then sets the verdict."""
+
     case: int
     subcase: str
     description: str
-    deductions: list[str]
-    exclusion_witnesses: list[dict]
-    surviving_tuples: list[dict]
-    verdict: str  # "pass" | "flagged"
+    deductions: list[str] = field(default_factory=list)
+    exclusion_witnesses: list[dict] = field(default_factory=list)
+    surviving_tuples: list[dict] = field(default_factory=list)
+    verdict: str = ""  # "pass" | "flagged"
     flags: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:

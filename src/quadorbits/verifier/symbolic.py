@@ -20,23 +20,25 @@ works with these small factors throughout; resultant multiplicativity
 makes the product of the pairwise eliminants the full resultant.
 
 Every specialized candidate of the lemmas and the cases is disposed of
-here: ``ParamTuple.dispose`` finds a pole (a ``PoleError``) or a
-coefficient collision at a parameter value, and ``dispose_tuple`` decides a
-concrete tuple by family membership or complete basepoint enumeration.
+here: ``dispose_at`` turns the ``ExcludedParameter`` that
+``families.ParamTuple.at`` raises at a parameter value into a pole or
+collision disposition, and ``dispose_tuple`` decides a concrete tuple by
+family membership or complete basepoint enumeration.  An excluded curve
+branch or subcase branch ends in ``exclude_by_relation``: a shortest
+non-vanishing word relation, then ``dispose_at`` of each rational root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .. import _intpoly as zp
 from ..dynamics import MapSet, OrbitResult, Word, finite_orbit_points, \
     monoid_orbit, word_str
-from ..families import ExcludedParameter, FamilyDef
+from ..families import ExcludedParameter, FamilyDef, ParamTuple
 from ..polynomials import BiPoly, UniPoly
-from ..ratfunc import PoleError, RatFunc
+from ..ratfunc import RatFunc
 from ..rationals import rat_str
 from ..roots import rational_roots
 from .axioms import poonen_criterion
@@ -46,10 +48,11 @@ __all__ = [
     "BiRat",
     "three_cycle_parametrization",
     "iterate_diff_factors",
-    "ParamTuple",
+    "dispose_at",
     "dispose_tuple",
     "word_relation_roots",
     "find_exclusion_relation",
+    "exclude_by_relation",
 ]
 
 
@@ -224,44 +227,26 @@ def iterate_diff_factors(c: BiRat, x0: BiRat, fixed_s: BiRat | None = None,
 
 
 # ---------------------------------------------------------------------------
-# parametrized tuples and word relations over Q(t)
+# dispositions and word relations of parametrized tuples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParamTuple:
-    """A tuple (c_1(t), ..., c_s(t), P(t)) of one-parameter rational
-    functions, the shape every curve branch and subcase reduces to."""
-
-    cs: tuple[RatFunc, ...]
-    P: RatFunc
-
-    def apply_word(self, word: Word) -> RatFunc:
-        x = self.P
-        for i in word:
-            x = x * x + self.cs[i]
-        return x
-
-    def dispose(self, t0: Fraction, subject: str, families=()
-                ) -> tuple[Disposition, list[OrbitResult]]:
-        """Disposition of the tuple at parameter t0, with the finite-orbit
-        results behind it: a pole of a coefficient or of the basepoint, a
-        coefficient collision, or else ``dispose_tuple`` of the values."""
-        names = [f"c{k + 1}" for k in range(len(self.cs))] + ["basepoint"]
-        vals = []
-        for name, f in zip(names, (*self.cs, self.P)):
-            try:
-                vals.append(f.specialize(t0))
-            except PoleError:
-                return Disposition(subject, "pole",
-                                   f"{name} has a pole at {rat_str(t0)}"), []
-        *cs, P0 = vals
-        for i, j in combinations(range(len(cs)), 2):
-            if cs[i] == cs[j]:
-                return Disposition(
-                    subject, "collision",
-                    f"c{i + 1} = c{j + 1} at {rat_str(t0)}",
-                    {"c": [rat_str(c) for c in cs]}), []
-        return dispose_tuple(subject, cs, P0, families)
+def dispose_at(tup: ParamTuple, t0: Fraction, subject: str, families=()
+               ) -> tuple[Disposition, list[OrbitResult], Fraction | None]:
+    """Disposition of the tuple at parameter t0, with the finite-orbit
+    results behind it and the basepoint value: a pole of a coefficient or
+    of the basepoint, or a coefficient collision (both with no results and
+    no basepoint), or else ``dispose_tuple`` of the values."""
+    try:
+        cs, P0 = tup.at(t0)
+    except ExcludedParameter as e:
+        at = rat_str(e.t0)
+        if e.pole:
+            return Disposition(subject, "pole",
+                               f"{e.pole} has a pole at {at}"), [], None
+        i, j = e.pair
+        return Disposition(subject, "collision", f"c{i} = c{j} at {at}",
+                           {"c": [rat_str(c) for c in e.cs]}), [], None
+    return (*dispose_tuple(subject, list(cs), P0, families), P0)
 
 
 def _family_accounts(fam: FamilyDef, c1: Fraction, c2: Fraction,
@@ -269,7 +254,7 @@ def _family_accounts(fam: FamilyDef, c1: Fraction, c2: Fraction,
     """Parameter at which the family instance equals (c1, c2) AND its
     stable set (with the basepoint) covers every finite-orbit basepoint of
     the pair; a pair so covered carries no structure beyond the family."""
-    diff = fam.c_list[0] - c1
+    diff = fam.tup.cs[0] - c1
     if diff.num.degree <= 0:
         # a constant difference either never vanishes or fails to pin the
         # parameter; the catalog families all have non-constant c1
@@ -379,3 +364,14 @@ def find_exclusion_relation(tup: ParamTuple
         words = next_words
     raise ArithmeticError("no non-vanishing word relation up to length "
                           f"{MAX_WORD_LEN}; the family looks finite-orbit")
+
+
+def exclude_by_relation(tup: ParamTuple, prefix: str = "", families=()
+                        ) -> tuple[Word, int, UniPoly, list[Fraction], list]:
+    """``find_exclusion_relation`` of the tuple, plus ``dispose_at`` of each
+    of its rational roots r, with subject prefix + "parameter r": the end
+    of every excluded curve branch and of every subcase branch."""
+    word, target, relation, roots = find_exclusion_relation(tup)
+    return word, target, relation, roots, [
+        dispose_at(tup, r, f"{prefix}parameter {rat_str(r)}", families)
+        for r in roots]

@@ -3,12 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadorbits.dynamics import monoid_orbit
-from quadorbits.families import ExcludedParameter, catalog, family_by_id, \
-    family_instance, family_verify_symbolic, lemma_statement, \
-    sporadic_pairs, sporadic_triples
-from quadorbits.rationals import rat
+from quadorbits.dynamics import MapSet, monoid_orbit
+from quadorbits.families import ExcludedParameter, ParamTuple, catalog, \
+    family_by_id, family_verify_symbolic, lemma_statement, sporadic_pairs, \
+    sporadic_triples
+from quadorbits.rationals import rat, rat_str
+from quadorbits.verifier.lemmas import LEMMA_IDS, _branch_tuple, lemma_setup
+
+
+def family_instance(fam, t0):
+    """The map set and basepoint of a family at t0."""
+    cs, P, _ = fam.instance(t0)
+    return MapSet(cs), P
 
 
 class TestCatalog:
@@ -43,7 +51,7 @@ class TestCatalog:
     def test_every_sporadic_basepoint_confirms(self):
         _, sporadics = catalog()
         for s in sporadics:
-            S = s.map_set()
+            S = MapSet(s.cs)
             for P in s.basepoints:
                 assert monoid_orbit(S, P).is_finite(), (s.id, P)
 
@@ -94,25 +102,25 @@ class TestInstances:
             family_instance(family_by_id("F-11b"), 1)
 
     def test_excluded_values_computed(self):
-        assert family_by_id("F-11a").excluded_values() == {Fraction(-1)}
-        assert family_by_id("F-11b").excluded_values() == \
+        assert family_by_id("F-11a").tup.excluded_values() == {Fraction(-1)}
+        assert family_by_id("F-11b").tup.excluded_values() == \
             {Fraction(1), Fraction(-1)}
-        assert family_by_id("F-12a").excluded_values() == set()
+        assert family_by_id("F-12a").tup.excluded_values() == set()
 
     def test_only_ints_and_fractions_are_accepted(self):
         fam = family_by_id("F-12a")
         for bad in (0.5, "1/2", "3"):
             with pytest.raises(TypeError):
-                family_instance(fam, bad)
-            with pytest.raises(TypeError):
                 fam.instance(bad)
+            with pytest.raises(TypeError):
+                fam.tup.at(bad)
 
 
 class TestFamilyInstance:
     def test_raises_at_every_excluded_value(self):
         fams, _ = catalog()
         for fam in fams:
-            for t0 in fam.excluded_values():
+            for t0 in fam.tup.excluded_values():
                 with pytest.raises(ExcludedParameter,
                                    match=f"^{fam.id}: (pole|coefficient)"):
                     fam.instance(t0)
@@ -120,13 +128,13 @@ class TestFamilyInstance:
     def test_equals_specialize_elsewhere(self):
         fams, _ = catalog()
         for fam in fams:
-            excluded = fam.excluded_values()
+            excluded = fam.tup.excluded_values()
             for t0 in (Fraction(k, 3) for k in range(-9, 10)):
                 if t0 in excluded:
                     continue
                 cs, P, stable = fam.instance(t0)
-                assert cs == tuple(c.specialize(t0) for c in fam.c_list)
-                assert P == fam.basepoint.specialize(t0)
+                assert cs == tuple(c.specialize(t0) for c in fam.tup.cs)
+                assert P == fam.tup.P.specialize(t0)
                 assert stable == tuple(u.specialize(t0) for u in fam.stable)
 
     def test_reason_names_the_function_and_the_value(self):
@@ -137,6 +145,82 @@ class TestFamilyInstance:
             family_by_id("F-11a").instance(-1)
         assert str(e.value) == \
             "F-11a: coefficient collision c1 = c2 at y = -1"
+
+
+def _one_parameter_tuples() -> dict[str, ParamTuple]:
+    """Every catalog family's tuple and every curve-branch tuple of the six
+    lemma setups, by name."""
+    out = {fam.id: fam.tup for fam in catalog()[0]}
+    for lemma_id in LEMMA_IDS:
+        setup = lemma_setup(lemma_id)
+        for br in setup.branches:
+            out[f"{lemma_id} {br.curve}"] = _branch_tuple(setup, br)
+    return out
+
+
+TUPLES = _one_parameter_tuples()
+# branches on which c1 = c2 identically: every value is excluded
+COLLIDING = {name for name, tup in TUPLES.items()
+             if (tup.cs[0] - tup.cs[1]).is_zero()}
+EXCLUDED = {name: tup.excluded_values() for name, tup in TUPLES.items()
+            if name not in COLLIDING}
+small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+class TestParamTupleAt:
+    def test_tuples_cover_families_and_every_kind_of_branch(self):
+        assert len(TUPLES) == 5 + 18 and len(COLLIDING) == 8
+
+    @pytest.mark.parametrize("name", sorted(EXCLUDED))
+    def test_raises_at_every_excluded_value(self, name):
+        tup = TUPLES[name]
+        for t0 in EXCLUDED[name]:
+            with pytest.raises(ExcludedParameter) as e:
+                tup.at(t0)
+            e = e.value
+            assert e.t0 == t0
+            if e.pole:
+                names = [f"c{k + 1}" for k in range(len(tup.cs))] + \
+                    ["basepoint"]
+                f = (*tup.cs, tup.P)[names.index(e.pole)]
+                assert f.den(t0) == 0
+                shown = "the basepoint" if e.pole == "basepoint" else e.pole
+                assert str(e) == \
+                    f"pole of {shown} at {tup.P.var} = {rat_str(t0)}"
+            else:
+                i, j = e.pair
+                assert e.cs == tuple(c.specialize(t0) for c in tup.cs)
+                assert e.cs[i - 1] == e.cs[j - 1]
+
+    @pytest.mark.parametrize("name", sorted(COLLIDING))
+    def test_identically_equal_coefficients_exclude_every_value(self, name):
+        tup = TUPLES[name]
+        with pytest.raises(ValueError, match="identically equal"):
+            tup.excluded_values()
+        for t0 in (Fraction(k, 2) for k in range(-6, 7)):
+            with pytest.raises(ExcludedParameter):
+                tup.at(t0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small)
+    def test_raises_exactly_on_excluded_values(self, t0):
+        for name, tup in TUPLES.items():
+            excluded = name in COLLIDING or t0 in EXCLUDED[name]
+            try:
+                cs, P = tup.at(t0)
+            except ExcludedParameter:
+                assert excluded, (name, t0)
+                continue
+            assert not excluded, (name, t0)
+            assert cs == tuple(c.specialize(t0) for c in tup.cs)
+            assert P == tup.P.specialize(t0)
+
+    def test_relabel_keeps_the_values(self):
+        tup = family_by_id("F-11b").tup
+        moved = tup.relabel("s")
+        assert moved.P.var == "s" and {c.var for c in moved.cs} == {"s"}
+        assert moved.at(Fraction(2)) == tup.at(Fraction(2))
+        assert moved.excluded_values() == tup.excluded_values()
 
 
 class TestLemmaStatement:
@@ -160,7 +244,7 @@ class TestRandomSpecializations:
         rng = random.Random(17)
         fams, _ = catalog()
         for fam in fams:
-            excluded = fam.excluded_values()
+            excluded = fam.tup.excluded_values()
             done = 0
             while done < 6:
                 t0 = Fraction(rng.randint(-40, 40), rng.randint(1, 12))

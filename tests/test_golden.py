@@ -1,0 +1,79 @@
+"""Golden reports: the SHA-256 of each section of the canonical dump.
+
+The sections are the six ``verify_lemma(id).to_dict()`` without
+``seconds``, the ten ``verify_theorem_case(n)`` as lists of ``to_dict()``,
+``quadorbits family verify --id <id> --format json`` for the five families
+and ``verify_theorem().to_dict()``.  Each is hashed as
+``json.dumps(section, sort_keys=True)``, so a failure names the lemma,
+case or family whose report changed.  Laid out as ``{"lemmas": {id: ...},
+"cases": {"n": [...]}, "families": {id: ...}, "theorem": ...}``, the
+whole dump hashes to 7cfadf118e17c78d6f533db59c1595b61788f93aa5d4832826a7
+7737a6c6a1f1.  A deliberate change to a report updates its hash here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from quadorbits import cli
+from quadorbits.verifier import verify_theorem_case
+
+LEMMAS = {
+    "2.1": "888438bd48c94811a6741f4085cfe13f0f4f7dbf3ba8ca45f52655cb14e016bf",
+    "2.2": "f343bc9a8121009d16b1aa3a844e55b596b9aed3d7dd540d56a1eae063854e56",
+    "2.3": "08de2f45f557dedeae99a7dd02f71f93f59ddea50b88ebf6588df46ac13c424e",
+    "2.4": "68031b71582f753652a8d6e84fcd79e13cd86a14e517f7dd20ecab6266dc5130",
+    "2.5": "c55a78d630a0f83409912353a5d9cf3885c48c1a86d69cb1994ac8be0b474a90",
+    "2.6": "60e3424cbd0a18be9679138bd82507ddff8a5f7026872660fe06ebaae5eb6668",
+}
+CASES = {
+    1: "2871aad2569f8b4de76edc8c5e0d37d725d1a83b9aa85f70ae39bc36441a1419",
+    2: "9e9558c34f49d0023d06d5c108da363266fc4e242bb32f58f3555810ca095595",
+    3: "78a4f70567abc7d1c39e491dc72f36852aa7e7e56f843f7c990ca7196d0255a3",
+    4: "4552d820ddefcf5b6c9ea9ea30ab35647a6a8935c77db776fa77777bd9910d06",
+    5: "7c14a52b124c9b2694f86da3ca90440896f0be6a13e00e64a4f626d6a6d88abe",
+    6: "bffc4a746d9708c5eeed11c26f02e330678be16adba46e8378533d3911fdeba4",
+    7: "3b1702fa854768bc5dc09971e24bccb1bac3bb9672e1aa4a7abcf5f60b29da3b",
+    8: "d07a459bbd982b91e74bef0218e5dbf315a53e618695d6ed493740412b4ea171",
+    9: "4e113f78728d81fec74263d6fc48074fb7738a6e94bbf0d146740c7b04fbae14",
+    10: "3be915434bd797e33108422d5601ddff420cbbc187b59af06c7da53e50574032",
+}
+FAMILIES = {
+    "F-11a": "e82c6043ccf70095c501968dfde060342d8edd253e8ab3ffc716e3b684bab838",
+    "F-11b": "4ad3c6271872a36f3e27ad56dbbf7339e37e0aa192b167dc5cc76e266201ff6c",
+    "F-12a": "439890c6a8717d66364059067d944b382ca3d5d6f38f7004e4fcceb750807549",
+    "F-12b": "38b4f96ddb60cc365722518daa18947c03f5a779ec4f0069c2b1cdd24c717942",
+    "F-22a": "f757e5197af1ab327209a167e6604bf252e82c141b40ffaa25d66f59109c3ccf",
+}
+THEOREM = "f2b7dc7f174f23def90952a14297b99ff6afcd6c9dccb5c922c8bc113ff99e03"
+
+
+def digest(section) -> str:
+    return hashlib.sha256(
+        json.dumps(section, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("lemma_id", sorted(LEMMAS))
+def test_lemma_report(lemma_report, lemma_id):
+    d = lemma_report(lemma_id).to_dict()
+    del d["seconds"]
+    assert digest(d) == LEMMAS[lemma_id]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_case_reports(case):
+    assert digest([r.to_dict() for r in verify_theorem_case(case)]) == \
+        CASES[case]
+
+
+@pytest.mark.parametrize("family_id", sorted(FAMILIES))
+def test_family_verify_json(capsys, family_id):
+    assert cli.main(["family", "verify", "--id", family_id,
+                     "--format", "json"]) == 0
+    assert digest(json.loads(capsys.readouterr().out)) == \
+        FAMILIES[family_id]
+
+
+def test_theorem_summary(theorem_summary):
+    assert digest(theorem_summary.to_dict()) == THEOREM

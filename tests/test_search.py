@@ -46,14 +46,13 @@ class TestSmallGrids:
     def test_catalog_instances_in_grid_are_found(self):
         # the two-map families specialize into small grids; every instance
         # with coefficients inside the grid must be discovered
-        from quadorbits.families import family_by_id, family_instance
+        from quadorbits.families import family_by_id
 
         spec = SearchSpec(2, 4, 12)
         found = {frozenset(t.cs) for t in search(spec)}
         fam = family_by_id("F-12a")
         for t0 in (Fraction(0), Fraction(1), Fraction(2), Fraction(-2)):
-            S, P = family_instance(fam, t0)
-            cs = frozenset(f.c for f in S)
+            cs = frozenset(fam.instance(t0)[0])
             if all(abs(c) <= 3 and c.denominator in (1, 2, 4) for c in cs):
                 assert cs in found, t0
 

@@ -10,7 +10,7 @@ from oracles import all_pairs_candidates
 from quadorbits import families
 from quadorbits.dynamics import MapSet, QuadMap, apply_word, \
     finite_orbit_points
-from quadorbits.families import lemma_statement
+from quadorbits.families import ParamTuple, lemma_statement
 from quadorbits.groebner import Budget
 from quadorbits.polynomials import BiPoly, bivariate_gcd
 from quadorbits.ratfunc import RatFunc
@@ -24,8 +24,8 @@ from quadorbits.verifier.elimination import GeneratorFactors, \
 from quadorbits.verifier.lemmas import LEMMA_IDS, groebner_route, \
     lemma_setup
 from quadorbits.verifier.reports import fmt_pair
-from quadorbits.verifier.symbolic import ParamTuple, dispose_tuple, \
-    three_cycle_parametrization
+from quadorbits.verifier.symbolic import dispose_at, dispose_tuple, \
+    exclude_by_relation, three_cycle_parametrization
 
 
 class TestAxioms:
@@ -64,16 +64,16 @@ class TestThreeCycleParametrization:
 
 
 class TestLemma24Fast:
-    def test_full_verification(self):
-        rep = verify_lemma("2.4")
+    def test_full_verification(self, lemma_report):
+        rep = lemma_report("2.4")
         assert rep.verdict == "pass"
         assert rep.candidates == ["-1", "0"]
         assert rep.sporadic_found == []
         assert all(b.verified for b in rep.curve_branches)
         assert {b.kind for b in rep.curve_branches} == {"collision"}
 
-    def test_report_serializes(self):
-        rep = verify_lemma("2.4")
+    def test_report_serializes(self, lemma_report):
+        rep = lemma_report("2.4")
         d = rep.to_dict()
         assert d["lemma"] == "2.4" and d["verdict"] == "pass"
         assert d["structural_divisions"]
@@ -177,14 +177,14 @@ class TestCaseMachinery:
 
 
 class TestLemmaReportSoundness:
-    def test_dispositions_reverify_via_dynamics(self):
+    def test_dispositions_reverify_via_dynamics(self, lemma_report):
         """No disposition rests on symbolic reasoning alone: collisions
         show equal coefficients, sporadic pairs re-verify by closure, and
         family members re-verify as specialized instances."""
         from quadorbits.dynamics import monoid_orbit
         from quadorbits.families import family_by_id
 
-        rep = verify_lemma("2.2")
+        rep = lemma_report("2.2")
         assert rep.verdict == "pass"
         seen_kinds = set()
         all_disps = list(rep.pair_dispositions)
@@ -204,20 +204,21 @@ class TestLemmaReportSoundness:
                 fam = family_by_id(d.data["family"])
                 t0 = rat(d.data["parameter"])
                 cs = [rat(c) for c in d.data["c"]]
-                assert [c.specialize(t0) for c in fam.c_list] == cs
+                assert list(fam.tup.at(t0)[0]) == cs
         assert {"sporadic", "family"} <= seen_kinds
 
 
 class TestLemmaStatementFromCatalog:
     @pytest.mark.parametrize("lemma_id", ["2.1", "2.2", "2.3", "2.5", "2.6"])
-    def test_report_concludes_the_catalog_statement(self, lemma_id):
+    def test_report_concludes_the_catalog_statement(self, lemma_report,
+                                                    lemma_id):
         """What each lemma re-derives is what the ten cases consume: its
         curve branches reach exactly the stated families, and its sporadic
         pairs are exactly the stated pairs.  The report's families add only
         those that account for a disposed candidate pair (lemma 2.2 meets
         pairs of F-11a, whose second map also has a rational 2-cycle)."""
         fams, pairs = lemma_statement(lemma_setup(lemma_id).statement)
-        d = verify_lemma(lemma_id).to_dict()
+        d = lemma_report(lemma_id).to_dict()
         assert d["verdict"] == "pass"
         stated = {f.id for f in fams}
         assert {b["family"] for b in d["curve_branches"]
@@ -227,6 +228,16 @@ class TestLemmaStatementFromCatalog:
         assert d["families"] == sorted(stated | members)
         assert d["sporadic_pairs"] == sorted(fmt_pair(p.cs) for p in pairs)
         assert d["expected_sporadic_pairs"] == d["sporadic_pairs"]
+
+    def test_conclusion_names_the_stated_families(self, lemma_report):
+        """Lemma 2.2's disposed pairs include two of F-11a, so its report
+        lists F-11a among the families reached; the conclusion states
+        lemma 2.2's own families, as the catalog assigns them."""
+        rep = lemma_report("2.2")
+        assert rep.families_found == ["F-11a", "F-12a", "F-12b"]
+        assert rep.conclusion == (
+            "classification: families F-12a, F-12b plus sporadic pairs "
+            "(-21/16, -13/16), (-5/16, -13/16)")
 
     @staticmethod
     def _catalog_without(monkeypatch, pair_id):
@@ -271,10 +282,8 @@ class TestLemmaStatementFromCatalog:
 
 
 class TestTheoremEndToEnd:
-    def test_full_verification(self):
-        from quadorbits.verifier import verify_theorem
-
-        summary = verify_theorem()
+    def test_full_verification(self, theorem_summary):
+        summary = theorem_summary
         assert summary.verdict == "pass", summary.flags
         assert summary.lemma_verdicts == {lid: "pass" for lid in
                                           ("2.1", "2.2", "2.3", "2.4",
@@ -318,6 +327,21 @@ class TestSubcaseExclusionSearch:
         # every finite-orbit parameter value must zero the relation
         assert relation(rat("-1/2")) == 0
 
+    def test_every_root_of_the_relation_is_disposed(self):
+        tup = TestParamTupleDispose.tup
+        word, target, relation, roots, disposed = \
+            exclude_by_relation(tup, "branch, ")
+        assert (word, target, relation, roots) == \
+            symbolic.find_exclusion_relation(tup)
+        assert [d.subject for d, _, _ in disposed] == \
+            [f"branch, parameter {rat_str(r)}" for r in roots]
+        assert disposed == [dispose_at(tup, r, f"branch, parameter "
+                                                f"{rat_str(r)}")
+                            for r in roots]
+        survivor = roots.index(rat("-1/2"))
+        d, finite, P0 = disposed[survivor]
+        assert d.kind == "sporadic" and finite and P0 == rat("1/4")
+
 
 class TestParamTupleDispose:
     y = RatFunc.t("y")
@@ -327,30 +351,33 @@ class TestParamTupleDispose:
 
     def test_pole_of_the_basepoint_alone(self):
         y = self.y
-        d, finite = ParamTuple((y, y + 1), 1 / y).dispose(Fraction(0), "s")
+        d, finite, P0 = dispose_at(ParamTuple((y, y + 1), 1 / y),
+                                   Fraction(0), "s")
         assert (d.kind, d.detail, d.data) == \
             ("pole", "basepoint has a pole at 0", {})
-        assert finite == []
+        assert finite == [] and P0 is None
 
     def test_pole_of_a_coefficient(self):
         y = self.y
-        d, _ = ParamTuple((y, 1 / (y + 1)), 1 / y).dispose(Fraction(-1), "s")
+        d, _, _ = dispose_at(ParamTuple((y, 1 / (y + 1)), 1 / y),
+                             Fraction(-1), "s")
         assert (d.kind, d.detail) == ("pole", "c2 has a pole at -1")
 
     def test_collision(self):
         y = self.y
-        d, finite = ParamTuple((y * y + 1, y, -y), y).dispose(Fraction(0),
-                                                               "s")
+        d, finite, P0 = dispose_at(ParamTuple((y * y + 1, y, -y), y),
+                                   Fraction(0), "s")
         assert (d.kind, d.detail) == ("collision", "c2 = c3 at 0")
         assert d.data["c"] == ["1", "0", "0"]
-        assert finite == []
+        assert finite == [] and P0 is None
 
     @pytest.mark.parametrize("t0", ["-1/2", "1", "3"])
     def test_otherwise_dispose_tuple_of_the_values(self, t0):
         t0 = rat(t0)
         cs = [c.specialize(t0) for c in self.tup.cs]
-        assert self.tup.dispose(t0, "s") == \
-            dispose_tuple("s", cs, self.tup.P.specialize(t0))
+        P0 = self.tup.P.specialize(t0)
+        assert dispose_at(self.tup, t0, "s") == \
+            (*dispose_tuple("s", cs, P0), P0)
 
 
 _small = st.integers(-3, 3)

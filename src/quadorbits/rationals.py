@@ -4,13 +4,12 @@ Integers are plain Python ``int`` (arbitrary precision, canonical zero) and
 rationals are ``fractions.Fraction``, which already maintains the invariants
 we need: lowest terms, positive denominator, zero stored as 0/1.  This module
 adds the handful of operations the rest of the package relies on: exact
-coercion of numbers, parsing/printing of "p/q" strings and certified
-rational square roots.  No floating point is used anywhere.
+coercion of numbers and parsing/printing of "p/q" strings.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -50,27 +49,3 @@ def rat_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def isqrt_exact(n: int) -> int | None:
-    """Exact integer square root of n, or None if n is not a perfect square."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def is_square(x: Fraction) -> Fraction | None:
-    """Nonnegative rational square root of x when one exists, else None.
-
-    Because x is in lowest terms, x is a rational square iff its numerator
-    and denominator are both integer squares.  Negative inputs yield None so
-    callers can use this directly as a discriminant filter.
-    """
-    rn = isqrt_exact(x.numerator)
-    if rn is None:
-        return None
-    rd = isqrt_exact(x.denominator)
-    if rd is None:
-        return None
-    return Fraction(rn, rd)

@@ -12,7 +12,15 @@ form, the pipeline
    bivariate gcd, recorded, and the leftovers are retried;
 3. takes, for each such component g, the resultants of g with every factor
    of every other generator: a common zero on g zeroes one of those factors;
-4. collects the rational roots of these eliminants, plus the roots of any
+4. spares resultants of steps 2 and 3 by two exact symmetries of the
+   eliminated variable y (Cox, Little and O'Shea, *Ideals, Varieties, and
+   Algorithms*, ch. 3).  Res(a(-y), b(-y)) = +-Res(a, b), so a pair that
+   the sign flip of y maps, up to sign in each slot, onto a pair already
+   eliminated reuses that pair's degree and roots.  For a = A(y^2) and
+   b = B(y^2), Res(a, b) = Res_u(A, B)^2, which has the same squarefree
+   part, so the pair is eliminated over u = y^2 at half the degree.
+   ``eliminant_degrees`` holds deg Res(a, b) either way;
+5. collects the rational roots of these eliminants, plus the roots of any
    factor's content in the second, surviving variable (which make that
    generator vanish identically).  By the specialization property of
    resultants every value admitting a common zero is among them.
@@ -29,7 +37,7 @@ from fractions import Fraction
 
 from .. import _intpoly as zp
 from ..polynomials import BiPoly, UniPoly, bivariate_gcd, resultant
-from ..roots import rational_roots
+from ..roots import RootReport, rational_roots
 
 __all__ = ["GeneratorFactors", "EliminationOutcome", "eliminate_candidates"]
 
@@ -115,6 +123,25 @@ def _split_survivor_content(f: BiPoly) -> tuple[BiPoly, set[Fraction]]:
     return f, roots
 
 
+def _up_to_sign(p: BiPoly) -> BiPoly:
+    """p or -p, whichever has a positive lex-leading coefficient."""
+    return -p if p.ints[max(p.ints)] < 0 else p
+
+
+def _flip(p: BiPoly) -> BiPoly:
+    """p(-y, z), with y = vars[0]."""
+    return BiPoly.from_int(p.den, {e: -c if e[0] % 2 else c
+                                   for e, c in p.ints.items()}, p.vars)
+
+
+def _deflate(p: BiPoly) -> BiPoly | None:
+    """F with p = F(y^2, z), or None when p is not even in y = vars[0]."""
+    if any(i % 2 for i, _ in p.ints):
+        return None
+    return BiPoly.from_int(p.den, {(i // 2, j): c
+                                   for (i, j), c in p.ints.items()}, p.vars)
+
+
 def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly]
                          ) -> EliminationOutcome:
     """Run the factored-resultant candidate extraction (see module doc),
@@ -138,17 +165,30 @@ def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly]
     degs: list[int] = []
     traces: list[dict] = []
     components: list[BiPoly] = []
+    # (a, b) up to sign in each slot -> deg Res(a, b) and its root report;
+    # Res(a(-y), b(-y)) = +-Res(a, b), so a flipped pair reuses the entry
+    done: dict[tuple[BiPoly, BiPoly], tuple[int, RootReport | None]] = {}
 
     def eliminate(a: BiPoly, b: BiPoly) -> None:
         """Add the rational roots of Res(a, b) to the raw list; on an
         identically zero resultant, split off the shared component and
         retry the leftover of a."""
         while a.degree(0) > 0 and b.degree(0) > 0:
-            r = resultant(a, b)
-            if not r.is_zero():
-                degs.append(r.degree)
-                if r.degree > 0:
-                    rep = rational_roots(r.squarefree_part())
+            found = done.get((_up_to_sign(_flip(a)), _up_to_sign(_flip(b))))
+            if found is None:
+                # a = A(y^2), b = B(y^2) give Res(a, b) = Res_u(A, B)^2
+                A, B = _deflate(a), _deflate(b)
+                even = A is not None and B is not None
+                r = resultant(A, B) if even else resultant(a, b)
+                if not r.is_zero():
+                    found = ((2 if even else 1) * r.degree,
+                             rational_roots(r.squarefree_part())
+                             if r.degree > 0 else None)
+            if found is not None:
+                done[_up_to_sign(a), _up_to_sign(b)] = found
+                deg, rep = found
+                degs.append(deg)
+                if rep is not None:
                     raw.update(rep.root_set())
                     traces.append(rep.to_dict())
                 return

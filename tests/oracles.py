@@ -21,7 +21,8 @@ arithmetic over a tuple of ``Fraction``s that ``UniPoly``'s integer form
 replaced: coefficient loops over Q for sums, scalar products, division and
 evaluation.  ``FractionBiPoly`` is the same for ``BiPoly``: a dict of
 ``Fraction``s, with sums, exact division, specialization and evaluation
-over Q.
+over Q.  ``is_square`` is the certified rational square root of the
+dynatomic and discriminant oracles; the package itself needs none.
 """
 
 from __future__ import annotations
@@ -35,12 +36,27 @@ from quadorbits.dynamics import MapSet, MuReport, OrbitResult, QuadMap, \
     Word, exact_period, guard_violation, monoid_orbit
 from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
     bivariate_gcd, resultant
-from quadorbits.rationals import is_square, rat_str
+from quadorbits.rationals import rat_str
 from quadorbits.roots import RootReport, _lift_roots, _multiplicity, \
     _pick_prime, rational_roots
 from quadorbits.search import FoundTuple, SearchSpec
 from quadorbits.verifier.elimination import GeneratorFactors, \
     _divide_structural, _split_survivor_content, common_specialized_gcd
+
+
+def is_square(x: Fraction) -> Fraction | None:
+    """Nonnegative rational square root of x when one exists, else None.
+
+    Because x is in lowest terms, x is a rational square iff its numerator
+    and denominator are both integer squares.  Negative inputs yield None so
+    callers can use this directly as a discriminant filter.
+    """
+    if x < 0:
+        return None
+    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if rn * rn != x.numerator or rd * rd != x.denominator:
+        return None
+    return Fraction(rn, rd)
 
 
 def sylvester_resultant(p: BiPoly, q: BiPoly, eliminate: int = 0) -> UniPoly:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import FractionBiPoly, FractionUniPoly, sylvester_resultant
 from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
     bivariate_gcd, resultant
+from quadorbits.roots import rational_roots
 
 
 def P(s, var=None):
@@ -318,6 +319,70 @@ def test_bivariate_gcd_keeps_a_planted_factor(a, b, c):
     for main in (0, 1):
         g = bivariate_gcd(a * c, b * c, main=main)
         assert cp.divides(g), (main, g)
+
+
+# -- the symmetry identities of resultants in the eliminated variable y -----
+
+# F(u, z) with integer coefficients and positive degree in u
+res_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    st.integers(-5, 5), min_size=1, max_size=5).map(BiPoly).filter(
+        lambda p: p.degree(0) > 0)
+
+
+@st.composite
+def res_pairs(draw):
+    """Two such polynomials, both vanishing at a drawn integer point (u0,
+    z0), so that z0 is a root of their resultant."""
+    u0, z0 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    return tuple(p - p.eval2(u0, z0) for p in (draw(res_polys),
+                                                draw(res_polys)))
+
+
+def _inflate(p):
+    """p(y^2, z)."""
+    return BiPoly.from_int(p.den, {(2 * i, j): c
+                                   for (i, j), c in p.ints.items()}, p.vars)
+
+
+def _flip(p):
+    """p(-y, z)."""
+    return BiPoly.from_int(p.den, {(i, j): (-1) ** i * c
+                                   for (i, j), c in p.ints.items()}, p.vars)
+
+
+def _same_rational_roots(r, s):
+    """Both zero, or equal squarefree parts with equal rational roots."""
+    assert r.is_zero() == s.is_zero()
+    if not r.is_zero() and r.degree > 0:
+        assert r.squarefree_part() == s.squarefree_part()
+        assert rational_roots(r.squarefree_part()).root_set() \
+            == rational_roots(s.squarefree_part()).root_set()
+
+
+@settings(max_examples=60, deadline=None)
+@given(res_pairs())
+def test_resultant_of_even_pair_is_the_square_over_u(pair):
+    """Res_y(F(y^2), G(y^2)) = Res_u(F, G)^2 (Cox, Little and O'Shea,
+    ch. 3): both are lc(F)^(2 deg G) times G(u_i)^2 over the roots u_i of
+    F."""
+    F, G = pair
+    full = resultant(_inflate(F), _inflate(G))
+    deflated = resultant(F, G)
+    assert full == deflated ** 2
+    _same_rational_roots(full, deflated)
+
+
+@settings(max_examples=60, deadline=None)
+@given(res_pairs(), st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+def test_resultant_of_flipped_pair_is_equal_up_to_sign(pair, s, t):
+    """Res_y(s a(-y), t b(-y)) = s^n t^m (-1)^(m n) Res_y(a, b) for
+    m = deg_y a, n = deg_y b."""
+    a, b = pair
+    m, n = a.degree(0), b.degree(0)
+    flipped = resultant(_flip(a) * s, _flip(b) * t)
+    assert flipped == resultant(a, b) * (s ** n * t ** m * (-1) ** (m * n))
+    _same_rational_roots(flipped, resultant(a, b))
 
 
 @settings(max_examples=40, deadline=None)

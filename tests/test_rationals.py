@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quadorbits.rationals import is_square, normalize, rat, rat_str
+from oracles import is_square
+from quadorbits.rationals import normalize, rat, rat_str
 
 
 def test_normalize_examples():

@@ -12,12 +12,12 @@ from quadorbits.dynamics import MapSet, QuadMap, apply_word, \
     finite_orbit_points
 from quadorbits.families import ParamTuple, lemma_statement
 from quadorbits.groebner import Budget
-from quadorbits.polynomials import BiPoly, bivariate_gcd
+from quadorbits.polynomials import BiPoly, bivariate_gcd, resultant
 from quadorbits.ratfunc import RatFunc
 from quadorbits.rationals import rat, rat_str
 from quadorbits.verifier import POONEN_AXIOMS, poonen_criterion, \
     verify_lemma, verify_theorem_case
-from quadorbits.verifier import symbolic
+from quadorbits.verifier import elimination, symbolic
 from quadorbits.verifier.cases import _verify_factorization
 from quadorbits.verifier.elimination import GeneratorFactors, \
     eliminate_candidates
@@ -412,6 +412,38 @@ def planted_systems(draw):
     return gens, v0
 
 
+@st.composite
+def symmetric_systems(draw):
+    """Two or three generators through a drawn point (y0, v0).  The first
+    two each carry a factor f and its flip +-f(-y), so their factor pairs
+    map onto each other under y -> -y, and sometimes a factor even in y;
+    a third generator, if any, has one factor through the point."""
+    y0, v0 = draw(_coord), draw(_coord)
+    Y, Z = BiPoly({(1, 0): 1, (0, 0): -y0}), BiPoly({(0, 1): 1, (0, 0): -v0})
+    U = BiPoly({(2, 0): 1, (0, 0): -y0 * y0})  # even, through (+-y0, v0)
+
+    def through_point(W):
+        a, b = draw(st.tuples(_small, _small).filter(any))
+        c, d, e = draw(_small), draw(_small), draw(_small)
+        return a * W + b * Z + c * W * Z + d * W * W + e * Z * Z
+
+    def flip(f):
+        sign = draw(st.sampled_from([1, -1]))
+        return BiPoly({(i, j): sign * (-1) ** i * c
+                       for (i, j), c in f.terms.items()})
+
+    factors = []
+    for _ in range(2):
+        f = through_point(Y)
+        even = [through_point(U)] if draw(st.booleans()) else []
+        factors.append([f, flip(f)] + even)
+    if draw(st.booleans()):
+        factors.append([through_point(Y)])
+    gens = [GeneratorFactors(f"G{k + 1}", tuple(fs))
+            for k, fs in enumerate(factors)]
+    return gens, v0
+
+
 class TestOnePairElimination:
     def test_shared_component_meeting_the_third_generator(self):
         # (y - z) is common to G1 and G2 and meets G3 only at (5, 5); no
@@ -449,3 +481,36 @@ class TestOnePairElimination:
         got = eliminate_candidates(gens, []).candidates
         assert v0 in got
         assert set(all_pairs_candidates(gens, [])) <= set(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_systems())
+    def test_flipped_and_even_pairs_match_the_all_pairs_oracle(self, system):
+        gens, v0 = system
+        common = reduce(bivariate_gcd, (math.prod(g.factors) for g in gens))
+        assume(common.total_degree() <= 0)
+        out = eliminate_candidates(gens, [])
+        oracle = all_pairs_candidates(gens, [])
+        assert v0 in out.candidates
+        assert set(oracle) <= set(out.candidates)
+        if not out.components:
+            assert out.candidates == oracle
+
+    @pytest.mark.parametrize("lemma_id", ["2.5", "2.6"])
+    def test_symmetric_pairs_are_eliminated_once(self, lemma_id,
+                                                 monkeypatch):
+        # two of the four degree-138 eliminants and two of the four of
+        # degree 69 or 70 are conjugates of others under y -> -y, and the
+        # degree-278 one, of two factors even in y, is taken over u = y^2
+        computed = []
+
+        def counting(a, b):
+            r = resultant(a, b)
+            computed.append(r.degree)
+            return r
+
+        monkeypatch.setattr(elimination, "resultant", counting)
+        setup = lemma_setup(lemma_id)
+        out = eliminate_candidates(setup.gens, setup.structural)
+        assert len(computed) == 5 and max(computed) <= 139
+        assert len(out.eliminant_degrees) == 9
+        assert max(out.eliminant_degrees) == 278

@@ -11,9 +11,11 @@ Bivariate integer polynomials reach this module in one form only, the row
 form: a list of univariate rows indexed by the power of the eliminated
 variable, as ``BiPoly.to_coeff_lists`` reads it off ``BiPoly``'s sparse
 integer map.  This module is the only one that computes on it: contents in
-the surviving variable, pseudo-remainders, subresultant resultants and the
-bivariate gcd; ``BiPoly.specialize`` evaluates its rows with
-``zeval_homogeneous``.
+the surviving variable, pseudo-remainders, subresultant resultants, the
+bivariate gcd, the Kronecker product ``zzmul`` of large ``BiPoly``
+products, and ``zzdivides_at_sample``, the one-specialization test with
+which ``BiPoly.exact_divide`` rejects most divisions that fail;
+``BiPoly.specialize`` evaluates its rows with ``zeval_homogeneous``.
 
 The modular gcd computes candidates mod the primes above 2^61 in increasing
 order, combines them by CRT, and only returns after verifying exact
@@ -480,3 +482,64 @@ def zzgcd(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
     if cont == [1]:
         return a
     return [zmul(cont, r) if r else [] for r in a]
+
+
+def zzmul(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
+    """Product of two nonzero row-form polynomials by Kronecker
+    substitution (Harvey, J. Symbolic Comput. 44, 2009): the entry p[a][b]
+    becomes the digit at place a * width + b of one integer, in a base
+    2^bits wide enough for every product coefficient with its sign, so one
+    big-integer multiply does the whole product and the digits, read back
+    signed, are its coefficients.  Rows are trimmed; the outer list is not
+    (its last row is nonzero, as the inputs' are)."""
+    width = max(map(len, p)) + max(map(len, q)) - 1
+    terms = min(sum(map(len, p)), sum(map(len, q)))
+    # a product coefficient sums at most `terms` products, so its absolute
+    # value stays below 2^(bits - 1)
+    bits = (max(max(map(abs, r), default=0) for r in p).bit_length()
+            + max(max(map(abs, r), default=0) for r in q).bit_length()
+            + terms.bit_length() + 1)
+    nbytes = (bits + 7) // 8
+    count = (len(p) + len(q) - 1) * width
+    # bias every digit by 2^(8 nbytes - 1), so that all are nonnegative
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+    product = _kronecker_pack(p, width, nbytes) \
+        * _kronecker_pack(q, width, nbytes)
+    data = (product + bias).to_bytes(count * nbytes, "little")
+    half = 1 << (8 * nbytes - 1)
+    digits = [int.from_bytes(data[i:i + nbytes], "little") - half
+              for i in range(0, count * nbytes, nbytes)]
+    return [ztrim(digits[k:k + width]) for k in range(0, count, width)]
+
+
+def _kronecker_pack(p: list[list[int]], width: int, nbytes: int) -> int:
+    """The sum of p[a][b] * 2^(8 nbytes (a width + b)): the positive and the
+    negative entries are laid out as bytes, one integer each."""
+    size = len(p) * width * nbytes
+    pos, neg = bytearray(size), bytearray(size)
+    for a, row in enumerate(p):
+        at = a * width * nbytes
+        for c in row:
+            if c > 0:
+                pos[at:at + nbytes] = c.to_bytes(nbytes, "little")
+            elif c < 0:
+                neg[at:at + nbytes] = (-c).to_bytes(nbytes, "little")
+            at += nbytes
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def zzdivides_at_sample(d: list[list[int]], p: list[list[int]]) -> bool:
+    """False when d provably does not divide p: d(y, z0) fails to divide
+    p(y, z0) in Q[y], z0 the first of 3, 4, 5, ... at which d's leading row
+    does not vanish.  True says nothing: a product d * q specializes to
+    d(y, z0) * q(y, z0), so only the contrapositive is a certificate.  The
+    samples start past 0, +-1 and +-2, values at which the paper's curves
+    meet, so that there a factor of p often shares d's specialized roots.
+    Rows are indexed by the power of y, d is nonzero."""
+    lead = d[-1]
+    z0 = 3
+    while not zeval_homogeneous(lead, z0, 1):
+        z0 += 1
+    d0 = ztrim([zeval_homogeneous(r, z0, 1) for r in d])
+    p0 = ztrim([zeval_homogeneous(r, z0, 1) for r in p])
+    return zdivides(zprimitive(d0)[1], p0)

@@ -236,7 +236,7 @@ def preimage_check() -> bool:
     elim = resultant(C, ynum)  # eliminates t, result in u
     if elim.is_zero():
         return False
-    for u0 in rational_roots(elim.squarefree_part()).roots:
+    for u0 in rational_roots(elim).roots:
         if u0 == 0:
             continue
         cu = C.specialize(1, u0)      # polynomial in t

@@ -8,10 +8,12 @@ a reported outcome, never a wrong answer.
 
 The order is lex with vars[0] > vars[1], which is plain comparison of
 exponent tuples.  Reduction works over Z on ``BiPoly``'s integer map
-``ints`` (its denominator set aside), and the largest remaining term comes
-off a max-heap (a cancelled term is skipped when it comes off).  Instead of
-dividing by a divisor's leading coefficient, a step scales the whole
-remainder by lc / gcd(c, lc) and then removes its content, so the
+``ints`` (its denominator set aside), each exponent packed into one int
+whose order is the same (see the integer reduction below; inputs with an
+exponent of 2^31 or more raise ValueError), and the largest remaining term
+comes off a max-heap (a cancelled term is skipped when it comes off).
+Instead of dividing by a divisor's leading coefficient, a step scales the
+whole remainder by lc / gcd(c, lc) and then removes its content, so the
 coefficients stay bounded.  ``normal_form`` divides the tracked scale and
 the denominator back out and returns the exact remainder over Q; inside
 ``buchberger`` the basis is kept as primitive integer polynomials only, and
@@ -36,7 +38,6 @@ __all__ = [
     "IdealBasis",
     "Budget",
     "BudgetExhausted",
-    "leading_term",
     "s_polynomial",
     "normal_form",
     "buchberger",
@@ -73,13 +74,6 @@ class IdealBasis:
     generators: tuple[BiPoly, ...]
 
 
-def leading_term(f: BiPoly) -> tuple[Exponent, Fraction]:
-    if f.is_zero():
-        raise ValueError("zero polynomial has no leading term")
-    e = max(f.ints)
-    return e, Fraction(f.ints[e], f.den)
-
-
 def _divides(e1: Exponent, e2: Exponent) -> bool:
     return e1[0] <= e2[0] and e1[1] <= e2[1]
 
@@ -95,21 +89,53 @@ def _mono_mul(f: BiPoly, e: Exponent) -> BiPoly:
 
 def s_polynomial(f: BiPoly, g: BiPoly) -> BiPoly:
     """lcm-cancellation combination of f and g: the leading terms cancel."""
-    ef, cf = leading_term(f)
-    eg, cg = leading_term(g)
+    ef, eg = max(f.ints), max(g.ints)
     l = _lcm(ef, eg)
-    return (_mono_mul(f, (l[0] - ef[0], l[1] - ef[1])) * (1 / cf)
-            - _mono_mul(g, (l[0] - eg[0], l[1] - eg[1])) * (1 / cg))
+    return (_mono_mul(f, (l[0] - ef[0], l[1] - ef[1]))
+            * Fraction(f.den, f.ints[ef])
+            - _mono_mul(g, (l[0] - eg[0], l[1] - eg[1]))
+            * Fraction(g.den, g.ints[eg]))
 
 
 # -- integer reduction ------------------------------------------------------
 #
-# A basis element is the triple (leading exponent, leading coefficient,
-# items), the items being the (exponent, int) pairs of a primitive integer
-# polynomial, the leading term included.
+# Inside the reduction an exponent (a, b) is packed into one int, a << 32 | b,
+# with a and b below 2^31.  Lex order is then int order, the shift by a
+# monomial x^q is one addition (the parts add without a carry), and x^g
+# divides x^e exactly when d = e - g is nonnegative with bit 31 clear: a
+# borrow from a short b part sets that bit, and a short a part makes d
+# negative.  Most terms of an S-polynomial end in the remainder; for those,
+# one comparison with a staircase of the leading exponents (``_Staircase``)
+# replaces the scan of the basis for a divisor.
+#
+# A basis element is the triple (packed leading exponent, leading
+# coefficient, items), the items being the (packed exponent, int) pairs of a
+# primitive integer polynomial, the leading term included.
 
-_Items = list[tuple[Exponent, int]]
-_Element = tuple[Exponent, int, _Items]
+_LIMIT = 1 << 31
+_LOW = (1 << 32) - 1
+
+_Items = list[tuple[int, int]]
+_Element = tuple[int, int, _Items]
+
+
+def _beyond_range(e: Exponent) -> ValueError:
+    return ValueError(f"exponent {e} beyond the packed range: parts must be "
+                      f"below 2^31")
+
+
+def _pack(ints: dict[Exponent, int]) -> dict[int, int]:
+    """``ints`` keyed by packed exponents; ValueError on an exponent part of
+    2^31 or more."""
+    for e in ints:
+        if e[0] >= _LIMIT or e[1] >= _LIMIT:
+            raise _beyond_range(e)
+    return {a << 32 | b: c for (a, b), c in ints.items()}
+
+
+def _split(e: int) -> Exponent:
+    """The exponent pair of a packed exponent."""
+    return e >> 32, e & _LOW
 
 
 def _primitive(items: _Items) -> _Element:
@@ -124,31 +150,55 @@ def _primitive(items: _Items) -> _Element:
     return lt, lc, items
 
 
-def _reduce(work: dict[Exponent, int], basis: list[_Element]
-            ) -> tuple[dict[Exponent, int], Fraction]:
+class _Staircase(dict):
+    """a part -> the least packed exponent of that a part that some leading
+    exponent of the basis divides, a << 32 | 2^31 where none does: a
+    leading exponent divides e exactly when e >= stairs[e >> 32].  Each
+    entry is computed on first use."""
+
+    def __init__(self, basis: list[_Element]):
+        super().__init__()
+        low: dict[int, int] = {}
+        for lt, _, _ in basis:
+            a, b = _split(lt)
+            low[a] = min(b, low.get(a, b))
+        self.steps = low.items()
+
+    def __missing__(self, a: int) -> int:
+        stair = a << 32 | min((b for s, b in self.steps if s <= a),
+                              default=_LIMIT)
+        self[a] = stair
+        return stair
+
+
+def _reduce(work: dict[int, int], basis: list[_Element]
+            ) -> tuple[dict[int, int], Fraction]:
     """Fraction-free division of ``work`` (consumed) by the basis:
     (rem, scale) with rem / scale the exact remainder over Q of the
     division that always reduces the largest term by the first divisor
-    whose leading exponent divides it."""
-    heap = [(-a, -b) for a, b in work]
+    whose leading exponent divides it.  A term whose b part a shift has
+    carried to 2^31 raises ValueError when it comes off the heap."""
+    heap = [-e for e in work]
     heapq.heapify(heap)
-    pop, push, gcd = heapq.heappop, heapq.heappush, math.gcd
-    rem: dict[Exponent, int] = {}
+    pop, push, gcd, limit = heapq.heappop, heapq.heappush, math.gcd, _LIMIT
+    stairs = _Staircase(basis)
+    rem: dict[int, int] = {}
     scale = Fraction(1)
     while heap:
-        na, nb = pop(heap)
-        e = (-na, -nb)
+        e = -pop(heap)
         c = work.get(e)
         if c is None:  # cancelled after it was pushed
             continue
-        for (ga, gb), cg, items in basis:
-            if ga <= e[0] and gb <= e[1]:
-                break
-        else:
+        if e & limit:
+            raise _beyond_range(_split(e))
+        if e < stairs[e >> 32]:  # no leading exponent divides e
             rem[e] = work.pop(e)
             continue
+        for lt, cg, items in basis:  # the first divisor, which exists
+            q = e - lt
+            if q >= 0 and not q & limit:
+                break
         # work * m - k * x^q * g cancels the term at e
-        qa, qb = e[0] - ga, e[1] - gb
         g = gcd(c, cg)
         m, k = cg // g, c // g
         if m < 0:
@@ -158,12 +208,12 @@ def _reduce(work: dict[Exponent, int], basis: list[_Element]
                 work[t] *= m
             for t in rem:
                 rem[t] *= m
-        for (ta, tb), tc in items:
-            te = (ta + qa, tb + qb)
+        for t, tc in items:
+            te = t + q
             old = work.get(te)
             if old is None:
                 work[te] = -k * tc
-                push(heap, (-te[0], -te[1]))
+                push(heap, -te)
             else:
                 s = old - k * tc
                 if s:
@@ -192,25 +242,26 @@ def normal_form(f: BiPoly, basis) -> BiPoly:
     if not gens:
         raise ValueError("empty basis")
     # scaling a divisor leaves the remainder unchanged
-    divisors = [_primitive(list(g.ints.items())) for g in gens]
-    rem, scale = _reduce(dict(f.ints), divisors)
+    divisors = [_primitive(list(_pack(g.ints).items())) for g in gens]
+    rem, scale = _reduce(_pack(f.ints), divisors)
     scale *= f.den
-    return BiPoly.from_int(scale.numerator, {e: c * scale.denominator
+    return BiPoly.from_int(scale.numerator, {_split(e): c * scale.denominator
                                              for e, c in rem.items()}, f.vars)
 
 
-def _s_items(f: _Element, g: _Element) -> dict[Exponent, int]:
+def _s_items(f: _Element, g: _Element) -> dict[int, int]:
     """An integer multiple of the S-polynomial of f and g."""
-    (fa, fb), cf, f_items = f
-    (ga, gb), cg, g_items = g
-    la, lb = max(fa, ga), max(fb, gb)
+    fl, cf, f_items = f
+    gl, cg, g_items = g
+    (fa, fb), (ga, gb) = _split(fl), _split(gl)
+    lcm = max(fa, ga) << 32 | max(fb, gb)
     d = math.gcd(cf, cg)
     mf, mg = cg // d, cf // d
-    out: dict[Exponent, int] = {}
-    for (a, b), c in f_items:
-        out[(a + la - fa, b + lb - fb)] = mf * c
-    for (a, b), c in g_items:
-        e = (a + la - ga, b + lb - gb)
+    # lcm / lt as packed shifts: both parts are nonnegative
+    sf, sg = lcm - fl, lcm - gl
+    out = {e + sf: mf * c for e, c in f_items}
+    for e, c in g_items:
+        e += sg
         s = out.get(e, 0) - mg * c
         if s:
             out[e] = s
@@ -235,8 +286,9 @@ def buchberger(gens, budget: Budget = Budget()) -> IdealBasis:
     if not gens:
         raise ValueError("no nonzero generators")
     vars = gens[0].vars
-    G: list[_Element] = [_primitive(list(g.ints.items())) for g in gens]
-    lt = [el[0] for el in G]
+    G: list[_Element] = [_primitive(list(_pack(g.ints).items()))
+                         for g in gens]
+    lt = [_split(el[0]) for el in G]
     pairs: set[tuple[int, int]] = {(i, j) for j in range(len(G)) for i in range(j)}
     # pending pairs by the lcm of their leading terms, and a heap of the lcms
     by_lcm: dict[Exponent, list[tuple[int, int]]] = {}
@@ -307,13 +359,14 @@ def buchberger(gens, budget: Budget = Budget()) -> IdealBasis:
                 pairs_done, max_bits, len(G),
             )
         G.append(h)
-        lt.append(h[0])
+        lt.append(_split(h[0]))
         t = len(G) - 1
         new = {(k, t) for k in range(t)}
         pairs |= new
         file_pairs(new)
 
-    basis = [BiPoly.from_int(1, dict(items), vars) for _, _, items in G]
+    basis = [BiPoly.from_int(1, {_split(e): c for e, c in items}, vars)
+             for _, _, items in G]
     return IdealBasis(tuple(_interreduce(basis)))
 
 

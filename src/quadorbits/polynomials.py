@@ -36,6 +36,18 @@ __all__ = [
 ]
 
 
+# ``BiPoly`` products go through one big-integer multiply by Kronecker
+# substitution (``_intpoly.zzmul``) when the operands have at least
+# KRONECKER_PAIRS term pairs, which spreads its fixed cost, and the packed
+# product is dense: its (deg_y + 1)(deg_z + 1) digits, each about as wide as
+# the two largest coefficients together, take at most KRONECKER_BITS_PER_PAIR
+# bits per term pair.  Smaller products (most ``BiRat`` products), sparse
+# operands and huge coefficients, which would fill the big integer with
+# padding, are multiplied term by term.
+KRONECKER_PAIRS = 1024
+KRONECKER_BITS_PER_PAIR = 8
+
+
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
@@ -536,15 +548,31 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._check(other)
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.ints.items():
-            for (i2, j2), c2 in other.ints.items():
-                e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return BiPoly.from_int(self.den * other.den, out,
-                               self.vars if self.ints else other.vars)
+        vars = self.vars if self.ints else other.vars
+        pairs = len(self.ints) * len(other.ints)
+        if (pairs < KRONECKER_PAIRS or self._kronecker_bits(other)
+                > KRONECKER_BITS_PER_PAIR * pairs):
+            out: dict[tuple[int, int], int] = {}
+            for (i1, j1), c1 in self.ints.items():
+                for (i2, j2), c2 in other.ints.items():
+                    e = (i1 + i2, j1 + j2)
+                    out[e] = out.get(e, 0) + c1 * c2
+            return BiPoly.from_int(self.den * other.den, out, vars)
+        rows = zp.zzmul(self.to_coeff_lists(0)[1], other.to_coeff_lists(0)[1])
+        return BiPoly.from_int(self.den * other.den,
+                               {(a, b): c for a, row in enumerate(rows)
+                                for b, c in enumerate(row)}, vars)
 
     __rmul__ = __mul__
+
+    def _kronecker_bits(self, other: "BiPoly") -> int:
+        """Bits of the digits of the Kronecker product with other, both
+        nonzero: one digit per slot of the product's degree box, as wide as
+        the two largest coefficients together."""
+        slots = ((self.degree(0) + other.degree(0) + 1)
+                 * (self.degree(1) + other.degree(1) + 1))
+        return slots * (max(map(abs, self.ints.values())).bit_length()
+                        + max(map(abs, other.ints.values())).bit_length())
 
     def __pow__(self, n: int):
         if n < 0:
@@ -590,14 +618,23 @@ class BiPoly:
     def exact_divide(self, d: "BiPoly") -> "BiPoly":
         """Exact division by a single divisor.
 
-        Long division over Z by leading terms in lex order, by the primitive
-        part of d.  When the division is exact, every quotient step is an
-        integer (Gauss's lemma), so a fractional step or a remainder term
-        outside the leading term's multiples raises ExactDivisionError.
+        First the specialization test ``_intpoly.zzdivides_at_sample``: if
+        d(y, z0) does not divide self(y, z0) for one integer z0, neither
+        does d divide self, and ExactDivisionError is raised at once.
+        Otherwise, long division over Z by leading terms in lex order, by
+        the primitive part of d.  When the division is exact, every quotient
+        step is an integer (Gauss's lemma), so a fractional step or a
+        remainder term outside the leading term's multiples raises
+        ExactDivisionError.
         """
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         self._check(d)
+        if not zp.zzdivides_at_sample(d.to_coeff_lists(0)[1],
+                                      self.to_coeff_lists(0)[1]):
+            raise ExactDivisionError(
+                "inexact bivariate division: fails at a sample value of "
+                f"{self.vars[1]}")
         content, prim = d.content_primitive()
         (la, lb), lc = max(prim.ints.items())
         rem = dict(self.ints)

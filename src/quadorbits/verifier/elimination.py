@@ -118,7 +118,7 @@ def _split_survivor_content(f: BiPoly) -> tuple[BiPoly, set[Fraction]]:
     roots: set[Fraction] = set()
     if len(cont) > 1:
         cp = UniPoly.from_int(1, cont, f.vars[1])
-        roots = set(rational_roots(cp.squarefree_part()).root_set())
+        roots = set(rational_roots(cp).root_set())
         f = f.exact_divide(BiPoly.from_unipoly(cp, 1, f.vars))
     return f, roots
 

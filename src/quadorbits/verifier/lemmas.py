@@ -31,7 +31,7 @@ from ..dynamics import word_str
 from ..families import FamilyDef, ParamTuple, catalog, family_by_id, \
     family_verify_symbolic, lemma_statement
 from ..groebner import Budget, BudgetExhausted, buchberger, normal_form
-from ..polynomials import BiPoly, UniPoly
+from ..polynomials import BiPoly, UniPoly, bivariate_gcd
 from ..ratfunc import PoleError, RatFunc
 from ..rationals import rat, rat_str
 from ..roots import rational_roots
@@ -320,6 +320,19 @@ def _expand(gen: GeneratorFactors, vars: tuple[str, str]) -> BiPoly:
     return prod
 
 
+def _divides_product(r: BiPoly, factors) -> bool:
+    """Whether r divides the product of the factors, without expanding it:
+    divide gcd(r, f) out of r for each factor f in turn.  r divides the
+    product exactly when what is left of it is constant, because r / gcd(r,
+    f) is coprime to f / gcd(r, f) and so divides the product of the other
+    factors whenever r divides the whole."""
+    for f in factors:
+        r = r.exact_divide(bivariate_gcd(r, f))
+        if r.total_degree() <= 0:
+            return True
+    return False
+
+
 def groebner_route(setup: LemmaSetup, budget: Budget) -> GroebnerOutcome:
     """Attempt the Buchberger route on the expanded generators: recover a
     candidate-variable-only polynomial after dividing the structural
@@ -365,7 +378,7 @@ def groebner_route(setup: LemmaSetup, budget: Budget) -> GroebnerOutcome:
         basis_leading_terms=[str(max(g.ints)) for g in basis.generators],
         eliminant_degree=best.degree,
         eliminant_roots=[rat_str(r) for r in
-                         sorted(rational_roots(best.squarefree_part()).root_set())],
+                         sorted(rational_roots(best).root_set())],
         expected_degree=setup.groebner_expected_degree,
         membership_holds=member)
 
@@ -440,8 +453,7 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
     # components discovered during elimination must not be common to all
     # generators (that would be an undeclared stable family)
     for comp in out.components:
-        if all(any(comp.divides(f) for f in g.factors) or
-               comp.divides(_expand(g, setup.vars)) for g in setup.gens):
+        if all(_divides_product(comp, g.factors) for g in setup.gens):
             flags.append(f"component {comp} divides every generator "
                          "(undeclared family?)")
 

@@ -332,7 +332,7 @@ def word_relation_roots(tup: ParamTuple, word: Word, target: int
     if diff.is_zero():
         return None
     num = diff.num.primitive()
-    return num, sorted(rational_roots(num.squarefree_part()).root_set())
+    return num, sorted(rational_roots(num).root_set())
 
 
 # the longest word find_exclusion_relation tries

@@ -21,8 +21,13 @@ arithmetic over a tuple of ``Fraction``s that ``UniPoly``'s integer form
 replaced: coefficient loops over Q for sums, scalar products, division and
 evaluation.  ``FractionBiPoly`` is the same for ``BiPoly``: a dict of
 ``Fraction``s, with sums, exact division, specialization and evaluation
-over Q.  ``is_square`` is the certified rational square root of the
-dynatomic and discriminant oracles; the package itself needs none.
+over Q.  ``schoolbook_product`` is ``BiPoly``'s product term by term, the
+reference for the Kronecker product, and ``expanded_divides`` decides
+whether a curve divides a product of factors by expanding it term by term
+and dividing over Q, the reference for the gcd peeling of
+``verify_lemma``.  ``is_square`` is the certified rational square root of
+the dynatomic and discriminant oracles, and ``leading_term`` the lex-leading
+term the Groebner tests read; the package itself needs neither.
 """
 
 from __future__ import annotations
@@ -296,6 +301,24 @@ def naive_normal_form(f: BiPoly, gens: list[BiPoly]) -> BiPoly:
             rem_terms[e] = c
             del work[e]
     return BiPoly(rem_terms, f.vars)
+
+
+def leading_term(f: BiPoly) -> tuple[tuple[int, int], Fraction]:
+    """Lex-leading exponent and coefficient of a nonzero polynomial."""
+    if f.is_zero():
+        raise ValueError("zero polynomial has no leading term")
+    e = max(f.terms)
+    return e, f.terms[e]
+
+
+def expanded_divides(r: BiPoly, factors) -> bool:
+    """Whether r divides the product of the factors, by long division over
+    Q of the product expanded term by term."""
+    prod = BiPoly.constant(1, r.vars)
+    for f in factors:
+        prod = schoolbook_product(prod, f)
+    return FractionBiPoly(r.terms, r.vars).divides(
+        FractionBiPoly(prod.terms, prod.vars))
 
 
 def all_pairs_candidates(gens: list[GeneratorFactors],
@@ -998,3 +1021,14 @@ class FractionBiPoly:
             f"({i},{j})": rat_str(c)
             for (i, j), c in sorted(self.terms.items())
         }
+
+
+def schoolbook_product(p: BiPoly, q: BiPoly) -> BiPoly:
+    """Reference for ``BiPoly``'s product: every pair of terms of the two
+    integer maps, over the product of the denominators."""
+    out: dict[tuple[int, int], int] = {}
+    for (i1, j1), c1 in p.ints.items():
+        for (i2, j2), c2 in q.ints.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return BiPoly.from_int(p.den * q.den, out, p.vars if p.ints else q.vars)

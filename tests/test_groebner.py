@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import naive_normal_form
+from oracles import leading_term, naive_normal_form
 from quadorbits.groebner import Budget, BudgetExhausted, buchberger, \
-    leading_term, normal_form, s_polynomial
+    normal_form, s_polynomial
 from quadorbits.polynomials import BiPoly
 from quadorbits.verifier.lemmas import groebner_route, lemma_setup
 
@@ -36,6 +36,23 @@ class TestNormalForm:
         lts = [leading_term(g)[0] for g in basis]
         for e in r.terms:
             assert not any(l[0] <= e[0] and l[1] <= e[1] for l in lts)
+
+
+    def test_exponents_beyond_the_packed_range_raise(self):
+        top = 2**31 - 1  # the largest exponent the reduction packs
+        x_top = BiPoly({(top, 0): 1}, XY)
+        assert normal_form(BiPoly({(top, top): 3}, XY), [x_top]).is_zero()
+        assert normal_form(B("x"), [B("x") - BiPoly({(0, top): 1}, XY)]) \
+            == BiPoly({(0, top): 1}, XY)
+        with pytest.raises(ValueError):
+            normal_form(BiPoly({(top + 1, 0): 1}, XY), [B("x - 1")])
+        with pytest.raises(ValueError):
+            normal_form(B("x"), [BiPoly({(0, top + 1): 1}, XY)])
+        with pytest.raises(ValueError):
+            buchberger([BiPoly({(1, top + 1): 1}, XY), B("y - 1")])
+        # x*y reduces to y * y^top: a shift carries the y part past the range
+        with pytest.raises(ValueError):
+            normal_form(B("x*y"), [B("x") - BiPoly({(0, top): 1}, XY)])
 
 
 class TestBuchberger:

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import FractionBiPoly, FractionUniPoly, sylvester_resultant
-from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
-    bivariate_gcd, resultant
+from oracles import FractionBiPoly, FractionUniPoly, schoolbook_product, \
+    sylvester_resultant
+from quadorbits import _intpoly as zp
+from quadorbits.polynomials import KRONECKER_PAIRS, BiPoly, \
+    ExactDivisionError, UniPoly, bivariate_gcd, resultant
 from quadorbits.roots import rational_roots
 
 
@@ -391,6 +393,138 @@ def test_coeff_lists_round_trip(terms, eliminate):
     b = BiPoly(terms)
     den, rows = b.to_coeff_lists(eliminate)
     assert BiPoly.from_coeff_lists(rows, eliminate) * Fraction(1, den) == b
+
+
+# -- Kronecker products and specialization-first division -------------------
+
+def _with_den(terms_st):
+    """Integer maps over a drawn positive denominator."""
+    return st.builds(lambda ints, den: BiPoly.from_int(den, ints), terms_st,
+                     st.integers(1, 10**30))
+
+
+@st.composite
+def _box_terms(draw, low, high):
+    """Every slot of a drawn degree box, coefficients of a drawn size."""
+    dy, dz = draw(st.integers(low, high)), draw(st.integers(low, high))
+    bound = draw(st.sampled_from([1, 10**6, 10**300]))
+    coef = st.integers(-bound, bound)
+    return {(i, j): draw(coef) for i in range(dy + 1) for j in range(dz + 1)}
+
+
+# two of these have at least 36 * 36 > KRONECKER_PAIRS term pairs unless
+# coefficients are drawn zero
+large_boxes = _with_den(_box_terms(5, 9))
+product_operands = st.one_of(
+    _with_den(_box_terms(0, 4)),
+    # sparse, exponents up to 200
+    _with_den(st.dictionaries(st.tuples(st.integers(0, 200),
+                                        st.integers(0, 200)),
+                              st.integers(-10**300, 10**300), max_size=40)),
+    # constants and single terms
+    _with_den(st.dictionaries(st.tuples(st.integers(0, 3),
+                                        st.integers(0, 3)),
+                              st.integers(-10**300, 10**300), max_size=1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.tuples(large_boxes, large_boxes),
+                 st.tuples(product_operands, product_operands)))
+def test_product_matches_schoolbook_on_both_sides_of_the_threshold(pair):
+    a, b = pair
+    assert a * b == schoolbook_product(a, b)
+    assert b * a == a * b
+
+
+row_lists = st.lists(st.lists(st.integers(-10**300, 10**300), max_size=7),
+                     min_size=1, max_size=7).filter(lambda rows: any(rows[-1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_lists, row_lists)
+def test_kronecker_rows_match_schoolbook(p, q):
+    """``zzmul`` on any row form, huge coefficients of either sign included:
+    trimmed rows, a nonzero last row, and the schoolbook product."""
+    rows = zp.zzmul(p, q)
+    assert rows[-1] and all(not r or r[-1] for r in rows)
+    assert BiPoly.from_coeff_lists(rows, 0) == schoolbook_product(
+        BiPoly.from_coeff_lists(p, 0), BiPoly.from_coeff_lists(q, 0))
+
+
+def test_product_selects_kronecker_by_size_and_density(monkeypatch):
+    calls = []
+    kronecker = zp.zzmul
+    monkeypatch.setattr(zp, "zzmul",
+                        lambda p, q: calls.append(1) or kronecker(p, q))
+
+    def box(dy, dz, c):
+        return BiPoly({(i, j): c + i - 2 * j for i in range(dy + 1)
+                       for j in range(dz + 1) if c + i - 2 * j})
+
+    dense = box(5, 5, 20)  # 36 terms
+    row31, row33 = box(0, 30, 100), box(0, 32, 100)
+    assert len(dense.ints) ** 2 > KRONECKER_PAIRS \
+        == len(row31.ints) * len(row33.ints) + 1
+    sparse = BiPoly({(5 * k, 200 - 5 * k): k + 1 for k in range(40)})
+    huge = dense * 10**300
+    for a, b, used in [(dense, dense, True), (row31, row33, False),
+                       (sparse, sparse, False), (huge, huge, False)]:
+        calls.clear()
+        assert a * b == schoolbook_product(a, b)
+        assert bool(calls) == used
+
+
+@st.composite
+def planted_divisions(draw):
+    """(d, q, r): a divisor d, which may be free of y, constant, or have a
+    leading y-coefficient vanishing at the first sample points z = 3, 4,
+    ...; a cofactor q; and r != 0 that d does not divide (None for a
+    constant d, which divides everything)."""
+    small = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                            st.integers(-9, 9), max_size=6)
+    q = BiPoly(draw(small)) * Fraction(1, draw(st.integers(1, 50)))
+    kind = draw(st.sampled_from(["any", "y-free", "constant", "vanishing"]))
+    if kind == "constant":
+        return BiPoly.constant(draw(fracs.filter(bool))), q, None
+    if kind == "y-free":
+        d = BiPoly({(0, j): c for j, c in
+                    draw(st.dictionaries(st.integers(0, 3), st.integers(-9, 9),
+                                         min_size=1, max_size=4)).items()})
+    else:
+        d = BiPoly(draw(small))
+    assume(not d.is_zero())
+    if kind == "vanishing":
+        z = BiPoly.variable("z")
+        lead = BiPoly.constant(draw(st.integers(1, 5)))
+        for k in range(3, 3 + draw(st.integers(1, 3))):
+            lead = lead * (z - k)
+        d = d + lead * BiPoly.variable("y") ** (d.degree(0) + 1)
+        assert d.specialize(1, 3).degree < d.degree(0)
+    dy, dz = d.degree(0), d.degree(1)
+    if dy == 0 and dz == 0:
+        return d, q, None
+    # a nonzero r below d's degree in y (or in z, for d free of y)
+    r = BiPoly({e: c for e, c in draw(small).items()
+                if (e[0] < dy if dy else e[1] < dz)})
+    assume(not r.is_zero())
+    return d, q, r
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_divisions())
+# d vanishes on the whole line z = 3, the first sample point
+@example((B("y*z - 3*y + z^2 - 3*z"), B("y - 1"), B("1")))
+def test_exact_divide_returns_the_planted_quotient(case):
+    """d * q divides to q; d * q + r raises, however d's leading
+    y-coefficient behaves at the sample points."""
+    d, q, r = case
+    assert (d * q).exact_divide(d) == q
+    assert d.divides(d * q)
+    if r is not None:
+        with pytest.raises(ExactDivisionError):
+            (d * q + r).exact_divide(d)
+        assert not FractionBiPoly(d.terms).divides(FractionBiPoly(
+            (d * q + r).terms))
 
 
 # -- the integer form of UniPoly against the Fraction-tuple reference --------

@@ -6,7 +6,7 @@ from functools import reduce
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import all_pairs_candidates
+from oracles import all_pairs_candidates, expanded_divides
 from quadorbits import families
 from quadorbits.dynamics import MapSet, QuadMap, apply_word, \
     finite_orbit_points
@@ -21,8 +21,8 @@ from quadorbits.verifier import elimination, symbolic
 from quadorbits.verifier.cases import _verify_factorization
 from quadorbits.verifier.elimination import GeneratorFactors, \
     eliminate_candidates
-from quadorbits.verifier.lemmas import LEMMA_IDS, groebner_route, \
-    lemma_setup
+from quadorbits.verifier.lemmas import LEMMA_IDS, _divides_product, \
+    groebner_route, lemma_setup
 from quadorbits.verifier.reports import fmt_pair
 from quadorbits.verifier.symbolic import dispose_at, dispose_tuple, \
     exclude_by_relation, three_cycle_parametrization
@@ -514,3 +514,34 @@ class TestOnePairElimination:
         assert len(computed) == 5 and max(computed) <= 139
         assert len(out.eliminant_degrees) == 9
         assert max(out.eliminant_degrees) == 278
+
+
+_curves = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                          _small, min_size=1, max_size=4).map(BiPoly).filter(
+                              lambda f: f.total_degree() > 0)
+
+
+class TestComponentPeeling:
+    """``verify_lemma`` decides whether a component divides a generator by
+    peeling gcds off it factor by factor; ``expanded_divides`` expands the
+    product and divides over Q."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_curves, _curves, _curves)
+    def test_peeling_matches_the_expanded_product(self, p, q, s):
+        r = p * p
+        # p^2 spread over the factors p*q and p*s divides their product
+        assert _divides_product(r, (p * q, p * s))
+        assert expanded_divides(r, (p * q, p * s))
+        # against p*q alone, p^2 divides only when p divides q
+        alone = _divides_product(r, (p * q,))
+        assert alone == expanded_divides(r, (p * q,)) \
+            == expanded_divides(p, (q,))
+
+    def test_lemma_23_component_matches_the_expanded_product(self):
+        setup = lemma_setup("2.3")
+        comp = eliminate_candidates(setup.gens, setup.structural).components
+        assert comp
+        for g in setup.gens:
+            assert _divides_product(comp[0], g.factors) \
+                == expanded_divides(comp[0], g.factors)

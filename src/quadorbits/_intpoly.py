@@ -14,7 +14,7 @@ integer map.  This module is the only one that computes on it: contents in
 the surviving variable, pseudo-remainders, subresultant resultants, the
 bivariate gcd, the Kronecker product ``zzmul`` of large ``BiPoly``
 products, and ``zzdivides_at_sample``, the one-specialization test with
-which ``BiPoly.exact_divide`` rejects most divisions that fail;
+which ``BiPoly.divide_out`` ends most of its failing last steps;
 ``BiPoly.specialize`` evaluates its rows with ``zeval_homogeneous``.
 
 The modular gcd computes candidates mod the primes above 2^61 in increasing

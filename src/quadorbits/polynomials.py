@@ -38,14 +38,9 @@ __all__ = [
 
 # ``BiPoly`` products go through one big-integer multiply by Kronecker
 # substitution (``_intpoly.zzmul``) when the operands have at least
-# KRONECKER_PAIRS term pairs, which spreads its fixed cost, and the packed
-# product is dense: its (deg_y + 1)(deg_z + 1) digits, each about as wide as
-# the two largest coefficients together, take at most KRONECKER_BITS_PER_PAIR
-# bits per term pair.  Smaller products (most ``BiRat`` products), sparse
-# operands and huge coefficients, which would fill the big integer with
-# padding, are multiplied term by term.
+# KRONECKER_PAIRS term pairs, which spreads its fixed cost; smaller products
+# (most ``BiRat`` products) are multiplied term by term.
 KRONECKER_PAIRS = 1024
-KRONECKER_BITS_PER_PAIR = 8
 
 
 class ExactDivisionError(ArithmeticError):
@@ -550,8 +545,7 @@ class BiPoly:
         self._check(other)
         vars = self.vars if self.ints else other.vars
         pairs = len(self.ints) * len(other.ints)
-        if (pairs < KRONECKER_PAIRS or self._kronecker_bits(other)
-                > KRONECKER_BITS_PER_PAIR * pairs):
+        if pairs < KRONECKER_PAIRS:
             out: dict[tuple[int, int], int] = {}
             for (i1, j1), c1 in self.ints.items():
                 for (i2, j2), c2 in other.ints.items():
@@ -564,15 +558,6 @@ class BiPoly:
                                 for b, c in enumerate(row)}, vars)
 
     __rmul__ = __mul__
-
-    def _kronecker_bits(self, other: "BiPoly") -> int:
-        """Bits of the digits of the Kronecker product with other, both
-        nonzero: one digit per slot of the product's degree box, as wide as
-        the two largest coefficients together."""
-        slots = ((self.degree(0) + other.degree(0) + 1)
-                 * (self.degree(1) + other.degree(1) + 1))
-        return slots * (max(map(abs, self.ints.values())).bit_length()
-                        + max(map(abs, other.ints.values())).bit_length())
 
     def __pow__(self, n: int):
         if n < 0:
@@ -618,23 +603,14 @@ class BiPoly:
     def exact_divide(self, d: "BiPoly") -> "BiPoly":
         """Exact division by a single divisor.
 
-        First the specialization test ``_intpoly.zzdivides_at_sample``: if
-        d(y, z0) does not divide self(y, z0) for one integer z0, neither
-        does d divide self, and ExactDivisionError is raised at once.
-        Otherwise, long division over Z by leading terms in lex order, by
-        the primitive part of d.  When the division is exact, every quotient
-        step is an integer (Gauss's lemma), so a fractional step or a
-        remainder term outside the leading term's multiples raises
-        ExactDivisionError.
+        Long division over Z by leading terms in lex order, by the primitive
+        part of d.  When the division is exact, every quotient step is an
+        integer (Gauss's lemma), so a fractional step or a remainder term
+        outside the leading term's multiples raises ExactDivisionError.
         """
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         self._check(d)
-        if not zp.zzdivides_at_sample(d.to_coeff_lists(0)[1],
-                                      self.to_coeff_lists(0)[1]):
-            raise ExactDivisionError(
-                "inexact bivariate division: fails at a sample value of "
-                f"{self.vars[1]}")
         content, prim = d.content_primitive()
         (la, lb), lc = max(prim.ints.items())
         rem = dict(self.ints)
@@ -670,15 +646,23 @@ class BiPoly:
 
     def divide_out(self, d: "BiPoly") -> tuple["BiPoly", int]:
         """(q, m) with self = d^m * q and d not dividing q; one exact
-        division per step.  self must be nonzero and d nonconstant."""
+        division per step.  self must be nonzero and d nonconstant.
+
+        The last step always fails, so each step first runs the
+        specialization test ``_intpoly.zzdivides_at_sample``: if d(y, z0)
+        does not divide q(y, z0) for one integer z0, neither does d divide
+        q, and the step ends without long division.  Long division decides
+        every step the test lets through."""
+        rows = d.to_coeff_lists(0)[1]
         m = 0
         q = self
-        while True:
+        while zp.zzdivides_at_sample(rows, q.to_coeff_lists(0)[1]):
             try:
                 q = q.exact_divide(d)
             except ExactDivisionError:
-                return q, m
+                break
             m += 1
+        return q, m
 
     def content_primitive(self) -> tuple[Fraction, "BiPoly"]:
         """Rational content and integer-primitive part (positive lex-leading

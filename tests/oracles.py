@@ -327,7 +327,9 @@ def all_pairs_candidates(gens: list[GeneratorFactors],
     pair of the rational roots of its factor-pair resultants (a zero
     resultant splits off the shared component and retries the leftover),
     together with the survivor-content roots, filtered by the common
-    specialized gcd of the reduced generators."""
+    specialized gcd of the reduced generators.  A pair whose generators
+    share a component has common zeros over every value of vars[1], so it
+    constrains nothing; ValueError when no pair constrains."""
     content_roots: set[Fraction] = set()
     reduced, stripped = [], []
     for gen in gens:
@@ -340,6 +342,7 @@ def all_pairs_candidates(gens: list[GeneratorFactors],
     cands: set[Fraction] | None = None
     for fi, fj in itertools.combinations(stripped, 2):
         union = set(content_roots)
+        shared = False
         for a, b in itertools.product(fi, fj):
             while a.degree(0) > 0 and b.degree(0) > 0:
                 r = resultant(a, b)
@@ -348,10 +351,14 @@ def all_pairs_candidates(gens: list[GeneratorFactors],
                         union |= rational_roots(
                             r.squarefree_part()).root_set()
                     break
+                shared = True
                 a, roots = _split_survivor_content(
                     a.exact_divide(bivariate_gcd(a, b)))
                 union |= roots
-        cands = union if cands is None else cands & union
+        if not shared:
+            cands = union if cands is None else cands & union
+    if cands is None:
+        raise ValueError("every generator pair shares a component")
     return [v for v in sorted(cands)
             if common_specialized_gcd(reduced, v).degree > 0]
 

@@ -451,7 +451,7 @@ def test_kronecker_rows_match_schoolbook(p, q):
         BiPoly.from_coeff_lists(p, 0), BiPoly.from_coeff_lists(q, 0))
 
 
-def test_product_selects_kronecker_by_size_and_density(monkeypatch):
+def test_product_selects_kronecker_by_size(monkeypatch):
     calls = []
     kronecker = zp.zzmul
     monkeypatch.setattr(zp, "zzmul",
@@ -468,7 +468,7 @@ def test_product_selects_kronecker_by_size_and_density(monkeypatch):
     sparse = BiPoly({(5 * k, 200 - 5 * k): k + 1 for k in range(40)})
     huge = dense * 10**300
     for a, b, used in [(dense, dense, True), (row31, row33, False),
-                       (sparse, sparse, False), (huge, huge, False)]:
+                       (sparse, sparse, True), (huge, huge, True)]:
         calls.clear()
         assert a * b == schoolbook_product(a, b)
         assert bool(calls) == used
@@ -525,6 +525,18 @@ def test_exact_divide_returns_the_planted_quotient(case):
             (d * q + r).exact_divide(d)
         assert not FractionBiPoly(d.terms).divides(FractionBiPoly(
             (d * q + r).terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_divisions(), st.integers(0, 2))
+@example((B("y*z - 3*y + z^2 - 3*z"), B("y - 1"), B("1")), 2)
+def test_divide_out_returns_the_planted_multiplicity(case, k):
+    """d^k * (d * q + r) gives (d * q + r, k), also where the sample test
+    has to skip the points at which d's leading y-coefficient vanishes."""
+    d, q, r = case
+    assume(r is not None)  # divide_out needs a nonconstant d
+    rest = d * q + r
+    assert (d ** k * rest).divide_out(d) == (rest, k)
 
 
 # -- the integer form of UniPoly against the Fraction-tuple reference --------

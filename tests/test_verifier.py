@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import all_pairs_candidates, expanded_divides
 from quadorbits import families
@@ -484,6 +484,12 @@ class TestOnePairElimination:
 
     @settings(max_examples=40, deadline=None)
     @given(symmetric_systems())
+    # the first and third generators share y^2 + z, which the all-pairs
+    # oracle must not read as an empty intersection: (0, 0) is a common zero
+    @example(([GeneratorFactors("G1", (BiPoly.parse("y^2 + z"),) * 2),
+               GeneratorFactors("G2", (BiPoly.parse("y^2 + z^2 + z"),) * 2),
+               GeneratorFactors("G3", (BiPoly.parse("y^2 + z"),))],
+              Fraction(0)))
     def test_flipped_and_even_pairs_match_the_all_pairs_oracle(self, system):
         gens, v0 = system
         common = reduce(bivariate_gcd, (math.prod(g.factors) for g in gens))

@@ -19,6 +19,18 @@ with 0 < 2 v_l(q) < v_l(b) the image denominator has valuation v_l(b) > 0
 and the doubling starts one step later; such x passes the guard and the
 orbit is cut at its image.)
 
+Both walks, ``is_preperiodic`` and ``monoid_orbit``, step on lowest-terms
+integer pairs (p, q), q > 0, and test the guards as integer inequalities.
+For c = a/b with b > 0, |x| > |c| + 1 is |p|/q > (|a| + b)/b, that is
+
+    G1:  |p| b > (|a| + b) q,        G2:  b mod q^2 != 0,
+
+with |a| + b computed once per call.  A point is expanded only when it
+passes G2 for every map, so q^2 divides b and the image is
+(p^2 (b / q^2) + a) / b, brought to lowest terms by one gcd.  ``Fraction``s
+appear only at the boundary: the input point and the points of the
+returned reports and witnesses.
+
 Points passing both guards for every map of S lie in the finite set
 { |x| <= min |c_i| + 1 and den(x)^2 | gcd den(c_i) }, so breadth-first
 closure either revisits (finite) or hits a guard (infinite): the procedure
@@ -58,7 +70,6 @@ __all__ = [
     "MuReport",
     "is_preperiodic",
     "periodic_points",
-    "exact_period",
     "mu_set",
     "monoid_orbit",
     "is_stable_set",
@@ -84,11 +95,6 @@ class QuadMap:
 
     def __call__(self, x: Fraction) -> Fraction:
         return x * x + self.c
-
-    def iterate(self, x: Fraction, n: int) -> Fraction:
-        for _ in range(n):
-            x = x * x + self.c
-        return x
 
     def __str__(self) -> str:
         c = self.c
@@ -137,12 +143,26 @@ class GuardHit:
     reason: str  # GUARD_ESCAPE or GUARD_DENOM
 
 
-def guard_violation(f: QuadMap, x: Fraction) -> str | None:
-    """Name of the guard x violates for f, or None if x passes both."""
-    if abs(x) > abs(f.c) + 1:
-        return GUARD_ESCAPE
-    if f.c.denominator % (x.denominator * x.denominator) != 0:
-        return GUARD_DENOM
+# (a, b, |a| + b) for c = a/b in lowest terms: what the guards and the image
+# of a point (p, q) read of a map
+_Table = list[tuple[int, int, int]]
+
+
+def _table(cs) -> _Table:
+    return [(c.numerator, c.denominator, abs(c.numerator) + c.denominator)
+            for c in cs]
+
+
+def _violation(p: int, q: int, table: _Table) -> tuple[int, str] | None:
+    """(map index, guard name) of the first guard that p/q violates, the
+    maps taken in order and G1 before G2 for each; None if it passes all."""
+    qq = q * q
+    ap = abs(p)
+    for i, (_, b, r) in enumerate(table):
+        if ap * b > r * q:
+            return i, GUARD_ESCAPE
+        if b % qq:
+            return i, GUARD_DENOM
     return None
 
 
@@ -173,17 +193,20 @@ class PreperiodicityReport:
 def is_preperiodic(f: QuadMap, x: Fraction) -> PreperiodicityReport:
     """Decide preperiodicity of x under f, exactly and with a certificate."""
     x = exact_rational(x)
-    seen: dict[Fraction, int] = {}
-    traj: list[Fraction] = []
-    cur = x
+    table = _table([f.c])
+    a, b, _ = table[0]
+    gcd = math.gcd
+    seen: dict[tuple[int, int], int] = {}
+    traj: list[tuple[int, int]] = []
+    cur = p, q = x.numerator, x.denominator
     while True:
-        reason = guard_violation(f, cur)
-        if reason is not None:
-            return PreperiodicityReport(False,
-                                        guard=GuardHit(cur, 0, reason))
+        hit = _violation(p, q, table)
+        if hit is not None:
+            return PreperiodicityReport(
+                False, guard=GuardHit(Fraction(p, q), 0, hit[1]))
         if cur in seen:
             tail = seen[cur]
-            cycle = tuple(traj[tail:])
+            cycle = tuple(Fraction(*y) for y in traj[tail:])
             return PreperiodicityReport(
                 True,
                 tail_length=tail,
@@ -192,17 +215,9 @@ def is_preperiodic(f: QuadMap, x: Fraction) -> PreperiodicityReport:
             )
         seen[cur] = len(traj)
         traj.append(cur)
-        cur = f(cur)
-
-
-def exact_period(f: QuadMap, x: Fraction, max_n: int = 12) -> int | None:
-    """Least n <= max_n with f^n(x) = x, else None."""
-    cur = x = exact_rational(x)
-    for n in range(1, max_n + 1):
-        cur = f(cur)
-        if cur == x:
-            return n
-    return None
+        n = p * p * (b // (q * q)) + a
+        g = gcd(n, b)
+        cur = p, q = n // g, b // g
 
 
 def _rational_cycles(f: QuadMap) -> list[tuple[Fraction, ...]]:
@@ -344,32 +359,38 @@ def monoid_orbit(S: MapSet, P: Fraction) -> OrbitResult:
     order, each word's children in map order.
     """
     P = exact_rational(P)
-    visited: dict[Fraction, Word] = {P: ()}
-    frontier: list[tuple[Word, Fraction]] = [((), P)]
+    table = _table(f.c for f in S)
+    gcd = math.gcd
+    start = P.numerator, P.denominator
+    visited: dict[tuple[int, int], Word] = {start: ()}
+    frontier: list[tuple[Word, tuple[int, int]]] = [((), start)]
     while frontier:
-        next_frontier: list[tuple[Word, Fraction]] = []
-        for word, x in frontier:
-            for i in range(len(S)):
-                reason = guard_violation(S[i], x)
-                if reason is not None:
-                    return OrbitResult(
-                        "infinite",
-                        P,
-                        witness=GuardHit(x, i, reason),
-                        witness_word=word,
-                    )
-            for i in range(len(S)):
-                y = S[i](x)
+        next_frontier: list[tuple[Word, tuple[int, int]]] = []
+        for word, (p, q) in frontier:
+            hit = _violation(p, q, table)
+            if hit is not None:
+                return OrbitResult(
+                    "infinite",
+                    P,
+                    witness=GuardHit(Fraction(p, q), *hit),
+                    witness_word=word,
+                )
+            pp, qq = p * p, q * q
+            for i, (a, b, _) in enumerate(table):
+                n = pp * (b // qq) + a
+                g = gcd(n, b)
+                y = n // g, b // g
                 if y not in visited:
                     w = word + (i,)
                     visited[y] = w
                     next_frontier.append((w, y))
         frontier = next_frontier
+    words = {Fraction(*y): w for y, w in visited.items()}
     return OrbitResult(
         "finite",
         P,
-        orbit=tuple(sorted(visited)),
-        words=dict(visited),
+        orbit=tuple(sorted(words)),
+        words=words,
     )
 
 

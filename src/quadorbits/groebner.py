@@ -106,7 +106,7 @@ def s_polynomial(f: BiPoly, g: BiPoly) -> BiPoly:
 # borrow from a short b part sets that bit, and a short a part makes d
 # negative.  Most terms of an S-polynomial end in the remainder; for those,
 # one comparison with a staircase of the leading exponents (``_Staircase``)
-# replaces the scan of the basis for a divisor.
+# replaces the scan of the basis for a divisor, and keeps them off the heap.
 #
 # A basis element is the triple (packed leading exponent, leading
 # coefficient, items), the items being the (packed exponent, int) pairs of a
@@ -176,13 +176,16 @@ def _reduce(work: dict[int, int], basis: list[_Element]
     """Fraction-free division of ``work`` (consumed) by the basis:
     (rem, scale) with rem / scale the exact remainder over Q of the
     division that always reduces the largest term by the first divisor
-    whose leading exponent divides it.  A term whose b part a shift has
-    carried to 2^31 raises ValueError when it comes off the heap."""
-    heap = [-e for e in work]
+    whose leading exponent divides it.  Only the exponents that some
+    leading exponent divides go on the heap: the others are never reduced,
+    and a step only adds terms below the one it reduces, so they stay in
+    ``work`` (rescaled with it) and form the remainder when the heap is
+    empty.  A term whose b part a shift has carried to 2^31 raises
+    ValueError when it comes off the heap."""
+    stairs = _Staircase(basis)
+    heap = [-e for e in work if e >= stairs[e >> 32]]
     heapq.heapify(heap)
     pop, push, gcd, limit = heapq.heappop, heapq.heappush, math.gcd, _LIMIT
-    stairs = _Staircase(basis)
-    rem: dict[int, int] = {}
     scale = Fraction(1)
     while heap:
         e = -pop(heap)
@@ -191,9 +194,6 @@ def _reduce(work: dict[int, int], basis: list[_Element]
             continue
         if e & limit:
             raise _beyond_range(_split(e))
-        if e < stairs[e >> 32]:  # no leading exponent divides e
-            rem[e] = work.pop(e)
-            continue
         for lt, cg, items in basis:  # the first divisor, which exists
             q = e - lt
             if q >= 0 and not q & limit:
@@ -204,16 +204,14 @@ def _reduce(work: dict[int, int], basis: list[_Element]
         if m < 0:
             m, k = -m, -k
         if m != 1:
-            for t in work:
-                work[t] *= m
-            for t in rem:
-                rem[t] *= m
+            work = {t: v * m for t, v in work.items()}
         for t, tc in items:
             te = t + q
             old = work.get(te)
             if old is None:
                 work[te] = -k * tc
-                push(heap, -te)
+                if te >= stairs[te >> 32]:
+                    push(heap, -te)
             else:
                 s = old - k * tc
                 if s:
@@ -221,14 +219,11 @@ def _reduce(work: dict[int, int], basis: list[_Element]
                 else:
                     del work[te]
         if m != 1:
-            d = gcd(*work.values(), *rem.values())
+            d = gcd(*work.values())
             if d != 1:
-                for t in work:
-                    work[t] //= d
-                for t in rem:
-                    rem[t] //= d
+                work = {t: v // d for t, v in work.items()}
             scale = scale * m / d
-    return rem, scale
+    return work, scale
 
 
 def normal_form(f: BiPoly, basis) -> BiPoly:

@@ -28,6 +28,10 @@ and dividing over Q, the reference for the gcd peeling of
 ``verify_lemma``.  ``is_square`` is the certified rational square root of
 the dynatomic and discriminant oracles, and ``leading_term`` the lex-leading
 term the Groebner tests read; the package itself needs neither.
+``fraction_monoid_orbit`` and ``fraction_is_preperiodic`` are the two
+guarded walks on ``Fraction``s, each guard tested by ``guard_violation``
+over Q, the reference for the package's walks on integer pairs; with
+``iterate`` and ``exact_period`` they are test-only helpers too.
 """
 
 from __future__ import annotations
@@ -37,11 +41,12 @@ import math
 from fractions import Fraction
 
 from quadorbits import _intpoly as zp
-from quadorbits.dynamics import MapSet, MuReport, OrbitResult, QuadMap, \
-    Word, exact_period, guard_violation, monoid_orbit
+from quadorbits.dynamics import GUARD_DENOM, GUARD_ESCAPE, GuardHit, \
+    MapSet, MuReport, OrbitResult, PreperiodicityReport, QuadMap, Word, \
+    monoid_orbit
 from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
     bivariate_gcd, resultant
-from quadorbits.rationals import rat_str
+from quadorbits.rationals import exact_rational, rat_str
 from quadorbits.roots import RootReport, _lift_roots, _multiplicity, \
     _pick_prime, rational_roots
 from quadorbits.search import FoundTuple, SearchSpec
@@ -122,6 +127,91 @@ def naive_preperiodic(c: Fraction, x: Fraction, steps: int = 200
             return False
         seen.add(cur)
     return None
+
+
+def guard_violation(f: QuadMap, x: Fraction) -> str | None:
+    """Name of the guard x violates for f, or None if x passes both."""
+    if abs(x) > abs(f.c) + 1:
+        return GUARD_ESCAPE
+    if f.c.denominator % (x.denominator * x.denominator) != 0:
+        return GUARD_DENOM
+    return None
+
+
+def iterate(f: QuadMap, x: Fraction, n: int) -> Fraction:
+    """f applied n times to x."""
+    for _ in range(n):
+        x = x * x + f.c
+    return x
+
+
+def exact_period(f: QuadMap, x: Fraction, max_n: int = 12) -> int | None:
+    """Least n <= max_n with f^n(x) = x, else None."""
+    cur = x = exact_rational(x)
+    for n in range(1, max_n + 1):
+        cur = f(cur)
+        if cur == x:
+            return n
+    return None
+
+
+def fraction_is_preperiodic(f: QuadMap, x: Fraction) -> PreperiodicityReport:
+    """``is_preperiodic`` stepping on ``Fraction``s, the guards tested by
+    ``guard_violation``."""
+    x = exact_rational(x)
+    seen: dict[Fraction, int] = {}
+    traj: list[Fraction] = []
+    cur = x
+    while True:
+        reason = guard_violation(f, cur)
+        if reason is not None:
+            return PreperiodicityReport(False,
+                                        guard=GuardHit(cur, 0, reason))
+        if cur in seen:
+            tail = seen[cur]
+            cycle = tuple(traj[tail:])
+            return PreperiodicityReport(
+                True,
+                tail_length=tail,
+                cycle_length=len(cycle),
+                cycle=cycle,
+            )
+        seen[cur] = len(traj)
+        traj.append(cur)
+        cur = f(cur)
+
+
+def fraction_monoid_orbit(S: MapSet, P: Fraction) -> OrbitResult:
+    """``monoid_orbit`` stepping on ``Fraction``s: the same frontier, word
+    order and guard order, each guard tested by ``guard_violation``."""
+    P = exact_rational(P)
+    visited: dict[Fraction, Word] = {P: ()}
+    frontier: list[tuple[Word, Fraction]] = [((), P)]
+    while frontier:
+        next_frontier: list[tuple[Word, Fraction]] = []
+        for word, x in frontier:
+            for i in range(len(S)):
+                reason = guard_violation(S[i], x)
+                if reason is not None:
+                    return OrbitResult(
+                        "infinite",
+                        P,
+                        witness=GuardHit(x, i, reason),
+                        witness_word=word,
+                    )
+            for i in range(len(S)):
+                y = S[i](x)
+                if y not in visited:
+                    w = word + (i,)
+                    visited[y] = w
+                    next_frontier.append((w, y))
+        frontier = next_frontier
+    return OrbitResult(
+        "finite",
+        P,
+        orbit=tuple(sorted(visited)),
+        words=dict(visited),
+    )
 
 
 def word_order_orbit(S: MapSet, P: Fraction

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import dynatomic_mu_set, dynatomic_periodic_points, \
-    naive_preperiodic, per_point_finite_orbit_points, word_order_orbit
+    fraction_is_preperiodic, fraction_monoid_orbit, guard_violation, \
+    iterate, naive_preperiodic, per_point_finite_orbit_points, \
+    word_order_orbit
 from quadorbits import dynamics
 from quadorbits.dynamics import GUARD_DENOM, GUARD_ESCAPE, MapSet, MuReport, \
-    QuadMap, OrbitResult, apply_word, exact_period, finite_orbit_points, \
-    guard_violation, is_preperiodic, is_stable_set, monoid_orbit, mu_set, \
-    periodic_points, word_str
+    QuadMap, OrbitResult, apply_word, finite_orbit_points, is_preperiodic, \
+    is_stable_set, monoid_orbit, mu_set, periodic_points, word_str
 from quadorbits.rationals import rat
 
 
@@ -96,9 +97,9 @@ class TestPeriodicPoints:
             f = QuadMap(F(c))
             for n in (1, 2, 3):
                 for x in periodic_points(f, n):
-                    assert f.iterate(x, n) == x
+                    assert iterate(f, x, n) == x
                     for m in range(1, n):
-                        assert f.iterate(x, m) != x
+                        assert iterate(f, x, m) != x
 
 
 class TestMu:
@@ -304,6 +305,89 @@ class TestMonoidOrbitWords:
             assert (None, res.witness_word) == (words, witness_word)
 
 
+HEIGHTS = (16, 10**6, 10**30)
+
+
+@st.composite
+def walk_inputs(draw):
+    """(S, P) for the walks: 1 to 4 distinct maps of height up to 16, 10^6
+    or 10^30 whose denominators are one shared square, unshared squares or
+    non-squares, and a point on the first map's grid n/L (L^2 its
+    denominator, 1 if that is no square) or off it, near the escape radius
+    or anywhere up to the height.  A planted set is a paper family (F-11a or
+    F-12a) at a parameter of that height, with its finite-orbit basepoint
+    and up to two more maps of its denominator, so that the closure runs
+    deep before it stops or hits a guard."""
+    top = draw(st.sampled_from(HEIGHTS))
+    kind = draw(st.sampled_from(("planted", "shared", "unshared",
+                                 "non-square")))
+    s = draw(st.integers(1, 4))
+    roots = st.integers(1, math.isqrt(top))
+    if kind == "planted":
+        half = st.integers(1, max(1, math.isqrt(top) // 2))
+        y = Fraction(draw(half) * draw(st.sampled_from((-1, 1))), draw(half))
+        second = c_two(y) if draw(st.booleans()) else (-y * y - 4 * y - 3) / 4
+        cs = [c_fixed(y), second]
+        D = cs[0].denominator
+        cs += [Fraction(draw(st.integers(-3 * D, D)), D)
+               for _ in range(s - 2)]
+        cs = list(dict.fromkeys(cs))
+        return MapSet(cs), (1 + y) / 2 * draw(st.sampled_from((-1, 1)))
+    if kind == "shared":
+        dens = [draw(roots) ** 2] * s
+    elif kind == "unshared":
+        dens = [draw(roots) ** 2 for _ in range(s)]
+    else:
+        dens = [draw(st.integers(2, top)) for _ in range(s)]
+    cs = list(dict.fromkeys(
+        Fraction(draw(st.integers(-min(3 * D, top), min(D, top))), D)
+        for D in dens))
+    L = math.isqrt(dens[0])
+    if draw(st.booleans()):
+        q = L if L * L == dens[0] else 1
+    else:
+        q = draw(st.integers(1, top))
+    if draw(st.booleans()):
+        bound = (math.floor(abs(cs[0])) + 2) * q
+        n = draw(st.integers(-bound, bound))
+    else:
+        n = draw(st.integers(-top, top))
+    return MapSet(cs), Fraction(n, q)
+
+
+TRIPLE = MapSet([F("-21/16"), F("-13/16"), F("-5/16")])
+
+
+class TestWalksMatchFractionWalks:
+    """The walks on integer pairs return exactly the reports of the same
+    walks on ``Fraction``s (``oracles.fraction_monoid_orbit`` and
+    ``oracles.fraction_is_preperiodic``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(walk_inputs())
+    @example((TRIPLE, F("1/4")))
+    @example((TRIPLE, F("7/4")))
+    @example((MapSet([F("-5/16"), F("1/9")]), F("1/4")))
+    @example((MapSet([F("255/65536"), F("-257/65536")]), F("1/256")))
+    @example((MapSet([F(-1), F(-2)]), F(0)))
+    def test_monoid_orbit(self, inputs):
+        S, P = inputs
+        res, ref = monoid_orbit(S, P), fraction_monoid_orbit(S, P)
+        assert res == ref
+        assert list(res.words.items()) == list(ref.words.items())
+
+    @settings(max_examples=400, deadline=None)
+    @given(walk_inputs())
+    @example((MapSet([F("-13/16")]), F("1/4")))
+    @example((MapSet([F("-29/16")]), F("-1/4")))
+    @example((MapSet([F(1)]), F(0)))
+    @example((MapSet([F("1/4")]), F("1/3")))
+    def test_is_preperiodic(self, inputs):
+        S, P = inputs
+        for f in S:
+            assert is_preperiodic(f, P) == fraction_is_preperiodic(f, P)
+
+
 FIXED_SETS = [
     ["-5/16", "-13/16", "-21/16"],
     ["3/16", "-5/16", "-13/16"],
@@ -447,7 +531,5 @@ class TestMapSet:
                 monoid_orbit(MapSet([-1]), bad)
             with pytest.raises(TypeError):
                 is_preperiodic(QuadMap(-1), bad)
-            with pytest.raises(TypeError):
-                exact_period(QuadMap(-1), bad)
             with pytest.raises(TypeError):
                 is_stable_set(MapSet([-1]), [bad])

@@ -9,6 +9,12 @@ case or family whose report changed.  Laid out as ``{"lemmas": {id: ...},
 "cases": {"n": [...]}, "families": {id: ...}, "theorem": ...}``, the
 whole dump hashes to 7cfadf118e17c78d6f533db59c1595b61788f93aa5d4832826a7
 7737a6c6a1f1.  A deliberate change to a report updates its hash here.
+
+The orbit side is pinned the same way: the exact stdout bytes and exit code
+of ``quadorbits orbit``, ``preperiodic``, ``mu`` and ``periodic`` with
+``--format json`` on fixed inputs (finite orbits, a witness of each guard,
+deep and on a later map, and the triple -21/16, -13/16, -5/16), and the
+results of two criterion-9 searches sorted by their c tuples.
 """
 
 import hashlib
@@ -17,6 +23,7 @@ import json
 import pytest
 
 from quadorbits import cli
+from quadorbits.search import SearchSpec, search
 from quadorbits.verifier import verify_theorem_case
 
 LEMMAS = {
@@ -47,6 +54,43 @@ FAMILIES = {
     "F-22a": "f757e5197af1ab327209a167e6604bf252e82c141b40ffaa25d66f59109c3ccf",
 }
 THEOREM = "f2b7dc7f174f23def90952a14297b99ff6afcd6c9dccb5c922c8bc113ff99e03"
+# command line (without "--format json") -> (exit code, SHA-256 of stdout)
+ORBIT_CLI = {
+    "orbit --maps -21/16,-13/16,-5/16 --point 1/4":
+        (0, "5697ec8f1ef8a7f3bf9f7b35d433667ea610b4de5519382d81ff85cf5e214805"),
+    "orbit --maps 255/65536,-257/65536 --point 1/256":
+        (0, "c7480db3b4ea1f8d761bcf2287e13a69680c941a326829e3472c32242c5b5ab4"),
+    "orbit --maps -1,-2 --point 0":
+        (1, "eb56d1401805e5bb6e2ca79f6c8c3b69472055828487bcf39c64d761f6254644"),
+    "orbit --maps -13/16,-29/16,-5/16,-21/16 --point 3/4":
+        (1, "1303b18c6206b07a92ee12aeef573c2692c75c32e90ea89d6e0cfc5c272950a4"),
+    "orbit --maps -5/16,-13/16,3/16 --point 1/2":
+        (1, "8df11cad183357e226e60c4de6194b04719ff638bf7e2e66d4d043a2b9016a1d"),
+    "orbit --maps -5/16,1/9 --point 1/4":
+        (1, "6a9600f2bdf40a68df2fc80db9fb8bede7ac0e267fbf475946bc74f761991d83"),
+    "preperiodic --c -13/16 --point 1/4":
+        (0, "2860b957cab10a7f70c1fe121be836e9783db7005834c4f75e15c69245dc8eed"),
+    "preperiodic --c -29/16 --point -1/4":
+        (0, "fe611385f1a1a21d1c63eaf0855d3f7e166150f58f8a89768043047e31f4eefe"),
+    "preperiodic --c 1 --point 0":
+        (1, "3405498d7c9418647d76694a2ede1fed0f56389cb91aac3f777870d1f1948ae5"),
+    "preperiodic --c 1/4 --point 1/3":
+        (1, "c932cfda12af589cda8f1417a274949cb51afb045d91c16bf1b795582776e84e"),
+    "mu --maps -21/16,-13/16,-5/16":
+        (0, "9c3bfc5347c808588bbeafb769c837354a9c121c798898ad88476310107a800b"),
+    "periodic --c -21/16 --n 1":
+        (0, "f36ed5f1365b957b2f19c8f5be9d9e30b8b1328aa61db54b38066576004e5374"),
+    "periodic --c -13/16 --n 2":
+        (0, "42c3d2ad2fa435ae0f9199d213c75755a1d0caad59cc0eaf8102b9702cbc9f90"),
+    "periodic --c -5/16 --n 1":
+        (0, "3e15db752221ae5599273d75a212eacaf9fee71c059e51edc2b222c955352bf9"),
+}
+SEARCHES = {
+    (2, 16, 40):
+        "41d9ba0de250a03e5699370f8af4e4551c0d350ee9f873bb508dbe3e00e654f2",
+    (3, 16, 21):
+        "b364899d696a32ae57ea5a0abbea833baf642b12b35225bd8e5c135234c21aae",
+}
 
 
 def digest(section) -> str:
@@ -77,3 +121,17 @@ def test_family_verify_json(capsys, family_id):
 
 def test_theorem_summary(theorem_summary):
     assert digest(theorem_summary.to_dict()) == THEOREM
+
+
+@pytest.mark.parametrize("line", sorted(ORBIT_CLI))
+def test_orbit_cli_json(capsys, line):
+    code = cli.main(line.split() + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        ORBIT_CLI[line]
+
+
+@pytest.mark.parametrize("spec", sorted(SEARCHES), ids=str)
+def test_search_results(spec):
+    found = sorted(search(SearchSpec(*spec)), key=lambda t: t.cs)
+    assert digest([t.to_dict() for t in found]) == SEARCHES[spec]

@@ -4,16 +4,21 @@ Verbs: orbit, preperiodic, mu, periodic, verify lemma, verify theorem,
 family verify, search.  All rationals are read and written exactly as
 "p/q" (or integers); decimals are rejected.
 
+One table, ``_VERBS``, gives each verb its handler, help and flags.  A flag
+takes its value as ``--flag v`` or ``--flag=v``, and the value may start
+with "-", so negative rationals need no "="; a unique prefix stands for a
+flag name, and a repeated flag keeps its last value.  Text lines are built
+only for ``--format text``.
+
 Exit codes: 0 = pass / finite, 1 = fail / infinite, 2 = usage error,
 3 = budget exhausted on an explicitly requested Groebner route.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from .dynamics import MapSet, QuadMap, is_preperiodic, monoid_orbit, mu_set, \
     periodic_points
@@ -31,11 +36,12 @@ def _parse_maps(text: str) -> MapSet:
     return MapSet([rat(part) for part in text.split(",") if part.strip()])
 
 
-def _emit(data: dict, fmt: str, text_lines: list[str]) -> None:
+def _emit(fmt: str, data: dict, text) -> None:
+    """Print data as JSON, or the lines text() builds for --format text."""
     if fmt == "json":
         print(json.dumps(data, indent=2))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
 
 
@@ -44,37 +50,28 @@ def _cmd_orbit(args) -> int:
     P = rat(args.point)
     res = monoid_orbit(S, P)
     data = res.to_dict()
-    if res.is_finite():
-        lines = [f"finite orbit of size {len(res.orbit)} for {S} from "
-                 f"{rat_str(P)}:",
-                 "  " + ", ".join(rat_str(q) for q in res.orbit)]
-        _emit(data, args.format, lines)
-        return 0
     g = res.witness
-    lines = [f"infinite orbit for {S} from {rat_str(P)}:",
-             f"  witness point {rat_str(g.point)} (word "
-             f"'{data['witness']['word']}') violates the {g.reason} guard "
-             f"of map {g.map_index + 1}"]
-    _emit(data, args.format, lines)
-    return 1
+    _emit(args.format, data, lambda: [
+        f"finite orbit of size {len(res.orbit)} for {S} from {rat_str(P)}:",
+        "  " + ", ".join(map(rat_str, res.orbit))] if g is None else [
+        f"infinite orbit for {S} from {rat_str(P)}:",
+        f"  witness point {rat_str(g.point)} (word "
+        f"'{data['witness']['word']}') violates the {g.reason} guard "
+        f"of map {g.map_index + 1}"])
+    return 0 if g is None else 1
 
 
 def _cmd_preperiodic(args) -> int:
     f = QuadMap(rat(args.c))
     x = rat(args.point)
     rep = is_preperiodic(f, x)
-    data = rep.to_dict()
-    if rep.preperiodic:
-        lines = [f"{rat_str(x)} is preperiodic for {f}: tail "
-                 f"{rep.tail_length}, cycle "
-                 f"{{{', '.join(rat_str(q) for q in rep.cycle)}}}"]
-        _emit(data, args.format, lines)
-        return 0
     g = rep.guard
-    lines = [f"{rat_str(x)} is not preperiodic for {f}: point "
-             f"{rat_str(g.point)} violates the {g.reason} guard"]
-    _emit(data, args.format, lines)
-    return 1
+    _emit(args.format, rep.to_dict(), lambda: [
+        f"{rat_str(x)} is preperiodic for {f}: tail {rep.tail_length}, "
+        f"cycle {{{', '.join(map(rat_str, rep.cycle))}}}" if g is None else
+        f"{rat_str(x)} is not preperiodic for {f}: point "
+        f"{rat_str(g.point)} violates the {g.reason} guard"])
+    return 0 if g is None else 1
 
 
 def _cmd_mu(args) -> int:
@@ -89,10 +86,10 @@ def _cmd_mu(args) -> int:
         "max_cycle_length": rep.max_cycle_length,
     }
     holds = rep.max_cycle_length <= 3
-    lines = [f"mu({S}) = {rep.mu} over exact periods 1..3",
-             "no rational cycle longer than 3 (any length): "
-             + ("confirmed" if holds else "VIOLATED")]
-    _emit(data, args.format, lines)
+    _emit(args.format, data, lambda: [
+        f"mu({S}) = {rep.mu} over exact periods 1..3",
+        "no rational cycle longer than 3 (any length): "
+        + ("confirmed" if holds else "VIOLATED")])
     return 0 if holds else 1
 
 
@@ -101,9 +98,9 @@ def _cmd_periodic(args) -> int:
     pts = sorted(periodic_points(f, args.n))
     data = {"c": rat_str(f.c), "n": args.n,
             "points": [rat_str(p) for p in pts]}
-    _emit(data, args.format,
-          [f"rational points of exact period {args.n} for {f}: "
-           + (", ".join(rat_str(p) for p in pts) if pts else "none")])
+    _emit(args.format, data, lambda: [
+        f"rational points of exact period {args.n} for {f}: "
+        + (", ".join(data["points"]) if pts else "none")])
     return 0
 
 
@@ -115,18 +112,16 @@ def _cmd_verify_lemma(args) -> int:
     budget = Budget(max_pairs=args.max_pairs,
                     max_coeff_bits=args.max_coeff_bits)
     rep = verify_lemma(args.id, route=args.route, budget=budget)
-    data = rep.to_dict()
-    lines = [f"lemma {rep.lemma_id} ({rep.hypothesis})",
-             f"  candidates: {rep.candidates} (expected "
-             f"{rep.expected_candidates})",
-             f"  sporadic pairs: {rep.sporadic_found}",
-             f"  conclusion: {rep.conclusion}",
-             f"  verdict: {rep.verdict}"]
-    if rep.groebner is not None:
-        lines.insert(-1, f"  groebner route: {rep.groebner.status}")
-    for f in rep.flags:
-        lines.append(f"  flag: {f}")
-    _emit(data, args.format, lines)
+    _emit(args.format, rep.to_dict(), lambda: [
+        f"lemma {rep.lemma_id} ({rep.hypothesis})",
+        f"  candidates: {rep.candidates} (expected "
+        f"{rep.expected_candidates})",
+        f"  sporadic pairs: {rep.sporadic_found}",
+        f"  conclusion: {rep.conclusion}",
+        *([f"  groebner route: {rep.groebner.status}"]
+          if rep.groebner is not None else []),
+        f"  verdict: {rep.verdict}",
+        *(f"  flag: {f}" for f in rep.flags)])
     if args.route == "groebner" and rep.groebner is not None \
             and rep.groebner.status != "completed":
         return 3
@@ -136,18 +131,14 @@ def _cmd_verify_lemma(args) -> int:
 def _cmd_verify_theorem(args) -> int:
     cases = [args.case] if args.case else None
     summary = verify_theorem(run_lemmas=not args.skip_lemmas, cases=cases)
-    data = summary.to_dict()
-    lines = [f"cases run: {sorted({c.case for c in summary.cases})}",
-             f"surviving triples: "
-             f"{[t['c'] for t in summary.surviving_triples]}",
-             f"four-map exclusion holds: "
-             f"{summary.four_map_exclusion['holds']}",
-             f"integral-coefficient check holds: "
-             f"{summary.corollary_check['holds']}",
-             f"verdict: {summary.verdict}"]
-    for f in summary.flags:
-        lines.append(f"flag: {f}")
-    _emit(data, args.format, lines)
+    _emit(args.format, summary.to_dict(), lambda: [
+        f"cases run: {sorted({c.case for c in summary.cases})}",
+        f"surviving triples: {[t['c'] for t in summary.surviving_triples]}",
+        f"four-map exclusion holds: {summary.four_map_exclusion['holds']}",
+        f"integral-coefficient check holds: "
+        f"{summary.corollary_check['holds']}",
+        f"verdict: {summary.verdict}",
+        *(f"flag: {f}" for f in summary.flags)])
     return 0 if summary.verdict == "pass" else 1
 
 
@@ -169,12 +160,12 @@ def _cmd_family(args) -> int:
                                 sorted(fam.tup.excluded_values())],
         "symbolic_identity_holds": ok,
     }
-    _emit(data, args.format,
-          [f"family {fam.id}: {fam.description}",
-           f"  maps: {[str(c) for c in fam.tup.cs]}",
-           f"  basepoint: {fam.tup.P}",
-           f"  stable set: {list(fam.stable_exprs)}",
-           f"  symbolic stability: {'holds' if ok else 'FAILS'}"])
+    _emit(args.format, data, lambda: [
+        f"family {fam.id}: {fam.description}",
+        f"  maps: {data['c']}",
+        f"  basepoint: {fam.tup.P}",
+        f"  stable set: {list(fam.stable_exprs)}",
+        f"  symbolic stability: {'holds' if ok else 'FAILS'}"])
     return 0 if ok else 1
 
 
@@ -202,109 +193,133 @@ def _cmd_search(args) -> int:
         except OSError as e:
             print(f"error: cannot write output file: {e}", file=sys.stderr)
             return 2
-    lines = [f"search over c in {{k/{spec.denominator} : |k| <= "
-             f"{spec.numerator_bound}}}, sets of {spec.set_size}: "
-             f"{len(results)} tuple(s)"]
-    for t in results:
-        d = t.to_dict()
-        lines.append(f"  {d['c']} basepoints {d['basepoints']}")
-    if args.output:
-        lines.append(f"results written to {args.output}")
-    _emit(data, args.format, lines)
+    _emit(args.format, data, lambda: [
+        f"search over c in {{k/{spec.denominator} : |k| <= "
+        f"{spec.numerator_bound}}}, sets of {spec.set_size}: "
+        f"{len(results)} tuple(s)",
+        *(f"  {d['c']} basepoints {d['basepoints']}" for d in data["found"]),
+        *([f"results written to {args.output}"] if args.output else [])])
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls
-    (parsing leaves it unchanged)."""
-    ap = argparse.ArgumentParser(
-        prog="quadorbits",
-        description="exact finite-orbit computations for sets of quadratic "
-                    "polynomials x^2 + c over Q")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("orbit", parents=[common],
-                       help="breadth-first closure under a map set")
-    p.add_argument("--maps", required=True,
-                   help='comma-separated c values, e.g. "-5/16,-13/16"')
-    p.add_argument("--point", required=True)
-    p.set_defaults(func=_cmd_orbit)
-
-    p = sub.add_parser("preperiodic", parents=[common], help="single-map preperiodicity")
-    p.add_argument("--c", required=True)
-    p.add_argument("--point", required=True)
-    p.set_defaults(func=_cmd_preperiodic)
-
-    p = sub.add_parser("mu", parents=[common], help="maximum exact period over a map set")
-    p.add_argument("--maps", required=True)
-    p.set_defaults(func=_cmd_mu)
-
-    p = sub.add_parser("periodic", parents=[common], help="points of exact period n")
-    p.add_argument("--c", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_periodic)
-
-    p = sub.add_parser("verify", help="re-verify a lemma or the theorem")
-    vsub = p.add_subparsers(dest="what", required=True)
-    pl = vsub.add_parser("lemma", parents=[common])
-    pl.add_argument("--id", required=True)
-    pl.add_argument("--route", choices=("resultant", "groebner"),
-                    default="resultant")
-    pl.add_argument("--max-pairs", type=int, default=5_000,
-                    help="groebner pair budget (exhaustion exits 3)")
-    pl.add_argument("--max-coeff-bits", type=int, default=500_000)
-    pl.set_defaults(func=_cmd_verify_lemma)
-    pt = vsub.add_parser("theorem", parents=[common])
-    pt.add_argument("--case", type=int, choices=range(1, 11))
-    pt.add_argument("--skip-lemmas", action="store_true",
-                    help="cite the pair lemmas instead of re-running them")
-    pt.set_defaults(func=_cmd_verify_theorem)
-
-    p = sub.add_parser("family", help="catalog family operations")
-    fsub = p.add_subparsers(dest="what", required=True)
-    pf = fsub.add_parser("verify", parents=[common])
-    pf.add_argument("--id", required=True)
-    pf.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("search", parents=[common], help="exhaustive grid search")
-    p.add_argument("--spec", help="JSON file with set_size/denominator/"
-                                  "numerator_bound")
-    p.add_argument("--set-size", type=int, default=3)
-    p.add_argument("--denominator", type=int, default=16)
-    p.add_argument("--numerator-bound", type=int, default=40)
-    p.add_argument("--output", help="write the sorted results as JSON")
-    p.set_defaults(func=_cmd_search)
-    return ap
+_FORMAT = ("--format", str, ("text", "json"), "text", "output format")
+# verb path -> (handler, help, flags); a flag is (name, type, choices,
+# default, help), type int, str or bool (a switch), default ... if required
+_VERBS = {
+    "orbit": (_cmd_orbit, "breadth-first closure under a map set", (
+        _FORMAT, ("--maps", str, None, ..., "comma-separated c values"),
+        ("--point", str, None, ..., "the basepoint"))),
+    "preperiodic": (_cmd_preperiodic, "single-map preperiodicity", (
+        _FORMAT, ("--c", str, None, ..., "the map x^2 + c"),
+        ("--point", str, None, ..., "the point"))),
+    "mu": (_cmd_mu, "maximum exact period over a map set", (
+        _FORMAT, ("--maps", str, None, ..., "comma-separated c values"))),
+    "periodic": (_cmd_periodic, "points of exact period n", (
+        _FORMAT, ("--c", str, None, ..., "the map x^2 + c"),
+        ("--n", int, None, ..., "the exact period"))),
+    "verify lemma": (_cmd_verify_lemma, "re-verify a pair lemma", (
+        _FORMAT, ("--id", str, None, ..., "lemma id, 2.1 to 2.6"),
+        ("--route", str, ("resultant", "groebner"), "resultant", "route"),
+        ("--max-pairs", int, None, 5_000, "Groebner pair budget"),
+        ("--max-coeff-bits", int, None, 500_000, "coefficient-bit budget"))),
+    "verify theorem": (_cmd_verify_theorem, "re-verify the theorem", (
+        _FORMAT, ("--case", int, range(1, 11), None, "run this case only"),
+        ("--skip-lemmas", bool, None, False, "cite the lemmas, not re-run"))),
+    "family verify": (_cmd_family, "check a catalog family's stability", (
+        _FORMAT, ("--id", str, None, ..., "family id, e.g. F-11b"))),
+    "search": (_cmd_search, "exhaustive grid search", (
+        _FORMAT, ("--spec", str, None, None, "JSON file of a SearchSpec"),
+        ("--set-size", int, None, 3, "maps per set"),
+        ("--denominator", int, None, 16, "the grid is c = k/denominator"),
+        ("--numerator-bound", int, None, 40, "the grid has |k| <= this"),
+        ("--output", str, None, None, "write the sorted results as JSON"))),
+}
 
 
-_VALUE_FLAGS = {"--maps", "--point", "--c", "--id", "--spec"}
+def _usage(path: str) -> str:
+    """The usage line of a verb path, or of the verbs under a prefix."""
+    if path not in _VERBS:
+        return f"usage: {f'quadorbits {path}'.rstrip()} <verb> ..."
+    words = [f"usage: quadorbits {path} [-h]"]
+    for name, kind, choices, default, _ in _VERBS[path][2]:
+        if kind is not bool:
+            name += (" {%s}" % ",".join(map(str, choices)) if choices else
+                     " " + name[2:].upper().replace("-", "_"))
+        words.append(name if default is ... else f"[{name}]")
+    return " ".join(words)
 
 
-def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Fold "--maps -5/16,..." into "--maps=-5/16,..." so rational values
-    starting with a minus sign survive argument parsing."""
-    out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+def _usage_error(path: str, message: str) -> SystemExit:
+    print(f"{_usage(path)}\n{f'quadorbits {path}'.rstrip()}: error: "
+          f"{message}", file=sys.stderr)
+    return SystemExit(2)
+
+
+def _help(path: str) -> SystemExit:
+    verb = _VERBS.get(path)
+    rows = [(f[0], f[4]) for f in verb[2]] if verb else \
+        [(v, h) for v, (_, h, _) in _VERBS.items() if v.startswith(path)]
+    print(_usage(path), "", verb[1] if verb else "exact finite-orbit "
+          "computations for sets of quadratic polynomials x^2 + c over Q", "",
+          *(f"  {a:18} {b}" for a, b in rows), sep="\n")
+    return SystemExit(0)
+
+
+def _parse(argv: list[str]):
+    """The handler that argv names in ``_VERBS`` and its arguments, by
+    attribute name; help exits 0 and a usage error exits 2."""
+    n = 2 if " ".join(argv[:2]) in _VERBS else 1
+    path = " ".join(argv[:n])
+    if path not in _VERBS:
+        group = path if any(v.startswith(f"{path} ") for v in _VERBS) else ""
+        if argv[1 if group else 0:][:1] in (["-h"], ["--help"]):
+            raise _help(group)
+        raise _usage_error(group, "choose a verb from " + ", ".join(
+            v for v in _VERBS if v.startswith(group)))
+    handler, _, flags = _VERBS[path]
+    opts = {f[0]: f[3] for f in flags}
+    rest = iter(argv[n:])
+    for tok in rest:
+        if tok in ("-h", "--help"):
+            raise _help(path)
+        key, eq, value = tok.partition("=")
+        match = [f for f in flags if f[0] == key] or \
+            [f for f in flags if key[:2] == "--" and f[0].startswith(key)]
+        if len(match) != 1:
+            raise _usage_error(path, f"ambiguous option: {key} could match "
+                               + ", ".join(f[0] for f in match) if match
+                               else f"unrecognized arguments: {tok}")
+        name, kind, choices, _, _ = match[0]
+        if kind is bool:
+            if eq:
+                raise _usage_error(path, f"argument {name}: ignored "
+                                   f"explicit argument {value!r}")
+            opts[name] = True
+            continue
+        if not eq and (value := next(rest, None)) is None:
+            raise _usage_error(path, f"argument {name}: expected one argument")
+        try:
+            value = kind(value)
+        except ValueError:
+            raise _usage_error(path, f"argument {name}: invalid "
+                               f"{kind.__name__} value: {value!r}") from None
+        if choices is not None and value not in choices:
+            raise _usage_error(path, f"argument {name}: invalid choice: "
+                               f"{value!r} (choose from "
+                               f"{', '.join(map(repr, choices))})")
+        opts[name] = value
+    missing = [name for name, v in opts.items() if v is ...]
+    if missing:
+        raise _usage_error(path, "the following arguments are required: "
+                           + ", ".join(missing))
+    return handler, SimpleNamespace(
+        **{name[2:].replace("-", "_"): v for name, v in opts.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(_merge_negative_values(
-        list(sys.argv[1:] if argv is None else argv)))
+    handler, args = _parse(list(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

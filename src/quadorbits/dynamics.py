@@ -333,8 +333,12 @@ class OrbitResult:
         out = {"verdict": self.verdict, "basepoint": rat_str(self.basepoint)}
         if self.is_finite():
             out["orbit"] = [rat_str(p) for p in self.orbit]
-            out["words"] = {rat_str(p): word_str(w) for p, w in
-                            sorted(self.words.items())}
+            # sorted by p * D, D the lcm of the denominators: exact
+            # integer keys, no Fraction comparisons
+            D = math.lcm(*(p.denominator for p in self.words))
+            out["words"] = {rat_str(p): word_str(w) for p, w in sorted(
+                self.words.items(),
+                key=lambda pw: pw[0].numerator * (D // pw[0].denominator))}
         else:
             assert self.witness is not None
             out["witness"] = {

@@ -8,7 +8,7 @@ import pytest
 
 import quadorbits
 from quadorbits import cli
-from quadorbits.cli import build_parser, main
+from quadorbits.cli import main
 from quadorbits.dynamics import MapSet, MuReport, is_stable_set, monoid_orbit
 from quadorbits.rationals import rat
 
@@ -196,10 +196,83 @@ class TestOtherVerbs:
         assert code == 2 and "error" in err
 
 
-class TestParserReuse:
-    def test_parser_is_built_once(self):
-        assert build_parser() is build_parser()
+class TestParseContract:
+    """How flags take values; the contract the argparse front end gave."""
 
+    @pytest.mark.parametrize("argv,first", [
+        (["--maps", "-5/16", "--point", "1/4"], "size 2 from 1/4"),
+        (["--maps=-5/16", "--point", "1/4"], "size 2 from 1/4"),
+        (["--maps", "-5/16", "--point=-1/4"], "size 1 from -1/4"),
+    ])
+    def test_negative_values(self, capsys, argv, first):
+        code, out, _ = run(capsys, "orbit", *argv)
+        size, _, point = first.partition(" from ")
+        assert code == 0 and out.startswith(
+            f"finite orbit of {size} for {{x^2 - 5/16}} from {point}:")
+
+    @pytest.mark.parametrize("argv", [["--ma", "-5/16", "--po", "1/4"],
+                                      ["--ma=-5/16", "--po", "1/4"]])
+    def test_abbreviated_flag_takes_negative_value(self, capsys, argv):
+        code, out, _ = run(capsys, "orbit", *argv)
+        assert code == 0 and out.startswith(
+            "finite orbit of size 2 for {x^2 - 5/16} from 1/4:")
+
+    def test_negative_int_reaches_the_handler(self, capsys):
+        code, out, err = run(capsys, "periodic", "--c", "-29/16", "--n", "-1")
+        assert (code, out, err) == \
+            (2, "", "error: the period must be at least 1\n")
+
+    def test_unique_prefix_is_accepted(self, capsys):
+        code, _, _ = run(capsys, "verify", "lemma", "--id", "2.4",
+                         "--route", "groebner", "--max-p", "3")
+        assert code == 3
+
+    def test_last_repeated_value_wins(self, capsys):
+        argv = ["orbit", "--maps", "-1,-2", "--point", "0"]
+        code, out, _ = run(capsys, *argv, "--format", "json",
+                           "--format", "text")
+        assert code == 1 and out.startswith("infinite orbit")
+        code, out, _ = run(capsys, *argv, "--format", "text",
+                           "--format", "json")
+        assert code == 1 and json.loads(out)["verdict"] == "infinite"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "lemma", "--id", "2.4", "--max", "3"],
+        ["orbit", "--maps", "1"],
+        ["orbit", "--maps", "1", "--point", "0", "--format", "xml"],
+        ["verify", "theorem", "--case", "11"],
+        ["periodic", "--c", "1", "--n", "x"],
+        ["orbit", "--maps", "1", "--point", "0", "x"],
+        ["orbit", "--maps"],
+        [],
+        ["orbits"],
+    ], ids=lambda argv: " ".join(argv) or "no-verb")
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        last = out.err.splitlines()[-1]
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.startswith("usage: quadorbits")
+        assert last.startswith("quadorbits") and ": error: " in last
+
+    @pytest.mark.parametrize("argv,names", [
+        (["-h"], ["orbit", "preperiodic", "mu", "periodic", "verify",
+                  "family", "search"]),
+        (["verify", "-h"], ["lemma", "theorem"]),
+        (["verify", "lemma", "-h"], ["--format", "--id", "--route",
+                                     "--max-pairs", "--max-coeff-bits"]),
+        (["orbit", "--help"], ["--format", "--maps", "--point"]),
+    ], ids=["top", "verify", "verify-lemma", "orbit"])
+    def test_help(self, capsys, argv, names):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert all(name in out for name in names), out
+
+
+class TestParserReuse:
     def test_verbs_in_turn_match_verbs_alone(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"set_size": null}')

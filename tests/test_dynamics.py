@@ -12,7 +12,7 @@ from quadorbits import dynamics
 from quadorbits.dynamics import GUARD_DENOM, GUARD_ESCAPE, MapSet, MuReport, \
     QuadMap, OrbitResult, apply_word, finite_orbit_points, is_preperiodic, \
     is_stable_set, monoid_orbit, mu_set, periodic_points, word_str
-from quadorbits.rationals import rat
+from quadorbits.rationals import rat, rat_str
 
 
 def F(s):
@@ -375,6 +375,9 @@ class TestWalksMatchFractionWalks:
         res, ref = monoid_orbit(S, P), fraction_monoid_orbit(S, P)
         assert res == ref
         assert list(res.words.items()) == list(ref.words.items())
+        if res.is_finite():
+            assert list(res.to_dict()["words"]) == \
+                [rat_str(p) for p in sorted(res.words)]
 
     @settings(max_examples=400, deadline=None)
     @given(walk_inputs())

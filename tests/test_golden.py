@@ -13,8 +13,9 @@ whole dump hashes to 7cfadf118e17c78d6f533db59c1595b61788f93aa5d4832826a7
 The orbit side is pinned the same way: the exact stdout bytes and exit code
 of ``quadorbits orbit``, ``preperiodic``, ``mu`` and ``periodic`` with
 ``--format json`` on fixed inputs (finite orbits, a witness of each guard,
-deep and on a later map, and the triple -21/16, -13/16, -5/16), and the
-results of two criterion-9 searches sorted by their c tuples.
+deep and on a later map, and the triple -21/16, -13/16, -5/16), the same
+command lines with ``--format text``, and the results of two criterion-9
+searches sorted by their c tuples.
 """
 
 import hashlib
@@ -85,6 +86,38 @@ ORBIT_CLI = {
     "periodic --c -5/16 --n 1":
         (0, "3e15db752221ae5599273d75a212eacaf9fee71c059e51edc2b222c955352bf9"),
 }
+# the same command lines with "--format text"
+ORBIT_CLI_TEXT = {
+    "mu --maps -21/16,-13/16,-5/16":
+        (0, "46c05f7b0074aee1943a7c067b0d24c1a90865a902ed88d0423b092e0807af54"),
+    "orbit --maps -1,-2 --point 0":
+        (1, "3d5f28cba04863b3c436279c8daa65c6cc2d7d1933cf52063486980fd1098da6"),
+    "orbit --maps -13/16,-29/16,-5/16,-21/16 --point 3/4":
+        (1, "910abadf3985866dd6c9cbb44dd3d9f8fcb130b717ea64b40b87215cf9564dba"),
+    "orbit --maps -21/16,-13/16,-5/16 --point 1/4":
+        (0, "eb614c3c993481712c10f21cdb062597ba21ac9909876e17115c9900eb16a184"),
+    "orbit --maps -5/16,-13/16,3/16 --point 1/2":
+        (1, "29b9c506f54bf8555643bfc7900e297ba5baacdb405fbd317de48c9294bd25bf"),
+    "orbit --maps -5/16,1/9 --point 1/4":
+        (1, "409ac95c27114dedd281aae85b46eb3b6d62c6b87f8615f85f184795a4422663"),
+    "orbit --maps 255/65536,-257/65536 --point 1/256":
+        (0, "d8147deb05872cc5c6ab409ce113a5430bc7346700b76cffd502acceb61d614f"),
+    "periodic --c -13/16 --n 2":
+        (0, "d95c2c4129281469df0fbec2ec70d1f4430162f4b2b06f9e8b4fbfd9753fd9b5"),
+    "periodic --c -21/16 --n 1":
+        (0, "933c3e87016afffae29b7671dce7e21eabf346b15826756833f59718d12af819"),
+    "periodic --c -5/16 --n 1":
+        (0, "9ff7345c4a11f4656886ef8d926495f88a3c4ecbb434ecb3bff043d7461be83f"),
+    "preperiodic --c -13/16 --point 1/4":
+        (0, "cff48d901cf631599493b434c08c0d112672d04e070a6f1ca01c8bcb9ee4a1dd"),
+    "preperiodic --c -29/16 --point -1/4":
+        (0, "ebe274358c7db4bccb7d29b46e0552d4d59bf3452fb2cff63b72e4ce412bef06"),
+    "preperiodic --c 1 --point 0":
+        (1, "5924e16fc140be945659ae13b0c4feb213484052c5b54f042fd2b139da2612e2"),
+    "preperiodic --c 1/4 --point 1/3":
+        (1, "fbe0e1be20e5d89d08d65e8e185614fcc038e803182c158281ad0c5cfcaa04c0"),
+}
+assert ORBIT_CLI_TEXT.keys() == ORBIT_CLI.keys()
 SEARCHES = {
     (2, 16, 40):
         "41d9ba0de250a03e5699370f8af4e4551c0d350ee9f873bb508dbe3e00e654f2",
@@ -129,6 +162,14 @@ def test_orbit_cli_json(capsys, line):
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
         ORBIT_CLI[line]
+
+
+@pytest.mark.parametrize("line", sorted(ORBIT_CLI_TEXT))
+def test_orbit_cli_text(capsys, line):
+    code = cli.main(line.split() + ["--format", "text"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        ORBIT_CLI_TEXT[line]
 
 
 @pytest.mark.parametrize("spec", sorted(SEARCHES), ids=str)

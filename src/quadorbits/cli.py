@@ -111,7 +111,7 @@ def _cmd_verify_lemma(args) -> int:
         return 2
     budget = Budget(max_pairs=args.max_pairs,
                     max_coeff_bits=args.max_coeff_bits)
-    rep = verify_lemma(args.id, route=args.route, budget=budget)
+    rep = verify_lemma(args.id, budget if args.route == "groebner" else None)
     _emit(args.format, rep.to_dict(), lambda: [
         f"lemma {rep.lemma_id} ({rep.hypothesis})",
         f"  candidates: {rep.candidates} (expected "
@@ -122,8 +122,7 @@ def _cmd_verify_lemma(args) -> int:
           if rep.groebner is not None else []),
         f"  verdict: {rep.verdict}",
         *(f"  flag: {f}" for f in rep.flags)])
-    if args.route == "groebner" and rep.groebner is not None \
-            and rep.groebner.status != "completed":
+    if rep.groebner is not None and rep.groebner.status != "completed":
         return 3
     return 0 if rep.verdict == "pass" else 1
 
@@ -220,8 +219,9 @@ _VERBS = {
     "verify lemma": (_cmd_verify_lemma, "re-verify a pair lemma", (
         _FORMAT, ("--id", str, None, ..., "lemma id, 2.1 to 2.6"),
         ("--route", str, ("resultant", "groebner"), "resultant", "route"),
-        ("--max-pairs", int, None, 5_000, "Groebner pair budget"),
-        ("--max-coeff-bits", int, None, 500_000, "coefficient-bit budget"))),
+        ("--max-pairs", int, None, Budget.max_pairs, "Groebner pair budget"),
+        ("--max-coeff-bits", int, None, Budget.max_coeff_bits,
+         "coefficient-bit budget"))),
     "verify theorem": (_cmd_verify_theorem, "re-verify the theorem", (
         _FORMAT, ("--case", int, range(1, 11), None, "run this case only"),
         ("--skip-lemmas", bool, None, False, "cite the lemmas, not re-run"))),

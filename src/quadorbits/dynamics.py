@@ -322,7 +322,7 @@ class OrbitResult:
     verdict: str  # "finite" | "infinite"
     basepoint: Fraction
     orbit: tuple[Fraction, ...] = ()  # sorted, only for finite verdicts
-    words: dict[Fraction, Word] = field(default_factory=dict)
+    words: dict[Fraction, Word] = field(default_factory=dict)  # orbit order
     witness: GuardHit | None = None
     witness_word: Word | None = None
 
@@ -333,12 +333,8 @@ class OrbitResult:
         out = {"verdict": self.verdict, "basepoint": rat_str(self.basepoint)}
         if self.is_finite():
             out["orbit"] = [rat_str(p) for p in self.orbit]
-            # sorted by p * D, D the lcm of the denominators: exact
-            # integer keys, no Fraction comparisons
-            D = math.lcm(*(p.denominator for p in self.words))
-            out["words"] = {rat_str(p): word_str(w) for p, w in sorted(
-                self.words.items(),
-                key=lambda pw: pw[0].numerator * (D // pw[0].denominator))}
+            out["words"] = {rat_str(p): word_str(w)
+                            for p, w in self.words.items()}
         else:
             assert self.witness is not None
             out["witness"] = {
@@ -389,13 +385,12 @@ def monoid_orbit(S: MapSet, P: Fraction) -> OrbitResult:
                     visited[y] = w
                     next_frontier.append((w, y))
         frontier = next_frontier
-    words = {Fraction(*y): w for y, w in visited.items()}
-    return OrbitResult(
-        "finite",
-        P,
-        orbit=tuple(sorted(words)),
-        words=words,
-    )
+    # in increasing order of p * (D / q), D the lcm of the denominators:
+    # exact integer keys, no Fraction comparisons
+    D = math.lcm(*(q for _, q in visited))
+    words = {Fraction(p, q): w for (p, q), w in sorted(
+        visited.items(), key=lambda yw: yw[0][0] * (D // yw[0][1]))}
+    return OrbitResult("finite", P, orbit=tuple(words), words=words)
 
 
 def is_stable_set(S: MapSet, T) -> bool:

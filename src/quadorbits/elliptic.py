@@ -204,23 +204,22 @@ def curve_c_poly() -> BiPoly:
     return BiPoly.parse("t^2*u^2 + t*u^2 - t - u^2", vars=_TU)
 
 
-def curve_map_numerator(x_shift: int = 0, y_sign: int = 1) -> BiPoly:
+def curve_map_numerator() -> BiPoly:
     """Numerator over u^6 of y_r^2 - (x_r^3 - 2 x_r^2 + 1) after substituting
-    the components of r; the optional arguments perturb r for the negative
-    controls (shift the x-component, flip the y-component sign)."""
+    the components of r."""
     t = BiPoly.variable("t", _TU)
     u = BiPoly.variable("u", _TU)
     u2 = u * u
-    xnum = -t * u2 + 1 + x_shift * u2   # x_r = xnum / u^2
-    ynum = (t * u2 + u2 - 1) * y_sign   # y_r = ynum / u^3
+    xnum = -t * u2 + 1          # x_r = xnum / u^2
+    ynum = t * u2 + u2 - 1      # y_r = ynum / u^3
     return (ynum * ynum
             - (xnum ** 3 - 2 * (xnum ** 2) * u2 + u2 ** 3))
 
 
-def verify_curve_map(x_shift: int = 0, y_sign: int = 1) -> bool:
-    """True iff the (possibly perturbed) map r lands on E wherever C
-    vanishes, i.e. C divides the numerator of y_r^2 - (x_r^3 - 2x_r^2 + 1)."""
-    return curve_c_poly().divides(curve_map_numerator(x_shift, y_sign))
+def verify_curve_map() -> bool:
+    """True iff the map r lands on E wherever C vanishes, i.e. C divides the
+    numerator of y_r^2 - (x_r^3 - 2x_r^2 + 1)."""
+    return curve_c_poly().divides(curve_map_numerator())
 
 
 def preimage_check() -> bool:

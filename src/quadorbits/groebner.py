@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import BiPoly
 
 __all__ = [
-    "IdealBasis",
     "Budget",
     "BudgetExhausted",
     "s_polynomial",
@@ -48,8 +48,9 @@ Exponent = tuple[int, int]
 
 @dataclass(frozen=True)
 class Budget:
-    max_pairs: int = 20_000
-    max_coeff_bits: int = 1_000_000
+    """Limits of one ``buchberger`` run; the CLI's defaults too."""
+    max_pairs: int = 5_000
+    max_coeff_bits: int = 500_000
 
     def __post_init__(self):
         if self.max_pairs < 0 or self.max_coeff_bits < 0:
@@ -67,11 +68,6 @@ class BudgetExhausted(Exception):
         self.pairs_done = pairs_done
         self.max_bits = max_bits
         self.basis_size = basis_size
-
-
-@dataclass(frozen=True)
-class IdealBasis:
-    generators: tuple[BiPoly, ...]
 
 
 def _divides(e1: Exponent, e2: Exponent) -> bool:
@@ -176,7 +172,9 @@ def _reduce(work: dict[int, int], basis: list[_Element]
     """Fraction-free division of ``work`` (consumed) by the basis:
     (rem, scale) with rem / scale the exact remainder over Q of the
     division that always reduces the largest term by the first divisor
-    whose leading exponent divides it.  Only the exponents that some
+    whose leading exponent divides it.  Every divisor comes from
+    ``_primitive``, so its leading coefficient is positive and the scale
+    m of a step is at least 1.  Only the exponents that some
     leading exponent divides go on the heap: the others are never reduced,
     and a step only adds terms below the one it reduces, so they stay in
     ``work`` (rescaled with it) and form the remainder when the heap is
@@ -201,8 +199,6 @@ def _reduce(work: dict[int, int], basis: list[_Element]
         # work * m - k * x^q * g cancels the term at e
         g = gcd(c, cg)
         m, k = cg // g, c // g
-        if m < 0:
-            m, k = -m, -k
         if m != 1:
             work = {t: v * m for t, v in work.items()}
         for t, tc in items:
@@ -226,14 +222,13 @@ def _reduce(work: dict[int, int], basis: list[_Element]
     return work, scale
 
 
-def normal_form(f: BiPoly, basis) -> BiPoly:
+def normal_form(f: BiPoly, basis: Sequence[BiPoly]) -> BiPoly:
     """Remainder of multivariate division of f by the basis.
 
     No term of the remainder is divisible by any leading term of the basis;
     f - normal_form(f, basis) lies in the ideal the basis generates.
     """
-    gens = list(basis.generators if isinstance(basis, IdealBasis) else basis)
-    gens = [g for g in gens if not g.is_zero()]
+    gens = [g for g in basis if not g.is_zero()]
     if not gens:
         raise ValueError("empty basis")
     # scaling a divisor leaves the remainder unchanged
@@ -271,7 +266,7 @@ def _max_bits(items: _Items) -> int:
     return max(1, max(abs(c) for _, c in items).bit_length())
 
 
-def buchberger(gens, budget: Budget = Budget()) -> IdealBasis:
+def buchberger(gens, budget: Budget = Budget()) -> tuple[BiPoly, ...]:
     """Reduced lex Groebner basis of the ideal generated by ``gens``.
 
     Raises BudgetExhausted when the pair count or coefficient size exceeds
@@ -362,7 +357,7 @@ def buchberger(gens, budget: Budget = Budget()) -> IdealBasis:
 
     basis = [BiPoly.from_int(1, {_split(e): c for e, c in items}, vars)
              for _, _, items in G]
-    return IdealBasis(tuple(_interreduce(basis)))
+    return tuple(_interreduce(basis))
 
 
 def _interreduce(G: list[BiPoly]) -> list[BiPoly]:

@@ -747,11 +747,11 @@ def resultant(p: BiPoly, q: BiPoly) -> UniPoly:
                             zp.zzresultant(rows_q, rows_p), p.vars[1])
 
 
-def bivariate_gcd(p: BiPoly, q: BiPoly, main: int = 0) -> BiPoly:
+def bivariate_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
     """Gcd of two bivariate polynomials (primitive, integer coefficients).
 
     Computed as gcd of the contents (in the other variable) times the gcd of
-    the primitive parts via the pseudo-remainder sequence in vars[main];
+    the primitive parts via the pseudo-remainder sequence in vars[0];
     the result is verified by exact division into both inputs.
     """
     if p.is_zero():
@@ -759,8 +759,8 @@ def bivariate_gcd(p: BiPoly, q: BiPoly, main: int = 0) -> BiPoly:
     if q.is_zero():
         return p.content_primitive()[1]
     p._check(q)
-    rows = zp.zzgcd(p.to_coeff_lists(main)[1], q.to_coeff_lists(main)[1])
-    g = BiPoly.from_coeff_lists(rows, main, p.vars).content_primitive()[1]
+    rows = zp.zzgcd(p.to_coeff_lists(0)[1], q.to_coeff_lists(0)[1])
+    g = BiPoly.from_coeff_lists(rows, 0, p.vars).content_primitive()[1]
     if not (g.divides(p) and g.divides(q)):
         raise ArithmeticError("bivariate gcd verification failed")
     return g

@@ -17,10 +17,6 @@ __all__ = ["RatFunc", "PoleError", "apply_quadmap"]
 class PoleError(ZeroDivisionError):
     """Specialization at a root of the denominator."""
 
-    def __init__(self, message: str, at=None):
-        super().__init__(message)
-        self.at = at
-
 
 class RatFunc:
     """Quotient of two UniPoly in the same variable, kept reduced."""
@@ -147,7 +143,7 @@ class RatFunc:
         """Exact value at t0; a root of the denominator raises PoleError."""
         d = self.den(t0)
         if d == 0:
-            raise PoleError(f"pole of {self} at {self.var} = {t0}", at=t0)
+            raise PoleError(f"pole of {self} at {self.var} = {t0}")
         return self.num(t0) / d
 
     def compose(self, inner: "RatFunc") -> "RatFunc":

@@ -23,13 +23,6 @@ def exact_rational(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def normalize(num: int, den: int) -> Fraction:
-    """Return num/den in canonical form; den must be nonzero."""
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(num, den)
-
-
 def rat(text: str) -> Fraction:
     """Parse "p/q" or the integer shorthand "p" exactly.
 
@@ -40,7 +33,10 @@ def rat(text: str) -> Fraction:
         raise ValueError(f"not an exact rational: {text!r}")
     if "/" in s:
         num_s, den_s = s.split("/", 1)
-        return normalize(int(num_s), int(den_s))
+        den = int(den_s)
+        if den == 0:
+            raise ZeroDivisionError("rational with zero denominator")
+        return Fraction(int(num_s), den)
     return Fraction(int(s))
 
 

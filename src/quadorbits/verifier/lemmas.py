@@ -24,7 +24,7 @@ fixed+3-cycle, 2-cycle+3-cycle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ..dynamics import word_str
@@ -348,12 +348,12 @@ def groebner_route(setup: LemmaSetup, budget: Budget) -> GroebnerOutcome:
             expected_degree=setup.groebner_expected_degree,
             note=str(e))
     survivor = 1  # candidates live in vars[1]
+    structural = setup.structural
     best: UniPoly | None = None
-    cofactor_used: BiPoly | None = None
-    for el in basis.generators:
+    for el in basis:
         q = el
         used = BiPoly.constant(1, setup.vars)
-        for s in setup.structural:
+        for s in structural:
             q, m = q.divide_out(s)
             if m:
                 used = used * s**m
@@ -361,43 +361,38 @@ def groebner_route(setup: LemmaSetup, budget: Budget) -> GroebnerOutcome:
         if uni is not None and uni.var == setup.vars[survivor] and uni.degree > 0:
             if best is None or uni.degree < best.degree:
                 best, cofactor_used = uni, used
+    completed = GroebnerOutcome(
+        status="completed", basis_size=len(basis),
+        basis_leading_terms=[str(max(g.ints)) for g in basis],
+        expected_degree=setup.groebner_expected_degree)
     if best is None:
-        return GroebnerOutcome(
-            status="completed", pairs_done=0, max_coeff_bits=0,
-            basis_size=len(basis.generators),
-            basis_leading_terms=[str(max(g.ints)) for g in basis.generators],
-            expected_degree=setup.groebner_expected_degree,
-            note="no candidate-variable eliminant found in the basis")
+        return replace(completed, note="no candidate-variable eliminant "
+                                       "found in the basis")
     # membership of the factored combination
-    F = BiPoly.from_unipoly(best, survivor, setup.vars) * (
-        cofactor_used or BiPoly.constant(1, setup.vars))
-    member = normal_form(F, basis).is_zero()
-    return GroebnerOutcome(
-        status="completed", pairs_done=0, max_coeff_bits=0,
-        basis_size=len(basis.generators),
-        basis_leading_terms=[str(max(g.ints)) for g in basis.generators],
-        eliminant_degree=best.degree,
+    F = BiPoly.from_unipoly(best, survivor, setup.vars) * cofactor_used
+    return replace(
+        completed, eliminant_degree=best.degree,
         eliminant_roots=[rat_str(r) for r in
                          sorted(rational_roots(best).root_set())],
-        expected_degree=setup.groebner_expected_degree,
-        membership_holds=member)
+        membership_holds=normal_form(F, basis).is_zero())
 
 
 # ---------------------------------------------------------------------------
 # main driver
 # ---------------------------------------------------------------------------
 
-def verify_lemma(lemma_id: str, route: str = "resultant",
-                 budget: Budget | None = None) -> LemmaReport:
+def verify_lemma(lemma_id: str, budget: Budget | None = None) -> LemmaReport:
     """Re-derive one classification lemma and compare every list against
     its statement.  Returns a report whose verdict is "pass" only when all
-    candidate sets, families and sporadic pairs match exactly."""
+    candidate sets, families and sporadic pairs match exactly.  With a
+    budget, the Groebner route runs first under it and the report carries
+    its outcome."""
     t_start = time.perf_counter()
     setup = lemma_setup(lemma_id)
     flags: list[str] = []
     groebner_outcome: GroebnerOutcome | None = None
-    if route == "groebner":
-        groebner_outcome = groebner_route(setup, budget or Budget())
+    if budget is not None:
+        groebner_outcome = groebner_route(setup, budget)
         if groebner_outcome.status != "completed":
             flags.append("groebner route exhausted its budget; "
                          "falling back to the resultant route")
@@ -505,7 +500,7 @@ def verify_lemma(lemma_id: str, route: str = "resultant",
     report = LemmaReport(
         lemma_id=lemma_id,
         hypothesis=setup.hypothesis,
-        route=route,
+        route="resultant" if budget is None else "groebner",
         generators={
             g.name: {
                 "bidegree": list(g.bidegree()),

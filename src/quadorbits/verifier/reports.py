@@ -69,8 +69,9 @@ class CurveBranchReport:
 @dataclass
 class GroebnerOutcome:
     status: str  # "completed" | "budget-exhausted"
-    pairs_done: int
-    max_coeff_bits: int
+    # measured only by an exhausted run
+    pairs_done: int | None = None
+    max_coeff_bits: int | None = None
     basis_size: int | None = None
     basis_leading_terms: list[str] = field(default_factory=list)
     eliminant_degree: int | None = None

@@ -206,12 +206,8 @@ def fraction_monoid_orbit(S: MapSet, P: Fraction) -> OrbitResult:
                     visited[y] = w
                     next_frontier.append((w, y))
         frontier = next_frontier
-    return OrbitResult(
-        "finite",
-        P,
-        orbit=tuple(sorted(visited)),
-        words=dict(visited),
-    )
+    words = dict(sorted(visited.items()))
+    return OrbitResult("finite", P, orbit=tuple(words), words=words)
 
 
 def word_order_orbit(S: MapSet, P: Fraction

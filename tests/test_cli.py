@@ -10,6 +10,7 @@ import quadorbits
 from quadorbits import cli
 from quadorbits.cli import main
 from quadorbits.dynamics import MapSet, MuReport, is_stable_set, monoid_orbit
+from quadorbits.groebner import Budget
 from quadorbits.rationals import rat
 
 
@@ -109,6 +110,11 @@ class TestOtherVerbs:
         code, out, _ = run(capsys, "verify", "lemma", "--id", "2.4",
                            "--route", "groebner", "--max-pairs", "5")
         assert code == 3
+
+    def test_verify_lemma_budget_defaults(self):
+        _, args = cli._parse(["verify", "lemma", "--id", "2.1"])
+        assert Budget(max_pairs=args.max_pairs,
+                      max_coeff_bits=args.max_coeff_bits) == Budget()
 
     @pytest.mark.parametrize("flag", ["--max-pairs", "--max-coeff-bits"])
     def test_verify_lemma_negative_budget(self, capsys, flag):

@@ -379,6 +379,15 @@ class TestWalksMatchFractionWalks:
             assert list(res.to_dict()["words"]) == \
                 [rat_str(p) for p in sorted(res.words)]
 
+    @settings(max_examples=200, deadline=None)
+    @given(walk_inputs())
+    @example((TRIPLE, F("1/4")))
+    @example((MapSet([F("-5/16"), F("1/9")]), F("1/4")))
+    def test_orbit_is_the_words_in_increasing_order(self, inputs):
+        res = monoid_orbit(*inputs)
+        assert res.orbit == tuple(res.words)
+        assert all(a < b for a, b in zip(res.orbit, res.orbit[1:]))
+
     @settings(max_examples=400, deadline=None)
     @given(walk_inputs())
     @example((MapSet([F("-13/16")]), F("1/4")))

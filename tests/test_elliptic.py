@@ -7,8 +7,10 @@ from quadorbits.elliptic import Curve, INFINITY, SUBCASE_CURVE_E, \
     c_rational_points, curve_c_poly, curve_map_numerator, ec_add, ec_mul, \
     ec_neg, ec_order, lutz_nagell_candidates, point, preimage_check, \
     preimages_on_c, verify_curve_map
+from quadorbits.polynomials import BiPoly
 
 E = SUBCASE_CURVE_E
+TU = ("t", "u")
 
 
 class TestGroupLaw:
@@ -96,11 +98,22 @@ class TestCurveMap:
     def test_identity_holds(self):
         assert verify_curve_map()
 
+    @staticmethod
+    def numerator(x_shift: int, y_sign: int) -> BiPoly:
+        """``curve_map_numerator`` with r perturbed: the x-component
+        shifted by x_shift, the y-component's sign multiplied by y_sign."""
+        t, u = BiPoly.variable("t", TU), BiPoly.variable("u", TU)
+        u2 = u * u
+        xnum = -t * u2 + 1 + x_shift * u2
+        ynum = (t * u2 + u2 - 1) * y_sign
+        return ynum * ynum - (xnum ** 3 - 2 * (xnum ** 2) * u2 + u2 ** 3)
+
     def test_sign_flip_still_lands(self):
-        assert verify_curve_map(y_sign=-1)
+        assert self.numerator(0, 1) == curve_map_numerator()
+        assert curve_c_poly().divides(self.numerator(0, -1))
 
     def test_perturbed_map_fails(self):
-        assert not verify_curve_map(x_shift=1)
+        assert not curve_c_poly().divides(self.numerator(1, 1))
 
     def test_numerator_is_divisible(self):
         assert curve_c_poly().divides(curve_map_numerator())

@@ -125,11 +125,14 @@ class TestBivariateGcd:
         assert bivariate_gcd(B("y - z"), B("y + z")).total_degree() == 0
 
     def test_content_in_each_variable(self):
-        # a common factor in the non-main variable is a content of both
+        # a common factor in z alone is a content of both, one in y alone
+        # is a factor of both primitive parts
         a = B("z + 2") * B("y + z")
         b = B("z + 2") * B("y^2 + 3")
-        for main in (0, 1):
-            assert bivariate_gcd(a, b, main=main) == B("z + 2")
+        assert bivariate_gcd(a, b) == B("z + 2")
+        a = B("y + 2") * B("y + z")
+        b = B("y + 2") * B("z^2 + 3")
+        assert bivariate_gcd(a, b) == B("y + 2")
 
 
 class TestConstructors:
@@ -312,15 +315,13 @@ small_bi_terms = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(small_bi_terms, small_bi_terms, small_bi_terms)
 def test_bivariate_gcd_keeps_a_planted_factor(a, b, c):
-    """gcd(a*c, b*c) is a multiple of c's primitive part in either main
-    variable: the gcd is maximal, not merely a common divisor."""
+    """gcd(a*c, b*c) is a multiple of c's primitive part: the gcd is
+    maximal, not merely a common divisor."""
     a, b, c = BiPoly(a), BiPoly(b), BiPoly(c)
     if a.is_zero() or b.is_zero() or c.is_zero():
         return
-    cp = c.content_primitive()[1]
-    for main in (0, 1):
-        g = bivariate_gcd(a * c, b * c, main=main)
-        assert cp.divides(g), (main, g)
+    g = bivariate_gcd(a * c, b * c)
+    assert c.content_primitive()[1].divides(g), g
 
 
 # -- the symmetry identities of resultants in the eliminated variable y -----

@@ -4,24 +4,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import is_square
-from quadorbits.rationals import normalize, rat, rat_str
+from quadorbits.rationals import rat, rat_str
 
 
 def test_normalize_examples():
-    assert normalize(2, 4) == Fraction(1, 2)
-    assert normalize(-5, -16) == Fraction(5, 16)
-    z = normalize(0, 7)
+    assert rat("2/4") == Fraction(1, 2)
+    assert rat("-5/-16") == Fraction(5, 16)
+    z = rat("0/7")
     assert z == 0 and z.denominator == 1
 
 
 def test_normalize_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        normalize(1, 0)
+    with pytest.raises(ZeroDivisionError,
+                       match="rational with zero denominator"):
+        rat("1/0")
 
 
 def test_normalize_idempotent():
-    a = normalize(6, -8)
-    assert normalize(a.numerator, a.denominator) == a
+    a = rat("6/-8")
+    assert rat(f"{a.numerator}/{a.denominator}") == a
 
 
 def test_parse_and_print_round_trip():

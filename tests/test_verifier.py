@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -94,13 +95,44 @@ class TestGroebnerRoute:
         assert out.pairs_done > 0
 
     def test_route_downgrade_note(self):
-        rep = verify_lemma("2.4", route="groebner",
-                           budget=Budget(max_pairs=5))
+        rep = verify_lemma("2.4", Budget(max_pairs=5))
         # resultant fallback still verifies the lemma
+        assert rep.route == "groebner"
         assert rep.candidates == ["-1", "0"]
         assert rep.groebner is not None
         assert rep.groebner.status == "budget-exhausted"
         assert any("falling back" in f for f in rep.flags)
+
+    def test_no_budget_runs_the_resultant_route_only(self, lemma_report):
+        rep = lemma_report("2.4")
+        assert rep.route == "resultant" and rep.groebner is None
+
+    @staticmethod
+    def small_setup(f1, f2):
+        """Lemma 2.1's setup with two small generators sharing its
+        structural curve y - z."""
+        V = ("y", "z")
+        return dataclasses.replace(lemma_setup("2.1"), gens=[
+            GeneratorFactors(name, tuple(BiPoly.parse(f, V)
+                                         for f in ("y - z", g)))
+            for name, g in (("F1", f1), ("F2", f2))])
+
+    def test_completed_route_finds_the_eliminant(self):
+        out = groebner_route(self.small_setup("y^2 - z - 2", "y + 2*z - 3"),
+                             Budget(max_pairs=120, max_coeff_bits=60_000))
+        assert (out.status, out.eliminant_degree, out.membership_holds) == \
+            ("completed", 2, True)
+        # a completed run measures no pair count or coefficient size
+        assert out.pairs_done is None and out.max_coeff_bits is None
+        assert "pairs_done" not in out.to_dict()
+        assert "max_coeff_bits" not in out.to_dict()
+
+    def test_completed_route_without_eliminant(self):
+        # the ideal is generated by (y - z) * y: after y - z is divided
+        # out, no basis element is a polynomial in z alone
+        out = groebner_route(self.small_setup("y", "y^2"), Budget())
+        assert out.status == "completed" and out.eliminant_degree is None
+        assert out.note == "no candidate-variable eliminant found in the basis"
 
 
 class TestCaseMachinery:

@@ -10,8 +10,9 @@ with "-", so negative rationals need no "="; a unique prefix stands for a
 flag name, and a repeated flag keeps its last value.  Text lines are built
 only for ``--format text``.
 
-Exit codes: 0 = pass / finite, 1 = fail / infinite, 2 = usage error,
-3 = budget exhausted on an explicitly requested Groebner route.
+Exit codes: 0 = pass / finite, 1 = fail / infinite, 2 = usage error (a
+budget flag of ``verify lemma`` without ``--route groebner`` is one), 3 =
+budget exhausted on an explicitly requested Groebner route.
 """
 
 from __future__ import annotations
@@ -109,9 +110,14 @@ def _cmd_verify_lemma(args) -> int:
         print(f"unknown lemma id {args.id!r}; choose from {LEMMA_IDS}",
               file=sys.stderr)
         return 2
-    budget = Budget(max_pairs=args.max_pairs,
-                    max_coeff_bits=args.max_coeff_bits)
-    rep = verify_lemma(args.id, budget if args.route == "groebner" else None)
+    # a limit not given keeps its default, written once in Budget
+    limits = {k: v for k, v in vars(args).items()
+              if k.startswith("max_") and v is not None}
+    if limits and args.route != "groebner":
+        raise _usage_error("verify lemma", "--max-pairs and --max-coeff-bits "
+                           "need --route groebner")
+    rep = verify_lemma(args.id, Budget(**limits)
+                       if args.route == "groebner" else None)
     _emit(args.format, rep.to_dict(), lambda: [
         f"lemma {rep.lemma_id} ({rep.hypothesis})",
         f"  candidates: {rep.candidates} (expected "
@@ -219,9 +225,9 @@ _VERBS = {
     "verify lemma": (_cmd_verify_lemma, "re-verify a pair lemma", (
         _FORMAT, ("--id", str, None, ..., "lemma id, 2.1 to 2.6"),
         ("--route", str, ("resultant", "groebner"), "resultant", "route"),
-        ("--max-pairs", int, None, Budget.max_pairs, "Groebner pair budget"),
-        ("--max-coeff-bits", int, None, Budget.max_coeff_bits,
-         "coefficient-bit budget"))),
+        ("--max-pairs", int, None, None, "Groebner pair budget"),
+        ("--max-coeff-bits", int, None, None,
+         "Groebner coefficient-bit budget"))),
     "verify theorem": (_cmd_verify_theorem, "re-verify the theorem", (
         _FORMAT, ("--case", int, range(1, 11), None, "run this case only"),
         ("--skip-lemmas", bool, None, False, "cite the lemmas, not re-run"))),

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import BiPoly, UniPoly, resultant
+from .polynomials import BiPoly, UniPoly, evaluate, resultant
 from .ratfunc import RatFunc
 from .rationals import exact_rational, rat_str
 from .roots import rational_roots
@@ -31,8 +31,6 @@ __all__ = [
     "INFINITY",
     "point",
     "ec_add",
-    "ec_neg",
-    "ec_mul",
     "ec_order",
     "lutz_nagell_candidates",
     "SUBCASE_CURVE_E",
@@ -118,13 +116,6 @@ def _require_on_curve(E: Curve, P: ECPoint) -> None:
         raise ValueError(f"point {P} is not on {E}")
 
 
-def ec_neg(E: Curve, P: ECPoint) -> ECPoint:
-    _require_on_curve(E, P)
-    if P.is_infinity():
-        return P
-    return ECPoint(P.x, -P.y)
-
-
 def ec_add(E: Curve, P: ECPoint, Q: ECPoint) -> ECPoint:
     """Chord-tangent sum with the point at infinity as identity."""
     _require_on_curve(E, P)
@@ -143,15 +134,6 @@ def ec_add(E: Curve, P: ECPoint, Q: ECPoint) -> ECPoint:
     x3 = slope * slope - E.a2 - P.x - Q.x
     y3 = slope * (P.x - x3) - P.y
     return ECPoint(x3, y3)
-
-
-def ec_mul(E: Curve, n: int, P: ECPoint) -> ECPoint:
-    if n < 0:
-        return ec_mul(E, -n, ec_neg(E, P))
-    acc = INFINITY
-    for _ in range(n):
-        acc = ec_add(E, acc, P)
-    return acc
 
 
 def ec_order(E: Curve, P: ECPoint) -> int | None:
@@ -197,11 +179,12 @@ def lutz_nagell_candidates(E: Curve) -> set[ECPoint]:
 # ---------------------------------------------------------------------------
 
 _TU = ("t", "u")
+_C = "t^2*u^2 + t*u^2 - t - u^2"
 
 
 def curve_c_poly() -> BiPoly:
     """Defining polynomial of C: t^2 u^2 + t u^2 - t - u^2."""
-    return BiPoly.parse("t^2*u^2 + t*u^2 - t - u^2", vars=_TU)
+    return BiPoly.parse(_C, vars=_TU)
 
 
 def curve_map_numerator() -> BiPoly:
@@ -256,10 +239,9 @@ def preimages_on_c(target: ECPoint) -> set[tuple[Fraction, Fraction]]:
         return set()
     x0, y0 = target.x, target.y
     u = RatFunc.t("u")
-    one = RatFunc.constant(1, "u")
-    t_of_u = (one - x0 * u * u) / (u * u)
+    t_of_u = (1 - x0 * u * u) / (u * u)
     # C(t(u), u) as a rational function of u
-    c_expr = (t_of_u ** 2) * u * u + t_of_u * u * u - t_of_u - u * u
+    c_expr = evaluate(_C, {"t": t_of_u, "u": u}.__getitem__)
     out: set[tuple[Fraction, Fraction]] = set()
     if c_expr.is_zero():
         raise ArithmeticError("x-fiber lies inside C; elimination degenerates")

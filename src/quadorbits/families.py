@@ -7,7 +7,8 @@ re-derives them, and to the ten-case analysis, which consumes them.
 
 The catalog ships as a data file of exact rational strings; stable sets are
 stored as the orbit expressions they come from ("P", "-P", "f2(P)",
-"f1(f2(P))", ...) and expanded to reduced elements of Q(t) at load time.
+"f1(f2(P))", ...) and evaluated, with P the basepoint and f<k> the map
+x^2 + c_k, to reduced elements of Q(t) at load time.
 
 ``ParamTuple`` is the one form of a one-parameter tuple (c_1(t), ...,
 c_s(t), P(t)), for a family, a lemma's curve branch or a case's subcase;
@@ -19,7 +20,6 @@ poles of every function plus the rational roots of c_i - c_j.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +27,8 @@ from importlib import resources
 from itertools import combinations
 
 from .dynamics import Word
-from .ratfunc import PoleError, RatFunc, apply_quadmap
+from .polynomials import evaluate
+from .ratfunc import PoleError, RatFunc
 from .rationals import exact_rational, rat, rat_str
 from .roots import rational_roots
 
@@ -112,24 +113,6 @@ class ParamTuple:
         return out
 
 
-_STABLE_EXPR = re.compile(r"^(-)?((?:f\d+\()*)P(\)*)$")
-
-
-def _expand_stable(expr: str, cs: list[RatFunc], basepoint: RatFunc) -> RatFunc:
-    """Expand an orbit expression like "-f1(f2(P))" to a reduced RatFunc."""
-    m = _STABLE_EXPR.match(expr.replace(" ", ""))
-    if not m:
-        raise ValueError(f"bad stable-set expression {expr!r}")
-    neg, chain, closers = m.groups()
-    indices = [int(s[1:]) for s in re.findall(r"f\d+", chain)]
-    if len(closers) != len(indices):
-        raise ValueError(f"unbalanced parentheses in {expr!r}")
-    val = basepoint
-    for idx in reversed(indices):  # innermost application first
-        val = apply_quadmap(cs[idx - 1], val)
-    return -val if neg else val
-
-
 @dataclass(frozen=True)
 class FamilyDef:
     """A catalog family: its parametrized tuple and claimed stable set."""
@@ -177,7 +160,9 @@ def _load() -> tuple[tuple[FamilyDef, ...], tuple[SporadicTuple, ...],
         var = f["param"]
         cs = tuple(RatFunc.parse(s, var) for s in f["c"])
         bp = RatFunc.parse(f["basepoint"], var)
-        stable = tuple(_expand_stable(e, list(cs), bp) for e in f["stable"])
+        names = {"P": bp, **{f"f{k}": (lambda x, c=c: x * x + c)
+                             for k, c in enumerate(cs, 1)}}
+        stable = tuple(evaluate(e, names.__getitem__) for e in f["stable"])
         families.append(
             FamilyDef(f["id"], f["description"], f["lemma"],
                       ParamTuple(cs, bp), tuple(f["stable"]), stable)
@@ -232,10 +217,6 @@ def family_by_id(fid: str) -> FamilyDef:
 def family_verify_symbolic(fam: FamilyDef) -> bool:
     """Exact identity check in Q(t): every map of the family sends every
     claimed stable element to a claimed stable element."""
-    stable = list(fam.stable)
-    for c in fam.tup.cs:
-        for u in stable:
-            if apply_quadmap(c, u) not in stable:
-                return False
-    return True
+    return all(u * u + c in fam.stable
+               for c in fam.tup.cs for u in fam.stable)
 

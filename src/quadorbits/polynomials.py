@@ -6,12 +6,15 @@ dense, its coefficients indexed by degree, the form on which ``_intpoly``
 computes its arithmetic.  ``BiPoly`` is sparse, a map from exponent pairs
 to nonzero ints; ``groebner`` reduces on that map directly.  Both carry
 variable labels and refuse mixed-variable arithmetic.
-``BiPoly.to_coeff_lists`` and
-``BiPoly.from_coeff_lists`` convert to and from the integer row form on
-which ``_intpoly`` eliminates a variable; ``resultant`` and
-``bivariate_gcd`` are conversion wrappers around its subresultant resultant
-and pseudo-remainder gcd, with contents and denominators multiplied back so
-values are exact.
+``BiPoly.to_coeff_lists`` and ``BiPoly.from_coeff_lists`` convert to and
+from the integer row form on which ``_intpoly`` eliminates a variable;
+``resultant`` and ``bivariate_gcd`` are conversion wrappers around its
+subresultant resultant and pseudo-remainder gcd, with contents and
+denominators multiplied back so values are exact.
+
+``evaluate`` reads every polynomial, rational function and orbit
+expression the package is given as text, through Python's own parser;
+``UniPoly.parse`` and ``BiPoly.parse`` bind its names to variables.
 
 Resultant sign convention, pinned by the tests: ``resultant(p, q)`` equals
 the determinant of the Sylvester matrix whose top rows carry q, i.e.
@@ -21,8 +24,9 @@ Res_y(y - z, y + z) = -2z.
 
 from __future__ import annotations
 
+import ast
 import math
-import re
+import operator
 from fractions import Fraction
 
 from . import _intpoly as zp
@@ -32,6 +36,7 @@ __all__ = [
     "UniPoly",
     "BiPoly",
     "ExactDivisionError",
+    "evaluate",
     "resultant",
 ]
 
@@ -52,84 +57,81 @@ class ExactDivisionError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# shared term parser
+# expression reader
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))")
+def _divide(a, b):
+    """a / b, exact for a rational b; see ``UniPoly.__truediv__``."""
+    return a * Fraction(1, b) if isinstance(b, (int, Fraction)) else a / b
 
 
-def _parse_terms(text: str) -> dict[tuple[str, ...], Fraction]:
-    """Parse '+/-' separated products of rationals and var^exp factors.
+def _power(a, n):
+    """a^n for an int n; a negative power is the quotient 1 / a^-n."""
+    if type(n) is not int:
+        raise ValueError(f"exponent {n} is not an int")
+    return _divide(1, a ** -n) if n < 0 else a ** n
 
-    Returns a map from sorted variable-power tuples like ("x", "x") to
-    coefficients; the callers shape this into Uni/BiPoly terms.
+
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: _divide, ast.Pow: _power}
+
+
+def evaluate(text: str, bind):
+    """The value of the expression text, read by Python's parser with "^"
+    standing for "**".
+
+    Allowed are int literals; names, whose values bind(name) gives, a
+    KeyError meaning an unknown name; unary - and +; binary + - * / ^ with
+    an int exponent; and a call f(arg) of a name bound to a function.
+    Division by an int or a Fraction, and a negative power, stay exact; a
+    quotient of UniPolys is a RatFunc.  Anything else raises ValueError: a
+    float, juxtaposed factors such as "2y", an unknown name, a non-integer
+    exponent, or an operation the values do not support.
     """
-    tokens: list[str | int] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad polynomial syntax near {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group("num"):
-            tokens.append(int(m.group("num")))
-        elif m.group("var"):
-            tokens.append(m.group("var"))
-        else:
-            tokens.append(m.group("op"))
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError:
+        raise ValueError(f"cannot read {text!r}") from None
 
-    terms: dict[tuple[str, ...], Fraction] = {}
-    i = 0
-    n = len(tokens)
+    def value(node):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        if isinstance(node, ast.Name):
+            try:
+                return bind(node.id)
+            except KeyError:
+                raise ValueError(f"unknown name {node.id!r} in {text!r}") \
+                    from None
+        if isinstance(node, ast.UnaryOp) and \
+                isinstance(node.op, (ast.USub, ast.UAdd)):
+            v = value(node.operand)
+            return -v if isinstance(node.op, ast.USub) else v
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            a, b = value(node.left), value(node.right)
+            try:
+                return _BINARY[type(node.op)](a, b)
+            except TypeError:
+                pass
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and len(node.args) == 1 and not node.keywords):
+            f = value(node.func)
+            # a polynomial value is not a function, though it can be
+            # evaluated: "x(3)" is no reading of 3*x
+            if callable(f) and not isinstance(f, UniPoly):
+                return f(value(node.args[0]))
+        raise ValueError(f"cannot read {ast.unparse(node)!r} in {text!r}")
 
-    def fail():
-        raise ValueError(f"bad polynomial syntax: {text!r}")
+    return value(tree.body)
 
-    while i < n:
-        sign = 1
-        while i < n and tokens[i] in ("+", "-"):
-            if tokens[i] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            fail()
-        coeff = Fraction(sign)
-        powers: list[str] = []
-        expect_factor = True
-        while i < n:
-            tok = tokens[i]
-            if expect_factor:
-                if isinstance(tok, int):
-                    num = tok
-                    i += 1
-                    if i + 1 < n and tokens[i] == "/" and isinstance(tokens[i + 1], int):
-                        coeff *= Fraction(num, tokens[i + 1])
-                        i += 2
-                    else:
-                        coeff *= num
-                elif isinstance(tok, str) and tok not in "+-*/^()":
-                    var = tok
-                    exp = 1
-                    i += 1
-                    if i + 1 < n and tokens[i] == "^" and isinstance(tokens[i + 1], int):
-                        exp = tokens[i + 1]
-                        i += 2
-                    powers.extend([var] * exp)
-                else:
-                    fail()
-                expect_factor = False
-            elif tok == "*":
-                i += 1
-                expect_factor = True
-            else:
-                break
-        if expect_factor:
-            fail()
-        key = tuple(sorted(powers))
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in terms.items() if v}
+
+def _read(cls, text: str, bind, label):
+    """evaluate(text, bind) as a polynomial of cls labelled label."""
+    p = evaluate(text, bind)
+    if isinstance(p, (int, Fraction)):
+        return cls.constant(p, label)
+    if not isinstance(p, cls):
+        raise ValueError(f"{text!r} is not a polynomial")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +189,10 @@ class UniPoly:
 
     @classmethod
     def parse(cls, text: str, var: str | None = None) -> "UniPoly":
-        terms = _parse_terms(text)
-        seen = {v for key in terms for v in key}
-        if len(seen) > 1:
-            raise ValueError(f"more than one variable in {text!r}")
-        if var is None:
-            var = next(iter(seen)) if seen else "x"
-        elif seen and seen != {var}:
-            raise ValueError(f"expected variable {var!r} in {text!r}")
-        coeffs: dict[int, Fraction] = {len(k): v for k, v in terms.items()}
-        n = max(coeffs, default=-1)
-        return cls([coeffs.get(i, Fraction(0)) for i in range(n + 1)], var)
+        """The polynomial text writes in var (see ``evaluate``), or when var
+        is None in the one variable it names ("x" if none)."""
+        return _read(cls, text, cls.x if var is None else
+                     {var: cls.x(var)}.__getitem__, var or "x")
 
     # -- basics -------------------------------------------------------------
     @property
@@ -297,12 +292,17 @@ class UniPoly:
         return Fraction(zp.zeval_homogeneous(self.ints, x.numerator, v),
                         self.den * v**self.degree)
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """self(inner(x)); degrees multiply."""
-        acc = UniPoly.zero(inner.var)
-        for c in reversed(self.ints):
-            acc = acc * inner + c
-        return acc * Fraction(1, self.den)
+    def __truediv__(self, other):
+        """The reduced quotient in Q(x), a ``ratfunc.RatFunc``."""
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        from .ratfunc import RatFunc  # ratfunc builds on this module
+        return RatFunc(self, other)
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return UniPoly.constant(other, self.var) / self
 
     # -- division -----------------------------------------------------------
     def divmod(self, d: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
@@ -458,16 +458,9 @@ class BiPoly:
 
     @classmethod
     def parse(cls, text: str, vars: tuple[str, str] = ("y", "z")) -> "BiPoly":
-        terms = _parse_terms(text)
-        out: dict[tuple[int, int], Fraction] = {}
-        for key, c in terms.items():
-            i = sum(1 for v in key if v == vars[0])
-            j = sum(1 for v in key if v == vars[1])
-            if i + j != len(key):
-                extra = {v for v in key} - set(vars)
-                raise ValueError(f"unexpected variables {extra} in {text!r}")
-            out[(i, j)] = out.get((i, j), Fraction(0)) + c
-        return cls(out, vars)
+        """The polynomial text writes in vars (see ``evaluate``)."""
+        return _read(cls, text, {v: cls.variable(v, vars)
+                                 for v in vars}.__getitem__, vars)
 
     # -- basics -------------------------------------------------------------
     @property

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import UniPoly
+from .polynomials import UniPoly, evaluate
 
-__all__ = ["RatFunc", "PoleError", "apply_quadmap"]
+__all__ = ["RatFunc", "PoleError"]
 
 
 class PoleError(ZeroDivisionError):
@@ -56,13 +56,14 @@ class RatFunc:
 
     @classmethod
     def parse(cls, text: str, var: str | None = None) -> "RatFunc":
-        """Parse "num / den" where num, den are polynomial expressions in
-        parentheses or plain polynomials."""
-        s = text.strip()
-        if s.startswith("(") and ") / (" in s and s.endswith(")"):
-            left, right = s[1:-1].split(") / (", 1)
-            return cls(UniPoly.parse(left, var), UniPoly.parse(right, var))
-        return cls(UniPoly.parse(s, var))
+        """The function text writes in var (see ``polynomials.evaluate``),
+        or when var is None in the one variable it names ("x" if none),
+        evaluated in Q[var] with one reduction per quotient."""
+        f = evaluate(text, UniPoly.x if var is None else
+                     {var: UniPoly.x(var)}.__getitem__)
+        if isinstance(f, (int, Fraction)):
+            return cls.constant(f, var or "x")
+        return f if isinstance(f, RatFunc) else cls(f)
 
     @property
     def var(self) -> str:
@@ -173,7 +174,3 @@ class RatFunc:
     def __repr__(self):
         return f"RatFunc({self})"
 
-
-def apply_quadmap(c: RatFunc, x: RatFunc) -> RatFunc:
-    """The quadratic map x^2 + c applied in Q(t), reduced."""
-    return x * x + c

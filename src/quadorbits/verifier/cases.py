@@ -33,7 +33,7 @@ from ..ratfunc import PoleError, RatFunc
 from ..rationals import rat_str
 from ..roots import rational_roots
 from .reports import CaseReport, Disposition, fmt_pair
-from .symbolic import dispose_tuple, exclude_by_relation
+from .symbolic import BiRat, dispose_tuple, exclude_by_relation
 
 __all__ = ["verify_theorem_case", "CASE_DESCRIPTIONS"]
 
@@ -57,11 +57,9 @@ CASE_DESCRIPTIONS = {
 
 def _p_equation(PA: RatFunc, PB: RatFunc) -> BiPoly:
     """Numerator of PA(a) - PB(b) as an integer-primitive BiPoly in (a, b)."""
-    vars = ("a", "b")
-    emb = BiPoly.from_unipoly
-    N = (emb(PA.num, 0, vars) * emb(PB.den, 1, vars)
-         - emb(PB.num, 1, vars) * emb(PA.den, 0, vars))
-    return N.content_primitive()[1] if not N.is_zero() else N
+    V = ("a", "b")
+    return (BiRat.from_ratfunc(PA, 0, V)
+            - BiRat.from_ratfunc(PB, 1, V)).numerator()
 
 
 def _verify_factorization(N: BiPoly, pieces: list[BiPoly]) -> bool:

@@ -31,7 +31,7 @@ from ..dynamics import word_str
 from ..families import FamilyDef, ParamTuple, catalog, family_by_id, \
     family_verify_symbolic, lemma_statement
 from ..groebner import Budget, BudgetExhausted, buchberger, normal_form
-from ..polynomials import BiPoly, UniPoly, bivariate_gcd
+from ..polynomials import BiPoly, UniPoly, bivariate_gcd, evaluate
 from ..ratfunc import PoleError, RatFunc
 from ..rationals import rat, rat_str
 from ..roots import rational_roots
@@ -89,10 +89,6 @@ class LemmaSetup:
         return [BiPoly.parse(b.curve, self.vars) for b in self.branches]
 
 
-def _rf(expr: str, var: str) -> RatFunc:
-    return RatFunc.parse(expr, var)
-
-
 def _rats(*xs: str) -> list[Fraction]:
     return [rat(x) for x in xs]
 
@@ -119,8 +115,9 @@ def lemma_setup(lemma_id: str) -> LemmaSetup:
 
 def _setup_21() -> LemmaSetup:
     V = ("y", "z")
-    c1_rf, c2_rf = _rf("(1 - y^2) / (4)", "y"), _rf("(1 - z^2) / (4)", "z")
-    P_rf = _rf("(1 + y) / (2)", "y")
+    c1_rf = RatFunc.parse("(1 - y^2) / (4)", "y")
+    c2_rf = RatFunc.parse("(1 - z^2) / (4)", "z")
+    P_rf = RatFunc.parse("(1 + y) / (2)", "y")
     yv, zv, c1, c2, P = _embed(V, RatFunc.t("y"), RatFunc.t("z"),
                                c1_rf, c2_rf, P_rf)
     F1 = iterate_diff_factors(c2, P, fixed_s=zv)
@@ -150,8 +147,9 @@ def _setup_21() -> LemmaSetup:
 
 def _setup_22() -> LemmaSetup:
     V = ("y", "z")
-    c1_rf, c2_rf = _rf("(1 - y^2) / (4)", "y"), _rf("(-3 - z^2) / (4)", "z")
-    P_rf = _rf("(1 + y) / (2)", "y")
+    c1_rf = RatFunc.parse("(1 - y^2) / (4)", "y")
+    c2_rf = RatFunc.parse("(-3 - z^2) / (4)", "z")
+    P_rf = RatFunc.parse("(1 + y) / (2)", "y")
     yv, zv, c1, c2, P = _embed(V, RatFunc.t("y"), RatFunc.t("z"),
                                c1_rf, c2_rf, P_rf)
     F1 = iterate_diff_factors(c2, P, cycle_s=zv)
@@ -181,8 +179,9 @@ def _setup_22() -> LemmaSetup:
 
 def _setup_23() -> LemmaSetup:
     V = ("y", "z")
-    c1_rf, c2_rf = _rf("(-3 - y^2) / (4)", "y"), _rf("(-3 - z^2) / (4)", "z")
-    P_rf = _rf("(-1 + y) / (2)", "y")
+    c1_rf = RatFunc.parse("(-3 - y^2) / (4)", "y")
+    c2_rf = RatFunc.parse("(-3 - z^2) / (4)", "z")
+    P_rf = RatFunc.parse("(-1 + y) / (2)", "y")
     yv, zv, c1, c2, P = _embed(V, RatFunc.t("y"), RatFunc.t("z"),
                                c1_rf, c2_rf, P_rf)
     N = iterate_diff_factors(c2, P, cycle_s=zv)
@@ -240,13 +239,13 @@ def _setup_256(lemma_id: str) -> LemmaSetup:
     yv, = _embed(V, RatFunc.t("y"))
     ct, pt1, _, _ = three_cycle_parametrization("t")
     if lemma_id == "2.5":
-        c1_rf = _rf("(1 - y^2) / (4)", "y")
+        c1_rf = RatFunc.parse("(1 - y^2) / (4)", "y")
         fixed_s, cycle_s = yv, None
         hyp = ("the first map has a rational fixed point, the second a "
                "rational point of period three")
         expected_partners = _rats("-5/2", "-3/2", "3/2", "5/2")
     else:
-        c1_rf = _rf("(-3 - y^2) / (4)", "y")
+        c1_rf = RatFunc.parse("(-3 - y^2) / (4)", "y")
         fixed_s, cycle_s = None, yv
         hyp = ("the first map has a rational point of period two, the "
                "second a rational point of period three")
@@ -274,10 +273,11 @@ def _branch_tuple(setup: LemmaSetup, br: BranchSpec) -> ParamTuple:
     return ParamTuple((c1, c2), setup.P_of.compose(of_var[setup.P_of.var]))
 
 
-def _verify_branch(setup: LemmaSetup, br: BranchSpec, curve: BiPoly,
+def _verify_branch(setup: LemmaSetup, br: BranchSpec,
                    families: list[FamilyDef]) -> CurveBranchReport:
     # the parametrization must satisfy the curve equation identically
-    on_curve = _eval_curve(curve, br.y_of_s, br.v_of_s).is_zero()
+    on_curve = evaluate(br.curve, dict(zip(setup.vars, (
+        br.y_of_s, br.v_of_s))).__getitem__).is_zero()
     tup = _branch_tuple(setup, br)
     param_doc = {setup.vars[0]: str(br.y_of_s), setup.vars[1]: str(br.v_of_s)}
     if br.kind == "collision":
@@ -300,13 +300,6 @@ def _verify_branch(setup: LemmaSetup, br: BranchSpec, curve: BiPoly,
         relation_degree=relation.degree,
         roots=[rat_str(r) for r in roots],
         dispositions=[d for d, _, _ in disposed])
-
-
-def _eval_curve(curve: BiPoly, fy: RatFunc, fv: RatFunc) -> RatFunc:
-    acc = RatFunc.constant(0, fy.var)
-    for (i, j), c in curve.terms.items():
-        acc = acc + (fy**i) * (fv**j) * c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +423,8 @@ def verify_lemma(lemma_id: str, budget: Budget | None = None) -> LemmaReport:
     # curve branches
     branch_reports: list[CurveBranchReport] = []
     families_found: set[str] = set()
-    for br, curve in zip(setup.branches, structural):
-        rep = _verify_branch(setup, br, curve, fams)
+    for br in setup.branches:
+        rep = _verify_branch(setup, br, fams)
         branch_reports.append(rep)
         if not rep.verified:
             flags.append(f"branch {br.curve}: verification failed")

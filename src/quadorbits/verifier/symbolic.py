@@ -191,10 +191,6 @@ def three_cycle_parametrization(var: str = "t") -> tuple[RatFunc, RatFunc, RatFu
 # iterate-difference factors
 # ---------------------------------------------------------------------------
 
-def _quadmap(x: BiRat, c: BiRat) -> BiRat:
-    return x.square() + c
-
-
 def iterate_diff_factors(c: BiRat, x0: BiRat, fixed_s: BiRat | None = None,
                          cycle_s: BiRat | None = None) -> list[BiPoly]:
     """Reduced numerator factors of f^4(x0) - f^2(x0) for f = x^2 + c.
@@ -206,7 +202,7 @@ def iterate_diff_factors(c: BiRat, x0: BiRat, fixed_s: BiRat | None = None,
     (u + (1-s)/2)(u + (1+s)/2).  A point zeroes the difference iff it
     zeroes one of the returned numerators (away from poles).
     """
-    u = _quadmap(_quadmap(x0, c), c)
+    u = (x0.square() + c).square() + c
     vars = u.vars
     half = BiRat.from_poly(BiPoly.constant(Fraction(1, 2), vars))
     one = BiRat.from_poly(BiPoly.constant(1, vars))

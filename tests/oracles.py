@@ -31,7 +31,9 @@ term the Groebner tests read; the package itself needs neither.
 ``fraction_monoid_orbit`` and ``fraction_is_preperiodic`` are the two
 guarded walks on ``Fraction``s, each guard tested by ``guard_violation``
 over Q, the reference for the package's walks on integer pairs; with
-``iterate`` and ``exact_period`` they are test-only helpers too.
+``iterate`` and ``exact_period`` they are test-only helpers too, and so
+are ``ec_neg`` and ``ec_mul``, the group negation and repeated addition on
+an elliptic curve.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from quadorbits import _intpoly as zp
 from quadorbits.dynamics import GUARD_DENOM, GUARD_ESCAPE, GuardHit, \
     MapSet, MuReport, OrbitResult, PreperiodicityReport, QuadMap, Word, \
     monoid_orbit
+from quadorbits.elliptic import INFINITY, Curve, ECPoint, ec_add
 from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
     bivariate_gcd, resultant
 from quadorbits.rationals import exact_rational, rat_str
@@ -67,6 +70,22 @@ def is_square(x: Fraction) -> Fraction | None:
     if rn * rn != x.numerator or rd * rd != x.denominator:
         return None
     return Fraction(rn, rd)
+
+
+def ec_neg(E: Curve, P: ECPoint) -> ECPoint:
+    if not E.contains(P):
+        raise ValueError(f"point {P} is not on {E}")
+    return P if P.is_infinity() else ECPoint(P.x, -P.y)
+
+
+def ec_mul(E: Curve, n: int, P: ECPoint) -> ECPoint:
+    """n * P by n additions, through -P for negative n."""
+    if n < 0:
+        return ec_mul(E, -n, ec_neg(E, P))
+    acc = INFINITY
+    for _ in range(n):
+        acc = ec_add(E, acc, P)
+    return acc
 
 
 def sylvester_resultant(p: BiPoly, q: BiPoly, eliminate: int = 0) -> UniPoly:

@@ -111,10 +111,48 @@ class TestOtherVerbs:
                            "--route", "groebner", "--max-pairs", "5")
         assert code == 3
 
-    def test_verify_lemma_budget_defaults(self):
-        _, args = cli._parse(["verify", "lemma", "--id", "2.1"])
-        assert Budget(max_pairs=args.max_pairs,
-                      max_coeff_bits=args.max_coeff_bits) == Budget()
+    @staticmethod
+    def _groebner_budget(monkeypatch, flags):
+        """The Budget that `verify lemma --route groebner` hands to
+        verify_lemma, which is stubbed to stop there."""
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def stop(lemma_id, budget=None):
+            seen.append(budget)
+            raise Stop
+
+        monkeypatch.setattr(cli, "verify_lemma", stop)
+        with pytest.raises(Stop):
+            main(["verify", "lemma", "--id", "2.1", "--route", "groebner",
+                  *flags])
+        assert len(seen) == 1
+        return seen[0]
+
+    def test_verify_lemma_budget_defaults(self, monkeypatch):
+        """--route groebner alone runs under Budget()."""
+        assert self._groebner_budget(monkeypatch, []) == Budget()
+
+    @pytest.mark.parametrize("flags,budget", [
+        (["--max-pairs", "7"], Budget(max_pairs=7)),
+        (["--max-coeff-bits", "9"], Budget(max_coeff_bits=9)),
+    ], ids=["pairs", "bits"])
+    def test_verify_lemma_budget_flags(self, monkeypatch, flags, budget):
+        """Each given flag replaces its own limit of Budget()."""
+        assert self._groebner_budget(monkeypatch, flags) == budget
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-pairs", "10"], ["--max-coeff-bits", "10"],
+        ["--route", "resultant", "--max-pairs", "10"],
+    ])
+    def test_verify_lemma_budget_needs_groebner_route(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "lemma", "--id", "2.4", *flags])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "need --route groebner" in out.err.splitlines()[-1]
 
     @pytest.mark.parametrize("flag", ["--max-pairs", "--max-coeff-bits"])
     def test_verify_lemma_negative_budget(self, capsys, flag):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import ec_mul
 from quadorbits.elliptic import Curve, INFINITY, SUBCASE_CURVE_E, \
-    c_rational_points, curve_c_poly, curve_map_numerator, ec_add, ec_mul, \
-    ec_neg, ec_order, lutz_nagell_candidates, point, preimage_check, \
+    c_rational_points, curve_c_poly, curve_map_numerator, ec_add, \
+    ec_order, lutz_nagell_candidates, point, preimage_check, \
     preimages_on_c, verify_curve_map
 from quadorbits.polynomials import BiPoly
 

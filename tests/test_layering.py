@@ -9,6 +9,10 @@ name of ``_intpoly``.
 No module imports a name it never uses; a name listed in ``__all__`` counts
 as used (it is re-exported).
 
+Every expression the package reads goes through one reader,
+``polynomials.evaluate``: no module imports ``re``, and only
+``polynomials`` imports ``ast``.
+
 Importing ``quadorbits.cli``, which every command does, does not import
 ``multiprocessing``: only ``verify_theorem`` starts a process pool.  Nor
 does it import ``argparse`` or ``gettext``: the CLI reads its arguments
@@ -146,6 +150,35 @@ def test_unused_import_checker_sees_every_import_form(tmp_path):
         "quadorbits.bad:3 imports js, never used",
         "quadorbits.bad:6 imports rat, never used",
     ]
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The top-level modules that path imports, relative imports aside."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_one_expression_reader():
+    readers = {_module_name(p, PACKAGE): imported_modules(p) & {"re", "ast"}
+               for p in sorted(PACKAGE.rglob("*.py"))}
+    assert {m: r for m, r in readers.items() if r} == \
+        {"quadorbits.polynomials": {"ast"}}
+
+
+def test_imported_modules_sees_every_import_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import os.path, re as regex\n"
+                   "from ast import parse\n"
+                   "from . import ast\n"
+                   "def f():\n"
+                   "    import json\n")
+    assert imported_modules(bad) == {"os", "re", "ast", "json"}
 
 
 def test_importing_the_cli_leaves_multiprocessing_unimported():

@@ -9,7 +9,8 @@ from oracles import FractionBiPoly, FractionUniPoly, schoolbook_product, \
     sylvester_resultant
 from quadorbits import _intpoly as zp
 from quadorbits.polynomials import KRONECKER_PAIRS, BiPoly, \
-    ExactDivisionError, UniPoly, bivariate_gcd, resultant
+    ExactDivisionError, UniPoly, bivariate_gcd, evaluate, resultant
+from quadorbits.ratfunc import RatFunc
 from quadorbits.roots import rational_roots
 
 
@@ -19,6 +20,11 @@ def P(s, var=None):
 
 def B(s, vars=("y", "z")):
     return BiPoly.parse(s, vars)
+
+
+def _compose(f, g):
+    """f(g(x)) as a UniPoly, by reading f with its variable bound to g."""
+    return evaluate(str(f), {f.var: g}.__getitem__) + UniPoly.zero(g.var)
 
 
 class TestArithmetic:
@@ -41,10 +47,13 @@ class TestArithmetic:
         assert p(0) == p.coeffs[0]
 
     def test_compose(self):
-        assert P("x^2 + 1").compose(P("x^2 + 1")) == P("x^4 + 2*x^2 + 2")
-        p = P("5*x^3 - x + 2")
-        assert p.compose(P("x")) == p
-        assert P("x^2").compose(P("x^3")) == P("x^6")
+        """Composition of polynomials: reading one at another, and
+        RatFunc.compose on polynomial functions."""
+        for f, g, fg in [("x^2 + 1", "x^2 + 1", "x^4 + 2*x^2 + 2"),
+                         ("5*x^3 - x + 2", "x", "5*x^3 - x + 2"),
+                         ("x^2", "x^3", "x^6")]:
+            assert _compose(P(f), P(g)) == P(fg)
+            assert RatFunc(P(f)).compose(RatFunc(P(g))) == RatFunc(P(fg))
 
     def test_exact_divide(self):
         assert P("x^2 - 1").exact_divide(P("x - 1")) == P("x + 1")
@@ -182,6 +191,47 @@ class TestParsingPrinting:
             b = B(s)
             assert BiPoly.parse(str(b)) == b
 
+    def test_juxtaposition_is_no_operator(self):
+        for s in ["2y", "y z", "2 y^2", "y(z + 1)"]:
+            with pytest.raises(ValueError):
+                B(s)
+        with pytest.raises(ValueError):
+            P("2y")
+        # a polynomial value is not a function: no reading of 3*x
+        with pytest.raises(ValueError):
+            P("x(3)")
+
+    @pytest.mark.parametrize("text", [
+        "1.5*y", "y + 0.5", "y^y", "y^(1/2)", "y^z", "1/y", "y/z", "w + y",
+        "y == z", "[y]", "abs(y)", "y**", "",
+    ])
+    def test_reader_rejects(self, text):
+        with pytest.raises(ValueError):
+            B(text)
+
+    def test_univariate_reader_rejects(self):
+        for s, var in [("1/x", "x"), ("x + t", None), ("t + 1", "x"),
+                       ("x^-1", "x"), ("x^x", None)]:
+            with pytest.raises(ValueError):
+                P(s, var)
+
+    def test_reader_arithmetic_is_exact(self):
+        assert P("(3*x - 1)/2 - x/4 + 2^-2") == P("5/4*x - 1/4")
+        assert P("-(x + 1)^3") == P("-x^3 - 3*x^2 - 3*x - 1")
+        assert P("+x - -1") == P("x + 1")
+        assert B("(y + z)*(y - z)/3") == B("1/3*y^2 - 1/3*z^2")
+        assert P("t^2").var == "t" and P("7").var == "x"
+        assert P("7", "t").var == "t"
+
+    def test_evaluate_binds_names_and_calls(self):
+        names = {"a": Fraction(1, 3), "f": lambda v: v * v + 1}
+        assert evaluate("f(f(a)) - 2/a", names.__getitem__) == \
+            Fraction(-305, 81)
+        assert evaluate("f(a)^-1", names.__getitem__) == Fraction(9, 10)
+        for s in ["f(a, a)", "f()", "f(x=a)", "a(f)", "b"]:
+            with pytest.raises(ValueError):
+                evaluate(s, names.__getitem__)
+
     def test_dump_terms(self):
         d = B("2*y*z - 1/2").dump_terms()
         assert d == {"(1,1)": "2", "(0,0)": "-1/2"}
@@ -196,7 +246,7 @@ coef = st.integers(min_value=-20, max_value=20)
        st.fractions(min_value=-30, max_value=30, max_denominator=10))
 def test_compose_eval_property(f, g, x):
     fp, gp = UniPoly(f, "x"), UniPoly(g, "x")
-    assert fp.compose(gp)(x) == fp(gp(x))
+    assert _compose(fp, gp)(x) == fp(gp(x))
 
 
 @settings(max_examples=60, deadline=None)
@@ -584,11 +634,22 @@ def test_division_matches_fraction_reference(f, g):
 
 
 @settings(max_examples=60, deadline=None)
+@given(uni_coeffs, st.sampled_from(["x", "t"]), bi_terms,
+       st.sampled_from([("y", "z"), ("a", "b")]))
+def test_parse_inverts_str(cs, var, terms, vars):
+    p = UniPoly(cs, var)
+    assert UniPoly.parse(str(p), var) == p
+    assert UniPoly.parse(str(p)) == p
+    b = BiPoly(terms, vars)
+    assert BiPoly.parse(str(b), vars) == b
+
+
+@settings(max_examples=60, deadline=None)
 @given(uni_coeffs, uni_coeffs, fracs)
 def test_eval_and_compose_match_fraction_reference(f, g, x):
     (a, fa), (b, fb) = _pair(f), _pair(g)
     assert a(x) == fa(x)
-    _same(a.compose(b), fa.compose(fb))
+    _same(_compose(a, b), fa.compose(fb))
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quadorbits.polynomials import UniPoly
-from quadorbits.ratfunc import PoleError, RatFunc, apply_quadmap
+from quadorbits.ratfunc import PoleError, RatFunc
 
 t = RatFunc.t()
 
@@ -37,17 +37,17 @@ class TestQuadMap:
     def test_fixed_point_identity(self):
         c = (1 - t * t) / 4
         x = (1 + t) / 2
-        assert apply_quadmap(c, x) == x
+        assert x * x + c == x
 
     def test_zero_c(self):
-        assert apply_quadmap(RatFunc.constant(0), t) == t * t
+        assert t * t + RatFunc.constant(0) == t * t
 
     def test_two_cycle_identity(self):
         c = -(3 + t * t) / 4
         x = (-1 + t) / 2
-        y = apply_quadmap(c, x)
+        y = x * x + c
         assert y == (-1 - t) / 2
-        assert apply_quadmap(c, y) == x
+        assert y * y + c == x
 
 
 class TestSpecialize:
@@ -101,9 +101,42 @@ def test_specialize_commutes(an, ad, bn, bd, t0):
 @given(st.fractions(min_value=-12, max_value=12, max_denominator=6),
        st.fractions(min_value=-12, max_value=12, max_denominator=6))
 def test_apply_quadmap_matches_pointwise(cv, xv):
+    """The quadratic map x*x + c on constants is the map on values."""
     c = RatFunc.constant(cv)
     x = RatFunc.constant(xv)
-    assert apply_quadmap(c, x) == RatFunc.constant(xv * xv + cv)
+    assert x * x + c == RatFunc.constant(xv * xv + cv)
+
+
+class TestParse:
+    def test_quotients_in_any_spacing(self):
+        assert RatFunc.parse("(1+y)/(2)") == (1 + RatFunc.t("y")) / 2
+        assert RatFunc.parse("1/(y+1)") == 1 / (RatFunc.t("y") + 1)
+        assert RatFunc.parse("(1 + y) / (2)", "y").var == "y"
+        assert RatFunc.parse("y/(y^2 - 1) + 1/(y - 1)") == \
+            (2 * RatFunc.t("y") + 1) / (RatFunc.t("y") ** 2 - 1)
+        assert RatFunc.parse("(y + 1)^-2 * 2^-1") == \
+            1 / (2 * (RatFunc.t("y") + 1) ** 2)
+
+    def test_rejects(self):
+        for s, var in [("2t", None), ("t u", None), ("1.5/t", None),
+                       ("1/(t + u)", None), ("s/2", "t"), ("t^(1/2)", None)]:
+            with pytest.raises(ValueError):
+                RatFunc.parse(s, var)
+        with pytest.raises(ZeroDivisionError):
+            RatFunc.parse("t/(t - t)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(coef, min_size=1, max_size=4),
+       st.lists(coef, min_size=1, max_size=4),
+       st.sampled_from(["t", "s"]))
+def test_parse_inverts_str(num, den, var):
+    assume(any(den))
+    f = RatFunc(UniPoly(num, var), UniPoly(den, var))
+    assert RatFunc.parse(str(f), var) == f
+    g = RatFunc.parse(str(f))
+    # a constant names no variable, and reads in the default one
+    assert g == f and (g.var == var or max(f.num.degree, f.den.degree) <= 0)
 
 
 @settings(max_examples=60, deadline=None)

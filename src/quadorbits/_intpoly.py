@@ -3,7 +3,7 @@
 Dense univariate polynomials over Z as lists of ints indexed by degree
 (no trailing zeros; the zero polynomial is the empty list).  Everything the
 hot paths need lives here: ring arithmetic, homogeneous evaluation,
-contents, pseudo-division, and a certified modular gcd.  ``UniPoly`` in
+contents, pseudo-division, and a certified gcd.  ``UniPoly`` in
 ``polynomials`` stores its integer coefficients over one denominator and
 computes through these helpers.
 
@@ -12,15 +12,23 @@ form: a list of univariate rows indexed by the power of the eliminated
 variable, as ``BiPoly.to_coeff_lists`` reads it off ``BiPoly``'s sparse
 integer map.  This module is the only one that computes on it: contents in
 the surviving variable, pseudo-remainders, subresultant resultants, the
-bivariate gcd, the Kronecker product ``zzmul`` of large ``BiPoly``
-products, and ``zzdivides_at_sample``, the one-specialization test with
-which ``BiPoly.divide_out`` ends most of its failing last steps;
+bivariate gcd, the Kronecker product ``zzmul`` of large products, and
+``zzdivides_at_sample``, the one-specialization test with which
+``BiPoly.divide_out`` ends most of its failing last steps;
 ``BiPoly.specialize`` evaluates its rows with ``zeval_homogeneous``.
 
-The modular gcd computes candidates mod the primes above 2^61 in increasing
-order, combines them by CRT, and only returns after verifying exact
-divisibility into both inputs, so its answers are certificates rather than
-probabilistic guesses.
+``zmul`` picks its route by operand size: a scalar multiply when one
+operand has a single coefficient, ``zzmul`` from KRONECKER_PAIRS term
+pairs on (where ``BiPoly`` products switch too), schoolbook in between.
+
+``zgcd`` tries GCDHEU first: the integer gcd of the two inputs' values at
+a power of two above twice their largest coefficient, read back as
+balanced digits, at up to six growing points.  When every point fails it
+falls back to the modular gcd, which computes candidates mod the primes
+above 2^61 in increasing order and combines them by CRT.  Either way a
+candidate is returned only once ``zdivides`` shows that it divides both
+inputs exactly, so its answers are certificates rather than probabilistic
+guesses.
 """
 
 from __future__ import annotations
@@ -64,11 +72,18 @@ def zneg(p: list[int]) -> list[int]:
 
 
 def zmul(p: list[int], q: list[int]) -> list[int]:
+    """Product, by the route the operands' size selects (see the module
+    docstring)."""
     if not p or not q:
         return []
-    out = [0] * (len(p) + len(q) - 1)
     if len(p) > len(q):
         p, q = q, p
+    if len(p) == 1:
+        a = p[0]
+        return ztrim([a * c for c in q])
+    if len(p) * len(q) >= KRONECKER_PAIRS:
+        return zzmul([p], [q])[0]
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -281,13 +296,9 @@ def _sym(c: int, m: int) -> int:
 
 
 def zgcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of integer polynomials, positive leading coefficient.
-
-    Modular approach: the gcd mod a good prime bounds the true degree from
-    above, so a CRT-reconstructed candidate of the minimal modular degree
-    that divides both inputs exactly is the gcd.  Unlucky primes only raise
-    the modular degree and get discarded when a smaller degree appears.
-    """
+    """Primitive gcd of integer polynomials, positive leading coefficient:
+    by ``_heuristic_gcd`` when one of its evaluation points succeeds, else
+    by ``_modular_gcd``.  Both answers are certified."""
     if not a:
         return zprimitive(b)[1] if b else []
     if not b:
@@ -298,6 +309,57 @@ def zgcd(a: list[int], b: list[int]) -> list[int]:
         pa, pb = pb, pa
     if zdeg(pb) == 0:
         return [1]
+    g = _heuristic_gcd(pa, pb)
+    return g if g is not None else _modular_gcd(pa, pb)
+
+
+# evaluation points GCDHEU tries before ``zgcd`` falls back to the modular
+# gcd; on the paper's inputs the first point almost always succeeds
+_HEURISTIC_POINTS = 6
+
+
+def _heuristic_gcd(pa: list[int], pb: list[int]) -> list[int] | None:
+    """GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989) on
+    primitive pa, pb of degree at least 1, or None when every point fails.
+
+    At xi = 2^k > 2 max|coeff| + 2 the integer gcd of pa(xi) and pb(xi),
+    read back as symmetric xi-adic digits, is a candidate h.  Every root of
+    the true gcd G lies below 1 + max|coeff| in absolute value, so
+    |K(xi)| > xi / 2 for every nonconstant factor K of G.  Hence a constant
+    h (|h(xi)| <= xi / 2, a multiple of G(xi)) proves G = 1, and a
+    primitive part of h that divides pa and pb (the ``zdivides``
+    certificate) is G itself: a further factor K of G would divide the
+    content of h, which is at most xi / 2.  A failed candidate carries a
+    factor shared by the cofactors' values; larger points shed it.
+    """
+    k = (2 * max(max(map(abs, pa)), max(map(abs, pb))) + 2).bit_length()
+    for _ in range(_HEURISTIC_POINTS):
+        xi = 1 << k
+        g = math.gcd(zeval_homogeneous(pa, xi, 1),
+                     zeval_homogeneous(pb, xi, 1))
+        h = []
+        while g:
+            c = _sym(g, xi)
+            h.append(c)
+            g = (g - c) >> k
+        if len(h) == 1:
+            return [1]
+        h = zprimitive(h)[1]
+        if zdivides(h, pa) and zdivides(h, pb):
+            return h
+        k *= 2
+    return None
+
+
+def _modular_gcd(pa: list[int], pb: list[int]) -> list[int]:
+    """zgcd of primitive pa, pb with deg pa >= deg pb >= 1, by the modular
+    approach.
+
+    The gcd mod a good prime bounds the true degree from
+    above, so a CRT-reconstructed candidate of the minimal modular degree
+    that divides both inputs exactly is the gcd.  Unlucky primes only raise
+    the modular degree and get discarded when a smaller degree appears.
+    """
     lc = math.gcd(pa[-1], pb[-1])
 
     best_deg: int | None = None
@@ -482,6 +544,14 @@ def zzgcd(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
     if cont == [1]:
         return a
     return [zmul(cont, r) if r else [] for r in a]
+
+
+# Products of at least this many term pairs, in ``zmul`` and in
+# ``BiPoly.__mul__``, go through one ``zzmul`` big-integer multiply instead
+# of term by term.  On the univariate products of the lemmas and cases,
+# Kronecker takes 1.4-1.6 times the schoolbook time below 640 pairs, about
+# the same from 640 to 1,023, and 0.72-0.77 times from 1,024 on.
+KRONECKER_PAIRS = 1024
 
 
 def zzmul(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:

@@ -189,10 +189,6 @@ def catalog() -> tuple[tuple[FamilyDef, ...], tuple[SporadicTuple, ...]]:
     return families, pairs + triples
 
 
-def sporadic_pairs() -> tuple[SporadicTuple, ...]:
-    return _load()[1]
-
-
 def sporadic_triples() -> tuple[SporadicTuple, ...]:
     return _load()[2]
 

@@ -41,13 +41,6 @@ __all__ = [
 ]
 
 
-# ``BiPoly`` products go through one big-integer multiply by Kronecker
-# substitution (``_intpoly.zzmul``) when the operands have at least
-# KRONECKER_PAIRS term pairs, which spreads its fixed cost; smaller products
-# (most ``BiRat`` products) are multiplied term by term.
-KRONECKER_PAIRS = 1024
-
-
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
@@ -538,7 +531,7 @@ class BiPoly:
         self._check(other)
         vars = self.vars if self.ints else other.vars
         pairs = len(self.ints) * len(other.ints)
-        if pairs < KRONECKER_PAIRS:
+        if pairs < zp.KRONECKER_PAIRS:
             out: dict[tuple[int, int], int] = {}
             for (i1, j1), c1 in self.ints.items():
                 for (i2, j2), c2 in other.ints.items():

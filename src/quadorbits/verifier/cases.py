@@ -33,7 +33,7 @@ from ..ratfunc import PoleError, RatFunc
 from ..rationals import rat_str
 from ..roots import rational_roots
 from .reports import CaseReport, Disposition, fmt_pair
-from .symbolic import BiRat, dispose_tuple, exclude_by_relation
+from .symbolic import dispose_tuple, exclude_by_relation
 
 __all__ = ["verify_theorem_case", "CASE_DESCRIPTIONS"]
 
@@ -56,10 +56,15 @@ CASE_DESCRIPTIONS = {
 # ---------------------------------------------------------------------------
 
 def _p_equation(PA: RatFunc, PB: RatFunc) -> BiPoly:
-    """Numerator of PA(a) - PB(b) as an integer-primitive BiPoly in (a, b)."""
+    """Numerator of PA(a) - PB(b) as an integer-primitive BiPoly in (a, b),
+    positive lex-leading coefficient.  PA and PB are reduced, so no factor
+    of PA.den(a) or PB.den(b) divides PA.num(a) PB.den(b) - PB.num(b)
+    PA.den(a): that is the numerator itself."""
     V = ("a", "b")
-    return (BiRat.from_ratfunc(PA, 0, V)
-            - BiRat.from_ratfunc(PB, 1, V)).numerator()
+    emb = BiPoly.from_unipoly
+    num = emb(PA.num, 0, V) * emb(PB.den, 1, V) \
+        - emb(PB.num, 1, V) * emb(PA.den, 0, V)
+    return num if num.is_zero() else num.content_primitive()[1]
 
 
 def _verify_factorization(N: BiPoly, pieces: list[BiPoly]) -> bool:

@@ -16,24 +16,27 @@ integer roots of the monicizing transform a^(n-1) p(x/a) (linear and
 quadratic inputs through the discriminant) instead of reconstructing
 fractions from lifted residues, and the candidate oracle intersects the
 resultant root unions of every generator pair instead of eliminating one
-pair and its components.  ``FractionUniPoly`` is the univariate
-arithmetic over a tuple of ``Fraction``s that ``UniPoly``'s integer form
-replaced: coefficient loops over Q for sums, scalar products, division and
-evaluation.  ``FractionBiPoly`` is the same for ``BiPoly``: a dict of
-``Fraction``s, with sums, exact division, specialization and evaluation
-over Q.  ``schoolbook_product`` is ``BiPoly``'s product term by term, the
-reference for the Kronecker product, and ``expanded_divides`` decides
-whether a curve divides a product of factors by expanding it term by term
-and dividing over Q, the reference for the gcd peeling of
-``verify_lemma``.  ``is_square`` is the certified rational square root of
-the dynatomic and discriminant oracles, and ``leading_term`` the lex-leading
-term the Groebner tests read; the package itself needs neither.
+pair and its components.  ``FractionUniPoly`` is the univariate arithmetic
+over a tuple of ``Fraction``s that ``UniPoly``'s integer form replaced:
+coefficient loops over Q for sums, scalar products, division, evaluation
+and the gcd (Euclid's remainders, independent of ``zgcd``).
+``FractionBiPoly`` is the same for ``BiPoly``: a dict of ``Fraction``s,
+with sums, exact division, specialization and evaluation over Q.
+``schoolbook_product`` is ``BiPoly``'s product term by term, the reference
+for the Kronecker product, ``schoolbook_zmul`` the same for
+``_intpoly.zmul`` and ``FractionUniPoly``'s product, and
+``expanded_divides`` decides whether a curve divides a product of factors
+by expanding it term by term and dividing over Q, the reference for the gcd
+peeling of ``verify_lemma``.  ``is_square`` is the certified rational
+square root of the dynatomic and discriminant oracles, and ``leading_term``
+the lex-leading term the Groebner tests read; the package itself needs
+neither.
 ``fraction_monoid_orbit`` and ``fraction_is_preperiodic`` are the two
 guarded walks on ``Fraction``s, each guard tested by ``guard_violation``
 over Q, the reference for the package's walks on integer pairs; with
 ``iterate`` and ``exact_period`` they are test-only helpers too, and so
 are ``ec_neg`` and ``ec_mul``, the group negation and repeated addition on
-an elliptic curve.
+an elliptic curve, and ``sporadic_pairs``, the catalog's two-map tuples.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from quadorbits.dynamics import GUARD_DENOM, GUARD_ESCAPE, GuardHit, \
     MapSet, MuReport, OrbitResult, PreperiodicityReport, QuadMap, Word, \
     monoid_orbit
 from quadorbits.elliptic import INFINITY, Curve, ECPoint, ec_add
+from quadorbits.families import SporadicTuple, catalog
 from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
     bivariate_gcd, resultant
 from quadorbits.rationals import exact_rational, rat_str
@@ -695,7 +699,7 @@ class FractionUniPoly:
             return FractionUniPoly.zero(self.var)
         da, a = self.to_int()
         db, b = other.to_int()
-        prod = zp.zmul(a, b)
+        prod = schoolbook_zmul(a, b)
         return FractionUniPoly.from_int(da * db, prod, self.var if self.degree > 0 else other.var)
 
     __rmul__ = __mul__
@@ -770,16 +774,12 @@ class FractionUniPoly:
         return self.content_primitive()[1]
 
     def gcd(self, other: "FractionUniPoly") -> "FractionUniPoly":
-        """Monic gcd over Q (zero if both zero)."""
-        if self.is_zero():
-            return other.monic() if other else FractionUniPoly.zero(self.var)
-        if other.is_zero():
-            return self.monic()
+        """Monic gcd over Q (zero if both zero), by Euclid's remainders."""
         self._check(other)
-        _, a = self.to_int()
-        _, b = other.to_int()
-        g = zp.zgcd(a, b)
-        return FractionUniPoly(g, self.var).monic()
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        return a.monic()
 
     def monic(self) -> "FractionUniPoly":
         if self.is_zero():
@@ -1144,3 +1144,22 @@ def schoolbook_product(p: BiPoly, q: BiPoly) -> BiPoly:
             e = (i1 + i2, j1 + j2)
             out[e] = out.get(e, 0) + c1 * c2
     return BiPoly.from_int(p.den * q.den, out, p.vars if p.ints else q.vars)
+
+
+def schoolbook_zmul(p: list[int], q: list[int]) -> list[int]:
+    """Reference for ``_intpoly.zmul``: every pair of nonzero coefficients,
+    whatever the operands' size."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                if b:
+                    out[i + j] += a * b
+    return zp.ztrim(out)
+
+
+def sporadic_pairs() -> tuple[SporadicTuple, ...]:
+    """The catalog's sporadic two-map tuples, in catalog order."""
+    return tuple(s for s in catalog()[1] if len(s.cs) == 2)

@@ -11,11 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_preperiodic
+from oracles import naive_preperiodic, sporadic_pairs
 from quadorbits.dynamics import MapSet, QuadMap, apply_word, is_preperiodic, \
     monoid_orbit
-from quadorbits.families import catalog, family_verify_symbolic, \
-    sporadic_pairs
+from quadorbits.families import catalog, family_verify_symbolic
 from quadorbits.groebner import Budget
 from quadorbits.polynomials import UniPoly
 from quadorbits.rationals import rat

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import sporadic_pairs
 from quadorbits.dynamics import MapSet, monoid_orbit
 from quadorbits.families import ExcludedParameter, ParamTuple, catalog, \
-    family_by_id, family_verify_symbolic, lemma_statement, sporadic_pairs, \
-    sporadic_triples
+    family_by_id, family_verify_symbolic, lemma_statement, sporadic_triples
 from quadorbits.rationals import rat, rat_str
 from quadorbits.verifier.lemmas import LEMMA_IDS, _branch_tuple, lemma_setup
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import FractionBiPoly, FractionUniPoly, schoolbook_product, \
-    sylvester_resultant
+    schoolbook_zmul, sylvester_resultant
 from quadorbits import _intpoly as zp
-from quadorbits.polynomials import KRONECKER_PAIRS, BiPoly, \
-    ExactDivisionError, UniPoly, bivariate_gcd, evaluate, resultant
+from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
+    bivariate_gcd, evaluate, resultant
 from quadorbits.ratfunc import RatFunc
 from quadorbits.roots import rational_roots
 
@@ -514,7 +514,7 @@ def test_product_selects_kronecker_by_size(monkeypatch):
 
     dense = box(5, 5, 20)  # 36 terms
     row31, row33 = box(0, 30, 100), box(0, 32, 100)
-    assert len(dense.ints) ** 2 > KRONECKER_PAIRS \
+    assert len(dense.ints) ** 2 > zp.KRONECKER_PAIRS \
         == len(row31.ints) * len(row33.ints) + 1
     sparse = BiPoly({(5 * k, 200 - 5 * k): k + 1 for k in range(40)})
     huge = dense * 10**300
@@ -523,6 +523,99 @@ def test_product_selects_kronecker_by_size(monkeypatch):
         calls.clear()
         assert a * b == schoolbook_product(a, b)
         assert bool(calls) == used
+
+
+@st.composite
+def _dense_ints(draw, min_size, max_size):
+    """An integer coefficient list with a nonzero last coefficient,
+    coefficients of a drawn size and sign, zeros inside."""
+    bound = draw(st.sampled_from([1, 10**6, 10**300]))
+    coef = st.one_of(st.just(0), st.integers(-bound, bound))
+    body = draw(st.lists(coef, min_size=min_size - 1, max_size=max_size - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    return body + [sign * draw(st.integers(1, bound))]
+
+
+# operands on both sides of the size rule: 1 coefficient (scalar), up to
+# 40 x 40 = 1,600 term pairs (schoolbook below KRONECKER_PAIRS, zzmul above)
+zmul_operands = st.one_of(_dense_ints(1, 1), _dense_ints(2, 12),
+                          _dense_ints(24, 40))
+
+
+@settings(max_examples=120, deadline=None)
+@given(zmul_operands, zmul_operands)
+def test_zmul_matches_schoolbook_on_both_sides_of_the_size_rule(p, q):
+    assert zp.zmul(p, q) == schoolbook_zmul(p, q)
+    assert zp.zmul(q, p) == zp.zmul(p, q)
+    assert zp.zmul(p, []) == zp.zmul([], q) == []
+
+
+def test_zmul_selects_its_route_by_size(monkeypatch):
+    calls = []
+    kronecker = zp.zzmul
+    monkeypatch.setattr(zp, "zzmul",
+                        lambda p, q: calls.append(1) or kronecker(p, q))
+    side = math.isqrt(zp.KRONECKER_PAIRS)
+    assert side * side == zp.KRONECKER_PAIRS
+    for m, n, used in [(1, 5000, False), (side - 1, side + 1, False),
+                       (side, side, True), (2, zp.KRONECKER_PAIRS // 2, True)]:
+        p = [(-1) ** i * (i + 3) for i in range(m)]
+        q = [7 * i - 10**20 for i in range(n)]
+        calls.clear()
+        assert zp.zmul(p, q) == schoolbook_zmul(p, q)
+        assert bool(calls) == used
+
+
+def modular_zgcd(a, b):
+    """``zgcd`` of nonzero a, b with the heuristic step skipped."""
+    pa, pb = zp.zprimitive(a)[1], zp.zprimitive(b)[1]
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    return [1] if len(pb) == 1 else zp._modular_gcd(pa, pb)
+
+
+# a factor g (constant included) planted in two cofactors
+planted_gcds = st.tuples(_dense_ints(1, 4), _dense_ints(1, 6),
+                         _dense_ints(1, 6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(planted_gcds)
+@example(([1], [0, 1], [2, 1]))  # coprime
+@example(([-6], [3, 3], [9]))  # constant g, constant cofactor
+@example(([1], [3, -2, 6, 5, -6], [-3, -1, -1, 5, 4, -4]))  # 2nd point
+def test_zgcd_equals_the_modular_gcd_on_planted_factors(case):
+    g, a, b = case
+    ga, gb = schoolbook_zmul(g, a), schoolbook_zmul(g, b)
+    got = zp.zgcd(ga, gb)
+    assert got == modular_zgcd(ga, gb)
+    assert got[-1] > 0 and zp.zcontent(got) == 1
+    assert zp.zdivides(zp.zprimitive(g)[1], got)
+    assert zp.zdivides(got, ga) and zp.zdivides(got, gb)
+
+
+def test_zgcd_tries_a_larger_point_when_the_first_fails(monkeypatch):
+    """At xi = 16 the gcd of the values of 3 - 2x + 6x^2 + 5x^3 - 6x^4 and
+    -3 - x - x^2 + 5x^3 + 4x^4 - 4x^5 carries a factor shared by their
+    cofactors' values, and its digits divide neither input; xi = 256 gives
+    their gcd."""
+    points = []
+    evaluate_at = zp.zeval_homogeneous
+    monkeypatch.setattr(
+        zp, "zeval_homogeneous",
+        lambda p, u, v: points.append(u) or evaluate_at(p, u, v))
+    a, b = [3, -2, 6, 5, -6], [-3, -1, -1, 5, 4, -4]
+    assert zp.zgcd(a, b) == modular_zgcd(a, b) == [-3, -1, 2]
+    assert points == [16, 16, 256, 256]
+
+
+def test_zgcd_falls_back_to_the_modular_gcd(monkeypatch):
+    cases = [([3, -2, 6, 5, -6], [-3, -1, -1, 5, 4, -4], [-3, -1, 2]),
+             ([-1, 0, 1], [1, 2, 1], [1, 1]),
+             ([2, 0, 2], [4, 4], [1]),
+             ([0, 0, 6], [0, 0, 0, -4], [0, 0, 1])]
+    monkeypatch.setattr(zp, "_heuristic_gcd", lambda pa, pb: None)
+    assert [zp.zgcd(a, b) for a, b, _ in cases] == [g for *_, g in cases]
 
 
 @st.composite

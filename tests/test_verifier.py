@@ -18,7 +18,7 @@ from quadorbits.ratfunc import RatFunc
 from quadorbits.rationals import rat, rat_str
 from quadorbits.verifier import POONEN_AXIOMS, poonen_criterion, \
     verify_lemma, verify_theorem_case
-from quadorbits.verifier import elimination, symbolic
+from quadorbits.verifier import cases, elimination, symbolic
 from quadorbits.verifier.cases import _verify_factorization
 from quadorbits.verifier.elimination import GeneratorFactors, \
     eliminate_candidates
@@ -196,6 +196,26 @@ class TestCaseMachinery:
         # deduction names it as "tuple (...)"
         assert calls
         assert len(calls) == sum(": tuple (" in d for d in deductions)
+
+    def test_p_equation_equals_the_birat_numerator(self, monkeypatch):
+        """On every call the ten cases make, the directly built numerator
+        of PA(a) - PB(b) is the one the BiRat difference reduces to."""
+        calls = []
+        direct = cases._p_equation
+
+        def recorded(PA, PB):
+            calls.append((PA, PB))
+            return direct(PA, PB)
+
+        monkeypatch.setattr(cases, "_p_equation", recorded)
+        for n in range(1, 11):
+            verify_theorem_case(n)
+        assert calls
+        V = ("a", "b")
+        for PA, PB in calls:
+            assert direct(PA, PB) == (symbolic.BiRat.from_ratfunc(PA, 0, V)
+                                      - symbolic.BiRat.from_ratfunc(PB, 1, V)
+                                      ).numerator()
 
     def test_factorization_check_flags_only_inexact_division(self):
         """An inexact claimed factorization is a verdict; a piece over the

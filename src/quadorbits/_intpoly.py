@@ -105,8 +105,13 @@ def zpow(p: list[int], n: int) -> list[int]:
 
 
 def zeval_homogeneous(p: list[int], u: int, v: int) -> int:
-    """v^deg(p) * p(u/v), an exact integer (Horner with denominator powers)."""
+    """v^deg(p) * p(u/v), an exact integer (Horner with denominator powers,
+    plain Horner at v = 1)."""
     acc = 0
+    if v == 1:
+        for c in reversed(p):
+            acc = acc * u + c
+        return acc
     vp = 1
     for c in reversed(p):
         acc = acc * u + c * vp

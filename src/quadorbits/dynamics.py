@@ -56,10 +56,11 @@ them off it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rationals import exact_rational, rat_str
+from .records import Frozen, set_field
 
 __all__ = [
     "QuadMap",
@@ -84,14 +85,13 @@ GUARD_ESCAPE = "escape-bound"
 GUARD_DENOM = "denominator-growth"
 
 
-@dataclass(frozen=True)
-class QuadMap:
+class QuadMap(Frozen):
     """The quadratic polynomial x^2 + c; c must be an int or a Fraction."""
 
-    c: Fraction
+    __slots__ = ("c",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", exact_rational(self.c))
+    def __init__(self, c: Fraction):
+        set_field(self, "c", exact_rational(c))
 
     def __call__(self, x: Fraction) -> Fraction:
         return x * x + self.c
@@ -103,11 +103,10 @@ class QuadMap:
         return f"x^2 + {rat_str(c)}" if c > 0 else f"x^2 - {rat_str(-c)}"
 
 
-@dataclass(frozen=True)
-class MapSet:
+class MapSet(Frozen):
     """A finite ordered set of quadratic maps with pairwise distinct c."""
 
-    maps: tuple[QuadMap, ...]
+    __slots__ = ("maps",)
 
     def __init__(self, maps):
         ms = tuple(m if isinstance(m, QuadMap) else QuadMap(m) for m in maps)
@@ -116,7 +115,7 @@ class MapSet:
         cs = [m.c for m in ms]
         if len(set(cs)) != len(cs):
             raise ValueError(f"c values must be pairwise distinct: {cs}")
-        object.__setattr__(self, "maps", ms)
+        set_field(self, "maps", ms)
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -134,8 +133,7 @@ class MapSet:
         return "{" + ", ".join(str(m) for m in self.maps) + "}"
 
 
-@dataclass(frozen=True)
-class GuardHit:
+class GuardHit(NamedTuple):
     """A certified witness that a point is not preperiodic for a map."""
 
     point: Fraction
@@ -166,8 +164,7 @@ def _violation(p: int, q: int, table: _Table) -> tuple[int, str] | None:
     return None
 
 
-@dataclass(frozen=True)
-class PreperiodicityReport:
+class PreperiodicityReport(NamedTuple):
     preperiodic: bool
     tail_length: int | None = None
     cycle_length: int | None = None
@@ -258,8 +255,7 @@ def periodic_points(f: QuadMap, n: int) -> set[Fraction]:
     return {x for cyc in _rational_cycles(f) if len(cyc) == n for x in cyc}
 
 
-@dataclass(frozen=True)
-class MuReport:
+class MuReport(NamedTuple):
     """mu_S over exact periods 1..3, with the longest rational cycle of any
     map of S and the 4..6 hypothesis check read off it."""
 
@@ -315,14 +311,14 @@ def apply_word(S: MapSet, word: Word, x: Fraction) -> Fraction:
     return x
 
 
-@dataclass(frozen=True)
-class OrbitResult:
-    """Verdict of the monoid-orbit closure from a basepoint."""
+class OrbitResult(NamedTuple):
+    """Verdict of the monoid-orbit closure from a basepoint.  An infinite
+    verdict's ``words`` is one empty dict shared by all of them."""
 
     verdict: str  # "finite" | "infinite"
     basepoint: Fraction
     orbit: tuple[Fraction, ...] = ()  # sorted, only for finite verdicts
-    words: dict[Fraction, Word] = field(default_factory=dict)  # orbit order
+    words: dict[Fraction, Word] = {}  # orbit order, only for finite verdicts
     witness: GuardHit | None = None
     witness_word: Word | None = None
 

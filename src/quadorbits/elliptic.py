@@ -17,12 +17,13 @@ the rank of E(Q) is zero, and rational torsion order is at most 12
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polynomials import BiPoly, UniPoly, evaluate, resultant
 from .ratfunc import RatFunc
 from .rationals import exact_rational, rat_str
+from .records import Frozen, set_field
 from .roots import rational_roots
 
 __all__ = [
@@ -52,8 +53,7 @@ MAZUR_CERTIFICATE = (
 )
 
 
-@dataclass(frozen=True)
-class ECPoint:
+class ECPoint(NamedTuple):
     x: Fraction | None
     y: Fraction | None
 
@@ -73,18 +73,15 @@ def point(x, y) -> ECPoint:
     return ECPoint(exact_rational(x), exact_rational(y))
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Frozen):
     """y^2 = x^3 + a2 x^2 + a4 x + a6, nonsingular."""
 
-    a2: Fraction
-    a4: Fraction
-    a6: Fraction
+    __slots__ = ("a2", "a4", "a6")
 
-    def __post_init__(self):
-        for name in ("a2", "a4", "a6"):
-            object.__setattr__(self, name,
-                               exact_rational(getattr(self, name)))
+    def __init__(self, a2: Fraction, a4: Fraction, a6: Fraction):
+        set_field(self, "a2", exact_rational(a2))
+        set_field(self, "a4", exact_rational(a4))
+        set_field(self, "a6", exact_rational(a6))
         if self.cubic_disc() == 0:
             raise ValueError("singular curve: zero discriminant")
 

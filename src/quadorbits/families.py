@@ -20,11 +20,11 @@ poles of every function plus the rational roots of c_i - c_j.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
+from typing import NamedTuple
 
 from .dynamics import Word
 from .polynomials import evaluate
@@ -55,8 +55,7 @@ class ExcludedParameter(ValueError):
         self.t0, self.pole, self.pair, self.cs = t0, pole, pair, cs
 
 
-@dataclass(frozen=True)
-class ParamTuple:
+class ParamTuple(NamedTuple):
     """(c_1(t), ..., c_s(t), P(t)) in one parameter t: a catalog family, a
     lemma's curve branch or a case's subcase."""
 
@@ -113,8 +112,7 @@ class ParamTuple:
         return out
 
 
-@dataclass(frozen=True)
-class FamilyDef:
+class FamilyDef(NamedTuple):
     """A catalog family: its parametrized tuple and claimed stable set."""
 
     id: str
@@ -139,8 +137,7 @@ class FamilyDef:
         return cs, P, tuple(u.specialize(t0) for u in self.stable)
 
 
-@dataclass(frozen=True)
-class SporadicTuple:
+class SporadicTuple(NamedTuple):
     """An isolated coefficient tuple with its finite-orbit basepoints."""
 
     id: str

@@ -30,10 +30,10 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import BiPoly
+from .records import Frozen, set_field
 
 __all__ = [
     "Budget",
@@ -46,17 +46,18 @@ __all__ = [
 Exponent = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Frozen):
     """Limits of one ``buchberger`` run; the CLI's defaults too."""
-    max_pairs: int = 5_000
-    max_coeff_bits: int = 500_000
 
-    def __post_init__(self):
-        if self.max_pairs < 0 or self.max_coeff_bits < 0:
+    __slots__ = ("max_pairs", "max_coeff_bits")
+
+    def __init__(self, max_pairs: int = 5_000, max_coeff_bits: int = 500_000):
+        if max_pairs < 0 or max_coeff_bits < 0:
             raise ValueError(f"budget limits must be at least 0, not "
-                             f"max_pairs={self.max_pairs}, "
-                             f"max_coeff_bits={self.max_coeff_bits}")
+                             f"max_pairs={max_pairs}, "
+                             f"max_coeff_bits={max_coeff_bits}")
+        set_field(self, "max_pairs", max_pairs)
+        set_field(self, "max_coeff_bits", max_coeff_bits)
 
 
 class BudgetExhausted(Exception):

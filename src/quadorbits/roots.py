@@ -22,8 +22,8 @@ primitive form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _intpoly as zp
 from .polynomials import UniPoly
@@ -32,8 +32,7 @@ from .rationals import rat_str
 __all__ = ["RootReport", "rational_roots"]
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(NamedTuple):
     """Complete root set with multiplicities and the modular trace."""
 
     roots: dict[Fraction, int]

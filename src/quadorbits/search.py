@@ -20,31 +20,33 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dynamics import MapSet, finite_orbit_points, monoid_orbit
 from .rationals import rat_str
+from .records import Frozen, set_field
 
 __all__ = ["SearchSpec", "FoundTuple", "search"]
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Frozen):
     """Grid description: c runs over {k/denominator : |k| <= numerator_bound},
     tuples have set_size maps, and every admissible basepoint is tried."""
 
-    set_size: int
-    denominator: int = 16
-    numerator_bound: int = 40
+    __slots__ = ("set_size", "denominator", "numerator_bound")
 
-    def __post_init__(self):
-        if self.set_size < 1:
+    def __init__(self, set_size: int, denominator: int = 16,
+                 numerator_bound: int = 40):
+        if set_size < 1:
             raise ValueError("set_size must be at least 1")
-        if self.denominator < 1:
+        if denominator < 1:
             raise ValueError("denominator must be at least 1")
-        if self.numerator_bound < 0:
+        if numerator_bound < 0:
             raise ValueError("numerator_bound must be at least 0")
+        set_field(self, "set_size", set_size)
+        set_field(self, "denominator", denominator)
+        set_field(self, "numerator_bound", numerator_bound)
 
     def grid(self) -> list[Fraction]:
         return [Fraction(k, self.denominator)
@@ -67,11 +69,11 @@ class SearchSpec:
         return cls(**fields)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"set_size": self.set_size, "denominator": self.denominator,
+                "numerator_bound": self.numerator_bound}
 
 
-@dataclass(frozen=True)
-class FoundTuple:
+class FoundTuple(NamedTuple):
     cs: tuple[Fraction, ...]
     basepoints: tuple[Fraction, ...]
 

@@ -10,7 +10,7 @@ conditionality on max exact period <= 3 visible in the audit trail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..dynamics import QuadMap
 from ..rationals import exact_rational
@@ -18,8 +18,7 @@ from ..rationals import exact_rational
 __all__ = ["PoonenAxiom", "POONEN_AXIOMS", "poonen_criterion"]
 
 
-@dataclass(frozen=True)
-class PoonenAxiom:
+class PoonenAxiom(NamedTuple):
     name: str
     statement: str
     citation: str

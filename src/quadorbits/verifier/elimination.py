@@ -32,18 +32,18 @@ component dividing every generator would mean an undeclared stable family;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .. import _intpoly as zp
 from ..polynomials import BiPoly, UniPoly, bivariate_gcd, resultant
+from ..records import Mutable
 from ..roots import RootReport, rational_roots
 
 __all__ = ["GeneratorFactors", "EliminationOutcome", "eliminate_candidates"]
 
 
-@dataclass(frozen=True)
-class GeneratorFactors:
+class GeneratorFactors(NamedTuple):
     """A generator polynomial kept as a product of reduced factors."""
 
     name: str
@@ -63,17 +63,23 @@ class GeneratorFactors:
         return prod
 
 
-@dataclass
-class EliminationOutcome:
-    candidates: list[Fraction]
-    raw_candidates: list[Fraction]
-    dropped_artifacts: list[Fraction]
-    pair: tuple[str, str]  # the names of the two generators eliminated
-    eliminant_degrees: list[int]
-    structural_divisions: dict[str, dict[str, int]]
-    components: list[BiPoly]
-    root_traces: list[dict]
-    reduced: list[GeneratorFactors]
+class EliminationOutcome(Mutable):
+    def __init__(self, candidates: list[Fraction],
+                 raw_candidates: list[Fraction],
+                 dropped_artifacts: list[Fraction], pair: tuple[str, str],
+                 eliminant_degrees: list[int],
+                 structural_divisions: dict[str, dict[str, int]],
+                 components: list[BiPoly], root_traces: list[dict],
+                 reduced: list[GeneratorFactors]):
+        self.candidates = candidates
+        self.raw_candidates = raw_candidates
+        self.dropped_artifacts = dropped_artifacts
+        self.pair = pair  # the names of the two generators eliminated
+        self.eliminant_degrees = eliminant_degrees
+        self.structural_divisions = structural_divisions
+        self.components = components
+        self.root_traces = root_traces
+        self.reduced = reduced
 
 
 def common_specialized_gcd(gens: list[GeneratorFactors],

@@ -24,8 +24,8 @@ fixed+3-cycle, 2-cycle+3-cycle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..dynamics import word_str
 from ..families import FamilyDef, ParamTuple, catalog, family_by_id, \
@@ -34,6 +34,7 @@ from ..groebner import Budget, BudgetExhausted, buchberger, normal_form
 from ..polynomials import BiPoly, UniPoly, bivariate_gcd, evaluate
 from ..ratfunc import PoleError, RatFunc
 from ..rationals import rat, rat_str
+from ..records import Mutable
 from ..roots import rational_roots
 from .elimination import GeneratorFactors, common_specialized_gcd, \
     eliminate_candidates
@@ -47,8 +48,7 @@ __all__ = ["LEMMA_IDS", "verify_lemma", "lemma_setup"]
 LEMMA_IDS = ("2.1", "2.2", "2.3", "2.4", "2.5", "2.6")
 
 
-@dataclass(frozen=True)
-class BranchSpec:
+class BranchSpec(NamedTuple):
     curve: str
     kind: str  # "collision" | "family" | "excluded"
     y_of_s: RatFunc
@@ -56,31 +56,37 @@ class BranchSpec:
     family_id: str | None = None
 
 
-@dataclass
-class LemmaSetup:
-    lemma_id: str
-    hypothesis: str
-    vars: tuple[str, str]
-    # elimination takes resultants between the first two generators only,
-    # so each setup lists its cheapest pair first
-    gens: list[GeneratorFactors]
-    branches: list[BranchSpec]
-    c1_of: RatFunc  # c1 as a function of the partner variable
-    c2_of: RatFunc  # c2 as a function of the candidate variable
-    # the lemma basepoint, written in the variable whose value specializes
-    # it: the partner (2.1-2.3) or the candidate (2.4-2.6)
-    P_of: RatFunc
-    # the catalog lemma id whose families and sporadic pairs this lemma
-    # must re-derive (see ``families.lemma_statement``)
-    statement: str
-    expected_candidates: list[Fraction]
-    expected_partners: list[Fraction] | None
-    axioms: list[str]
-    groebner_expected_degree: int
-    # whether finite-orbit pairs fully covered by a catalog family are
-    # removed from the sporadic list (the 2-cycle/2-cycle classification
-    # states its pair list without that subtraction)
-    subtract_families: bool = True
+class LemmaSetup(Mutable):
+    def __init__(self, lemma_id: str, hypothesis: str, vars: tuple[str, str],
+                 gens: list[GeneratorFactors], branches: list[BranchSpec],
+                 c1_of: RatFunc, c2_of: RatFunc, P_of: RatFunc,
+                 statement: str, expected_candidates: list[Fraction],
+                 expected_partners: list[Fraction] | None, axioms: list[str],
+                 groebner_expected_degree: int,
+                 subtract_families: bool = True):
+        self.lemma_id = lemma_id
+        self.hypothesis = hypothesis
+        self.vars = vars
+        # elimination takes resultants between the first two generators
+        # only, so each setup lists its cheapest pair first
+        self.gens = gens
+        self.branches = branches
+        self.c1_of = c1_of  # c1 as a function of the partner variable
+        self.c2_of = c2_of  # c2 as a function of the candidate variable
+        # the lemma basepoint, written in the variable whose value
+        # specializes it: the partner (2.1-2.3) or the candidate (2.4-2.6)
+        self.P_of = P_of
+        # the catalog lemma id whose families and sporadic pairs this lemma
+        # must re-derive (see ``families.lemma_statement``)
+        self.statement = statement
+        self.expected_candidates = expected_candidates
+        self.expected_partners = expected_partners
+        self.axioms = axioms
+        self.groebner_expected_degree = groebner_expected_degree
+        # whether finite-orbit pairs fully covered by a catalog family are
+        # removed from the sporadic list (the 2-cycle/2-cycle
+        # classification states its pair list without that subtraction)
+        self.subtract_families = subtract_families
 
     @property
     def structural(self) -> list[BiPoly]:
@@ -359,15 +365,15 @@ def groebner_route(setup: LemmaSetup, budget: Budget) -> GroebnerOutcome:
         basis_leading_terms=[str(max(g.ints)) for g in basis],
         expected_degree=setup.groebner_expected_degree)
     if best is None:
-        return replace(completed, note="no candidate-variable eliminant "
-                                       "found in the basis")
+        completed.note = "no candidate-variable eliminant found in the basis"
+        return completed
     # membership of the factored combination
     F = BiPoly.from_unipoly(best, survivor, setup.vars) * cofactor_used
-    return replace(
-        completed, eliminant_degree=best.degree,
-        eliminant_roots=[rat_str(r) for r in
-                         sorted(rational_roots(best).root_set())],
-        membership_holds=normal_form(F, basis).is_zero())
+    completed.eliminant_degree = best.degree
+    completed.eliminant_roots = [rat_str(r) for r in
+                                 sorted(rational_roots(best).root_set())]
+    completed.membership_holds = normal_form(F, basis).is_zero()
+    return completed
 
 
 # ---------------------------------------------------------------------------

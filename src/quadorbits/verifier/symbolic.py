@@ -30,7 +30,6 @@ non-vanishing word relation, then ``dispose_at`` of each rational root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .. import _intpoly as zp
@@ -40,6 +39,7 @@ from ..families import ExcludedParameter, FamilyDef, ParamTuple
 from ..polynomials import BiPoly, UniPoly
 from ..ratfunc import RatFunc
 from ..rationals import rat_str
+from ..records import Frozen, set_field
 from ..roots import rational_roots
 from .axioms import poonen_criterion
 from .reports import Disposition, fmt_pair
@@ -60,13 +60,15 @@ __all__ = [
 # bivariate rationals with separable denominators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BiRat:
+class BiRat(Frozen):
     """num / (den0(vars[0]) * den1(vars[1])), kept content-reduced."""
 
-    num: BiPoly
-    den0: UniPoly
-    den1: UniPoly
+    __slots__ = ("num", "den0", "den1")
+
+    def __init__(self, num: BiPoly, den0: UniPoly, den1: UniPoly):
+        set_field(self, "num", num)
+        set_field(self, "den0", den0)
+        set_field(self, "den1", den1)
 
     @classmethod
     def from_poly(cls, p: BiPoly) -> "BiRat":

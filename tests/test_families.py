@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -64,8 +63,8 @@ class TestSymbolicVerification:
 
     def test_mutated_family_fails(self):
         fam = family_by_id("F-11a")
-        bad = dataclasses.replace(
-            fam, stable=tuple(list(fam.stable[:-1]) + [fam.stable[-1] + 1]))
+        bad = fam._replace(
+            stable=tuple(list(fam.stable[:-1]) + [fam.stable[-1] + 1]))
         assert not family_verify_symbolic(bad)
 
 

@@ -16,7 +16,8 @@ Every expression the package reads goes through one reader,
 Importing ``quadorbits.cli``, which every command does, does not import
 ``multiprocessing``: only ``verify_theorem`` starts a process pool.  Nor
 does it import ``argparse`` or ``gettext``: the CLI reads its arguments
-with its own verb table.
+with its own verb table.  Nor does importing the package import
+``dataclasses`` or ``inspect``: its records are written out, not generated.
 """
 
 import ast
@@ -181,12 +182,26 @@ def test_imported_modules_sees_every_import_form(tmp_path):
     assert imported_modules(bad) == {"os", "re", "ast", "json"}
 
 
-def test_importing_the_cli_leaves_multiprocessing_unimported():
+def loaded_after(imports: str, test: str) -> str:
+    """The sorted names m of sys.modules for which test holds, printed by
+    a fresh interpreter after it runs ``import imports``."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c",
-         "import sys, quadorbits.cli; "
-         "print(sorted(m for m in sys.modules if 'multiprocessing' in m "
-         "or m in ('argparse', 'gettext')))"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout == "[]\n"
+         f"import sys, {imports}; "
+         f"print(sorted(m for m in sys.modules if {test}))"],
+        env=env, capture_output=True, text=True, check=True,
+        timeout=60).stdout
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    assert loaded_after("quadorbits.cli",
+                        "'multiprocessing' in m "
+                        "or m in ('argparse', 'gettext')") == "[]\n"
+
+
+def test_importing_the_package_generates_no_code():
+    """No record class is built by ``dataclasses`` (which execs the source
+    of its methods and imports ``inspect``)."""
+    assert loaded_after("quadorbits.cli, quadorbits.verifier.lemmas",
+                        "m in ('dataclasses', 'inspect')") == "[]\n"

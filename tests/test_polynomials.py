@@ -566,6 +566,20 @@ def test_zmul_selects_its_route_by_size(monkeypatch):
         assert bool(calls) == used
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30), max_size=12),
+       st.integers(-10**20, 10**20), st.integers(2, 10**9))
+@example([], 5, 3)
+@example([7], -2, 9)
+def test_zeval_homogeneous_equals_the_homogenized_sum(p, u, v):
+    """v^deg(p) p(u/v) as sum c_i u^i v^(deg - i), at v = 1 (the plain
+    Horner route) and at v > 1."""
+    deg = len(p) - 1
+    for w in (1, v):
+        assert zp.zeval_homogeneous(p, u, w) == \
+            sum(c * u**i * w**(deg - i) for i, c in enumerate(p))
+
+
 def modular_zgcd(a, b):
     """``zgcd`` of nonzero a, b with the heuristic step skipped."""
     pa, pb = zp.zprimitive(a)[1], zp.zprimitive(b)[1]

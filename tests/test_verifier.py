@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -112,10 +111,11 @@ class TestGroebnerRoute:
         """Lemma 2.1's setup with two small generators sharing its
         structural curve y - z."""
         V = ("y", "z")
-        return dataclasses.replace(lemma_setup("2.1"), gens=[
-            GeneratorFactors(name, tuple(BiPoly.parse(f, V)
-                                         for f in ("y - z", g)))
-            for name, g in (("F1", f1), ("F2", f2))])
+        setup = lemma_setup("2.1")
+        setup.gens = [GeneratorFactors(name, tuple(BiPoly.parse(f, V)
+                                                   for f in ("y - z", g)))
+                      for name, g in (("F1", f1), ("F2", f2))]
+        return setup
 
     def test_completed_route_finds_the_eliminant(self):
         out = groebner_route(self.small_setup("y^2 - z - 2", "y + 2*z - 3"),

@@ -45,6 +45,14 @@ class RatFunc:
         self.num = num
         self.den = den
 
+    @staticmethod
+    def _reduced(num: UniPoly, den: UniPoly) -> "RatFunc":
+        """num / den as given, which the caller knows to be coprime with
+        den monic: no gcd is taken."""
+        out = RatFunc.__new__(RatFunc)
+        out.num, out.den = num, den
+        return out
+
     # -- constructors -------------------------------------------------------
     @classmethod
     def constant(cls, c, var: str = "t") -> "RatFunc":
@@ -104,6 +112,10 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
+        if other is self:
+            # num^2 / den^2 is reduced as it stands: den^2 is monic, and
+            # coprime polynomials have coprime squares
+            return RatFunc._reduced(self.num * self.num, self.den * self.den)
         o = self._coerce(other, self.var)
         if o is NotImplemented:
             return NotImplemented
@@ -161,10 +173,9 @@ class RatFunc:
         """The same function in the variable var, equal to
         self.compose(RatFunc.t(var)); the reduced integer coefficients are
         kept as they are, so no gcd is taken."""
-        out = RatFunc.__new__(RatFunc)
-        out.num = UniPoly.from_int(self.num.den, self.num.ints, var)
-        out.den = UniPoly.from_int(self.den.den, self.den.ints, var)
-        return out
+        return RatFunc._reduced(
+            UniPoly.from_int(self.num.den, self.num.ints, var),
+            UniPoly.from_int(self.den.den, self.den.ints, var))
 
     def __str__(self):
         if self.den == 1:

@@ -32,6 +32,7 @@ component dividing every generator would mean an undeclared stable family;
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -82,7 +83,7 @@ class EliminationOutcome(Mutable):
         self.reduced = reduced
 
 
-def common_specialized_gcd(gens: list[GeneratorFactors],
+def common_specialized_gcd(gens: Sequence[GeneratorFactors],
                            v0: Fraction) -> UniPoly:
     """Gcd across the generators of their specializations at vars[1] = v0;
     positive degree certifies a common zero of the system over the
@@ -98,7 +99,7 @@ def common_specialized_gcd(gens: list[GeneratorFactors],
     return g
 
 
-def _divide_structural(gen: GeneratorFactors, structural: list[BiPoly]
+def _divide_structural(gen: GeneratorFactors, structural: Sequence[BiPoly]
                        ) -> tuple[GeneratorFactors, dict[str, int]]:
     divisions: dict[str, int] = {}
     out = []
@@ -148,8 +149,8 @@ def _deflate(p: BiPoly) -> BiPoly | None:
                                    for (i, j), c in p.ints.items()}, p.vars)
 
 
-def eliminate_candidates(gens: list[GeneratorFactors], structural: list[BiPoly]
-                         ) -> EliminationOutcome:
+def eliminate_candidates(gens: Sequence[GeneratorFactors],
+                         structural: Sequence[BiPoly]) -> EliminationOutcome:
     """Run the factored-resultant candidate extraction (see module doc),
     eliminating vars[0] between the first two generators; the candidates
     are values of vars[1]."""

@@ -24,7 +24,9 @@ fixed+3-cycle, 2-cycle+3-cycle.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from ..dynamics import word_str
@@ -34,7 +36,7 @@ from ..groebner import Budget, BudgetExhausted, buchberger, normal_form
 from ..polynomials import BiPoly, UniPoly, bivariate_gcd, evaluate
 from ..ratfunc import PoleError, RatFunc
 from ..rationals import rat, rat_str
-from ..records import Mutable
+from ..records import Frozen, set_field
 from ..roots import rational_roots
 from .elimination import GeneratorFactors, common_specialized_gcd, \
     eliminate_candidates
@@ -56,43 +58,56 @@ class BranchSpec(NamedTuple):
     family_id: str | None = None
 
 
-class LemmaSetup(Mutable):
+class LemmaSetup(Frozen):
+    """One lemma's system and statement; ``lemma_setup`` shares one per id,
+    so every field is immutable."""
+
+    __slots__ = ("lemma_id", "hypothesis", "vars", "gens", "branches",
+                 "c1_of", "c2_of", "P_of", "statement", "expected_candidates",
+                 "expected_partners", "axioms", "groebner_expected_degree",
+                 "subtract_families", "structural")
+
     def __init__(self, lemma_id: str, hypothesis: str, vars: tuple[str, str],
-                 gens: list[GeneratorFactors], branches: list[BranchSpec],
+                 gens: Sequence[GeneratorFactors],
+                 branches: Sequence[BranchSpec],
                  c1_of: RatFunc, c2_of: RatFunc, P_of: RatFunc,
-                 statement: str, expected_candidates: list[Fraction],
-                 expected_partners: list[Fraction] | None, axioms: list[str],
-                 groebner_expected_degree: int,
+                 statement: str, expected_candidates: Sequence[Fraction],
+                 expected_partners: Sequence[Fraction] | None,
+                 axioms: Sequence[str], groebner_expected_degree: int,
                  subtract_families: bool = True):
-        self.lemma_id = lemma_id
-        self.hypothesis = hypothesis
-        self.vars = vars
+        set_field(self, "lemma_id", lemma_id)
+        set_field(self, "hypothesis", hypothesis)
+        set_field(self, "vars", tuple(vars))
         # elimination takes resultants between the first two generators
         # only, so each setup lists its cheapest pair first
-        self.gens = gens
-        self.branches = branches
-        self.c1_of = c1_of  # c1 as a function of the partner variable
-        self.c2_of = c2_of  # c2 as a function of the candidate variable
+        set_field(self, "gens", tuple(gens))
+        set_field(self, "branches", tuple(branches))
+        # c1 as a function of the partner variable, c2 of the candidate
+        set_field(self, "c1_of", c1_of)
+        set_field(self, "c2_of", c2_of)
         # the lemma basepoint, written in the variable whose value
         # specializes it: the partner (2.1-2.3) or the candidate (2.4-2.6)
-        self.P_of = P_of
+        set_field(self, "P_of", P_of)
         # the catalog lemma id whose families and sporadic pairs this lemma
         # must re-derive (see ``families.lemma_statement``)
-        self.statement = statement
-        self.expected_candidates = expected_candidates
-        self.expected_partners = expected_partners
-        self.axioms = axioms
-        self.groebner_expected_degree = groebner_expected_degree
+        set_field(self, "statement", statement)
+        set_field(self, "expected_candidates", tuple(expected_candidates))
+        set_field(self, "expected_partners", None if expected_partners is None
+                  else tuple(expected_partners))
+        set_field(self, "axioms", tuple(axioms))
+        set_field(self, "groebner_expected_degree", groebner_expected_degree)
         # whether finite-orbit pairs fully covered by a catalog family are
         # removed from the sporadic list (the 2-cycle/2-cycle
         # classification states its pair list without that subtraction)
-        self.subtract_families = subtract_families
+        set_field(self, "subtract_families", subtract_families)
+        # the branch curves, divided out of the generators before
+        # elimination
+        set_field(self, "structural", tuple(
+            BiPoly.parse(b.curve, self.vars) for b in self.branches))
 
-    @property
-    def structural(self) -> list[BiPoly]:
-        """The branch curves, divided out of the generators before
-        elimination."""
-        return [BiPoly.parse(b.curve, self.vars) for b in self.branches]
+    def __reduce__(self):
+        # structural is derived from the branches
+        return type(self), self._values()[:-1]
 
 
 def _rats(*xs: str) -> list[Fraction]:
@@ -105,7 +120,9 @@ def _embed(V: tuple[str, str], *fs: RatFunc) -> list[BiRat]:
     return [BiRat.from_ratfunc(f, V.index(f.var), V) for f in fs]
 
 
+@lru_cache(maxsize=None)
 def lemma_setup(lemma_id: str) -> LemmaSetup:
+    """The lemma's system, built once per id and shared by every caller."""
     if lemma_id == "2.1":
         return _setup_21()
     if lemma_id == "2.2":
@@ -347,12 +364,11 @@ def groebner_route(setup: LemmaSetup, budget: Budget) -> GroebnerOutcome:
             expected_degree=setup.groebner_expected_degree,
             note=str(e))
     survivor = 1  # candidates live in vars[1]
-    structural = setup.structural
     best: UniPoly | None = None
     for el in basis:
         q = el
         used = BiPoly.constant(1, setup.vars)
-        for s in structural:
+        for s in setup.structural:
             q, m = q.divide_out(s)
             if m:
                 used = used * s**m
@@ -396,8 +412,7 @@ def verify_lemma(lemma_id: str, budget: Budget | None = None) -> LemmaReport:
             flags.append("groebner route exhausted its budget; "
                          "falling back to the resultant route")
 
-    structural = setup.structural
-    out = eliminate_candidates(setup.gens, structural)
+    out = eliminate_candidates(setup.gens, setup.structural)
     fams = list(catalog()[0]) if setup.subtract_families else []
     stated_fams, stated_pairs = lemma_statement(setup.statement)
 
@@ -529,7 +544,7 @@ def verify_lemma(lemma_id: str, budget: Budget | None = None) -> LemmaReport:
         sporadic_found=sorted(fmt_pair(p) for p in sporadic_found),
         expected_sporadic=sorted(fmt_pair(p.cs) for p in stated_pairs),
         conclusion=conclusion,
-        axioms_used=setup.axioms,
+        axioms_used=list(setup.axioms),
         flags=flags,
         verdict="pass" if not flags else "flagged",
         groebner=groebner_outcome,

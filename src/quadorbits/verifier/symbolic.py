@@ -23,19 +23,26 @@ Every specialized candidate of the lemmas and the cases is disposed of
 here: ``dispose_at`` turns the ``ExcludedParameter`` that
 ``families.ParamTuple.at`` raises at a parameter value into a pole or
 collision disposition, and ``dispose_tuple`` decides a concrete tuple by
-family membership or complete basepoint enumeration.  An excluded curve
+family membership or complete basepoint enumeration.  That decision is
+pure, and the lemmas and cases meet the same tuples many times, so
+``_decide`` makes it once per process, keyed by the coefficients and the
+family ids, and ``dispose_tuple`` builds a new report from it on every
+call.  An excluded curve
 branch or subcase branch ends in ``exclude_by_relation``: a shortest
 non-vanishing word relation, then ``dispose_at`` of each rational root.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .. import _intpoly as zp
 from ..dynamics import MapSet, OrbitResult, Word, finite_orbit_points, \
     monoid_orbit, word_str
-from ..families import ExcludedParameter, FamilyDef, ParamTuple
+from ..families import ExcludedParameter, FamilyDef, ParamTuple, \
+    family_by_id
 from ..polynomials import BiPoly, UniPoly
 from ..ratfunc import RatFunc
 from ..rationals import rat_str
@@ -156,8 +163,10 @@ class BiRat(Frozen):
     __rmul__ = __mul__
 
     def square(self) -> "BiRat":
+        # the square of a content-reduced BiRat is content-reduced: by
+        # Gauss's lemma contents square, and coprime factors stay coprime
         return BiRat(self.num * self.num, self.den0 * self.den0,
-                     self.den1 * self.den1).reduced()
+                     self.den1 * self.den1)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -252,12 +261,15 @@ def _family_accounts(fam: FamilyDef, c1: Fraction, c2: Fraction,
     """Parameter at which the family instance equals (c1, c2) AND its
     stable set (with the basepoint) covers every finite-orbit basepoint of
     the pair; a pair so covered carries no structure beyond the family."""
-    diff = fam.tup.cs[0] - c1
-    if diff.num.degree <= 0:
+    # c1 = p/q and the family's c1 = N/D agree where q N - p D vanishes:
+    # that is the numerator of N/D - p/q, since gcd(q N - p D, D) = 1
+    f = fam.tup.cs[0]
+    num = f.num * c1.denominator - f.den * c1.numerator
+    if num.degree <= 0:
         # a constant difference either never vanishes or fails to pin the
         # parameter; the catalog families all have non-constant c1
         return None
-    for t0 in sorted(rational_roots(diff.num).root_set()):
+    for t0 in sorted(rational_roots(num).root_set()):
         try:
             cs, P, stable = fam.instance(t0)
         except ExcludedParameter:
@@ -267,39 +279,58 @@ def _family_accounts(fam: FamilyDef, c1: Fraction, c2: Fraction,
     return None
 
 
-def dispose_tuple(subject: str, cs: list[Fraction], P0: Fraction | None,
-                  families=()) -> tuple[Disposition, list[OrbitResult]]:
+# a bound, as any tuple may be disposed of; one pass of the lemmas and the
+# cases decides 40 distinct tuples
+@lru_cache(maxsize=1024)
+def _decide(cs: tuple[Fraction, ...], family_ids: tuple[str, ...]
+            ) -> tuple[tuple[OrbitResult, ...], tuple[str, Fraction] | None]:
+    """The finite-orbit results of a tuple of distinct coefficients and, for
+    a pair with such points, the first of the catalog families named by
+    family_ids that accounts for it, with its parameter.  Pure, so decided
+    once per process; the results are shared, so they are tuples."""
+    finite = tuple(finite_orbit_points(MapSet(cs)))
+    if finite and len(cs) == 2:
+        bps = [r.basepoint for r in finite]
+        for fid in family_ids:
+            t0 = _family_accounts(family_by_id(fid), cs[0], cs[1], bps)
+            if t0 is not None:
+                return finite, (fid, t0)
+    return finite, None
+
+
+def dispose_tuple(subject: str, cs: Sequence[Fraction], P0: Fraction | None,
+                  families: Sequence[FamilyDef] = ()
+                  ) -> tuple[Disposition, list[OrbitResult]]:
     """Classify a concrete coefficient tuple with optional basepoint P0.
 
     Returns the disposition -- "collision", "family" (a pair that one of
-    ``families`` accounts for), "sporadic" (finite-orbit points exist) or
-    "excluded" (none exist; with P0, a guard witness on its orbit) -- and
-    the finite-orbit results of the tuple, empty for a collision."""
+    the catalog ``families`` accounts for), "sporadic" (finite-orbit points
+    exist) or "excluded" (none exist; with P0, a guard witness on its
+    orbit) -- and the finite-orbit results of the tuple, empty for a
+    collision.  The decision is ``_decide``'s, made once per tuple and
+    families; the disposition and the list are new on every call."""
     c = [rat_str(x) for x in cs]
     if len(set(cs)) != len(cs):
         return Disposition(subject, "collision", "coefficient collision",
                            {"c": c}), []
-    S = MapSet(cs)
-    finite = finite_orbit_points(S)
-    if finite and len(cs) == 2:
-        bps = [r.basepoint for r in finite]
-        for fam in families:
-            t0 = _family_accounts(fam, cs[0], cs[1], bps)
-            if t0 is not None:
-                return Disposition(
-                    subject, "family",
-                    f"member of {fam.id} at parameter {rat_str(t0)}; the "
-                    "family stable set covers every finite-orbit basepoint",
-                    {"family": fam.id, "parameter": rat_str(t0), "c": c}
-                ), finite
+    finite, hit = _decide(tuple(cs), tuple(f.id for f in families))
+    if hit is not None:
+        fid, t0 = hit
+        return Disposition(
+            subject, "family",
+            f"member of {fid} at parameter {rat_str(t0)}; the "
+            "family stable set covers every finite-orbit basepoint",
+            {"family": fid, "parameter": rat_str(t0), "c": c}
+        ), list(finite)
     if finite:
         return Disposition(
             subject, "sporadic",
             f"pair {fmt_pair(cs)} has finite-orbit points",
             {"c": c, "basepoints": [rat_str(r.basepoint) for r in finite],
-             "orbit_sizes": [len(r.orbit) for r in finite]}), finite
+             "orbit_sizes": [len(r.orbit) for r in finite]}), list(finite)
     witness = {}
     if P0 is not None:
+        S = MapSet(cs)
         res = monoid_orbit(S, P0)
         if not res.is_finite():
             g = res.witness
@@ -314,7 +345,7 @@ def dispose_tuple(subject: str, cs: list[Fraction], P0: Fraction | None,
         subject, "excluded",
         f"pair {fmt_pair(cs)} admits no finite-orbit points "
         f"(complete admissible-basepoint enumeration)",
-        {"c": c, **({"witness": witness} if witness else {})}), finite
+        {"c": c, **({"witness": witness} if witness else {})}), []
 
 
 def word_relation_roots(tup: ParamTuple, word: Word, target: int
@@ -326,10 +357,16 @@ def word_relation_roots(tup: ParamTuple, word: Word, target: int
     c = tup.cs[target]
     u = x * x + c
     u = u * u + c  # u = f^2(x)
-    diff = (u * u - u + c) * (u * u + u + c + 1)
-    if diff.is_zero():
+    # the difference is (u^2 - u + c)(u^2 + u + c + 1), zero exactly when a
+    # factor is, as most relations the cases try are: test each first
+    uu = u * u
+    first = uu - u + c
+    if first.is_zero():
         return None
-    num = diff.num.primitive()
+    second = uu + u + c + 1
+    if second.is_zero():
+        return None
+    num = (first * second).num.primitive()
     return num, sorted(rational_roots(num).root_set())
 
 

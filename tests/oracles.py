@@ -37,6 +37,12 @@ over Q, the reference for the package's walks on integer pairs; with
 ``iterate`` and ``exact_period`` they are test-only helpers too, and so
 are ``ec_neg`` and ``ec_mul``, the group negation and repeated addition on
 an elliptic curve, and ``sporadic_pairs``, the catalog's two-map tuples.
+``product_first_word_relation_roots`` forms a word relation as the product
+of its two factors and tests the product for vanishing, squaring by ``**``
+so that every square is reduced again, the reference for the factor-first
+``symbolic.word_relation_roots``; ``ratfunc_family_accounts`` finds a
+family's parameters through the ``RatFunc`` difference c1(t) - c1, the
+reference for the integer numerator of ``symbolic._family_accounts``.
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ from quadorbits.dynamics import GUARD_DENOM, GUARD_ESCAPE, GuardHit, \
     MapSet, MuReport, OrbitResult, PreperiodicityReport, QuadMap, Word, \
     monoid_orbit
 from quadorbits.elliptic import INFINITY, Curve, ECPoint, ec_add
-from quadorbits.families import SporadicTuple, catalog
+from quadorbits.families import ExcludedParameter, FamilyDef, ParamTuple, \
+    SporadicTuple, catalog
 from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
     bivariate_gcd, resultant
 from quadorbits.rationals import exact_rational, rat_str
@@ -1163,3 +1170,39 @@ def schoolbook_zmul(p: list[int], q: list[int]) -> list[int]:
 def sporadic_pairs() -> tuple[SporadicTuple, ...]:
     """The catalog's sporadic two-map tuples, in catalog order."""
     return tuple(s for s in catalog()[1] if len(s.cs) == 2)
+
+
+def product_first_word_relation_roots(tup: ParamTuple, word: Word,
+                                      target: int
+                                      ) -> tuple[UniPoly, list[Fraction]] | None:
+    """Reference for ``symbolic.word_relation_roots``: the numerator of
+    (u^2 - u + c)(u^2 + u + c + 1), u = f^2(w(P)), and its rational roots,
+    or None when that product vanishes identically."""
+    x = tup.P
+    for i in word:
+        x = x ** 2 + tup.cs[i]
+    c = tup.cs[target]
+    u = (x ** 2 + c) ** 2 + c
+    diff = (u ** 2 - u + c) * (u ** 2 + u + c + 1)
+    if diff.is_zero():
+        return None
+    num = diff.num.primitive()
+    return num, sorted(rational_roots(num).root_set())
+
+
+def ratfunc_family_accounts(fam: FamilyDef, c1: Fraction, c2: Fraction,
+                            basepoints) -> Fraction | None:
+    """Reference for ``symbolic._family_accounts``: the parameters where
+    the family's c1 equals c1 are the roots of the numerator of the reduced
+    ``RatFunc`` difference."""
+    diff = fam.tup.cs[0] - c1
+    if diff.num.degree <= 0:
+        return None
+    for t0 in sorted(rational_roots(diff.num).root_set()):
+        try:
+            cs, P, stable = fam.instance(t0)
+        except ExcludedParameter:
+            continue
+        if cs[1] == c2 and set(basepoints) <= {P, *stable}:
+            return t0
+    return None

@@ -150,3 +150,15 @@ def test_relabel_matches_composition(num, den, var):
     g, h = f.relabel(var), f.compose(RatFunc.t(var))
     assert g == h
     assert (g.var, str(g)) == (h.var, str(h))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(coef, min_size=1, max_size=5),
+       st.lists(coef, min_size=1, max_size=5))
+def test_square_equals_the_reduced_square(num, den):
+    """f * f skips the gcd; it must equal the square reduced again."""
+    assume(any(den))
+    f = RatFunc(UniPoly(num, "t"), UniPoly(den, "t"))
+    g = f * f
+    h = RatFunc(f.num * f.num, f.den * f.den)
+    assert (g.num, g.den, g.var) == (h.num, h.den, h.var)

@@ -33,10 +33,10 @@ IMMUTABLE = {
     "QuadMap", "MapSet", "GuardHit", "PreperiodicityReport", "MuReport",
     "OrbitResult", "ECPoint", "Curve", "ParamTuple", "FamilyDef",
     "SporadicTuple", "SearchSpec", "FoundTuple", "RootReport", "Budget",
-    "GeneratorFactors", "PoonenAxiom", "BranchSpec", "BiRat"}
+    "GeneratorFactors", "PoonenAxiom", "BranchSpec", "BiRat", "LemmaSetup"}
 MUTABLE = {
     "Disposition", "CurveBranchReport", "GroebnerOutcome", "LemmaReport",
-    "CaseReport", "TheoremSummary", "EliminationOutcome", "LemmaSetup"}
+    "CaseReport", "TheoremSummary", "EliminationOutcome"}
 
 
 @pytest.fixture(scope="module")

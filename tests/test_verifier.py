@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 from functools import reduce
@@ -21,8 +22,8 @@ from quadorbits.verifier import cases, elimination, symbolic
 from quadorbits.verifier.cases import _verify_factorization
 from quadorbits.verifier.elimination import GeneratorFactors, \
     eliminate_candidates
-from quadorbits.verifier.lemmas import LEMMA_IDS, _divides_product, \
-    groebner_route, lemma_setup
+from quadorbits.verifier.lemmas import LEMMA_IDS, LemmaSetup, \
+    _divides_product, groebner_route, lemma_setup
 from quadorbits.verifier.reports import fmt_pair
 from quadorbits.verifier.symbolic import dispose_at, dispose_tuple, \
     exclude_by_relation, three_cycle_parametrization
@@ -111,11 +112,12 @@ class TestGroebnerRoute:
         """Lemma 2.1's setup with two small generators sharing its
         structural curve y - z."""
         V = ("y", "z")
-        setup = lemma_setup("2.1")
-        setup.gens = [GeneratorFactors(name, tuple(BiPoly.parse(f, V)
-                                                   for f in ("y - z", g)))
-                      for name, g in (("F1", f1), ("F2", f2))]
-        return setup
+        fields = dict(zip(LemmaSetup.__slots__, lemma_setup("2.1")._values()))
+        del fields["structural"]  # derived from the branches
+        fields["gens"] = [GeneratorFactors(name, tuple(BiPoly.parse(f, V)
+                                                       for f in ("y - z", g)))
+                          for name, g in (("F1", f1), ("F2", f2))]
+        return LemmaSetup(**fields)
 
     def test_completed_route_finds_the_eliminant(self):
         out = groebner_route(self.small_setup("y^2 - z - 2", "y + 2*z - 3"),
@@ -186,16 +188,22 @@ class TestCaseMachinery:
         calls = []
 
         def counted(S):
-            calls.append(S.cs())
+            calls.append(fmt_pair(S.cs()))
             return finite_orbit_points(S)
 
         monkeypatch.setattr(symbolic, "finite_orbit_points", counted)
+        symbolic._decide.cache_clear()
         deductions = [d for rep in verify_theorem_case(2)
                       for d in rep.deductions]
-        # each tuple that is not a collision is enumerated once, and its
-        # deduction names it as "tuple (...)"
-        assert calls
-        assert len(calls) == sum(": tuple (" in d for d in deductions)
+        # each tuple that is not a collision is enumerated once, however
+        # often it is disposed, and its deduction names it as "tuple (...)"
+        named = {m for d in deductions
+                 for m in re.findall(r": tuple (\([^)]*\))", d)}
+        assert calls and len(calls) == len(set(calls))
+        assert set(calls) == named
+        # and the decision is not made again
+        verify_theorem_case(2)
+        assert len(calls) == len(named)
 
     def test_p_equation_equals_the_birat_numerator(self, monkeypatch):
         """On every call the ten cases make, the directly built numerator

@@ -16,13 +16,16 @@ Instead of dividing by a divisor's leading coefficient, a step scales the
 whole remainder by lc / gcd(c, lc) and then removes its content, so the
 coefficients stay bounded.  ``normal_form`` divides the tracked scale and
 the denominator back out and returns the exact remainder over Q; inside
-``buchberger`` the basis is kept as primitive integer polynomials only, and
-converted to ``BiPoly`` once, to interreduce the result.
+``buchberger`` the basis is kept as primitive integer polynomials only,
+interreduced in one pass in that form and converted to ``BiPoly`` at the
+end.
 
-Pair selection follows the normal strategy: the pair with the smallest lcm
-of leading terms, taken from a heap of lcms, with ties broken in the
-iteration order of the set of pending pairs.  The coprime-leading-term and
-chain criteria skip pairs that would reduce to zero.
+Pair selection follows the normal strategy (Giovini et al., ISSAC 1991):
+the pending pairs (i, j), i < j, sit in one heap keyed (lcm of the leading
+terms, -j, i), so the smallest lcm comes first and, among equal lcms, the
+pairs of the element added last, each with its oldest partner first.  Every
+popped pair counts toward the budget; the coprime-leading-term and chain
+criteria skip pairs that would reduce to zero.
 """
 
 from __future__ import annotations
@@ -276,26 +279,13 @@ def buchberger(gens, budget: Budget = Budget()) -> tuple[BiPoly, ...]:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("no nonzero generators")
-    vars = gens[0].vars
     G: list[_Element] = [_primitive(list(_pack(g.ints).items()))
                          for g in gens]
     lt = [_split(el[0]) for el in G]
-    pairs: set[tuple[int, int]] = {(i, j) for j in range(len(G)) for i in range(j)}
-    # pending pairs by the lcm of their leading terms, and a heap of the lcms
-    by_lcm: dict[Exponent, list[tuple[int, int]]] = {}
-    lcms: list[Exponent] = []
-
-    def file_pairs(new: set[tuple[int, int]]) -> None:
-        for p in new:
-            l = _lcm(lt[p[0]], lt[p[1]])
-            tied = by_lcm.get(l)
-            if tied is None:
-                by_lcm[l] = [p]
-                heapq.heappush(lcms, l)
-            else:
-                tied.append(p)
-
-    file_pairs(pairs)
+    # pending pairs (i, j), i < j, keyed (lcm, -j, i); see the module doc
+    pending = [(_lcm(lt[i], lt[j]), -j, i)
+               for j in range(len(G)) for i in range(j)]
+    heapq.heapify(pending)
     done: set[tuple[int, int]] = set()
     pairs_done = 0
     max_bits = max(_max_bits(el[2]) for el in G)
@@ -312,20 +302,9 @@ def buchberger(gens, budget: Budget = Budget()) -> tuple[BiPoly, ...]:
                     return True
         return False
 
-    while pairs:
-        l = lcms[0]
-        tied = by_lcm[l]
-        if len(tied) == 1:
-            i, j = tied.pop()
-        else:
-            # ties go to the first pair in the iteration order of ``pairs``:
-            # the statistics of an exhausted budget depend on the choice
-            i, j = next(p for p in pairs if p in tied)
-            tied.remove((i, j))
-        if not tied:
-            del by_lcm[l]
-            heapq.heappop(lcms)
-        pairs.remove((i, j))
+    while pending:
+        l, j, i = heapq.heappop(pending)
+        j = -j
         done.add((i, j))
         pairs_done += 1
         if pairs_done > budget.max_pairs:
@@ -349,35 +328,24 @@ def buchberger(gens, budget: Budget = Budget()) -> tuple[BiPoly, ...]:
                 f"coefficient budget {budget.max_coeff_bits} bits exhausted",
                 pairs_done, max_bits, len(G),
             )
+        t = len(G)
         G.append(h)
         lt.append(_split(h[0]))
-        t = len(G) - 1
-        new = {(k, t) for k in range(t)}
-        pairs |= new
-        file_pairs(new)
+        for k in range(t):
+            heapq.heappush(pending, (_lcm(lt[k], lt[t]), -t, k))
 
-    basis = [BiPoly.from_int(1, {_split(e): c for e, c in items}, vars)
-             for _, _, items in G]
-    return tuple(_interreduce(basis))
-
-
-def _interreduce(G: list[BiPoly]) -> list[BiPoly]:
-    """Reduce each element against the others; drop zeros; monic output in
-    increasing lex order of leading terms."""
-    G = [g for g in G if not g.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(G)):
-            others = [g for k, g in enumerate(G) if k != i and not g.is_zero()]
-            if not others:
-                continue
-            r = normal_form(G[i], others)
-            if r != G[i]:
-                changed = True
-            G[i] = r
-        G = [g for g in G if not g.is_zero()]
-    out = [BiPoly.from_int(g.ints[max(g.ints)], g.ints, g.vars) for g in G]
-    out.sort(key=lambda g: max(g.ints))
-    return out
-
+    # the reduced basis in one pass: in increasing order of leading
+    # exponents, keep each element whose leading exponent no kept one
+    # divides, and reduce each kept element once by the others; tail
+    # reduction never moves a leading exponent, and the reduced basis is
+    # unique
+    kept: list[_Element] = []
+    for el in sorted(G, key=lambda el: el[0]):
+        if not any(_divides(_split(k[0]), _split(el[0])) for k in kept):
+            kept.append(el)
+    basis = []
+    for n, (e, _, items) in enumerate(kept):
+        rem, _ = _reduce(dict(items), kept[:n] + kept[n + 1:])
+        basis.append(BiPoly.from_int(rem[e], {_split(t): c for t, c
+                                              in rem.items()}, gens[0].vars))
+    return tuple(basis)

@@ -169,20 +169,82 @@ class TestAgainstNaiveReduction:
                 assert naive_normal_form(s, G).is_zero()
         for g in gens:  # and the basis generates the input ideal
             assert naive_normal_form(g, G).is_zero()
+        # and it is the reduced basis: monic, sorted by leading exponent,
+        # and no term of an element is divisible by another's leading term
+        lts = [leading_term(g) for g in G]
+        assert all(c == 1 for _, c in lts)
+        assert [e for e, _ in lts] == sorted(e for e, _ in lts)
+        for i, g in enumerate(G):
+            for k, (l, _) in enumerate(lts):
+                if k != i:
+                    assert not any(l[0] <= e[0] and l[1] <= e[1]
+                                   for e in g.terms)
+
+
+class TestPairOrder:
+    """Pairs come off one heap keyed (lcm, -j, i): the smallest lcm first,
+    and among equal lcms the pairs of the newest element, each with its
+    oldest partner first."""
+
+    @pytest.mark.parametrize("gens, reduced", [
+        (["x^2*y - 1", "x*y^2 - 1", "x^2*y^2 - x", "x^2*y^2 - y"],
+         ["y^3 - 1", "x - y"]),
+        (["x^2*y^2 - 1", "x^2*y^2 - x", "x^2*y^2 - y"], ["y - 1", "x - 1"]),
+    ])
+    def test_ties_go_to_the_newest_element(self, monkeypatch, gens, reduced):
+        import quadorbits.groebner as gb
+        made, seen = [], []
+        primitive, s_items = gb._primitive, gb._s_items
+
+        def record_element(items):
+            made.append(primitive(items))
+            return made[-1]
+
+        def record_pair(f, g):
+            i, j = (next(k for k, e in enumerate(made) if e is el)
+                    for el in (f, g))
+            lcm = gb._lcm(gb._split(f[0]), gb._split(g[0]))
+            seen.append((lcm, i, j, len(made)))
+            return s_items(f, g)
+
+        monkeypatch.setattr(gb, "_primitive", record_element)
+        monkeypatch.setattr(gb, "_s_items", record_pair)
+        # every pair of the generators has the lcm x^2*y^2
+        basis = buchberger([B(g) for g in gens])
+        assert [str(g) for g in basis] == reduced
+        assert seen[0][1:3] == (0, len(gens) - 1)
+        for n, (lcm, i, j, size) in enumerate(seen):
+            for lcm2, i2, j2, _ in seen[n + 1:]:
+                # a later pair of the same lcm that was already pending
+                if lcm2 == lcm and j2 < size:
+                    assert (-j, i) < (-j2, i2)
 
 
 class TestCriterion7Outcomes:
     """The lemma systems of criterion 7 exhaust the budget with fixed run
-    statistics (pairs done, largest coefficient, basis size).  Pinning the
-    two cheapest shows any change of reduction or pair order that alters
-    the run."""
+    statistics (pairs done, largest coefficient, basis size).  Pinning them
+    shows any change of reduction or pair order that alters the run."""
 
     @pytest.mark.parametrize("lid, expected", [
         ("2.3", ("budget-exhausted", 121, 400, 37)),
         ("2.5", ("budget-exhausted", 121, 274, 40)),
+        ("2.1", ("budget-exhausted", 121, 503, 40)),
+        ("2.2", ("budget-exhausted", 121, 503, 40)),
+        ("2.4", ("budget-exhausted", 121, 649, 47)),
+        ("2.6", ("budget-exhausted", 121, 270, 40)),
     ])
     def test_pinned_outcome(self, lid, expected):
         out = groebner_route(lemma_setup(lid),
                              Budget(max_pairs=120, max_coeff_bits=60_000))
+        assert (out.status, out.pairs_done, out.max_coeff_bits,
+                out.basis_size) == expected
+
+    @pytest.mark.parametrize("lid, expected", [
+        ("2.1", ("budget-exhausted", 501, 623, 70)),
+        ("2.5", ("budget-exhausted", 501, 668, 77)),
+        ("2.6", ("budget-exhausted", 501, 665, 77)),
+    ])
+    def test_pinned_outcome_at_500_pairs(self, lid, expected):
+        out = groebner_route(lemma_setup(lid), Budget(max_pairs=500))
         assert (out.status, out.pairs_done, out.max_coeff_bits,
                 out.basis_size) == expected

@@ -788,3 +788,15 @@ def test_integer_form_is_canonical(f, k):
     assert scaled == p and hash(scaled) == hash(p)
     with pytest.raises(ZeroDivisionError):
         UniPoly.from_int(0, p.ints)
+
+
+def test_is_prime_below_the_thirteen_base_bound():
+    """psi_12, the least strong pseudoprime to the first 12 prime bases, is
+    below the documented bound, so base 41 must be among the bases."""
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not zp.is_prime(psi12)
+    for p in (2**61 - 31, 2**61 - 1, 2**61 + 15, 2**62 - 57):
+        assert zp.is_prime(p)
+    assert not zp.is_prime(2**61 + 1) and not zp.is_prime(
+        (2**61 - 1) * (2**61 + 15))

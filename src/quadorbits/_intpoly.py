@@ -2,8 +2,8 @@
 
 Dense univariate polynomials over Z as lists of ints indexed by degree
 (no trailing zeros; the zero polynomial is the empty list).  Everything the
-hot paths need lives here: ring arithmetic, homogeneous evaluation,
-contents, pseudo-division, and a certified gcd.  ``UniPoly`` in
+hot paths need lives here: ring arithmetic, homogeneous evaluation and
+composition, contents, pseudo-division, and a certified gcd.  ``UniPoly`` in
 ``polynomials`` stores its integer coefficients over one denominator and
 computes through these helpers.
 
@@ -116,6 +116,24 @@ def zeval_homogeneous(p: list[int], u: int, v: int) -> int:
     for c in reversed(p):
         acc = acc * u + c * vp
         vp *= v
+    return acc
+
+
+def zcompose_homogeneous(c: list[int], a: list[int], b: list[int],
+                         k: int) -> list[int]:
+    """The sum of c[i] a^i b^(k - i), i.e. b^k c(a / b), for k >= deg(c):
+    the Horner pass of ``zeval_homogeneous`` with polynomial values, its
+    powers of b starting at b^(k - deg c)."""
+    if not c:
+        return []
+    bp = zpow(b, k - len(c) + 1)
+    acc: list[int] = []
+    for i, ci in enumerate(reversed(c)):
+        if i:
+            bp = zmul(bp, b)
+        acc = zmul(acc, a)
+        if ci:
+            acc = zadd(acc, [ci * x for x in bp])
     return acc
 
 

@@ -387,10 +387,11 @@ class BiPoly:
 
     Stored as integer coefficients over one denominator: ``ints`` maps
     exponent pairs to nonzero ints, ``den`` is positive and
-    gcd(den, *ints) == 1, so equal polynomials have equal fields.
+    gcd(den, *ints) == 1, so equal polynomials have equal fields.  ``_rows``
+    keeps the row form of ``to_coeff_lists`` for each axis once it is built.
     """
 
-    __slots__ = ("den", "ints", "vars")
+    __slots__ = ("den", "ints", "vars", "_rows")
 
     def __init__(self, terms: dict, vars: tuple[str, str] = ("y", "z")):
         cs = {e: exact_rational(c) for e, c in terms.items()}
@@ -409,6 +410,7 @@ class BiPoly:
         if g != 1:
             ints = {e: c // g for e, c in ints.items()}
         self.den, self.ints, self.vars = abs(den) // g, ints, vars
+        self._rows = [None, None]
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -664,13 +666,21 @@ class BiPoly:
     # -- conversions for elimination ----------------------------------------
     def to_coeff_lists(self, eliminate: int) -> tuple[int, list[list[int]]]:
         """(denominator, lists-of-int-polys) with the outer index running over
-        powers of vars[eliminate] and inner int polys in the other variable."""
-        rows: list[dict[int, int]] = [{} for _ in range(self.degree(eliminate) + 1)]
-        for (i, j), c in self.ints.items():
-            a, b = (i, j) if eliminate == 0 else (j, i)
-            rows[a][b] = c
-        return self.den, [[row.get(k, 0) for k in range(max(row, default=-1) + 1)]
-                          for row in rows]
+        powers of vars[eliminate] and inner int polys in the other variable.
+        Built on the first call for each axis and kept in ``_rows``; callers
+        only read the lists, and ``_intpoly`` writes only into lists it
+        built itself."""
+        form = self._rows[eliminate]
+        if form is None:
+            rows: list[dict[int, int]] = [
+                {} for _ in range(self.degree(eliminate) + 1)]
+            for (i, j), c in self.ints.items():
+                a, b = (i, j) if eliminate == 0 else (j, i)
+                rows[a][b] = c
+            form = self._rows[eliminate] = (self.den, [
+                [row.get(k, 0) for k in range(max(row, default=-1) + 1)]
+                for row in rows])
+        return form
 
     # -- printing -----------------------------------------------------------
     def __str__(self) -> str:

@@ -1,14 +1,27 @@
 """Arithmetic in the univariate rational function field Q(t).
 
 Canonical form: denominator monic and coprime to the numerator, so equality
-is component comparison.  Every operation reduces; composition chains stay
-small because reduction happens at each step.
+is component comparison.  A result is reduced by a gcd only where a factor
+can cancel.  The operations below build their result as it stands, because
+for a reduced a / b it is reduced already:
+
+- the negation -a / b;
+- a sum or difference with a polynomial or a constant p, (a + p b) / b,
+  since gcd(a + p b, b) = gcd(a, b);
+- a product or quotient by a nonzero constant k, (k a) / b;
+- the square a^2 / b^2, since coprime polynomials have coprime squares;
+- ``RatFunc(num, den)`` with a constant part, whose gcd is 1.
+
+``compose`` evaluates numerator and denominator homogeneously over Z at
+the inner function's numerator and denominator and reduces once, instead
+of reducing after every step of a Horner pass over Q(t).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _intpoly as zp
 from .polynomials import UniPoly, evaluate
 
 __all__ = ["RatFunc", "PoleError"]
@@ -34,10 +47,11 @@ class RatFunc:
         if num.is_zero():
             num, den = UniPoly.zero(var), UniPoly.constant(1, var)
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.exact_divide(g)
-                den = den.exact_divide(g)
+            if num.degree > 0 and den.degree > 0:
+                g = num.gcd(den)
+                if g.degree > 0:
+                    num = num.exact_divide(g)
+                    den = den.exact_divide(g)
             lc = den.lc
             if lc != 1:
                 num = num * (1 / lc)
@@ -91,16 +105,26 @@ class RatFunc:
             return RatFunc.constant(x, var)
         return NotImplemented  # type: ignore[return-value]
 
+    @staticmethod
+    def _scalar(f: "RatFunc"):
+        """f's value if f is a nonzero constant, else None."""
+        return f.num.lc if f.num.degree == 0 and f.den.degree == 0 else None
+
     def __add__(self, other):
         o = self._coerce(other, self.var)
         if o is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        num = self.num * o.den + o.num * self.den
+        den = self.den * o.den
+        if num and (self.den.degree == 0 or o.den.degree == 0):
+            # one denominator is 1: (a + p b) / b, with den = b monic
+            return RatFunc._reduced(num, den)
+        return RatFunc(num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other, self.var)
@@ -119,6 +143,9 @@ class RatFunc:
         o = self._coerce(other, self.var)
         if o is NotImplemented:
             return NotImplemented
+        for f, k in ((self, self._scalar(o)), (o, self._scalar(self))):
+            if k is not None:
+                return RatFunc._reduced(f.num * k, f.den)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -129,6 +156,9 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by the zero function")
+        k = self._scalar(o)
+        if k is not None:
+            return RatFunc._reduced(self.num * (1 / k), self.den)
         return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
@@ -160,14 +190,21 @@ class RatFunc:
         return self.num(t0) / d
 
     def compose(self, inner: "RatFunc") -> "RatFunc":
-        """self(inner(t)) by Horner over Q(t)."""
-        acc = RatFunc.constant(0, inner.var)
-        for c in reversed(self.num.coeffs):
-            acc = acc * inner + c
-        accd = RatFunc.constant(0, inner.var)
-        for c in reversed(self.den.coeffs):
-            accd = accd * inner + c
-        return acc / accd
+        """self(inner(t)), reduced once.  For self = N / D and inner = p / q
+        this is N_h(p, q) q^(e - deg N) / (D_h(p, q) q^(e - deg D)), with
+        e = max(deg N, deg D) and N_h, D_h the homogeneous forms, computed
+        over Z by ``_intpoly.zcompose_homogeneous``.  A denominator that
+        vanishes there raises ZeroDivisionError."""
+        p, q, var = inner.num, inner.den, inner.var
+        # inner = a / b over Z
+        a = [c * q.den for c in p.ints]
+        b = [c * p.den for c in q.ints]
+        e = max(self.num.degree, self.den.degree)
+        return RatFunc(
+            UniPoly.from_int(self.num.den, zp.zcompose_homogeneous(
+                self.num.ints, a, b, e), var),
+            UniPoly.from_int(self.den.den, zp.zcompose_homogeneous(
+                self.den.ints, a, b, e), var))
 
     def relabel(self, var: str) -> "RatFunc":
         """The same function in the variable var, equal to

@@ -43,6 +43,9 @@ so that every square is reduced again, the reference for the factor-first
 ``symbolic.word_relation_roots``; ``ratfunc_family_accounts`` finds a
 family's parameters through the ``RatFunc`` difference c1(t) - c1, the
 reference for the integer numerator of ``symbolic._family_accounts``.
+``horner_compose`` is ``RatFunc.compose`` as Horner over Q(t) with a
+reduction after every step, the reference for its homogeneous evaluation
+over Z.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from quadorbits.families import ExcludedParameter, FamilyDef, ParamTuple, \
     SporadicTuple, catalog
 from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
     bivariate_gcd, resultant
+from quadorbits.ratfunc import RatFunc
 from quadorbits.rationals import exact_rational, rat_str
 from quadorbits.roots import RootReport, _lift_roots, _multiplicity, \
     _pick_prime, rational_roots
@@ -1188,6 +1192,22 @@ def product_first_word_relation_roots(tup: ParamTuple, word: Word,
         return None
     num = diff.num.primitive()
     return num, sorted(rational_roots(num).root_set())
+
+
+def horner_compose(f: RatFunc, inner: RatFunc) -> RatFunc:
+    """Reference for ``RatFunc.compose``: Horner over Q(t) on numerator and
+    denominator, each step acc * inner + c followed by the full reduction
+    ``RatFunc(num, den)``, and then their quotient, reduced again."""
+    p, q = inner.num, inner.den
+
+    def horner(poly: UniPoly) -> RatFunc:
+        acc = RatFunc.constant(0, inner.var)
+        for c in reversed(poly.coeffs):
+            acc = RatFunc(acc.num * p + c * acc.den * q, acc.den * q)
+        return acc
+
+    num, den = horner(f.num), horner(f.den)
+    return RatFunc(num.num * den.den, num.den * den.num)
 
 
 def ratfunc_family_accounts(fam: FamilyDef, c1: Fraction, c2: Fraction,

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -446,6 +448,59 @@ def test_coeff_lists_round_trip(terms, eliminate):
     assert BiPoly.from_coeff_lists(rows, eliminate) * Fraction(1, den) == b
 
 
+# -- the row form, built once per axis and only read ------------------------
+
+def _row_consumers(p, q):
+    """Every reader of the kept row forms, with p and q nonconstant in y."""
+    rows_p, rows_q = p.to_coeff_lists(0)[1], q.to_coeff_lists(0)[1]
+    zp._gprem(rows_p, rows_q)
+    zp._gprem(rows_q, rows_p)
+    zp.subres_resultant(rows_p, rows_q)
+    zp.zzresultant(rows_p, rows_q)
+    zp.zzgcd(rows_p, rows_q)
+    zp.zzgcd(rows_q, rows_p)
+    zp.zzcontent(rows_p)
+    zp.zzdivides_at_sample(rows_q, rows_p)
+    zp.zzmul(rows_p, rows_q)
+    resultant(p, q)
+    bivariate_gcd(p, q)
+    p.divide_out(q)
+    p * q
+    p.specialize(1, 3)
+    p.specialize(0, Fraction(-2, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_bi_terms, small_bi_terms, small_bi_terms)
+@example({(2, 0): 1, (0, 1): -1}, {(1, 1): 2, (0, 0): 3}, {(1, 0): 1})
+def test_kept_row_forms_are_only_read(a, b, c):
+    """Each consumer of ``to_coeff_lists`` leaves the kept rows as they
+    were, so every later call reads the rows of the polynomial."""
+    a, b, c = BiPoly(a) * BiPoly(c), BiPoly(b) * BiPoly(c), BiPoly(c)
+    assume(a.degree(0) > 0 and b.degree(0) > 0 and c.degree(0) > 0)
+    for p, q in ((a, b), (b, a), (a, c)):
+        forms = [p.to_coeff_lists(e) for e in (0, 1)] + \
+            [q.to_coeff_lists(e) for e in (0, 1)]
+        before = copy.deepcopy(forms)
+        _row_consumers(p, q)
+        assert [p.to_coeff_lists(e) for e in (0, 1)] + \
+            [q.to_coeff_lists(e) for e in (0, 1)] == before
+        assert all(f is g for f, g in zip(forms, [
+            p.to_coeff_lists(0), p.to_coeff_lists(1),
+            q.to_coeff_lists(0), q.to_coeff_lists(1)]))
+        fresh = BiPoly.from_int(p.den, p.ints, p.vars)
+        assert [fresh.to_coeff_lists(e) for e in (0, 1)] == before[:2]
+
+
+def test_a_polynomial_with_kept_rows_pickles():
+    b = B("2*y^2*z - 3*z^2 + y/7 + 5")
+    forms = [b.to_coeff_lists(e) for e in (0, 1)]
+    back = pickle.loads(pickle.dumps(b))
+    assert back == b and hash(back) == hash(b) and str(back) == str(b)
+    assert [back.to_coeff_lists(e) for e in (0, 1)] == forms
+    assert back * b == b * b
+
+
 # -- Kronecker products and specialization-first division -------------------
 
 def _with_den(terms_st):
@@ -578,6 +633,24 @@ def test_zeval_homogeneous_equals_the_homogenized_sum(p, u, v):
     for w in (1, v):
         assert zp.zeval_homogeneous(p, u, w) == \
             sum(c * u**i * w**(deg - i) for i, c in enumerate(p))
+
+
+small_ints = st.lists(st.integers(-10**6, 10**6), max_size=5).map(zp.ztrim)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_ints, small_ints, small_ints.filter(bool), st.integers(0, 3))
+@example([], [1, 1], [2], 0)
+@example([3, 0, 1], [], [1, 1], 4)
+def test_zcompose_homogeneous_equals_the_homogenized_sum(c, a, b, extra):
+    """sum c_i a^i b^(k - i) term by term, for k from deg c up."""
+    k = len(c) - 1 + extra
+    total: list[int] = []
+    for i, ci in enumerate(c):
+        term = schoolbook_zmul(schoolbook_zmul([ci], zp.zpow(a, i)),
+                               zp.zpow(b, k - i))
+        total = zp.zadd(total, term)
+    assert zp.zcompose_homogeneous(c, a, b, k) == total
 
 
 def modular_zgcd(a, b):

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import horner_compose
+from quadorbits import _intpoly as zp
 from quadorbits.polynomials import UniPoly
 from quadorbits.ratfunc import PoleError, RatFunc
 
@@ -63,6 +65,13 @@ class TestSpecialize:
         f = (t + 1) / (t - 1)
         g = 1 / t
         assert f.compose(g) == (1 + t) / (1 - t)
+
+    def test_compose_into_a_pole_raises(self):
+        f = (t + 1) / ((t - 2) * (3 * t + 1))
+        for inner in (RatFunc.constant(2), RatFunc.constant(Fraction(-1, 3))):
+            with pytest.raises(ZeroDivisionError):
+                f.compose(inner)
+        assert f.compose(RatFunc.constant(3)) == Fraction(2, 5)
 
 
 coef = st.integers(min_value=-9, max_value=9)
@@ -162,3 +171,108 @@ def test_square_equals_the_reduced_square(num, den):
     g = f * f
     h = RatFunc(f.num * f.num, f.den * f.den)
     assert (g.num, g.den, g.var) == (h.num, h.den, h.var)
+
+
+def _rf(num, den, var="t"):
+    return RatFunc(UniPoly(num, var), UniPoly(den, var))
+
+
+def _same(g, h):
+    assert (g.num, g.den, g.var) == (h.num, h.den, h.var), (g, h)
+
+
+nonzero = st.lists(coef, min_size=1, max_size=5).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(coef, min_size=1, max_size=5), nonzero,
+       st.lists(coef, min_size=1, max_size=4),
+       st.lists(coef, min_size=1, max_size=4).filter(any),
+       st.sampled_from(["t", "s"]))
+def test_compose_matches_horner_over_q(num, den, inner_num, inner_den, var):
+    """Homogeneous evaluation over Z against Horner over Q(t): degrees 0-4
+    outside, 0-3 inside, constants and zero numerators included; a
+    denominator that vanishes at a constant inner function raises in
+    both."""
+    f, inner = _rf(num, den), _rf(inner_num, inner_den, var)
+    try:
+        expected = horner_compose(f, inner)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.compose(inner)
+        return
+    got = f.compose(inner)
+    assert (got.num, got.den) == (expected.num, expected.den)
+    if got.num.degree > 0 or got.den.degree > 0:
+        assert got.var == expected.var == var
+
+
+def _canonical(g, num, den):
+    """g is num / den in the canonical form: den monic and coprime to
+    the numerator."""
+    assert g.den.lc == 1 and g.num.gcd(g.den).degree <= 0
+    assert g.num * den == num * g.den
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(coef, min_size=1, max_size=5), nonzero,
+       st.lists(coef, min_size=1, max_size=4),
+       st.fractions(min_value=-9, max_value=9, max_denominator=7))
+def test_gcd_free_operations_equal_the_full_reduction(num, den, poly, k):
+    """Every operation that skips the gcd gives what ``RatFunc(num, den)``
+    gives on the unreduced quotient."""
+    f, p = _rf(num, den), UniPoly(poly, "t")
+    _same(-f, RatFunc(-f.num, f.den))
+    for q in (p, RatFunc(p), k, RatFunc.constant(k)):
+        qn, qd = (q.num, q.den) if isinstance(q, RatFunc) else (q, 1)
+        _same(f + q, RatFunc(f.num * qd + qn * f.den, f.den * qd))
+        _same(q + f, RatFunc(f.num * qd + qn * f.den, f.den * qd))
+        _same(f - q, RatFunc(f.num * qd - qn * f.den, f.den * qd))
+        _same(q - f, RatFunc(qn * f.den - f.num * qd, f.den * qd))
+    if k:
+        for q in (k, RatFunc.constant(k)):
+            _same(f * q, RatFunc(f.num * k, f.den))
+            _same(q * f, RatFunc(f.num * k, f.den))
+            _same(f / q, RatFunc(f.num, f.den * k))
+    # a constant part: no gcd, and still the canonical form
+    for n, d in ((f.num, UniPoly(den[:1], "t")), (UniPoly(den[:1], "t"),
+                                                  f.den * 3)):
+        if d:
+            _canonical(RatFunc(n, d), n, d)
+
+
+@pytest.fixture
+def zgcd_calls(monkeypatch):
+    """A list that grows by one entry at each ``_intpoly.zgcd`` call."""
+    calls = []
+    zgcd = zp.zgcd
+
+    def counted(a, b):
+        calls.append(1)
+        return zgcd(a, b)
+
+    monkeypatch.setattr(zp, "zgcd", counted)
+    return calls
+
+
+def test_compose_takes_the_gcds_of_one_reduction(zgcd_calls):
+    f = (t**4 - 3 * t + 1) / (2 * t**3 + t**2 - 5)
+    inner = (t**3 + t - 7) / (t**2 + 3 * t + 1)
+    shared = (t + 2).num
+    zgcd_calls.clear()
+    g = f.compose(inner)
+    composing = len(zgcd_calls)
+    RatFunc(g.num * shared, g.den * shared)
+    assert composing == len(zgcd_calls) - composing == 1
+    assert g == horner_compose(f, inner)
+
+
+def test_negation_and_sums_with_polynomials_take_no_gcd(zgcd_calls):
+    f = (t**2 + 1) / (3 * t**2 - t + 2)
+    p = (t**3 - 2).num
+    zgcd_calls.clear()
+    results = [-f, f + 3, 3 + f, f - 3, f + p, p - f, f * Fraction(2, 3),
+               Fraction(2, 3) * f, f / 7]
+    assert zgcd_calls == []
+    assert results[1] == (t**2 + 1 + 3 * (3 * t**2 - t + 2)) / \
+        (3 * t**2 - t + 2)

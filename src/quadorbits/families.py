@@ -164,19 +164,15 @@ def _load() -> tuple[tuple[FamilyDef, ...], tuple[SporadicTuple, ...],
             FamilyDef(f["id"], f["description"], f["lemma"],
                       ParamTuple(cs, bp), tuple(f["stable"]), stable)
         )
-    pairs = tuple(
-        SporadicTuple(s["id"], s.get("lemma"),
-                      tuple(rat(c) for c in s["c"]),
-                      tuple(rat(b) for b in s["basepoints"]))
-        for s in raw["sporadic_pairs"]
-    )
-    triples = tuple(
-        SporadicTuple(s["id"], s.get("lemma"),
-                      tuple(rat(c) for c in s["c"]),
-                      tuple(rat(b) for b in s["basepoints"]))
-        for s in raw["sporadic_triples"]
-    )
-    return tuple(families), pairs, triples
+
+    def sporadic(key: str) -> tuple[SporadicTuple, ...]:
+        return tuple(SporadicTuple(s["id"], s.get("lemma"),
+                                   tuple(rat(c) for c in s["c"]),
+                                   tuple(rat(b) for b in s["basepoints"]))
+                     for s in raw[key])
+
+    return tuple(families), sporadic("sporadic_pairs"), \
+        sporadic("sporadic_triples")
 
 
 def catalog() -> tuple[tuple[FamilyDef, ...], tuple[SporadicTuple, ...]]:

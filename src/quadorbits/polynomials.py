@@ -221,9 +221,14 @@ class UniPoly:
     def __hash__(self):
         return hash((self.den, self.ints, self.var if self.degree > 0 else ""))
 
-    def _check(self, other: "UniPoly"):
-        if self.var != other.var and self.degree > 0 and other.degree > 0:
-            raise ValueError(f"mismatched variables {self.var!r} and {other.var!r}")
+    def _check(self, other: "UniPoly") -> str:
+        """The label of a result of self and other: the shared one, else
+        that of the operand of positive degree (self's if neither)."""
+        if self.var == other.var or other.degree <= 0:
+            return self.var
+        if self.degree <= 0:
+            return other.var
+        raise ValueError(f"mismatched variables {self.var!r} and {other.var!r}")
 
     # -- arithmetic ---------------------------------------------------------
     def _add(self, other, zop):
@@ -233,13 +238,12 @@ class UniPoly:
             other = UniPoly.constant(other, self.var)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        self._check(other)
+        var = self._check(other)
         da, db = self.den, other.den
         den = math.lcm(da, db)
         a = self.ints if da == den else [c * (den // da) for c in self.ints]
         b = other.ints if db == den else [c * (den // db) for c in other.ints]
-        return UniPoly.from_int(den, zop(a, b),
-                                self.var if self.ints else other.var)
+        return UniPoly.from_int(den, zop(a, b), var)
 
     def __add__(self, other):
         return self._add(other, zp.zadd)
@@ -262,12 +266,11 @@ class UniPoly:
                                     self.var)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        self._check(other)
+        var = self._check(other)
         if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.var)
+            return UniPoly.zero(var)
         return UniPoly.from_int(self.den * other.den,
-                                zp.zmul(self.ints, other.ints),
-                                self.var if self.degree > 0 else other.var)
+                                zp.zmul(self.ints, other.ints), var)
 
     __rmul__ = __mul__
 
@@ -489,9 +492,14 @@ class BiPoly:
     def total_degree(self) -> int:
         return max((i + j for i, j in self.ints), default=-1)
 
-    def _check(self, other: "BiPoly"):
-        if self.vars != other.vars and self.ints and other.ints:
-            raise ValueError(f"mismatched variables {self.vars} and {other.vars}")
+    def _check(self, other: "BiPoly") -> tuple[str, str]:
+        """The labels of a result of self and other, by the rule of
+        ``UniPoly._check``."""
+        if self.vars == other.vars or other.total_degree() <= 0:
+            return self.vars
+        if self.total_degree() <= 0:
+            return other.vars
+        raise ValueError(f"mismatched variables {self.vars} and {other.vars}")
 
     # -- arithmetic ---------------------------------------------------------
     def _add(self, other, sign: int):
@@ -501,13 +509,13 @@ class BiPoly:
             other = BiPoly.constant(other, self.vars)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        self._check(other)
+        vars = self._check(other)
         den = math.lcm(self.den, other.den)
         ma, mb = den // self.den, sign * (den // other.den)
         out = {e: c * ma for e, c in self.ints.items()}
         for e, c in other.ints.items():
             out[e] = out.get(e, 0) + mb * c
-        return BiPoly.from_int(den, out, self.vars if self.ints else other.vars)
+        return BiPoly.from_int(den, out, vars)
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -530,8 +538,7 @@ class BiPoly:
                                     for e, c in self.ints.items()}, self.vars)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        self._check(other)
-        vars = self.vars if self.ints else other.vars
+        vars = self._check(other)
         pairs = len(self.ints) * len(other.ints)
         if pairs < zp.KRONECKER_PAIRS:
             out: dict[tuple[int, int], int] = {}

@@ -13,8 +13,8 @@ for a reduced a / b it is reduced already:
 - ``RatFunc(num, den)`` with a constant part, whose gcd is 1.
 
 ``compose`` evaluates numerator and denominator homogeneously over Z at
-the inner function's numerator and denominator and reduces once, instead
-of reducing after every step of a Horner pass over Q(t).
+the inner function's numerator and denominator; the result is reduced by
+construction (see its docstring), so it takes no gcd at all.
 """
 
 from __future__ import annotations
@@ -190,21 +190,30 @@ class RatFunc:
         return self.num(t0) / d
 
     def compose(self, inner: "RatFunc") -> "RatFunc":
-        """self(inner(t)), reduced once.  For self = N / D and inner = p / q
-        this is N_h(p, q) q^(e - deg N) / (D_h(p, q) q^(e - deg D)), with
-        e = max(deg N, deg D) and N_h, D_h the homogeneous forms, computed
-        over Z by ``_intpoly.zcompose_homogeneous``.  A denominator that
-        vanishes there raises ZeroDivisionError."""
+        """self(inner(t)).  For self = N / D and inner = a / b over Z this
+        is N_h(a, b) / D_h(a, b), with N_h, D_h the forms of degree
+        e = max(deg N, deg D) that homogenize N and D, computed by
+        ``_intpoly.zcompose_homogeneous``.  A denominator that vanishes
+        there raises ZeroDivisionError.
+
+        The quotient is reduced as it stands, so only its denominator is
+        made monic: N_h and D_h are coprime forms, so a common factor of
+        N_h(a, b) and D_h(a, b) divides a^(2e-1) and b^(2e-1) (through
+        their resultant), and a, b are coprime."""
         p, q, var = inner.num, inner.den, inner.var
-        # inner = a / b over Z
         a = [c * q.den for c in p.ints]
         b = [c * p.den for c in q.ints]
         e = max(self.num.degree, self.den.degree)
-        return RatFunc(
-            UniPoly.from_int(self.num.den, zp.zcompose_homogeneous(
-                self.num.ints, a, b, e), var),
-            UniPoly.from_int(self.den.den, zp.zcompose_homogeneous(
-                self.den.ints, a, b, e), var))
+        num = zp.zcompose_homogeneous(self.num.ints, a, b, e)
+        den = zp.zcompose_homogeneous(self.den.ints, a, b, e)
+        if not den:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if not num:
+            return RatFunc(UniPoly.zero(var))
+        return RatFunc._reduced(
+            UniPoly.from_int(self.num.den * den[-1],
+                             [c * self.den.den for c in num], var),
+            UniPoly.from_int(den[-1], den, var))
 
     def relabel(self, var: str) -> "RatFunc":
         """The same function in the variable var, equal to

@@ -42,6 +42,16 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             B("y + 1") * B("u + 1", vars=("u", "v"))
 
+    def test_a_constant_takes_the_label_of_the_other_operand(self):
+        five, s = UniPoly.constant(5, "t"), UniPoly.x("s")
+        for got in (five + s, s + five, five - s, five * s, s * five):
+            assert got.var == "s" and got.degree == 1, got
+        assert str(five + s) == "s + 5"
+        b, y = BiPoly.constant(5, ("a", "b")), BiPoly.variable("y")
+        for got in (b + y, y + b, b - y, b * y, y * b):
+            assert got.vars == ("y", "z") and got.total_degree() == 1, got
+        assert b + y == B("y + 5") and b * y == B("5*y")
+
     def test_eval(self):
         assert P("x^2 - 13/16")(Fraction(1, 4)) == Fraction(-3, 4)
         assert B("y^2 - z^2 + 4").eval2(0, 2) == 0

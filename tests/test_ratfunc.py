@@ -255,16 +255,31 @@ def zgcd_calls(monkeypatch):
     return calls
 
 
-def test_compose_takes_the_gcds_of_one_reduction(zgcd_calls):
-    f = (t**4 - 3 * t + 1) / (2 * t**3 + t**2 - 5)
-    inner = (t**3 + t - 7) / (t**2 + 3 * t + 1)
+def test_compose_takes_no_gcd(zgcd_calls, monkeypatch):
+    """The composite is reduced by construction, so ``compose`` takes
+    neither ``UniPoly.gcd`` nor ``zgcd``; reducing it by hand after a
+    planted common factor takes one of each."""
+    gcd_calls = []
+    gcd = UniPoly.gcd
+
+    def counted(self, other):
+        gcd_calls.append(1)
+        return gcd(self, other)
+
+    monkeypatch.setattr(UniPoly, "gcd", counted)
     shared = (t + 2).num
-    zgcd_calls.clear()
-    g = f.compose(inner)
-    composing = len(zgcd_calls)
-    RatFunc(g.num * shared, g.den * shared)
-    assert composing == len(zgcd_calls) - composing == 1
-    assert g == horner_compose(f, inner)
+    for f, inner in (
+            ((t**4 - 3 * t + 1) / (2 * t**3 + t**2 - 5),
+             (t**3 + t - 7) / (t**2 + 3 * t + 1)),
+            ((t - 1) / (t**3 + 2), (3 * t**2 - 1) / 5),
+            ((2 * t**2 + 1) / (t + 1), t + Fraction(1, 3))):
+        gcd_calls.clear()
+        zgcd_calls.clear()
+        g = f.compose(inner)
+        assert gcd_calls == zgcd_calls == []
+        RatFunc(g.num * shared, g.den * shared)
+        assert gcd_calls == zgcd_calls == [1]
+        assert g.den.lc == 1 and g == horner_compose(f, inner)
 
 
 def test_negation_and_sums_with_polynomials_take_no_gcd(zgcd_calls):

@@ -11,7 +11,8 @@ Bivariate integer polynomials reach this module in one form only, the row
 form: a list of univariate rows indexed by the power of the eliminated
 variable, as ``BiPoly.to_coeff_lists`` reads it off ``BiPoly``'s sparse
 integer map.  This module is the only one that computes on it: contents in
-the surviving variable, pseudo-remainders, subresultant resultants, the
+the surviving variable, pseudo-remainders, subresultant resultants over
+Z[z] with given linear units z - r (their powers returned apart), the
 bivariate gcd, the Kronecker product ``zzmul`` of large products, and
 ``zzdivides_at_sample``, the one-specialization test with which
 ``BiPoly.divide_out`` ends most of its failing last steps;
@@ -34,6 +35,7 @@ guesses.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +444,14 @@ def zsquarefree(p: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # bivariate integer polynomials in row form (rows in the surviving variable z,
 # indexed by the power of the eliminated variable)
+#
+# The resultant is taken over Z[z] with given linear factors z - r, r an
+# integer, made units: the localization of Z[z] at them is an integral
+# domain, over which the subresultant PRS is valid (Brown and Traub,
+# J. ACM 18, 1971; Geddes, Czapor and Labahn, *Algorithms for Computer
+# Algebra*, ch. 7).  z divides a row when its constant term is 0, and
+# z - r is divided out by synthetic division.  The row forms given are only
+# read: every strip and quotient is a new list.
 # ---------------------------------------------------------------------------
 
 def _gprem(p: list[list[int]], d: list[list[int]]) -> list[list[int]]:
@@ -467,45 +477,88 @@ def _gprem(p: list[list[int]], d: list[list[int]]) -> list[list[int]]:
     return rem
 
 
-def subres_resultant(p: list[list[int]], q: list[list[int]]) -> list[int]:
+def _divide_root(p: list[int], r: int) -> list[int] | None:
+    """p / (z - r) when p(r) = 0, else None (synthetic division)."""
+    if r == 0:
+        return None if p and p[0] else p[1:]
+    q = [0] * (len(p) - 1)
+    acc = 0
+    for k in range(len(p) - 1, 0, -1):
+        acc = acc * r + p[k]
+        q[k - 1] = acc
+    return None if p and acc * r + p[0] else q
+
+
+def _strip_units(rows: list[list[int]], roots: Sequence[int]
+                 ) -> tuple[list[int], list[list[int]]]:
+    """(e, rest) for a nonzero row form: rows is the product of the
+    (z - r)^e_r over roots and of rest, and no r is a root of every row of
+    rest."""
+    exps = []
+    for r in roots:
+        e = 0
+        while None not in (q := [_divide_root(row, r) for row in rows]):
+            rows, e = q, e + 1
+        exps.append(e)
+    return exps, rows
+
+
+def subres_resultant(p: list[list[int]], q: list[list[int]],
+                     roots: Sequence[int]) -> tuple[list[int], list[int]]:
     """Resultant of p, q (row form) via the subresultant PRS with
-    Brown-Traub bookkeeping.
+    Brown-Traub bookkeeping, over Z[z] with every z - r, r in roots, a unit.
+
+    Returns (e, R): the resultant is the product of the (z - r)^e_r and of
+    R, and no z - r divides R (R = [] when the resultant is 0).  Every PRS
+    element, and g and h, is kept as such a unit times a stripped part that
+    z - r does not divide: prem(u A, v B) = v^(delta + 1) u prem(A, B) for
+    units u, v, and the exact division by g h^delta subtracts exponents and
+    divides the stripped parts in Z[z], exactly because z - r is prime and
+    divides neither the divisor nor the content of the quotient.  With no
+    roots these are the PRS steps over Z[z] themselves.
 
     Convention: equals the Sylvester determinant with p's coefficient rows
     first, i.e. lc(p)^deg(q) * prod q(alpha) over the roots alpha of p.
     """
     if not p or not q:
-        return []
+        return [0] * len(roots), []
     dp, dq = len(p) - 1, len(q) - 1
     sign = 1
-    A, B = list(p), list(q)
+    (eA, A), (eB, B) = _strip_units(p, roots), _strip_units(q, roots)
     if dp < dq:
-        A, B = B, A
+        (eA, A), (eB, B) = (eB, B), (eA, A)
         if (dp * dq) % 2:
             sign = -sign
     if len(B) == 1:
-        res = zpow(B[0], len(A) - 1)
-        return res if sign > 0 else zneg(res)
-    g = [1]
-    h = [1]
+        dA = len(A) - 1
+        res = zpow(B[0], dA)
+        return [dA * b for b in eB], res if sign > 0 else zneg(res)
+    eg, g = [0] * len(roots), [1]
+    eh, h = eg, g
     while True:
         dA, dB = len(A) - 1, len(B) - 1
         delta = dA - dB
         if (dA % 2) and (dB % 2):
             sign = -sign
         R = _gprem(A, B)
-        A = B
         if not R:
-            return []
+            return [0] * len(roots), []
+        eR, R = _strip_units(R, roots)
+        eR = [e + a + (delta + 1) * b for e, a, b in zip(eR, eA, eB)]
+        eA, A = eB, B
         denom = zmul(g, zpow(h, delta))
+        eB = [e - a - delta * b for e, a, b in zip(eR, eg, eh)]
         B = [zdivexact(c, denom) for c in R]
-        g = A[-1]
+        eg, (g,) = _strip_units([A[-1]], roots)
+        eg = [e + a for e, a in zip(eg, eA)]
         if delta:
+            eh = [delta * a - (delta - 1) * b for a, b in zip(eg, eh)]
             h = zdivexact(zpow(g, delta), zpow(h, delta - 1))
         if len(B) == 1:
             dA = len(A) - 1
             res = zdivexact(zpow(B[0], dA), zpow(h, dA - 1))
-            return res if sign > 0 else zneg(res)
+            return ([dA * b - (dA - 1) * c for b, c in zip(eB, eh)],
+                    res if sign > 0 else zneg(res))
 
 
 def zzcontent(p: list[list[int]]) -> list[int]:
@@ -528,11 +581,14 @@ def _strip_content(p: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return c, [zdivexact(r, c) if r else [] for r in p]
 
 
-def zzresultant(p: list[list[int]], q: list[list[int]]) -> list[int]:
-    """Resultant in the eliminated variable of two row-form polynomials.
+def zzresultant(p: list[list[int]], q: list[list[int]],
+                roots: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Resultant in the eliminated variable of two row-form polynomials,
+    as (e, R) of ``subres_resultant`` over the units z - r, r in roots.
 
     Contents (in the surviving variable) are stripped first and multiplied
-    back in, which keeps the PRS small on the paper-sized inputs.
+    back in, their units into e, which keeps the PRS small on the
+    paper-sized inputs.
     """
     p = [list(c) for c in p]
     q = [list(c) for c in q]
@@ -541,11 +597,17 @@ def zzresultant(p: list[list[int]], q: list[list[int]]) -> list[int]:
     while q and not q[-1]:
         q.pop()
     if not p or not q:
-        return []
+        return [0] * len(roots), []
     cp, pp = _strip_content(p)
     cq, qq = _strip_content(q)
+    exps, res = subres_resultant(pp, qq, roots)
+    if not res:
+        return exps, res
+    ep, (cp,) = _strip_units([cp], roots)
+    eq, (cq,) = _strip_units([cq], roots)
     scale = zmul(zpow(cp, len(q) - 1), zpow(cq, len(p) - 1))
-    return zmul(scale, subres_resultant(pp, qq))
+    return ([e + a * (len(q) - 1) + b * (len(p) - 1)
+             for e, a, b in zip(exps, ep, eq)], zmul(scale, res))
 
 
 def zzgcd(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:

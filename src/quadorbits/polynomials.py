@@ -8,9 +8,11 @@ to nonzero ints; ``groebner`` reduces on that map directly.  Both carry
 variable labels and refuse mixed-variable arithmetic.
 ``BiPoly.to_coeff_lists`` and ``BiPoly.from_coeff_lists`` convert to and
 from the integer row form on which ``_intpoly`` eliminates a variable;
-``resultant`` and ``bivariate_gcd`` are conversion wrappers around its
-subresultant resultant and pseudo-remainder gcd, with contents and
-denominators multiplied back so values are exact.
+``localized_resultant``, ``resultant`` and ``bivariate_gcd`` are
+conversion wrappers around its subresultant resultant and pseudo-remainder
+gcd, with contents and denominators multiplied back so values are exact;
+``localized_resultant`` leaves the powers of given linear units z - r
+as exponents beside the rest.
 
 ``evaluate`` reads every polynomial, rational function and orbit
 expression the package is given as text, through Python's own parser;
@@ -27,6 +29,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import _intpoly as zp
@@ -37,6 +40,7 @@ __all__ = [
     "BiPoly",
     "ExactDivisionError",
     "evaluate",
+    "localized_resultant",
     "resultant",
 ]
 
@@ -729,11 +733,20 @@ class BiPoly:
 
 def resultant(p: BiPoly, q: BiPoly) -> UniPoly:
     """Resultant of p and q with respect to vars[0], a polynomial in
-    vars[1].
+    vars[1]: ``localized_resultant`` with no units, so the value is exactly
+    the Sylvester determinant (q's rows on top)."""
+    return localized_resultant(p, q, ())[1]
+
+
+def localized_resultant(p: BiPoly, q: BiPoly, roots: Sequence[int]
+                        ) -> tuple[list[int], UniPoly]:
+    """Resultant of p and q with respect to vars[0] over the ring in which
+    every z - r, z = vars[1] and r in roots, is a unit: (e, R) such that
+    the Sylvester determinant (q's rows on top) is the product of the
+    (z - r)^e_r and of R, where no z - r divides R.
 
     Computed by the subresultant PRS on primitive integer parts; the stripped
-    contents and cleared denominators are multiplied back, so the value is
-    exactly the Sylvester determinant (q's rows on top).
+    contents and cleared denominators are multiplied back.
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial")
@@ -746,8 +759,8 @@ def resultant(p: BiPoly, q: BiPoly) -> UniPoly:
     den_p, rows_p = p.to_coeff_lists(0)
     den_q, rows_q = q.to_coeff_lists(0)
     # q-rows-first convention: pass q as the first argument.
-    return UniPoly.from_int(den_q**dp * den_p**dq,
-                            zp.zzresultant(rows_q, rows_p), p.vars[1])
+    exps, res = zp.zzresultant(rows_q, rows_p, roots)
+    return exps, UniPoly.from_int(den_q**dp * den_p**dq, res, p.vars[1])
 
 
 def bivariate_gcd(p: BiPoly, q: BiPoly) -> BiPoly:

@@ -5,7 +5,9 @@ of integral polynomials by p-adic expansion").  Strip the zero roots, take
 the primitive integer form and its squarefree part f = a_n x^n + ... + a_0
 (a_0 != 0), pick a prime p0 > 50 that keeps f squarefree mod p0 and does
 not divide a_n, read off all roots of f mod p0 by exhaustive scan, and
-Hensel-lift each to a modulus m = p0^k > 2 |a_0| |a_n|.
+Hensel-lift each to a modulus m = p0^k > 2 |a_0| |a_n|.  When 53 keeps
+the primitive form itself squarefree, that form is f and p0 = 53, with no
+gcd taken.
 
 A rational root u/v of f in lowest terms has u | a_0 and v | a_n, and
 v is a unit mod p0, so u/v survives as the residue u * v^-1 mod p0 and,
@@ -69,15 +71,19 @@ def _multiplicity(ints: list[int], num: int, den: int) -> int:
     return m
 
 
+def _squarefree_mod(f: list[int], p: int) -> bool:
+    """Whether the prime p does not divide lc(f) and f is squarefree mod p.
+    Then f is squarefree over Q: a repeated factor would keep its degree
+    mod p and divide gcd(f, f') there."""
+    return bool(f[-1] % p) and zp.zdeg(zp.pgcd_monic(f, zp.zderiv(f), p)) == 0
+
+
 def _pick_prime(sf: list[int]) -> int:
     """Smallest prime > 50 not dividing lc(sf) with sf squarefree mod p."""
     p = 53
-    while True:
-        if sf[-1] % p:
-            g = zp.pgcd_monic(sf, zp.zderiv(sf), p)
-            if zp.zdeg(g) == 0:
-                return p
+    while not _squarefree_mod(sf, p):
         p = zp.next_prime(p)
+    return p
 
 
 def _lift_roots(sf: list[int], p0: int, target: int) -> tuple[list[int], int, int]:
@@ -123,8 +129,13 @@ def rational_roots(p: UniPoly) -> RootReport:
     if zp.zdeg(ints) < 1:
         return RootReport(roots, method="trivial")
 
-    sf = zp.zsquarefree(ints)
-    p0 = _pick_prime(sf)
+    if _squarefree_mod(ints, 53):
+        # ints is squarefree, so it is its own squarefree part, and 53 is
+        # the prime ``_pick_prime`` would return for it
+        sf, p0 = ints, 53
+    else:
+        sf = zp.zsquarefree(ints)
+        p0 = _pick_prime(sf)
     bound_num = abs(sf[0])
     bound_den = abs(sf[-1])
     lifted, m, k = _lift_roots(sf, p0, 2 * bound_num * bound_den)

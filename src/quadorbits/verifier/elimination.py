@@ -9,7 +9,13 @@ form, the pipeline
 2. takes the resultants between the factors of the first two generators,
    eliminating the first variable.  A factor pair whose resultant vanishes
    identically shares a curve component; the component is split off by a
-   bivariate gcd, recorded, and the leftovers are retried;
+   bivariate gcd, recorded, and the leftovers are retried.  Each resultant
+   is taken as (a, r), Res = prod (v - p)^a_p * r with r prime to every
+   v - p, over the ring in which v - p is a unit for each integer pole p
+   of c2 (``LemmaSetup.poles``: t and t + 1 for a three-cycle, whose powers
+   are most of its eliminants' degree, and none for a constant
+   denominator).  The squarefree part of Res is r's times the v - p with
+   a_p > 0, so the roots are unchanged, and deg Res = sum(a) + deg r;
 3. takes, for each such component g, the resultants of g with every factor
    of every other generator: a common zero on g zeroes one of those factors;
 4. spares resultants of steps 2 and 3 by two exact symmetries of the
@@ -37,7 +43,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .. import _intpoly as zp
-from ..polynomials import BiPoly, UniPoly, bivariate_gcd, resultant
+from ..polynomials import BiPoly, UniPoly, bivariate_gcd, \
+    localized_resultant
 from ..records import Mutable
 from ..roots import RootReport, rational_roots
 
@@ -149,11 +156,25 @@ def _deflate(p: BiPoly) -> BiPoly | None:
                                    for (i, j), c in p.ints.items()}, p.vars)
 
 
+def _squarefree_eliminant(poles: Sequence[int], exps: list[int],
+                          r: UniPoly) -> UniPoly:
+    """``UniPoly.squarefree_part`` of the product of the (v - p)^e_p and
+    of r, for r prime to every v - p: r's part times each v - p with
+    e_p > 0, all primitive with a positive leading coefficient."""
+    sf = zp.zsquarefree(r.ints)
+    for p, e in zip(poles, exps):
+        if e:
+            sf = zp.zmul(sf, [-p, 1])
+    return UniPoly.from_int(1, sf, r.var)
+
+
 def eliminate_candidates(gens: Sequence[GeneratorFactors],
-                         structural: Sequence[BiPoly]) -> EliminationOutcome:
+                         structural: Sequence[BiPoly],
+                         poles: Sequence[int]) -> EliminationOutcome:
     """Run the factored-resultant candidate extraction (see module doc),
     eliminating vars[0] between the first two generators; the candidates
-    are values of vars[1]."""
+    are values of vars[1].  The resultants are taken over the ring in which
+    v - p is a unit for every integer p in poles, v = vars[1]."""
     divisions: dict[str, dict[str, int]] = {}
     reduced: list[GeneratorFactors] = []
     raw: set[Fraction] = set()
@@ -186,11 +207,13 @@ def eliminate_candidates(gens: Sequence[GeneratorFactors],
                 # a = A(y^2), b = B(y^2) give Res(a, b) = Res_u(A, B)^2
                 A, B = _deflate(a), _deflate(b)
                 even = A is not None and B is not None
-                r = resultant(A, B) if even else resultant(a, b)
+                exps, r = localized_resultant(*((A, B) if even else (a, b)),
+                                              poles)
                 if not r.is_zero():
-                    found = ((2 if even else 1) * r.degree,
-                             rational_roots(r.squarefree_part())
-                             if r.degree > 0 else None)
+                    deg = sum(exps) + r.degree
+                    found = ((2 if even else 1) * deg, rational_roots(
+                        _squarefree_eliminant(poles, exps, r))
+                        if deg > 0 else None)
             if found is not None:
                 done[_up_to_sign(a), _up_to_sign(b)] = found
                 deg, rep = found

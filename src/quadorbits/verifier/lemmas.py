@@ -109,6 +109,16 @@ class LemmaSetup(Frozen):
         # structural is derived from the branches
         return type(self), self._values()[:-1]
 
+    @property
+    def poles(self) -> tuple[int, ...]:
+        """The integer roots p of c2's denominator.  Each v - p, v the
+        candidate variable, is a unit of the ring in which the elimination
+        takes its resultants, so that the powers of the parametrization's
+        poles (t and t + 1 for a three-cycle) never enter its PRS; there
+        are none for a constant denominator."""
+        roots = rational_roots(self.c2_of.den).roots
+        return tuple(int(p) for p in sorted(roots) if p.denominator == 1)
+
 
 def _rats(*xs: str) -> list[Fraction]:
     return [rat(x) for x in xs]
@@ -412,7 +422,7 @@ def verify_lemma(lemma_id: str, budget: Budget | None = None) -> LemmaReport:
             flags.append("groebner route exhausted its budget; "
                          "falling back to the resultant route")
 
-    out = eliminate_candidates(setup.gens, setup.structural)
+    out = eliminate_candidates(setup.gens, setup.structural, setup.poles)
     fams = list(catalog()[0]) if setup.subtract_families else []
     stated_fams, stated_pairs = lemma_statement(setup.statement)
 

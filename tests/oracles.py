@@ -22,6 +22,9 @@ coefficient loops over Q for sums, scalar products, division, evaluation
 and the gcd (Euclid's remainders, independent of ``zgcd``).
 ``FractionBiPoly`` is the same for ``BiPoly``: a dict of ``Fraction``s,
 with sums, exact division, specialization and evaluation over Q.
+``subres_resultant`` is the subresultant PRS over Z[z] with every
+factor carried through, the reference for the PRS over the ring in which
+the parametrization poles are units.
 ``schoolbook_product`` is ``BiPoly``'s product term by term, the reference
 for the Kronecker product, ``schoolbook_zmul`` the same for
 ``_intpoly.zmul`` and ``FractionUniPoly``'s product, and
@@ -1169,6 +1172,45 @@ def schoolbook_zmul(p: list[int], q: list[int]) -> list[int]:
                 if b:
                     out[i + j] += a * b
     return zp.ztrim(out)
+
+
+def subres_resultant(p: list[list[int]], q: list[list[int]]) -> list[int]:
+    """Reference for ``_intpoly.subres_resultant``: the subresultant PRS
+    with Brown-Traub bookkeeping over Z[z] itself, every power of every
+    factor carried through each step.  Equals the Sylvester determinant
+    with p's coefficient rows first."""
+    if not p or not q:
+        return []
+    dp, dq = len(p) - 1, len(q) - 1
+    sign = 1
+    A, B = list(p), list(q)
+    if dp < dq:
+        A, B = B, A
+        if (dp * dq) % 2:
+            sign = -sign
+    if len(B) == 1:
+        res = zp.zpow(B[0], len(A) - 1)
+        return res if sign > 0 else zp.zneg(res)
+    g = [1]
+    h = [1]
+    while True:
+        dA, dB = len(A) - 1, len(B) - 1
+        delta = dA - dB
+        if (dA % 2) and (dB % 2):
+            sign = -sign
+        R = zp._gprem(A, B)
+        A = B
+        if not R:
+            return []
+        denom = zp.zmul(g, zp.zpow(h, delta))
+        B = [zp.zdivexact(c, denom) for c in R]
+        g = A[-1]
+        if delta:
+            h = zp.zdivexact(zp.zpow(g, delta), zp.zpow(h, delta - 1))
+        if len(B) == 1:
+            dA = len(A) - 1
+            res = zp.zdivexact(zp.zpow(B[0], dA), zp.zpow(h, dA - 1))
+            return res if sign > 0 else zp.zneg(res)
 
 
 def sporadic_pairs() -> tuple[SporadicTuple, ...]:

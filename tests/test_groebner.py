@@ -118,7 +118,8 @@ class TestEliminationConsistency:
         from quadorbits.verifier.lemmas import lemma_setup
 
         setup = lemma_setup("2.1")
-        out = eliminate_candidates(setup.gens, setup.structural)
+        out = eliminate_candidates(setup.gens, setup.structural,
+                                   setup.poles)
         a = out.reduced[0].factors[0]
         b = out.reduced[1].factors[0]
         basis = buchberger([a, b], budget=Budget(max_pairs=4000))

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
 from oracles import FractionBiPoly, FractionUniPoly, schoolbook_product, \
     schoolbook_zmul, sylvester_resultant
 from quadorbits import _intpoly as zp
 from quadorbits.polynomials import BiPoly, ExactDivisionError, UniPoly, \
-    bivariate_gcd, evaluate, resultant
+    bivariate_gcd, evaluate, localized_resultant, resultant
 from quadorbits.ratfunc import RatFunc
 from quadorbits.roots import rational_roots
 
@@ -465,8 +466,10 @@ def _row_consumers(p, q):
     rows_p, rows_q = p.to_coeff_lists(0)[1], q.to_coeff_lists(0)[1]
     zp._gprem(rows_p, rows_q)
     zp._gprem(rows_q, rows_p)
-    zp.subres_resultant(rows_p, rows_q)
-    zp.zzresultant(rows_p, rows_q)
+    for roots in ((), (-1, 0)):
+        zp.subres_resultant(rows_p, rows_q, roots)
+        zp.zzresultant(rows_p, rows_q, roots)
+        localized_resultant(p, q, roots)
     zp.zzgcd(rows_p, rows_q)
     zp.zzgcd(rows_q, rows_p)
     zp.zzcontent(rows_p)
@@ -500,6 +503,64 @@ def test_kept_row_forms_are_only_read(a, b, c):
             q.to_coeff_lists(0), q.to_coeff_lists(1)]))
         fresh = BiPoly.from_int(p.den, p.ints, p.vars)
         assert [fresh.to_coeff_lists(e) for e in (0, 1)] == before[:2]
+
+
+# -- the PRS over Z[z] with the linear units z - r inverted -------------------
+
+def _units(roots, exps):
+    """The product of the (z - r)^e_r."""
+    out = [1]
+    for r, e in zip(roots, exps):
+        out = zp.zmul(out, zp.zpow([-r, 1], e))
+    return out
+
+
+@st.composite
+def localized_cases(draw):
+    """(p, q, roots): two row forms of y-degree 1 to 3 whose rows and
+    contents carry planted powers of z and z + 1 and of the z - r for the
+    drawn roots (none, possibly), sometimes with a shared factor of
+    positive y-degree, which makes the resultant 0."""
+    roots = tuple(draw(st.lists(st.integers(-2, 2), unique=True,
+                                max_size=3)))
+    planted = st.sampled_from(sorted({-1, 0, *roots}))
+    coef = st.integers(-4, 4)
+
+    def unit():
+        return _units([draw(planted)], [draw(st.integers(0, 3))])
+
+    def rows(dy):
+        out = [zp.zmul(zp.ztrim(draw(st.lists(coef, max_size=3))), unit())
+               for _ in range(dy + 1)]
+        out[-1] = out[-1] or [draw(coef.filter(bool))]
+        content = unit()
+        return [zp.zmul(r, content) for r in out]
+
+    p, q = rows(draw(st.integers(1, 3))), rows(draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        shared = rows(draw(st.integers(1, 2)))
+        p, q = zp.zzmul(p, shared), zp.zzmul(q, shared)
+    return p, q, roots
+
+
+@settings(max_examples=150, deadline=None)
+@given(localized_cases())
+@example(([[0, 1], [1]], [[1, 1], [0, 0, 1]], ()))
+@example(([[0, 0, 2], [0, 1, 1]], [[0, 3], [0, 1]], (-1, 0)))
+def test_localized_prs_equals_the_prs_over_z(case):
+    """The unit powers times the stripped part equal the PRS over Z[z]
+    exactly, with every exponent >= 0 and no z - r left in the part."""
+    p, q, roots = case
+    want = oracles.subres_resultant(p, q)
+    for exps, r in (zp.subres_resultant(p, q, roots),
+                    zp.zzresultant(p, q, roots)):
+        assert len(exps) == len(roots)
+        if not want:
+            assert r == []
+            continue
+        assert min(exps, default=0) >= 0
+        assert all(zp.zeval_homogeneous(r, root, 1) for root in roots)
+        assert zp.zmul(_units(roots, exps), r) == want
 
 
 def test_a_polynomial_with_kept_rows_pickles():

@@ -67,7 +67,7 @@ def records(lemma_report):
                        {"2.1": "pass"}, [], "pass"),
         eliminate_candidates([GeneratorFactors("G1", (BiPoly.parse("z - 2"),)),
                               GeneratorFactors("G2", (BiPoly.parse("y - 1"),))],
-                             []),
+                             [], ()),
         setup,
     ]
 

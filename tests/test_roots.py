@@ -2,11 +2,15 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import transform_rational_roots
+from quadorbits import _intpoly as zp
 from quadorbits.polynomials import UniPoly
-from quadorbits.roots import rational_roots
+from quadorbits.roots import _lift_roots, _pick_prime, rational_roots
+from quadorbits.verifier import elimination
+from quadorbits.verifier.lemmas import LEMMA_IDS, lemma_setup
 
 
 def P(s):
@@ -124,3 +128,64 @@ class TestRationalRoots:
         rep = rational_roots(P("x^3 - x"))
         d = rep.to_dict()
         assert "roots" in d and "method" in d
+
+
+def _trace_of_the_squarefree_part(p: UniPoly) -> tuple[int, int]:
+    """(prime, precision) when the squarefree part is always taken first:
+    the prime ``_pick_prime`` finds for it and the lifting exponent its
+    bounds ask for."""
+    ints = zp.zprimitive(p.ints)[1]
+    while ints[0] == 0:
+        ints = ints[1:]
+    sf = zp.zsquarefree(ints)
+    p0 = _pick_prime(sf)
+    return p0, _lift_roots(sf, p0, 2 * abs(sf[0]) * abs(sf[-1]))[2]
+
+
+class TestSquarefreeShortcut:
+    """``rational_roots`` skips the gcd when 53 shows its input squarefree;
+    the roots, the prime and the precision stay those of the squarefree
+    part."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 60),
+                              st.integers(1, 3)), min_size=1, max_size=4),
+           st.sampled_from(ROOTLESS), st.integers(0, 2),
+           st.sampled_from([1, 53, 2 * 53**2]), st.booleans())
+    def test_agrees_with_the_squarefree_part(self, planted, cofactor,
+                                             cofactor_power, lead, shifted):
+        # repeated factors, a lead that 53 divides, and with `shifted` two
+        # roots 53 apart, which is squarefree over Q but not mod 53
+        poly = P(cofactor) ** cofactor_power * lead
+        for u, v, m in planted:
+            poly = poly * UniPoly([-u, v], "x") ** m
+        if shifted:
+            u, v, _ = planted[0]
+            poly = poly * UniPoly([-u - 53 * v, v], "x")
+        if poly.degree < 1:
+            return
+        rep = rational_roots(poly)
+        assert rep.roots == transform_rational_roots(poly).roots
+        if rep.prime is not None:
+            assert (rep.prime, rep.precision) \
+                == _trace_of_the_squarefree_part(poly)
+
+    @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+    def test_lemma_eliminants_keep_their_traces(self, lemma_id,
+                                                monkeypatch):
+        seen = []
+
+        def recording(p):
+            rep = rational_roots(p)
+            seen.append((p, rep))
+            return rep
+
+        monkeypatch.setattr(elimination, "rational_roots", recording)
+        setup = lemma_setup(lemma_id)
+        elimination.eliminate_candidates(setup.gens, setup.structural,
+                                         setup.poles)
+        assert seen
+        for p, rep in seen:
+            if rep.prime is not None:
+                assert (rep.prime, rep.precision) \
+                    == _trace_of_the_squarefree_part(p)

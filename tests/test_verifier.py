@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import time
@@ -7,13 +8,15 @@ from functools import reduce
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import all_pairs_candidates, expanded_divides
+from oracles import all_pairs_candidates, expanded_divides, \
+    subres_resultant
 from quadorbits import families
 from quadorbits.dynamics import MapSet, QuadMap, apply_word, \
     finite_orbit_points
 from quadorbits.families import ParamTuple, lemma_statement
 from quadorbits.groebner import Budget
-from quadorbits.polynomials import BiPoly, bivariate_gcd, resultant
+from quadorbits.polynomials import BiPoly, UniPoly, bivariate_gcd, \
+    localized_resultant
 from quadorbits.ratfunc import RatFunc
 from quadorbits.rationals import rat, rat_str
 from quadorbits.verifier import POONEN_AXIOMS, poonen_criterion, \
@@ -512,7 +515,7 @@ class TestOnePairElimination:
         gens = [GeneratorFactors("G1", (B("y - z"), B("y + z + 1"))),
                 GeneratorFactors("G2", (B("y - z"), B("2*y + z - 3"))),
                 GeneratorFactors("G3", (B("y - 5"),))]
-        out = eliminate_candidates(gens, [])
+        out = eliminate_candidates(gens, [], ())
         assert out.candidates == [Fraction(5)]
         assert out.raw_candidates == [Fraction(-5), Fraction(-1, 2),
                                       Fraction(1), Fraction(5)]
@@ -522,12 +525,13 @@ class TestOnePairElimination:
         B = BiPoly.parse
         gens = [GeneratorFactors("G1", (B("z - 2"),)),
                 GeneratorFactors("G2", (B("y - 1"),))]
-        assert eliminate_candidates(gens, []).candidates == [Fraction(2)]
+        assert eliminate_candidates(gens, [], ()).candidates == [Fraction(2)]
 
     @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
     def test_lemma_candidates_match_the_all_pairs_oracle(self, lemma_id):
         setup = lemma_setup(lemma_id)
-        assert eliminate_candidates(setup.gens, setup.structural).candidates \
+        assert eliminate_candidates(setup.gens, setup.structural,
+                                    setup.poles).candidates \
             == all_pairs_candidates(setup.gens, setup.structural)
 
     @settings(max_examples=80, deadline=None)
@@ -538,7 +542,7 @@ class TestOnePairElimination:
         # then no finite candidate list exists
         common = reduce(bivariate_gcd, (math.prod(g.factors) for g in gens))
         assume(common.total_degree() <= 0)
-        got = eliminate_candidates(gens, []).candidates
+        got = eliminate_candidates(gens, [], ()).candidates
         assert v0 in got
         assert set(all_pairs_candidates(gens, [])) <= set(got)
 
@@ -554,7 +558,7 @@ class TestOnePairElimination:
         gens, v0 = system
         common = reduce(bivariate_gcd, (math.prod(g.factors) for g in gens))
         assume(common.total_degree() <= 0)
-        out = eliminate_candidates(gens, [])
+        out = eliminate_candidates(gens, [], ())
         oracle = all_pairs_candidates(gens, [])
         assert v0 in out.candidates
         assert set(oracle) <= set(out.candidates)
@@ -569,17 +573,52 @@ class TestOnePairElimination:
         # degree-278 one, of two factors even in y, is taken over u = y^2
         computed = []
 
-        def counting(a, b):
-            r = resultant(a, b)
-            computed.append(r.degree)
-            return r
+        def counting(a, b, poles):
+            exps, r = localized_resultant(a, b, poles)
+            computed.append(sum(exps) + r.degree)
+            return exps, r
 
-        monkeypatch.setattr(elimination, "resultant", counting)
+        monkeypatch.setattr(elimination, "localized_resultant", counting)
         setup = lemma_setup(lemma_id)
-        out = eliminate_candidates(setup.gens, setup.structural)
+        out = eliminate_candidates(setup.gens, setup.structural,
+                                   setup.poles)
         assert len(computed) == 5 and max(computed) <= 139
         assert len(out.eliminant_degrees) == 9
         assert max(out.eliminant_degrees) == 278
+
+    @pytest.mark.parametrize("lemma_id", ["2.4", "2.5", "2.6"])
+    def test_pole_units_leave_every_eliminant_root_in_place(self, lemma_id):
+        """On every factor pair, flipped and even ones included, the
+        resultant over Z[t, 1/t, 1/(t+1)] has the squarefree part and the
+        degree of the resultant over Z[t], the PRS of ``oracles``."""
+        setup = lemma_setup(lemma_id)
+        assert setup.poles == (-1, 0)
+        out = eliminate_candidates(setup.gens, setup.structural,
+                                   setup.poles)
+        assert not out.components
+        first, second = [
+            [elimination._split_survivor_content(f)[0] for f in gen.factors]
+            for gen in out.reduced[:2]]
+        degrees = []
+        for a, b in itertools.product(first, second):
+            rows_a, rows_b = a.to_coeff_lists(0)[1], b.to_coeff_lists(0)[1]
+            full = UniPoly.from_int(1, subres_resultant(rows_b, rows_a), "t")
+            degrees.append(full.degree)
+            A, B = elimination._deflate(a), elimination._deflate(b)
+            even = A is not None and B is not None
+            exps, r = localized_resultant(*((A, B) if even else (a, b)),
+                                          setup.poles)
+            assert (2 if even else 1) * (sum(exps) + r.degree) == full.degree
+            poles = math.prod((UniPoly([-p, 1], "t")
+                               for p, e in zip(setup.poles, exps) if e),
+                              start=UniPoly.constant(1, "t"))
+            assert full.squarefree_part() == poles * r.squarefree_part() \
+                == elimination._squarefree_eliminant(setup.poles, exps, r)
+        assert degrees == out.eliminant_degrees
+
+    def test_no_pole_units_without_poles(self):
+        for lemma_id in ("2.1", "2.2", "2.3"):
+            assert lemma_setup(lemma_id).poles == ()
 
 
 _curves = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -606,7 +645,8 @@ class TestComponentPeeling:
 
     def test_lemma_23_component_matches_the_expanded_product(self):
         setup = lemma_setup("2.3")
-        comp = eliminate_candidates(setup.gens, setup.structural).components
+        comp = eliminate_candidates(setup.gens, setup.structural,
+                                    setup.poles).components
         assert comp
         for g in setup.gens:
             assert _divides_product(comp[0], g.factors) \

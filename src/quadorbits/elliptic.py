@@ -20,8 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .polynomials import BiPoly, UniPoly, evaluate, resultant
-from .ratfunc import RatFunc
+from .polynomials import BiPoly, UniPoly, resultant
 from .rationals import exact_rational, rat_str
 from .records import Frozen, set_field
 from .roots import rational_roots
@@ -232,24 +231,37 @@ def preimages_on_c(target: ECPoint) -> set[tuple[Fraction, Fraction]]:
     """All rational (t, u) on C with u != 0 and r(t, u) = target (an affine
     point).  The x-equation is linear in t, so substitute
     t = (1 - x0 u^2)/u^2 into C and read off the rational u."""
+    return _preimages_on(curve_c_poly(), target)
+
+
+def _preimages_on(C: BiPoly, target: ECPoint
+                  ) -> set[tuple[Fraction, Fraction]]:
+    """``preimages_on_c`` with C, the polynomial of ``curve_c_poly``,
+    built by the caller.  With t = N/D, N = 1 - x0 u^2 and D = u^2, the
+    substitution is D^n C(N/D, u) = sum_i C_i(u) N^i D^(n-i), n = deg_t C:
+    no quotient is reduced, and D^n only adds roots at u = 0, which are
+    skipped."""
     if target.is_infinity():
         return set()
     x0, y0 = target.x, target.y
-    u = RatFunc.t("u")
-    t_of_u = (1 - x0 * u * u) / (u * u)
-    # C(t(u), u) as a rational function of u
-    c_expr = evaluate(_C, {"t": t_of_u, "u": u}.__getitem__)
+    u = UniPoly.x("u")
+    N, D = 1 - x0 * u * u, u * u
+    den, rows = C.to_coeff_lists(0)
+    n = len(rows) - 1
+    fiber = UniPoly.zero("u")
+    for i, row in enumerate(rows):
+        fiber = fiber + UniPoly.from_int(den, row, "u") * N**i * D**(n - i)
     out: set[tuple[Fraction, Fraction]] = set()
-    if c_expr.is_zero():
+    if fiber.is_zero():
         raise ArithmeticError("x-fiber lies inside C; elimination degenerates")
-    for u0 in rational_roots(c_expr.num).roots:
+    for u0 in rational_roots(fiber).roots:
         if u0 == 0:
             continue
-        t0 = t_of_u.specialize(u0)
-        # verify both defining conditions exactly
-        if curve_c_poly().eval2(t0, u0) != 0:
+        t0 = (1 - x0 * u0**2) / u0**2
+        # x_r(t0, u0) = x0 by construction; check C and y_r exactly
+        if C.eval2(t0, u0) != 0:
             continue
-        if (t0 * u0**2 + u0**2 - 1) / u0**3 == y0 and (1 - t0 * u0**2) / u0**2 == x0:
+        if (t0 * u0**2 + u0**2 - 1) / u0**3 == y0:
             out.add((t0, u0))
     return out
 
@@ -262,7 +274,8 @@ def c_rational_points() -> set[tuple[Fraction, Fraction]]:
     point of C with u = 0 forces t = 0, giving (0, 0); every other rational
     point maps to an affine point of E(Q) and is recovered as a preimage.
     """
+    C = curve_c_poly()
     pts: set[tuple[Fraction, Fraction]] = {(Fraction(0), Fraction(0))}
     for q in lutz_nagell_candidates(SUBCASE_CURVE_E):
-        pts |= preimages_on_c(q)
+        pts |= _preimages_on(C, q)
     return pts

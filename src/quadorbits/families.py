@@ -26,7 +26,6 @@ from importlib import resources
 from itertools import combinations
 from typing import NamedTuple
 
-from .dynamics import Word
 from .polynomials import evaluate
 from .ratfunc import PoleError, RatFunc
 from .rationals import exact_rational, rat, rat_str
@@ -61,12 +60,6 @@ class ParamTuple(NamedTuple):
 
     cs: tuple[RatFunc, ...]
     P: RatFunc
-
-    def apply_word(self, word: Word) -> RatFunc:
-        x = self.P
-        for i in word:
-            x = x * x + self.cs[i]
-        return x
 
     def relabel(self, var: str) -> "ParamTuple":
         """The same tuple in the parameter var."""

@@ -351,15 +351,6 @@ class UniPoly:
             return self
         return UniPoly.from_int(self.ints[-1], self.ints, self.var)
 
-    def squarefree_part(self) -> "UniPoly":
-        """Product of the distinct irreducible factors, via p / gcd(p, p').
-
-        Normalized to primitive integer coefficients with positive lc.
-        """
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        return UniPoly.from_int(1, zp.zsquarefree(self.ints), self.var)
-
     # -- printing -----------------------------------------------------------
     def __str__(self) -> str:
         cs = self.coeffs

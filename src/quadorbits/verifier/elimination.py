@@ -158,9 +158,10 @@ def _deflate(p: BiPoly) -> BiPoly | None:
 
 def _squarefree_eliminant(poles: Sequence[int], exps: list[int],
                           r: UniPoly) -> UniPoly:
-    """``UniPoly.squarefree_part`` of the product of the (v - p)^e_p and
-    of r, for r prime to every v - p: r's part times each v - p with
-    e_p > 0, all primitive with a positive leading coefficient."""
+    """The squarefree part (``zsquarefree``) of the product of the
+    (v - p)^e_p and of r, for r prime to every v - p: r's part times each
+    v - p with e_p > 0, all primitive with a positive leading
+    coefficient."""
     sf = zp.zsquarefree(r.ints)
     for p, e in zip(poles, exps):
         if e:

@@ -30,6 +30,16 @@ family ids, and ``dispose_tuple`` builds a new report from it on every
 call.  An excluded curve
 branch or subcase branch ends in ``exclude_by_relation``: a shortest
 non-vanishing word relation, then ``dispose_at`` of each rational root.
+
+``find_exclusion_relation`` walks the words by length, then
+lexicographically, and the targets in order, over word images each
+computed once from its prefix's image.  The relation of x = w(P) under
+f = f_target is (f(u) - u)(f(u) + u + 1) with u = f^2(x), so it vanishes
+exactly when f(u) = u or f(u) = -u - 1, an equality of reduced functions;
+only the first relation that does not vanish is formed.  Two identities
+skip relations before any iterate is compared: f(-x) = f(x), so x and -x
+share every relation, and a relation that vanishes for x vanishes for f(x)
+and f^2(x) (forward invariance).
 """
 
 from __future__ import annotations
@@ -57,7 +67,6 @@ __all__ = [
     "iterate_diff_factors",
     "dispose_at",
     "dispose_tuple",
-    "word_relation_roots",
     "find_exclusion_relation",
     "exclude_by_relation",
 ]
@@ -206,7 +215,8 @@ def iterate_diff_factors(c: BiRat, x0: BiRat, fixed_s: BiRat | None = None,
                          cycle_s: BiRat | None = None) -> list[BiPoly]:
     """Reduced numerator factors of f^4(x0) - f^2(x0) for f = x^2 + c.
 
-    With u = f^2(x0) the difference equals (u^2 - u + c)(u^2 + u + c + 1).
+    With u = f^2(x0) the difference equals (u^2 - u + c)(u^2 + u + c + 1),
+    that is (f(u) - u)(f(u) + u + 1).
     When c is fixed-point parametrized by s (c = (1 - s^2)/4) the first
     quadratic splits as (u - (1+s)/2)(u - (1-s)/2); when c is two-cycle
     parametrized (c = -(3 + s^2)/4) the second splits as
@@ -217,19 +227,21 @@ def iterate_diff_factors(c: BiRat, x0: BiRat, fixed_s: BiRat | None = None,
     vars = u.vars
     half = BiRat.from_poly(BiPoly.constant(Fraction(1, 2), vars))
     one = BiRat.from_poly(BiPoly.constant(1, vars))
+    # f(u), squared once for whichever quadratic is not split
+    fu = u.square() + c if fixed_s is None or cycle_s is None else None
     out: list[BiPoly] = []
     if fixed_s is not None:
         s = fixed_s
         out.append((u - (one + s) * half).numerator())
         out.append((u - (one - s) * half).numerator())
     else:
-        out.append((u.square() - u + c).numerator())
+        out.append((fu - u).numerator())
     if cycle_s is not None:
         s = cycle_s
         out.append((u + (one - s) * half).numerator())
         out.append((u + (one + s) * half).numerator())
     else:
-        out.append((u.square() + u + c + one).numerator())
+        out.append((fu + u + one).numerator())
     return out
 
 
@@ -348,26 +360,19 @@ def dispose_tuple(subject: str, cs: Sequence[Fraction], P0: Fraction | None,
         {"c": c, **({"witness": witness} if witness else {})}), []
 
 
-def word_relation_roots(tup: ParamTuple, word: Word, target: int
-                        ) -> tuple[UniPoly, list[Fraction]] | None:
-    """Numerator of f_target^4(w(P)) - f_target^2(w(P)) and its rational
-    roots; None if the relation vanishes identically (w(P) is preperiodic
-    for the target map across the whole family)."""
-    x = tup.apply_word(word)
-    c = tup.cs[target]
-    u = x * x + c
-    u = u * u + c  # u = f^2(x)
-    # the difference is (u^2 - u + c)(u^2 + u + c + 1), zero exactly when a
-    # factor is, as most relations the cases try are: test each first
-    uu = u * u
-    first = uu - u + c
-    if first.is_zero():
-        return None
-    second = uu + u + c + 1
-    if second.is_zero():
-        return None
-    num = (first * second).num.primitive()
-    return num, sorted(rational_roots(num).root_set())
+class _WordImages(dict):
+    """w(P) for the words w of one tuple, each computed once: the image of
+    w + (i,) is f_i of the image of w.  One per search, so nothing outlives
+    it."""
+
+    def __init__(self, tup: ParamTuple):
+        super().__init__({(): tup.P})
+        self.cs = tup.cs
+
+    def __missing__(self, word: Word) -> RatFunc:
+        x = self[word[:-1]]
+        y = self[word] = x * x + self.cs[word[-1]]
+        return y
 
 
 # the longest word find_exclusion_relation tries
@@ -383,20 +388,37 @@ def find_exclusion_relation(tup: ParamTuple
 
     A parameter value giving a finite orbit must zero every such relation,
     so the returned roots are a complete candidate list for the branch.
+
+    With x = w(P), f the target map and u = f^2(x), the relation
+    f^4(x) - f^2(x) is (f(u) - u)(f(u) + u + 1), so it vanishes exactly
+    when f(u) = u or f(u) = -u - 1: equalities of reduced functions.  u and
+    f(u) are the images of the words w + (target, target) and
+    w + (target, target, target), shared across targets and words.  A
+    (w, target) that two identities already decide is skipped: f(-x) =
+    f(x), so x and -x share every relation, and a vanishing relation of x
+    vanishes for f(x) and f^2(x) too, since
+    f^4(f(x)) = f(f^4(x)) = f(f^2(x)) = f^2(f(x)).
     """
     s = len(tup.cs)
+    image = _WordImages(tup)
+    # per target: points whose relation under it is known to vanish
+    vanishing: list[set[RatFunc]] = [set() for _ in range(s)]
     words: list[Word] = [()]
     for _ in range(MAX_WORD_LEN + 1):
-        next_words: list[Word] = []
         for w in words:
+            x = image[w]
             for target in range(s):
-                got = word_relation_roots(tup, w, target)
-                if got is not None:
-                    num, roots = got
-                    return w, target, num, roots
-            for i in range(s):
-                next_words.append(w + (i,))
-        words = next_words
+                known = vanishing[target]
+                if x in known or -x in known:
+                    continue
+                u = image[w + (target, target)]
+                fu = image[w + (target, target, target)]
+                if fu == u or fu == -u - 1:
+                    known.update((x, image[w + (target,)], u))
+                    continue
+                num = ((fu - u) * (fu + u + 1)).num.primitive()
+                return w, target, num, sorted(rational_roots(num).root_set())
+        words = [w + (i,) for w in words for i in range(s)]
     raise ArithmeticError("no non-vanishing word relation up to length "
                           f"{MAX_WORD_LEN}; the family looks finite-orbit")
 

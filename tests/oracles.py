@@ -31,9 +31,10 @@ for the Kronecker product, ``schoolbook_zmul`` the same for
 ``expanded_divides`` decides whether a curve divides a product of factors
 by expanding it term by term and dividing over Q, the reference for the gcd
 peeling of ``verify_lemma``.  ``is_square`` is the certified rational
-square root of the dynatomic and discriminant oracles, and ``leading_term``
-the lex-leading term the Groebner tests read; the package itself needs
-neither.
+square root of the dynatomic and discriminant oracles, ``leading_term``
+the lex-leading term the Groebner tests read, and ``squarefree_part`` the
+p / gcd(p, p') by which the tests compare resultants and eliminants; the
+package itself needs none of them.
 ``fraction_monoid_orbit`` and ``fraction_is_preperiodic`` are the two
 guarded walks on ``Fraction``s, each guard tested by ``guard_violation``
 over Q, the reference for the package's walks on integer pairs; with
@@ -42,8 +43,11 @@ are ``ec_neg`` and ``ec_mul``, the group negation and repeated addition on
 an elliptic curve, and ``sporadic_pairs``, the catalog's two-map tuples.
 ``product_first_word_relation_roots`` forms a word relation as the product
 of its two factors and tests the product for vanishing, squaring by ``**``
-so that every square is reduced again, the reference for the factor-first
-``symbolic.word_relation_roots``; ``ratfunc_family_accounts`` finds a
+so that every square is reduced again; ``bfs_exclusion_relation`` forms
+every relation of the breadth-first word order that way until one does not
+vanish, the reference for ``symbolic.find_exclusion_relation``, which
+decides vanishing by equalities of shared iterates and skips the relations
+that an identity decides; ``ratfunc_family_accounts`` finds a
 family's parameters through the ``RatFunc`` difference c1(t) - c1, the
 reference for the integer numerator of ``symbolic._family_accounts``.
 ``horner_compose`` is ``RatFunc.compose`` as Horner over Q(t) with a
@@ -73,6 +77,7 @@ from quadorbits.roots import RootReport, _lift_roots, _multiplicity, \
 from quadorbits.search import FoundTuple, SearchSpec
 from quadorbits.verifier.elimination import GeneratorFactors, \
     _divide_structural, _split_survivor_content, common_specialized_gcd
+from quadorbits.verifier.symbolic import MAX_WORD_LEN
 
 
 def is_square(x: Fraction) -> Fraction | None:
@@ -88,6 +93,14 @@ def is_square(x: Fraction) -> Fraction | None:
     if rn * rn != x.numerator or rd * rd != x.denominator:
         return None
     return Fraction(rn, rd)
+
+
+def squarefree_part(p: UniPoly) -> UniPoly:
+    """Product of the distinct irreducible factors of p, via p / gcd(p, p'),
+    primitive over Z with a positive leading coefficient."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    return UniPoly.from_int(1, zp.zsquarefree(p.ints), p.var)
 
 
 def ec_neg(E: Curve, P: ECPoint) -> ECPoint:
@@ -472,7 +485,7 @@ def all_pairs_candidates(gens: list[GeneratorFactors],
                 if not r.is_zero():
                     if r.degree > 0:
                         union |= rational_roots(
-                            r.squarefree_part()).root_set()
+                            squarefree_part(r)).root_set()
                     break
                 shared = True
                 a, roots = _split_survivor_content(
@@ -1234,6 +1247,23 @@ def product_first_word_relation_roots(tup: ParamTuple, word: Word,
         return None
     num = diff.num.primitive()
     return num, sorted(rational_roots(num).root_set())
+
+
+def bfs_exclusion_relation(tup: ParamTuple
+                           ) -> tuple[Word, int, UniPoly, list[Fraction]]:
+    """Reference for ``symbolic.find_exclusion_relation``: every word by
+    length and then lexicographically, every target in order, each relation
+    formed from scratch by ``product_first_word_relation_roots``; the first
+    that does not vanish."""
+    s = len(tup.cs)
+    for n in range(MAX_WORD_LEN + 1):
+        for w in itertools.product(range(s), repeat=n):
+            for target in range(s):
+                got = product_first_word_relation_roots(tup, w, target)
+                if got is not None:
+                    return (w, target, *got)
+    raise ArithmeticError("no non-vanishing word relation up to length "
+                          f"{MAX_WORD_LEN}")
 
 
 def horner_compose(f: RatFunc, inner: RatFunc) -> RatFunc:

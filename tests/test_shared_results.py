@@ -4,8 +4,9 @@
 ``symbolic.dispose_tuple`` takes its decision from the memoized
 ``symbolic._decide``.  A cached decision must equal a fresh one, and no
 caller may reach a cached value through what it is handed.  The squares
-that skip the gcd and the factor-first word relations are checked against
-the reduce-after-square and product-first forms.
+that skip the gcd and the word relations the exclusion search forms are
+checked against the reduce-after-square and product-first forms, and the
+search itself against the breadth-first oracle that forms every relation.
 """
 
 import pickle
@@ -14,8 +15,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import product_first_word_relation_roots, \
-    ratfunc_family_accounts
+from oracles import bfs_exclusion_relation, \
+    product_first_word_relation_roots, ratfunc_family_accounts
 from quadorbits.families import catalog, family_by_id
 from quadorbits.groebner import Budget
 from quadorbits.polynomials import BiPoly, UniPoly
@@ -29,22 +30,26 @@ F = Fraction
 
 @pytest.fixture(scope="module")
 def visited():
-    """The arguments of every tuple decision and every word relation that
-    one pass of the six lemmas and the ten cases makes, in call order."""
+    """The arguments of every tuple decision, and every tuple handed to the
+    exclusion search with the (word, target, relation, roots) it returned,
+    that one pass of the six lemmas and the ten cases makes, in call order.
+    The search forms one relation per call, the one it returns: it decides
+    every vanishing relation without forming it."""
     decisions, relations = [], []
-    decide, relate = symbolic._decide, symbolic.word_relation_roots
+    decide, search = symbolic._decide, symbolic.find_exclusion_relation
 
     def decide_spy(*key):
         decisions.append(key)
         return decide(*key)
 
-    def relate_spy(*args):
-        relations.append(args)
-        return relate(*args)
+    def search_spy(tup):
+        found = search(tup)
+        relations.append((tup, found))
+        return found
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(symbolic, "_decide", decide_spy)
-        mp.setattr(symbolic, "word_relation_roots", relate_spy)
+        mp.setattr(symbolic, "find_exclusion_relation", search_spy)
         for lemma_id in LEMMA_IDS:
             verify_lemma(lemma_id)
         for n in range(1, 11):
@@ -118,9 +123,16 @@ class TestLemmaSetups:
 def test_word_relations_match_the_product_first_form(visited):
     _, relations = visited
     assert relations
-    for tup, word, target in set(relations):
-        assert symbolic.word_relation_roots(tup, word, target) == \
+    for tup, (word, target, relation, roots) in relations:
+        assert (relation, roots) == \
             product_first_word_relation_roots(tup, word, target)
+
+
+def test_searched_tuples_match_the_breadth_first_oracle(visited):
+    _, relations = visited
+    assert relations
+    for tup, found in relations:
+        assert found == bfs_exclusion_relation(tup)
 
 
 _coef = st.integers(-6, 6)

@@ -95,7 +95,8 @@ class Curve(Frozen):
     def contains(self, P: ECPoint) -> bool:
         if P.is_infinity():
             return True
-        return P.y * P.y == self.cubic()(P.x)
+        x = P.x
+        return P.y * P.y == ((x + self.a2) * x + self.a4) * x + self.a6
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in (self.a2, self.a4, self.a6))
@@ -116,6 +117,11 @@ def ec_add(E: Curve, P: ECPoint, Q: ECPoint) -> ECPoint:
     """Chord-tangent sum with the point at infinity as identity."""
     _require_on_curve(E, P)
     _require_on_curve(E, Q)
+    return _add(E, P, Q)
+
+
+def _add(E: Curve, P: ECPoint, Q: ECPoint) -> ECPoint:
+    """``ec_add`` of two points known to lie on E."""
     if P.is_infinity():
         return Q
     if Q.is_infinity():
@@ -136,11 +142,17 @@ def ec_order(E: Curve, P: ECPoint) -> int | None:
     """Least n <= 12 with n*P = infinity, or None ("exceeds 12"); by Mazur's
     bound the latter certifies infinite order."""
     _require_on_curve(E, P)
+    return _order(E, P)
+
+
+def _order(E: Curve, P: ECPoint) -> int | None:
+    """``ec_order`` of a point known to lie on E: the multiples of P stay
+    on E, so no sum is checked."""
     acc = P
     for n in range(1, 13):
         if acc.is_infinity():
             return n
-        acc = ec_add(E, acc, P)
+        acc = _add(E, acc, P)
     return None
 
 
@@ -161,11 +173,12 @@ def lutz_nagell_candidates(E: Curve) -> set[ECPoint]:
     out: set[ECPoint] = set()
     cubic = E.cubic()
     for y in sorted(ys):
-        # the cubic is monic and integral, so its rational roots are integers
+        # the cubic is monic and integral, so its rational roots are
+        # integers; each candidate solves y^2 = cubic(x), so lies on E
         for x in rational_roots(cubic - Fraction(y * y)).roots:
             for yy in ({0} if y == 0 else {y, -y}):
                 cand = ECPoint(x, Fraction(yy))
-                if ec_order(E, cand) is not None:
+                if _order(E, cand) is not None:
                     out.add(cand)
     return out
 
@@ -175,12 +188,13 @@ def lutz_nagell_candidates(E: Curve) -> set[ECPoint]:
 # ---------------------------------------------------------------------------
 
 _TU = ("t", "u")
-_C = "t^2*u^2 + t*u^2 - t - u^2"
+_C = BiPoly.parse("t^2*u^2 + t*u^2 - t - u^2", vars=_TU)
 
 
 def curve_c_poly() -> BiPoly:
-    """Defining polynomial of C: t^2 u^2 + t u^2 - t - u^2."""
-    return BiPoly.parse(_C, vars=_TU)
+    """Defining polynomial of C: t^2 u^2 + t u^2 - t - u^2, built once at
+    import and shared by every caller (a ``BiPoly`` is never modified)."""
+    return _C
 
 
 def curve_map_numerator() -> BiPoly:
@@ -198,7 +212,7 @@ def curve_map_numerator() -> BiPoly:
 def verify_curve_map() -> bool:
     """True iff the map r lands on E wherever C vanishes, i.e. C divides the
     numerator of y_r^2 - (x_r^3 - 2x_r^2 + 1)."""
-    return curve_c_poly().divides(curve_map_numerator())
+    return _C.divides(curve_map_numerator())
 
 
 def preimage_check() -> bool:
@@ -209,15 +223,14 @@ def preimage_check() -> bool:
     the vanishing of y_r's numerator t u^2 + u^2 - 1 is equivalent to
     x_r = 1, so this system captures all preimages of (1, 0).
     """
-    C = curve_c_poly()
     ynum = BiPoly.parse("t*u^2 + u^2 - 1", vars=_TU)
-    elim = resultant(C, ynum)  # eliminates t, result in u
+    elim = resultant(_C, ynum)  # eliminates t, result in u
     if elim.is_zero():
         return False
     for u0 in rational_roots(elim).roots:
         if u0 == 0:
             continue
-        cu = C.specialize(1, u0)      # polynomial in t
+        cu = _C.specialize(1, u0)     # polynomial in t
         yu = ynum.specialize(1, u0)
         g = cu.gcd(yu)
         if g.degree > 0 and rational_roots(g).roots:
@@ -230,23 +243,16 @@ def preimage_check() -> bool:
 def preimages_on_c(target: ECPoint) -> set[tuple[Fraction, Fraction]]:
     """All rational (t, u) on C with u != 0 and r(t, u) = target (an affine
     point).  The x-equation is linear in t, so substitute
-    t = (1 - x0 u^2)/u^2 into C and read off the rational u."""
-    return _preimages_on(curve_c_poly(), target)
-
-
-def _preimages_on(C: BiPoly, target: ECPoint
-                  ) -> set[tuple[Fraction, Fraction]]:
-    """``preimages_on_c`` with C, the polynomial of ``curve_c_poly``,
-    built by the caller.  With t = N/D, N = 1 - x0 u^2 and D = u^2, the
-    substitution is D^n C(N/D, u) = sum_i C_i(u) N^i D^(n-i), n = deg_t C:
-    no quotient is reduced, and D^n only adds roots at u = 0, which are
-    skipped."""
+    t = (1 - x0 u^2)/u^2 into C and read off the rational u.  With
+    t = N/D, N = 1 - x0 u^2 and D = u^2, the substitution is
+    D^n C(N/D, u) = sum_i C_i(u) N^i D^(n-i), n = deg_t C: no quotient is
+    reduced, and D^n only adds roots at u = 0, which are skipped."""
     if target.is_infinity():
         return set()
     x0, y0 = target.x, target.y
     u = UniPoly.x("u")
     N, D = 1 - x0 * u * u, u * u
-    den, rows = C.to_coeff_lists(0)
+    den, rows = _C.to_coeff_lists(0)
     n = len(rows) - 1
     fiber = UniPoly.zero("u")
     for i, row in enumerate(rows):
@@ -259,7 +265,7 @@ def _preimages_on(C: BiPoly, target: ECPoint
             continue
         t0 = (1 - x0 * u0**2) / u0**2
         # x_r(t0, u0) = x0 by construction; check C and y_r exactly
-        if C.eval2(t0, u0) != 0:
+        if _C.eval2(t0, u0) != 0:
             continue
         if (t0 * u0**2 + u0**2 - 1) / u0**3 == y0:
             out.add((t0, u0))
@@ -274,8 +280,7 @@ def c_rational_points() -> set[tuple[Fraction, Fraction]]:
     point of C with u = 0 forces t = 0, giving (0, 0); every other rational
     point maps to an affine point of E(Q) and is recovered as a preimage.
     """
-    C = curve_c_poly()
     pts: set[tuple[Fraction, Fraction]] = {(Fraction(0), Fraction(0))}
     for q in lutz_nagell_candidates(SUBCASE_CURVE_E):
-        pts |= _preimages_on(C, q)
+        pts |= preimages_on_c(q)
     return pts

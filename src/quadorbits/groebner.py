@@ -14,7 +14,9 @@ exponent of 2^31 or more raise ValueError), and the largest remaining term
 comes off a max-heap (a cancelled term is skipped when it comes off).
 Instead of dividing by a divisor's leading coefficient, a step scales the
 whole remainder by lc / gcd(c, lc) and then removes its content, so the
-coefficients stay bounded.  ``normal_form`` divides the tracked scale and
+coefficients stay bounded; the content comes off in one exact division per
+coefficient, with no separate gcd pass (``_content_split``, which
+``_primitive`` uses too).  ``normal_form`` divides the tracked scale and
 the denominator back out and returns the exact remainder over Q; inside
 ``buchberger`` the basis is kept as primitive integer polynomials only,
 interreduced in one pass in that form and converted to ``BiPoly`` at the
@@ -34,6 +36,7 @@ import heapq
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import islice
 
 from .polynomials import BiPoly
 from .records import Frozen, set_field
@@ -114,6 +117,8 @@ def s_polynomial(f: BiPoly, g: BiPoly) -> BiPoly:
 
 _LIMIT = 1 << 31
 _LOW = (1 << 32) - 1
+# how many leading coefficients give ``_content_split`` its first candidate
+_SAMPLE = 3
 
 _Items = list[tuple[int, int]]
 _Element = tuple[int, int, _Items]
@@ -138,16 +143,41 @@ def _split(e: int) -> Exponent:
     return e >> 32, e & _LOW
 
 
-def _primitive(items: _Items) -> _Element:
-    """Primitive part, normalised as ``BiPoly.content_primitive``: content
-    removed, positive leading coefficient."""
-    d = math.gcd(*(c for _, c in items))
-    if max(items)[1] < 0:
-        d = -d
-    if d != 1:
-        items = [(e, c // d) for e, c in items]
-    lt, lc = max(items)
-    return lt, lc, items
+def _content_split(work: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """(d, work / d), d > 0 the content of ``work``, a nonempty map to
+    nonzero ints; ``work`` itself when d = 1.  One exact division per
+    coefficient and no separate gcd pass: the first candidate d, the gcd
+    of the first ``_SAMPLE`` coefficients, is a multiple of the content; a
+    coefficient that leaves a remainder r replaces d by g = gcd(d, r),
+    and the quotients taken so far are multiplied by d / g, which is exact
+    (the content removal of the primitive PRS; Geddes, Czapor and Labahn,
+    *Algorithms for Computer Algebra*, ch. 7)."""
+    d = math.gcd(*islice(work.values(), _SAMPLE))
+    if d == 1:
+        return 1, work
+    out = {}
+    for t, v in work.items():
+        q, r = divmod(v, d)
+        if r:
+            g = math.gcd(d, r)
+            if g == 1:
+                return 1, work
+            ratio, d = d // g, g
+            out = {s: p * ratio for s, p in out.items()}
+            q = v // d
+        out[t] = q
+    return d, out
+
+
+def _primitive(work: dict[int, int]) -> _Element:
+    """Primitive part of a nonempty map to nonzero ints, normalised as
+    ``BiPoly.content_primitive``: content removed by ``_content_split``,
+    positive leading coefficient."""
+    _, work = _content_split(work)
+    lt = max(work)
+    if work[lt] < 0:
+        work = {e: -c for e, c in work.items()}
+    return lt, work[lt], list(work.items())
 
 
 class _Staircase(dict):
@@ -178,12 +208,13 @@ def _reduce(work: dict[int, int], basis: list[_Element]
     division that always reduces the largest term by the first divisor
     whose leading exponent divides it.  Every divisor comes from
     ``_primitive``, so its leading coefficient is positive and the scale
-    m of a step is at least 1.  Only the exponents that some
-    leading exponent divides go on the heap: the others are never reduced,
-    and a step only adds terms below the one it reduces, so they stay in
-    ``work`` (rescaled with it) and form the remainder when the heap is
-    empty.  A term whose b part a shift has carried to 2^31 raises
-    ValueError when it comes off the heap."""
+    m of a step is at least 1; a step with m != 1 then removes the
+    content of ``work`` by ``_content_split`` and divides the scale by it.
+    Only the exponents that some leading exponent divides go on the heap:
+    the others are never reduced, and a step only adds terms below the one
+    it reduces, so they stay in ``work`` (rescaled with it) and form the
+    remainder when the heap is empty.  A term whose b part a shift has
+    carried to 2^31 raises ValueError when it comes off the heap."""
     stairs = _Staircase(basis)
     heap = [-e for e in work if e >= stairs[e >> 32]]
     heapq.heapify(heap)
@@ -219,9 +250,7 @@ def _reduce(work: dict[int, int], basis: list[_Element]
                 else:
                     del work[te]
         if m != 1:
-            d = gcd(*work.values())
-            if d != 1:
-                work = {t: v // d for t, v in work.items()}
+            d, work = _content_split(work)
             scale = scale * m / d
     return work, scale
 
@@ -236,7 +265,7 @@ def normal_form(f: BiPoly, basis: Sequence[BiPoly]) -> BiPoly:
     if not gens:
         raise ValueError("empty basis")
     # scaling a divisor leaves the remainder unchanged
-    divisors = [_primitive(list(_pack(g.ints).items())) for g in gens]
+    divisors = [_primitive(_pack(g.ints)) for g in gens]
     rem, scale = _reduce(_pack(f.ints), divisors)
     scale *= f.den
     return BiPoly.from_int(scale.numerator, {_split(e): c * scale.denominator
@@ -279,8 +308,7 @@ def buchberger(gens, budget: Budget = Budget()) -> tuple[BiPoly, ...]:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("no nonzero generators")
-    G: list[_Element] = [_primitive(list(_pack(g.ints).items()))
-                         for g in gens]
+    G: list[_Element] = [_primitive(_pack(g.ints)) for g in gens]
     lt = [_split(el[0]) for el in G]
     # pending pairs (i, j), i < j, keyed (lcm, -j, i); see the module doc
     pending = [(_lcm(lt[i], lt[j]), -j, i)
@@ -320,7 +348,7 @@ def buchberger(gens, budget: Budget = Budget()) -> tuple[BiPoly, ...]:
         rem, _ = _reduce(_s_items(G[i], G[j]), G)
         if not rem:
             continue
-        h = _primitive(list(rem.items()))
+        h = _primitive(rem)
         bits = _max_bits(h[2])
         max_bits = max(max_bits, bits)
         if bits > budget.max_coeff_bits:

@@ -11,15 +11,18 @@ decides every tuple of the grid directly with that basepoint-list oracle
 instead of by subset reduction, the periodic-point and mu oracles find
 rational roots of dynatomic polynomials instead of walking the map on its
 finite-orbit points, the normal-form oracle divides over Q, rescanning
-for the leading term at every step, the rational-root oracle finds the
-integer roots of the monicizing transform a^(n-1) p(x/a) (linear and
-quadratic inputs through the discriminant) instead of reconstructing
-fractions from lifted residues, and the candidate oracle intersects the
-resultant root unions of every generator pair instead of eliminating one
-pair and its components.  ``FractionUniPoly`` is the univariate arithmetic
-over a tuple of ``Fraction``s that ``UniPoly``'s integer form replaced:
-coefficient loops over Q for sums, scalar products, division, evaluation
-and the gcd (Euclid's remainders, independent of ``zgcd``).
+for the leading term at every step, the content oracle
+``gcd_then_divide`` takes one gcd over all coefficients and then divides
+each by it instead of dividing once by a shrinking candidate, the
+rational-root oracle finds the integer roots of the monicizing transform
+a^(n-1) p(x/a) (linear and quadratic inputs through the discriminant)
+instead of reconstructing fractions from lifted residues, and the
+candidate oracle intersects the resultant root unions of every generator
+pair instead of eliminating one pair and its components.
+``FractionUniPoly`` is the univariate arithmetic over a tuple of
+``Fraction``s that ``UniPoly``'s integer form replaced: coefficient loops
+over Q for sums, scalar products, division, evaluation and the gcd
+(Euclid's remainders, independent of ``zgcd``).
 ``FractionBiPoly`` is the same for ``BiPoly``: a dict of ``Fraction``s,
 with sums, exact division, specialization and evaluation over Q.
 ``subres_resultant`` is the subresultant PRS over Z[z] with every
@@ -437,6 +440,14 @@ def naive_normal_form(f: BiPoly, gens: list[BiPoly]) -> BiPoly:
             rem_terms[e] = c
             del work[e]
     return BiPoly(rem_terms, f.vars)
+
+
+def gcd_then_divide(work: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """(d, work / d) with d > 0 the content of a nonempty map to nonzero
+    ints, in two passes: the gcd of all coefficients, then a division of
+    each; the reference for ``groebner._content_split``."""
+    d = math.gcd(*work.values())
+    return d, {t: v // d for t, v in work.items()}
 
 
 def leading_term(f: BiPoly) -> tuple[tuple[int, int], Fraction]:

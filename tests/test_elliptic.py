@@ -33,6 +33,10 @@ class TestGroupLaw:
         with pytest.raises(ValueError):
             ec_add(E, point(5, 5), point(0, 1))
 
+    def test_order_of_an_off_curve_point_rejected(self):
+        with pytest.raises(ValueError):
+            ec_order(E, point(5, 5))
+
     def test_commutative_and_associative_on_torsion(self):
         pts = [INFINITY, point(1, 0), point(0, 1), point(0, -1),
                point(2, 1), point(2, -1)]

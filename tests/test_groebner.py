@@ -1,7 +1,11 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import leading_term, naive_normal_form, squarefree_part
+from oracles import gcd_then_divide, leading_term, naive_normal_form, \
+    squarefree_part
+import quadorbits.groebner as gb
 from quadorbits.groebner import Budget, BudgetExhausted, buchberger, \
     normal_form, s_polynomial
 from quadorbits.polynomials import BiPoly
@@ -180,6 +184,58 @@ class TestAgainstNaiveReduction:
                 if k != i:
                     assert not any(l[0] <= e[0] and l[1] <= e[1]
                                    for e in g.terms)
+
+
+nonzero_ints = st.integers(-2**70, 2**70).filter(bool)
+coefficient_maps = st.dictionaries(st.integers(0, 2**40), nonzero_ints,
+                                   min_size=1, max_size=12)
+
+
+class TestContentSplit:
+    """Content removal by one division per coefficient against one gcd
+    over all coefficients followed by a division of each."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficient_maps, st.integers(1, 2**90))
+    @example({7: -12}, 1)                             # a single term
+    @example({1: 4, 2: -6, 3: 10}, 5)                 # candidate = content
+    @example({1: 6 * 5, 2: 6 * 7, 3: 6 * 11, 4: 2 * 13, 5: -4}, 1)  # 6 -> 2
+    def test_planted_content(self, work, content):
+        work = {t: content * v for t, v in work.items()}
+        assert gb._content_split(dict(work)) == gcd_then_divide(work)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2**60), st.integers(2, 2**20),
+           st.lists(nonzero_ints, min_size=gb._SAMPLE, max_size=gb._SAMPLE),
+           st.lists(st.tuples(st.integers(-2**50, 2**50), st.integers(1)),
+                    min_size=1, max_size=8))
+    def test_candidate_with_an_extra_factor(self, content, p, head, tail):
+        """The first coefficients share the factor p that the others
+        lack, so the candidate shrinks and the quotients already taken
+        are rescaled."""
+        values = [content * p * v for v in head]
+        values += [content * (p * v + r % (p - 1) + 1) for v, r in tail]
+        work = dict(enumerate(values))
+        d, quotients = gcd_then_divide(work)
+        assert math.gcd(*values[:gb._SAMPLE]) != d
+        assert gb._content_split(dict(work)) == (d, quotients)
+
+    def test_normal_form_steps_remove_contents(self, monkeypatch):
+        """Non-monic divisors: steps scale by m != 1 and then remove a
+        content above 1, once after a candidate that shrank."""
+        split, seen = gb._content_split, []
+
+        def record(work):
+            candidate = math.gcd(*list(work.values())[:gb._SAMPLE])
+            d, out = split(work)
+            seen.append((candidate, d))
+            return d, out
+
+        monkeypatch.setattr(gb, "_content_split", record)
+        f = B("3*x^3 - 9*x*y^2 + 3*y^3 + 6")
+        basis = [B("5*x*y + x"), B("4*x^3*y + 6")]
+        assert normal_form(f, basis) == naive_normal_form(f, basis)
+        assert any(1 < d < candidate for candidate, d in seen)
 
 
 class TestPairOrder:

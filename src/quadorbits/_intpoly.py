@@ -581,35 +581,6 @@ def _strip_content(p: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return c, [zdivexact(r, c) if r else [] for r in p]
 
 
-def zzresultant(p: list[list[int]], q: list[list[int]],
-                roots: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Resultant in the eliminated variable of two row-form polynomials,
-    as (e, R) of ``subres_resultant`` over the units z - r, r in roots.
-
-    Contents (in the surviving variable) are stripped first and multiplied
-    back in, their units into e, which keeps the PRS small on the
-    paper-sized inputs.
-    """
-    p = [list(c) for c in p]
-    q = [list(c) for c in q]
-    while p and not p[-1]:
-        p.pop()
-    while q and not q[-1]:
-        q.pop()
-    if not p or not q:
-        return [0] * len(roots), []
-    cp, pp = _strip_content(p)
-    cq, qq = _strip_content(q)
-    exps, res = subres_resultant(pp, qq, roots)
-    if not res:
-        return exps, res
-    ep, (cp,) = _strip_units([cp], roots)
-    eq, (cq,) = _strip_units([cq], roots)
-    scale = zmul(zpow(cp, len(q) - 1), zpow(cq, len(p) - 1))
-    return ([e + a * (len(q) - 1) + b * (len(p) - 1)
-             for e, a, b in zip(exps, ep, eq)], zmul(scale, res))
-
-
 def zzgcd(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
     """Gcd of two nonzero row-form polynomials, up to an integer factor.
 

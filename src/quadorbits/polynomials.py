@@ -736,8 +736,8 @@ def localized_resultant(p: BiPoly, q: BiPoly, roots: Sequence[int]
     the Sylvester determinant (q's rows on top) is the product of the
     (z - r)^e_r and of R, where no z - r divides R.
 
-    Computed by the subresultant PRS on primitive integer parts; the stripped
-    contents and cleared denominators are multiplied back.
+    Computed by the subresultant PRS on the integer rows; the cleared
+    denominators are multiplied back.
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial")
@@ -750,7 +750,7 @@ def localized_resultant(p: BiPoly, q: BiPoly, roots: Sequence[int]
     den_p, rows_p = p.to_coeff_lists(0)
     den_q, rows_q = q.to_coeff_lists(0)
     # q-rows-first convention: pass q as the first argument.
-    exps, res = zp.zzresultant(rows_q, rows_p, roots)
+    exps, res = zp.subres_resultant(rows_q, rows_p, roots)
     return exps, UniPoly.from_int(den_q**dp * den_p**dq, res, p.vars[1])
 
 

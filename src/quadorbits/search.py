@@ -54,10 +54,16 @@ class SearchSpec(Frozen):
 
     @classmethod
     def from_json(cls, text: str) -> "SearchSpec":
-        """Parse a spec; a malformed one raises ValueError."""
+        """Parse a spec; a malformed one, or one with a key that names no
+        field, raises ValueError."""
         data = json.loads(text)
         if not isinstance(data, dict) or "set_size" not in data:
             raise ValueError("search spec must be a JSON object with set_size")
+        unknown = sorted(set(data) - set(cls.__slots__))
+        if unknown:
+            # a misspelt key must not fall back to its default silently
+            raise ValueError("unknown search spec keys: " + ", ".join(
+                json.dumps(k) for k in unknown))
         fields = {"set_size": data["set_size"],
                   "denominator": data.get("denominator", 16),
                   "numerator_bound": data.get("numerator_bound", 40)}

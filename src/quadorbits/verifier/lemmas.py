@@ -1,12 +1,24 @@
 """Re-verification of the six pair-classification lemmas.
 
-Each driver rebuilds the lemma's parametrized preperiodicity relations in
-factored form, eliminates one variable by resultants, extracts the complete
-rational candidate list and back-substitutes.  A candidate pair (two
-parameter values) whose coefficients hit a parametrization pole is reported
-as a pole; every other pair goes to ``symbolic.dispose_tuple``, which
-decides collision, family membership (with the basepoint matched), or
-finite-orbit points by complete basepoint enumeration.  Each structural
+A lemma's system is two maps x^2 + c1 and x^2 + c2, each parametrized by
+its own variable through a rational point of the period the hypothesis
+names (1, 2 or 3), a basepoint P that is the first periodic point of one
+of them, and relations of (word, target), each licensed by a named axiom.
+If P has a finite orbit, so has x = w(P), and the target map's period
+gives the relation x satisfies: f^4(x) = f^2(x) for a rational fixed
+point or 2-cycle ("tail-two"), in the factors of
+``symbolic.iterate_diff_factors``; f(x) on the 3-cycle for a rational
+3-cycle ("three-cycle-funnel", under "periods-at-most-3"), one factor
+f(x) - P_i per cycle point.  ``_SYSTEMS`` holds one row per lemma, and
+``lemma_setup`` builds each generator by applying the maps along its word.
+
+Each driver takes the system in factored form, eliminates one variable by
+resultants, extracts the complete rational candidate list and
+back-substitutes.  A candidate pair (two parameter values) whose
+coefficients hit a parametrization pole is reported as a pole; every other
+pair goes to ``symbolic.dispose_tuple``, which decides collision, family
+membership (with the basepoint matched), or finite-orbit points by
+complete basepoint enumeration.  Each structural
 curve factor is parametrized as a ``families.ParamTuple`` and analysed on
 its own: collision branches are certified by a symbolic identity, family
 branches by equality with the catalog family's tuple, and excluded branches
@@ -29,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from ..dynamics import word_str
+from ..dynamics import Word, word_str
 from ..families import FamilyDef, ParamTuple, catalog, family_by_id, \
     family_verify_symbolic, lemma_statement
 from ..groebner import Budget, BudgetExhausted, buchberger, normal_form
@@ -46,8 +58,6 @@ from .symbolic import BiRat, dispose_tuple, exclude_by_relation, \
     iterate_diff_factors, three_cycle_parametrization
 
 __all__ = ["LEMMA_IDS", "verify_lemma", "lemma_setup"]
-
-LEMMA_IDS = ("2.1", "2.2", "2.3", "2.4", "2.5", "2.6")
 
 
 class BranchSpec(NamedTuple):
@@ -120,183 +130,144 @@ class LemmaSetup(Frozen):
         return tuple(int(p) for p in sorted(roots) if p.denominator == 1)
 
 
-def _rats(*xs: str) -> list[Fraction]:
-    return [rat(x) for x in xs]
+class _System(NamedTuple):
+    """One lemma's row of ``_SYSTEMS``.  Map i has a rational point of
+    period periods[i], parametrized by vars[i]; P is the first periodic
+    point of map basepoint.  Each generator (name, word, target) states the
+    relation of x = word(P) under the target map; each branch is (curve,
+    kind, y(s), v(s)) or, for a family branch, (curve, kind, y(s), v(s),
+    family id), the functions as ``RatFunc.parse`` reads them in s."""
+    hypothesis: str
+    vars: tuple[str, str]
+    periods: tuple[int, int]
+    basepoint: int
+    gens: tuple[tuple[str, Word, int], ...]
+    branches: tuple[tuple[str, ...], ...]
+    statement: str
+    expected_candidates: tuple[str, ...]
+    expected_partners: tuple[str, ...] | None
+    groebner_expected_degree: int
+    subtract_families: bool = True
 
 
-def _embed(V: tuple[str, str], *fs: RatFunc) -> list[BiRat]:
-    """Each f as a BiRat in its own variable of V, so that the relations
-    are built from the very formulas the report specializes."""
-    return [BiRat.from_ratfunc(f, V.index(f.var), V) for f in fs]
+_SYSTEMS = {
+    "2.1": _System(
+        "both maps have rational fixed points", ("y", "z"), (1, 1), 0,
+        (("F1", (), 1), ("F2", (1, 1), 0)),
+        (("y - z", "collision", "s", "s"),
+         ("y + z", "collision", "s", "-s"),
+         ("y - z + 2", "family", "s", "s + 2", "F-11a"),
+         ("y + z + 2", "family", "s", "-s - 2", "F-11a"),
+         ("y^2 - z^2 + 4", "family", "4*s / (s^2 - 1)",
+          "(2*s^2 + 2) / (s^2 - 1)", "F-11b"),
+         ("y^2 + 4*y - z^2 + 8", "excluded",
+          "(-2*s^2 + 4*s + 2) / (s^2 - 1)", "(2*s^2 + 2) / (s^2 - 1)")),
+        "2.1", ("-2", "-3/2", "-1", "1", "3/2", "2"), None, 28),
+    "2.2": _System(
+        "the first map has a rational fixed point, the second a rational "
+        "2-cycle", ("y", "z"), (1, 2), 0,
+        (("F1", (), 1), ("F2", (1, 1), 0)),
+        (("y - z", "family", "s", "s", "F-12a"),
+         ("y + z", "family", "s", "-s", "F-12a"),
+         ("y - z + 2", "excluded", "s", "s + 2"),
+         ("y + z + 2", "excluded", "s", "-s - 2"),
+         ("y^2 - z^2 - 4", "collision", "(-2*s^2 - 2) / (s^2 - 1)",
+          "-4*s / (s^2 - 1)"),
+         ("y^2 + 4*y - z^2", "family", "-4*s^2 / (s^2 - 1)",
+          "-4*s / (s^2 - 1)", "F-12b")),
+        "2.2", ("-1/2", "0", "1/2"), None, 30),
+    "2.3": _System(
+        "both maps have rational points of period two", ("y", "z"), (2, 2),
+        0, (("N", (), 1), ("A1", (1,), 0), ("A2", (0, 1, 0), 1)),
+        (("y - z", "collision", "s", "s"),
+         ("y + z", "collision", "s", "-s"),
+         ("y^2 - z^2 - 4", "family", "-2*(s^2 + 1) / (s^2 - 1)",
+          "-4*s / (s^2 - 1)", "F-22a")),
+        "2.3", ("-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2"), None,
+        64, subtract_families=False),
+    "2.4": _System(
+        "both maps have rational points of period three", ("y", "t"), (3, 3),
+        1, (("N", (), 0), ("A", (1,), 0)),
+        (("y - t", "collision", "s", "s"),
+         ("y*t + t + 1", "collision", "-(s + 1) / s", "s"),
+         ("y*t + y + 1", "collision", "-1 / (s + 1)", "s")),
+        "2.4", ("-1", "0"), None, 38),
+    # lemma 2.6 concludes the same unique pair as lemma 2.5
+    "2.5": _System(
+        "the first map has a rational fixed point, the second a rational "
+        "point of period three", ("y", "t"), (1, 3), 1,
+        (("N", (), 0), ("A", (1,), 0)), (),
+        "2.5", ("-2", "-1/2", "1"), ("-5/2", "-3/2", "3/2", "5/2"), 68),
+    "2.6": _System(
+        "the first map has a rational point of period two, the second a "
+        "rational point of period three", ("y", "t"), (2, 3), 1,
+        (("N", (), 0), ("A", (1,), 0)), (),
+        "2.5", ("-2", "-1/2", "1"),
+        ("-5/2", "-3/2", "-1/2", "1/2", "3/2", "5/2"), 68),
+}
+
+LEMMA_IDS = tuple(_SYSTEMS)
+
+
+def _periodic_map(period: int, var: str) -> tuple[RatFunc, list[RatFunc]]:
+    """(c, points) of x^2 + c with a rational point of the period,
+    parametrized by var: the fixed point (1 + v)/2 of c = (1 - v^2)/4, the
+    2-cycle point (-1 + v)/2 of c = -(3 + v^2)/4, or the 3-cycle of
+    ``three_cycle_parametrization``."""
+    if period == 3:
+        c, *cycle = three_cycle_parametrization(var)
+        return c, cycle
+    v = RatFunc.t(var)
+    if period == 1:
+        return (1 - v * v) / 4, [(1 + v) / 2]
+    return -(3 + v * v) / 4, [(-1 + v) / 2]
 
 
 @lru_cache(maxsize=None)
 def lemma_setup(lemma_id: str) -> LemmaSetup:
-    """The lemma's system, built once per id and shared by every caller."""
-    if lemma_id == "2.1":
-        return _setup_21()
-    if lemma_id == "2.2":
-        return _setup_22()
-    if lemma_id == "2.3":
-        return _setup_23()
-    if lemma_id == "2.4":
-        return _setup_24()
-    if lemma_id in ("2.5", "2.6"):
-        return _setup_256(lemma_id)
-    raise KeyError(f"unknown lemma id {lemma_id!r}")
+    """The lemma's system, built once per id from its ``_SYSTEMS`` row and
+    shared by every caller."""
+    if lemma_id not in _SYSTEMS:
+        raise KeyError(f"unknown lemma id {lemma_id!r}")
+    row = _SYSTEMS[lemma_id]
+    V = row.vars
+    maps = [_periodic_map(p, v) for p, v in zip(row.periods, V)]
 
+    def embed(f: RatFunc) -> BiRat:
+        # f in its own variable, so that the relations are built from the
+        # very formulas the report specializes
+        return BiRat.from_ratfunc(f, V.index(f.var), V)
 
-def _setup_21() -> LemmaSetup:
-    V = ("y", "z")
-    c1_rf = RatFunc.parse("(1 - y^2) / (4)", "y")
-    c2_rf = RatFunc.parse("(1 - z^2) / (4)", "z")
-    P_rf = RatFunc.parse("(1 + y) / (2)", "y")
-    yv, zv, c1, c2, P = _embed(V, RatFunc.t("y"), RatFunc.t("z"),
-                               c1_rf, c2_rf, P_rf)
-    F1 = iterate_diff_factors(c2, P, fixed_s=zv)
-    Q = (P.square() + c2).square() + c2
-    F2 = iterate_diff_factors(c1, Q, fixed_s=yv)
-    s = RatFunc.t("s")
-    conic_z = (2 * s * s + 2) / (s * s - 1)
-    branches = [
-        BranchSpec("y - z", "collision", s, s),
-        BranchSpec("y + z", "collision", s, -s),
-        BranchSpec("y - z + 2", "family", s, s + 2, "F-11a"),
-        BranchSpec("y + z + 2", "family", s, -s - 2, "F-11a"),
-        BranchSpec("y^2 - z^2 + 4", "family", 4 * s / (s * s - 1), conic_z,
-                   "F-11b"),
-        BranchSpec("y^2 + 4*y - z^2 + 8", "excluded",
-                   (-2 * s * s + 4 * s + 2) / (s * s - 1), conic_z),
-    ]
+    cs = [embed(c) for c, _ in maps]
+    P = maps[row.basepoint][1][0]
+    gens = []
+    for name, word, target in row.gens:
+        x = embed(P)
+        for i in word:
+            x = x.square() + cs[i]
+        period = row.periods[target]
+        if period == 3:
+            fx = x.square() + cs[target]
+            factors = [(fx - embed(p)).numerator() for p in maps[target][1]]
+        else:
+            factors = iterate_diff_factors(
+                cs[target], x, embed(RatFunc.t(V[target])), period)
+        gens.append(GeneratorFactors(name, tuple(factors)))
+    axioms = []
+    if 3 in row.periods:
+        axioms += ["periods-at-most-3", "three-cycle-funnel"]
+    if any(row.periods[target] < 3 for _, _, target in row.gens):
+        axioms.append("tail-two")
     return LemmaSetup(
-        "2.1", "both maps have rational fixed points", V,
-        [GeneratorFactors("F1", tuple(F1)), GeneratorFactors("F2", tuple(F2))],
-        branches,
-        c1_rf, c2_rf, P_rf, "2.1",
-        _rats("-2", "-3/2", "-1", "1", "3/2", "2"), None,
-        ["tail-two"], 28,
-    )
-
-
-def _setup_22() -> LemmaSetup:
-    V = ("y", "z")
-    c1_rf = RatFunc.parse("(1 - y^2) / (4)", "y")
-    c2_rf = RatFunc.parse("(-3 - z^2) / (4)", "z")
-    P_rf = RatFunc.parse("(1 + y) / (2)", "y")
-    yv, zv, c1, c2, P = _embed(V, RatFunc.t("y"), RatFunc.t("z"),
-                               c1_rf, c2_rf, P_rf)
-    F1 = iterate_diff_factors(c2, P, cycle_s=zv)
-    Q = (P.square() + c2).square() + c2
-    F2 = iterate_diff_factors(c1, Q, fixed_s=yv)
-    s = RatFunc.t("s")
-    branches = [
-        BranchSpec("y - z", "family", s, s, "F-12a"),
-        BranchSpec("y + z", "family", s, -s, "F-12a"),
-        BranchSpec("y - z + 2", "excluded", s, s + 2),
-        BranchSpec("y + z + 2", "excluded", s, -s - 2),
-        BranchSpec("y^2 - z^2 - 4", "collision",
-                   (-2 * s * s - 2) / (s * s - 1), -4 * s / (s * s - 1)),
-        BranchSpec("y^2 + 4*y - z^2", "family",
-                   -4 * s * s / (s * s - 1), -4 * s / (s * s - 1), "F-12b"),
-    ]
-    return LemmaSetup(
-        "2.2", "the first map has a rational fixed point, the second a "
-               "rational 2-cycle", V,
-        [GeneratorFactors("F1", tuple(F1)), GeneratorFactors("F2", tuple(F2))],
-        branches,
-        c1_rf, c2_rf, P_rf, "2.2",
-        _rats("-1/2", "0", "1/2"), None,
-        ["tail-two"], 30,
-    )
-
-
-def _setup_23() -> LemmaSetup:
-    V = ("y", "z")
-    c1_rf = RatFunc.parse("(-3 - y^2) / (4)", "y")
-    c2_rf = RatFunc.parse("(-3 - z^2) / (4)", "z")
-    P_rf = RatFunc.parse("(-1 + y) / (2)", "y")
-    yv, zv, c1, c2, P = _embed(V, RatFunc.t("y"), RatFunc.t("z"),
-                               c1_rf, c2_rf, P_rf)
-    N = iterate_diff_factors(c2, P, cycle_s=zv)
-    Q1 = P.square() + c2
-    A1 = iterate_diff_factors(c1, Q1, cycle_s=yv)
-    Q2 = ((P.square() + c1).square() + c2).square() + c1
-    A2 = iterate_diff_factors(c2, Q2, cycle_s=zv)
-    s = RatFunc.t("s")
-    branches = [
-        BranchSpec("y - z", "collision", s, s),
-        BranchSpec("y + z", "collision", s, -s),
-        BranchSpec("y^2 - z^2 - 4", "family",
-                   -2 * (s * s + 1) / (s * s - 1), -4 * s / (s * s - 1),
-                   "F-22a"),
-    ]
-    return LemmaSetup(
-        "2.3", "both maps have rational points of period two", V,
-        [GeneratorFactors("N", tuple(N)), GeneratorFactors("A1", tuple(A1)),
-         GeneratorFactors("A2", tuple(A2))],
-        branches,
-        c1_rf, c2_rf, P_rf, "2.3",
-        _rats("-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2"), None,
-        ["tail-two"], 64,
-        subtract_families=False,
-    )
-
-
-def _setup_24() -> LemmaSetup:
-    V = ("y", "t")
-    cy, *py = three_cycle_parametrization("y")
-    ct, pt1, _, _ = three_cycle_parametrization("t")
-    c1, c2, Q1, *P_list = _embed(V, cy, ct, pt1, *py)
-    f1Q1 = Q1.square() + c1
-    N = [(f1Q1 - Pi).numerator() for Pi in P_list]
-    f1f2Q1 = (Q1.square() + c2).square() + c1
-    A = [(f1f2Q1 - Pi).numerator() for Pi in P_list]
-    s = RatFunc.t("s")
-    branches = [
-        BranchSpec("y - t", "collision", s, s),
-        BranchSpec("y*t + t + 1", "collision", -(s + 1) / s, s),
-        BranchSpec("y*t + y + 1", "collision", -1 / (s + 1), s),
-    ]
-    return LemmaSetup(
-        "2.4", "both maps have rational points of period three", V,
-        [GeneratorFactors("N", tuple(N)), GeneratorFactors("A", tuple(A))],
-        branches,
-        cy, ct, pt1, "2.4",
-        _rats("-1", "0"), None,
-        ["periods-at-most-3", "three-cycle-funnel"], 38,
-    )
-
-
-def _setup_256(lemma_id: str) -> LemmaSetup:
-    V = ("y", "t")
-    yv, = _embed(V, RatFunc.t("y"))
-    ct, pt1, _, _ = three_cycle_parametrization("t")
-    if lemma_id == "2.5":
-        c1_rf = RatFunc.parse("(1 - y^2) / (4)", "y")
-        fixed_s, cycle_s = yv, None
-        hyp = ("the first map has a rational fixed point, the second a "
-               "rational point of period three")
-        expected_partners = _rats("-5/2", "-3/2", "3/2", "5/2")
-    else:
-        c1_rf = RatFunc.parse("(-3 - y^2) / (4)", "y")
-        fixed_s, cycle_s = None, yv
-        hyp = ("the first map has a rational point of period two, the "
-               "second a rational point of period three")
-        expected_partners = _rats("-5/2", "-3/2", "-1/2", "1/2", "3/2", "5/2")
-    c1, c2, P1 = _embed(V, c1_rf, ct, pt1)
-    N = iterate_diff_factors(c1, P1, fixed_s=fixed_s, cycle_s=cycle_s)
-    Q = P1.square() + c2
-    A = iterate_diff_factors(c1, Q, fixed_s=fixed_s, cycle_s=cycle_s)
-    return LemmaSetup(
-        lemma_id, hyp, V,
-        [GeneratorFactors("N", tuple(N)), GeneratorFactors("A", tuple(A))],
-        [],
-        # lemma 2.6 concludes the same unique pair as lemma 2.5
-        c1_rf, ct, pt1, "2.5",
-        _rats("-2", "-1/2", "1"), expected_partners,
-        ["periods-at-most-3", "three-cycle-funnel", "tail-two"],
-        68,
-    )
+        lemma_id, row.hypothesis, V, gens,
+        [BranchSpec(curve, kind, RatFunc.parse(y, "s"), RatFunc.parse(v, "s"),
+                    *family)
+         for curve, kind, y, v, *family in row.branches],
+        maps[0][0], maps[1][0], P, row.statement,
+        [rat(c) for c in row.expected_candidates],
+        None if row.expected_partners is None
+        else [rat(c) for c in row.expected_partners],
+        axioms, row.groebner_expected_degree, row.subtract_families)
 
 
 def _branch_tuple(setup: LemmaSetup, br: BranchSpec) -> ParamTuple:

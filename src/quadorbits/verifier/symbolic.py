@@ -211,38 +211,30 @@ def three_cycle_parametrization(var: str = "t") -> tuple[RatFunc, RatFunc, RatFu
 # iterate-difference factors
 # ---------------------------------------------------------------------------
 
-def iterate_diff_factors(c: BiRat, x0: BiRat, fixed_s: BiRat | None = None,
-                         cycle_s: BiRat | None = None) -> list[BiPoly]:
-    """Reduced numerator factors of f^4(x0) - f^2(x0) for f = x^2 + c.
+def iterate_diff_factors(c: BiRat, x0: BiRat, s: BiRat, period: int
+                         ) -> list[BiPoly]:
+    """Reduced numerator factors of f^4(x0) - f^2(x0) for f = x^2 + c,
+    where c is parametrized by s through a rational point of the period.
 
     With u = f^2(x0) the difference equals (u^2 - u + c)(u^2 + u + c + 1),
-    that is (f(u) - u)(f(u) + u + 1).
-    When c is fixed-point parametrized by s (c = (1 - s^2)/4) the first
-    quadratic splits as (u - (1+s)/2)(u - (1-s)/2); when c is two-cycle
-    parametrized (c = -(3 + s^2)/4) the second splits as
-    (u + (1-s)/2)(u + (1+s)/2).  A point zeroes the difference iff it
-    zeroes one of the returned numerators (away from poles).
+    that is (f(u) - u)(f(u) + u + 1).  For period 1, c = (1 - s^2)/4 and
+    the first quadratic splits as (u - (1+s)/2)(u - (1-s)/2); for period 2,
+    c = -(3 + s^2)/4 and the second splits as (u + (1-s)/2)(u + (1+s)/2).
+    A point zeroes the difference iff it zeroes one of the three returned
+    numerators (away from poles).
     """
     u = (x0.square() + c).square() + c
     vars = u.vars
     half = BiRat.from_poly(BiPoly.constant(Fraction(1, 2), vars))
     one = BiRat.from_poly(BiPoly.constant(1, vars))
-    # f(u), squared once for whichever quadratic is not split
-    fu = u.square() + c if fixed_s is None or cycle_s is None else None
-    out: list[BiPoly] = []
-    if fixed_s is not None:
-        s = fixed_s
-        out.append((u - (one + s) * half).numerator())
-        out.append((u - (one - s) * half).numerator())
-    else:
-        out.append((fu - u).numerator())
-    if cycle_s is not None:
-        s = cycle_s
-        out.append((u + (one - s) * half).numerator())
-        out.append((u + (one + s) * half).numerator())
-    else:
-        out.append((fu + u + one).numerator())
-    return out
+    fu = u.square() + c
+    if period == 1:
+        return [(u - (one + s) * half).numerator(),
+                (u - (one - s) * half).numerator(),
+                (fu + u + one).numerator()]
+    return [(fu - u).numerator(),
+            (u + (one - s) * half).numerator(),
+            (u + (one + s) * half).numerator()]
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,13 @@ class TestOtherVerbs:
         code, _, err = run(capsys, "search", "--spec", str(spec))
         assert code == 2 and "integers" in err
 
+    def test_search_spec_unknown_key(self, capsys, tmp_path):
+        # a misspelt numerator_bound must not run the default grid
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"set_size": 2, "numerator_bond": 3}')
+        code, out, err = run(capsys, "search", "--spec", str(spec))
+        assert code == 2 and '"numerator_bond"' in err and not out
+
     @pytest.mark.parametrize("value", ["2.7", "true", '"3"'])
     def test_search_spec_non_integer_set_size(self, capsys, tmp_path, value):
         spec = tmp_path / "spec.json"

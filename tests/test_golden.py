@@ -16,6 +16,11 @@ of ``quadorbits orbit``, ``preperiodic``, ``mu`` and ``periodic`` with
 deep and on a later map, and the triple -21/16, -13/16, -5/16), the same
 command lines with ``--format text``, and the results of two criterion-9
 searches sorted by their c tuples.
+
+The lemma systems themselves are pinned too, since the reports dump only
+the factors of at most 40 terms: one SHA-256 per ``lemma_setup(id)`` of
+``system_dump``, which holds every generator factor exactly, the branches,
+the structural curves, the parametrizations, the poles and the statement.
 """
 
 import hashlib
@@ -24,8 +29,10 @@ import json
 import pytest
 
 from quadorbits import cli
+from quadorbits.rationals import rat_str
 from quadorbits.search import SearchSpec, search
 from quadorbits.verifier import verify_theorem_case
+from quadorbits.verifier.lemmas import lemma_setup
 
 LEMMAS = {
     "2.1": "888438bd48c94811a6741f4085cfe13f0f4f7dbf3ba8ca45f52655cb14e016bf",
@@ -34,6 +41,14 @@ LEMMAS = {
     "2.4": "68031b71582f753652a8d6e84fcd79e13cd86a14e517f7dd20ecab6266dc5130",
     "2.5": "c55a78d630a0f83409912353a5d9cf3885c48c1a86d69cb1994ac8be0b474a90",
     "2.6": "60e3424cbd0a18be9679138bd82507ddff8a5f7026872660fe06ebaae5eb6668",
+}
+LEMMA_SYSTEMS = {
+    "2.1": "20e24ad1ce78210859de382ea59628efa3a9544d98fa7a5af7bd3676983582a1",
+    "2.2": "0c159da7c3d4ebda64e976663e42a057d3d22a5c1b2a882a180dfb7e33aa8132",
+    "2.3": "5367c9b395f598c933aba5d102772ffdc99b3ac890eb15000c4cd8e9289734e7",
+    "2.4": "c04abd21eb1f9269080039655bd002ccfd1b8dfe85d4391437df0808bd6d0cce",
+    "2.5": "d3f8fd115d5de56312f869b4d1e712c762407f0fe0367e056b2f75ecace41c53",
+    "2.6": "b90076f2f03e96f79b5b087b00fafa346dcd19fa7db58320a4497381ad175fca",
 }
 CASES = {
     1: "2871aad2569f8b4de76edc8c5e0d37d725d1a83b9aa85f70ae39bc36441a1419",
@@ -129,6 +144,41 @@ SEARCHES = {
 def digest(section) -> str:
     return hashlib.sha256(
         json.dumps(section, sort_keys=True).encode()).hexdigest()
+
+
+def _poly_dump(f) -> list:
+    return [f.den, sorted([i, j, c] for (i, j), c in f.ints.items())]
+
+
+def system_dump(s) -> dict:
+    """Every field of a ``LemmaSetup``, with ``structural`` and ``poles``,
+    as JSON values: a polynomial as its denominator and sorted integer
+    terms, a function by its ``str``."""
+    def rats(xs):
+        return None if xs is None else [rat_str(x) for x in xs]
+
+    return {
+        "lemma_id": s.lemma_id, "hypothesis": s.hypothesis,
+        "vars": list(s.vars),
+        "gens": [[g.name, [_poly_dump(f) for f in g.factors]]
+                 for g in s.gens],
+        "structural": [_poly_dump(f) for f in s.structural],
+        "branches": [[b.curve, b.kind, str(b.y_of_s), str(b.v_of_s),
+                      b.family_id] for b in s.branches],
+        "c1_of": str(s.c1_of), "c2_of": str(s.c2_of), "P_of": str(s.P_of),
+        "poles": list(s.poles), "statement": s.statement,
+        "expected_candidates": rats(s.expected_candidates),
+        "expected_partners": rats(s.expected_partners),
+        "axioms": list(s.axioms),
+        "groebner_expected_degree": s.groebner_expected_degree,
+        "subtract_families": s.subtract_families,
+    }
+
+
+@pytest.mark.parametrize("lemma_id", sorted(LEMMA_SYSTEMS))
+def test_lemma_system(lemma_id):
+    assert digest(system_dump(lemma_setup(lemma_id))) == \
+        LEMMA_SYSTEMS[lemma_id]
 
 
 @pytest.mark.parametrize("lemma_id", sorted(LEMMAS))

@@ -18,6 +18,9 @@ Importing ``quadorbits.cli``, which every command does, does not import
 does it import ``argparse`` or ``gettext``: the CLI reads its arguments
 with its own verb table.  Nor does importing the package import
 ``dataclasses`` or ``inspect``: its records are written out, not generated.
+
+Every module parses at the Python floor that ``requires-python`` in
+pyproject.toml declares, with ``ast.parse(..., feature_version=floor)``.
 """
 
 import ast
@@ -25,6 +28,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quadorbits"
 PACKAGE_NAME = "quadorbits"
@@ -205,3 +210,28 @@ def test_importing_the_package_generates_no_code():
     of its methods and imports ``inspect``)."""
     assert loaded_after("quadorbits.cli, quadorbits.verifier.lemmas",
                         "m in ('dataclasses', 'inspect')") == "[]\n"
+
+
+def declared_floor() -> tuple[int, int]:
+    """The (major, minor) of the ``requires-python = ">=X.Y"`` that
+    pyproject.toml declares."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(PACKAGE.parents[1] / "pyproject.toml", "rb") as fh:
+        spec = tomllib.load(fh)["project"]["requires-python"]
+    assert spec.startswith(">="), spec
+    major, minor = spec[2:].split(".")[:2]
+    return int(major), int(minor)
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    """No module uses syntax newer than the floor it declares."""
+    floor = declared_floor()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+
+
+def test_the_floor_check_sees_newer_syntax():
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(newer, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=(3, 10))

@@ -92,7 +92,8 @@ class TestSpecValidation:
                                       '{"set_size": 2.7}', '{"set_size": 2.0}',
                                       '{"set_size": true}', '{"set_size": "3"}',
                                       '{"set_size": 2, "numerator_bound": 4.5}',
-                                      '{"set_size": 2, "denominator": false}'])
+                                      '{"set_size": 2, "denominator": false}',
+                                      '{"set_size": 2, "numerator_bond": 3}'])
     def test_malformed_json_is_a_value_error(self, text):
         with pytest.raises(ValueError):
             SearchSpec.from_json(text)

@@ -2,10 +2,10 @@
 
 Dense univariate polynomials over Z as lists of ints indexed by degree
 (no trailing zeros; the zero polynomial is the empty list).  Everything the
-hot paths need lives here: ring arithmetic, homogeneous evaluation and
-composition, contents, pseudo-division, and a certified gcd.  ``UniPoly`` in
-``polynomials`` stores its integer coefficients over one denominator and
-computes through these helpers.
+hot paths need lives here: ring arithmetic, exact square roots,
+homogeneous evaluation and composition, contents, pseudo-division, and a
+certified gcd.  ``UniPoly`` in ``polynomials`` stores its integer
+coefficients over one denominator and computes through these helpers.
 
 Bivariate integer polynomials reach this module in one form only, the row
 form: a list of univariate rows indexed by the power of the eliminated
@@ -104,6 +104,23 @@ def zpow(p: list[int], n: int) -> list[int]:
         if n:
             base = zmul(base, base)
     return out
+
+
+def zsqrt(p: list[int]) -> list[int] | None:
+    """The r with positive leading coefficient and r^2 = p, or None when p
+    is not a square in Z[z]: read off from the top down, then squared."""
+    if not p:
+        return []
+    m, odd = divmod(zdeg(p), 2)
+    top = math.isqrt(p[-1]) if p[-1] > 0 else 0
+    if odd or top * top != p[-1]:
+        return None
+    r = [0] * m + [top]
+    for k in range(m - 1, -1, -1):
+        # the coefficient of z^(m+k) in r^2 is 2 r_m r_k plus known products
+        s = p[m + k] - sum(r[i] * r[m + k - i] for i in range(k + 1, m))
+        r[k] = s // (2 * top)
+    return r if zmul(r, r) == p else None
 
 
 def zeval_homogeneous(p: list[int], u: int, v: int) -> int:

@@ -3,15 +3,17 @@
 A finite-orbit point of S = {f1, f2, f3} enters, for each map, a fixed
 point, a 2-cycle or a 3-cycle (longer periods are excluded by the named
 axiom), so the triple reduces to two simultaneous pair classifications.
-The subcases pair up the conclusions of the two relevant pair lemmas --
-the catalog families and sporadic pairs that ``families.lemma_statement``
-gives for each, the very entries the lemma verifier checks -- equate the
-shared data, and dispose of what is left: a symbolic coefficient
-collision, an equation with no rational roots, a delegated elliptic-curve
-argument, or a concrete tuple disposed of by ``symbolic`` as in the lemmas.
-A subcase branch in one parameter is a ``families.ParamTuple``, specialized
-only by ``ParamTuple.at``; each subcase driver records into one
-``CaseReport``.
+Each case consumes the statements of its pair lemmas: the catalog families
+and sporadic pairs that ``families.lemma_statement`` gives, the very
+entries the lemma verifier checks.  In cases 1, 2, 4 and 7 the subcases
+are the ordered product of the conclusions of the lemmas on {f1, f2} and
+{f1, f3}.  Each equates the shared data and disposes of what is left: a
+symbolic coefficient collision, an equation with no rational roots, a
+delegated elliptic-curve argument, or a concrete tuple disposed of by
+``symbolic`` as in the lemmas.  The basepoint equation of two families is
+factored by the code and the factors checked by exact division.  A
+subcase branch in one parameter is a ``families.ParamTuple``, specialized
+only by ``ParamTuple.at``; each subcase records into one ``CaseReport``.
 A case whose lemmas' catalog statements do not have the shape it consumes
 (so many families, so many sporadic pairs) returns one flagged report.
 Every exclusion carries a re-verifiable witness (a composition word and a
@@ -23,12 +25,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
+from .. import _intpoly as zp
 from ..dynamics import OrbitResult, word_str
 from ..elliptic import MAZUR_CERTIFICATE, RANK_ZERO_CERTIFICATE, \
-    c_rational_points, preimage_check, verify_curve_map
+    c_rational_points, curve_c_poly, preimage_check, verify_curve_map
 from ..families import ExcludedParameter, FamilyDef, ParamTuple, \
     SporadicTuple, lemma_statement
-from ..polynomials import BiPoly, ExactDivisionError, UniPoly
+from ..polynomials import BiPoly, ExactDivisionError, UniPoly, \
+    bivariate_gcd
 from ..ratfunc import PoleError, RatFunc
 from ..rationals import rat_str
 from ..roots import rational_roots
@@ -75,6 +79,27 @@ def _verify_factorization(N: BiPoly, pieces: list[BiPoly]) -> bool:
     except ExactDivisionError:
         return False
     return (not q.is_zero()) and q.total_degree() == 0
+
+
+def _pieces(N: BiPoly) -> list[BiPoly]:
+    """The irreducible factors over Q of a basepoint equation N, sorted by
+    their terms, exponents descending.  PA and PB are reduced and not
+    constant, so N has no content in either variable; with degree at most
+    2 in b, a proper factor is linear in b.  So N splits exactly when it
+    is quadratic in b, A b^2 + B b + C, and B^2 - 4AC is a square r^2 in
+    Z[a]: into gcd(N, 2A b + B - r) and its cofactor."""
+    rows = N.to_coeff_lists(1)[1]
+    if len(rows) > 3:
+        raise ValueError(f"basepoint equation {N} has degree above 2 in b")
+    if len(rows) == 3:
+        C, B, A = rows
+        r = zp.zsqrt(zp.zsub(zp.zmul(B, B), zp.zmul([4], zp.zmul(A, C))))
+        if r is not None:
+            p = bivariate_gcd(N, BiPoly.from_coeff_lists(
+                [zp.zsub(B, r), zp.zmul([2], A)], 1, N.vars))
+            return sorted([p, N.exact_divide(p)],
+                          key=lambda q: sorted(q.ints.items(), reverse=True))
+    return [N]
 
 
 def _solve_linear_piece(piece: BiPoly) -> tuple[int, RatFunc]:
@@ -141,8 +166,7 @@ def _run_exclusion(rep: CaseReport, tup: ParamTuple, subject: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _sub_family_family(case: int, sub: str, famA: FamilyDef, famB: FamilyDef,
-                       claimed_pieces: list[str], mirrored: bool = False
-                       ) -> CaseReport:
+                       mirrored: bool) -> CaseReport:
     """Both conclusions parametrized: equate the shared basepoint and
     follow every branch of the resulting curve."""
     rep = CaseReport(case, sub,
@@ -151,9 +175,9 @@ def _sub_family_family(case: int, sub: str, famA: FamilyDef, famB: FamilyDef,
     A, B = famA.tup.relabel("a"), famB.tup.relabel("b")
     (cA1, cA2), (cB1, cB2) = A.cs, B.cs
     N = _p_equation(A.P, B.P)
-    pieces = [BiPoly.parse(s, ("a", "b")) for s in claimed_pieces]
+    pieces = _pieces(N)
     if not _verify_factorization(N, pieces):
-        rep.flags.append(f"claimed factorization of the basepoint equation "
+        rep.flags.append(f"computed factorization of the basepoint equation "
                          f"failed: got {N}")
         return _close(rep)
     rep.deductions.append("basepoint equation factors exactly as "
@@ -187,8 +211,8 @@ def _elliptic_piece(rep: CaseReport, piece: BiPoly, famA: FamilyDef,
                     famB: FamilyDef) -> None:
     """The quartic basepoint curve of the conic-family pairing; its
     rational points come from the rank-zero elliptic curve."""
-    expected = BiPoly.parse("a^2*b^2 + a*b^2 - a - b^2", ("a", "b"))
-    if piece != expected:
+    C = curve_c_poly()
+    if (piece.den, piece.ints) != (C.den, C.ints):
         rep.flags.append(f"unexpected nonlinear curve piece {piece}")
         return
     if not verify_curve_map():
@@ -227,7 +251,7 @@ def _elliptic_piece(rep: CaseReport, piece: BiPoly, famA: FamilyDef,
 
 def _sub_family_pairs(case: int, sub: str, fam: FamilyDef,
                       pairs: Sequence[SporadicTuple], fam_first: bool,
-                      mirrored: bool = False) -> CaseReport:
+                      mirrored: bool) -> CaseReport:
     """A family against sporadic pairs: pin the shared c1, then dispose of
     the finitely many concrete triples.
 
@@ -292,56 +316,79 @@ def _sub_pairs_pairs(case: int, sub: str, pairsA: Sequence[SporadicTuple],
 # the ten cases
 # ---------------------------------------------------------------------------
 
-# the catalog entries each case consumes: lemma -> (number of families,
-# number of sporadic pairs or "any").  Lemma 2.6 concludes the same unique
-# pair as lemma 2.5, which is where the catalog states it.
-_CONSUMES: dict[int, dict[str, tuple[int, int | str]]] = {
-    1: {"2.1": (2, "any")},
-    2: {"2.1": (2, "any"), "2.2": (2, 2)},
-    3: {"2.5": (0, 1)},
-    4: {"2.2": (2, 2)},
-    5: {"2.4": (0, 0)},
-    6: {"2.5": (0, 1)},
-    7: {"2.3": (1, "any")},
-    8: {"2.4": (0, 0)},
-    9: {"2.5": (0, 1)},
-    10: {"2.4": (0, 0)},
-}
-
-
-def _statement_mismatch(case: int) -> str | None:
-    """Why the catalog statements do not fit what the case consumes, or
-    None when they do."""
-    for lemma_id, (n_fams, n_pairs) in _CONSUMES[case].items():
-        fams, pairs = lemma_statement(lemma_id)
-        if len(fams) != n_fams or n_pairs not in ("any", len(pairs)):
-            return (f"case {case} consumes {n_fams} families and {n_pairs} "
-                    f"sporadic pairs of lemma {lemma_id}, whose catalog "
-                    f"statement has {len(fams)} and {len(pairs)}")
-    return None
+# each pair lemma's statement as the cases consume it: (number of
+# families, number of sporadic pairs or "any").  Lemma 2.6 concludes the
+# same unique pair as lemma 2.5, which is where the catalog states it.
+_SHAPES: dict[str, tuple[int, int | str]] = {
+    "2.1": (2, "any"), "2.2": (2, 2), "2.3": (1, "any"), "2.4": (0, 0),
+    "2.5": (0, 1)}
 
 
 def verify_theorem_case(case: int) -> list[CaseReport]:
     """Subcase reports for one of the ten period-type distributions."""
-    if case not in _CONSUMES:
+    if case not in _CASES:
         raise ValueError(f"case must be 1..10, got {case}")
-    mismatch = _statement_mismatch(case)
-    if mismatch is not None:
-        return [_close(CaseReport(case, str(case), CASE_DESCRIPTIONS[case],
-                                  flags=[mismatch]))]
-    return _CASES[case]()
+    conclude, statements, *prose = _CASES[case]
+    for lemma_id in statements:
+        n_fams, n_pairs = _SHAPES[lemma_id]
+        fams, pairs = lemma_statement(lemma_id)
+        if len(fams) != n_fams or n_pairs not in ("any", len(pairs)):
+            return _conclusion(case, [], [
+                f"case {case} consumes {n_fams} families and {n_pairs} "
+                f"sporadic pairs of lemma {lemma_id}, whose catalog "
+                f"statement has {len(fams)} and {len(pairs)}"])
+    return conclude(case, statements, *prose)
 
 
-def _conclusion(case: int, deductions: list[str]) -> list[CaseReport]:
+def _conclusions(lemma_id: str) -> tuple[list, bool]:
+    """The conclusions of one statement, and whether its sporadic pairs
+    stand apart: each family, then the pairs, one conclusion each when the
+    cases take a set number of them and one in all when they take any."""
+    fams, pairs = lemma_statement(lemma_id)
+    apart = _SHAPES[lemma_id][1] != "any"
+    return [*fams, *([(p,) for p in pairs] if apart else [pairs])], apart
+
+
+def _subcases(case: int, statements: tuple[str, str]) -> list[CaseReport]:
+    """Cases 1, 2, 4 and 7: a subcase {case}.{k} for each ordered pairing
+    of a conclusion x of the lemma on {f1, f2} with a conclusion y of the
+    lemma on {f1, f3}, mirrored (the f2 <-> f3 image of an earlier one)
+    when the lemmas are one and y comes first.  Pairs meet pairs in one
+    last subcase over all pairs, unless both statements list them apart."""
+    first, second = statements
+    (xs, x_apart), (ys, y_apart) = _conclusions(first), _conclusions(second)
+    reps: list[CaseReport] = []
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            sub = f"{case}.{len(reps) + 1}"
+            mirrored = first == second and j < i
+            if isinstance(x, FamilyDef) and isinstance(y, FamilyDef):
+                reps.append(_sub_family_family(case, sub, x, y, mirrored))
+            elif isinstance(x, FamilyDef):
+                reps.append(_sub_family_pairs(case, sub, x, y, True, mirrored))
+            elif isinstance(y, FamilyDef):
+                reps.append(_sub_family_pairs(case, sub, y, x, False, mirrored))
+            elif x_apart and y_apart:
+                reps.append(_sub_pairs_pairs(case, sub, x, y))
+    if not (x_apart and y_apart):
+        reps.append(_sub_pairs_pairs(case, f"{case}.{len(reps) + 1}",
+                                     lemma_statement(first)[1],
+                                     lemma_statement(second)[1]))
+    return reps
+
+
+def _conclusion(case: int, deductions: list[str],
+                flags: list[str] | None = None) -> list[CaseReport]:
     return [_close(CaseReport(case, str(case), CASE_DESCRIPTIONS[case],
-                              deductions))]
+                              deductions, flags=flags))]
 
 
-def _unique_pair(case: int, first: str, second: str) -> list[CaseReport]:
+def _unique_pair(case: int, statements: tuple[str], first: str, second: str
+                 ) -> list[CaseReport]:
     """Cases 3, 6 and 9: f3 has a 3-cycle, and the lemmas on {f1, f3} and
     {f2, f3} (stated by ``first`` and ``second``) both conclude the unique
-    pair of lemma 2.5, so c1 = c2."""
-    _, (sp,) = lemma_statement("2.5")
+    pair of the one statement, so c1 = c2."""
+    _, (sp,) = lemma_statement(*statements)
     c, c3 = (rat_str(q) for q in sp.cs)
     return _conclusion(case, [
         f"{first} forces c1 = {c} and c3 = {c3}",
@@ -349,99 +396,32 @@ def _unique_pair(case: int, first: str, second: str) -> list[CaseReport]:
         "hence c1 = c2, a contradiction"])
 
 
-def _no_points(case: int, pair: str) -> list[CaseReport]:
-    """Cases 5, 8 and 10: two of the maps have 3-cycles, which lemma 2.4
-    rules out."""
+def _no_points(case: int, statements: tuple[str], pair: str
+               ) -> list[CaseReport]:
+    """Cases 5, 8 and 10: two of the maps have 3-cycles, and the one
+    statement, with neither families nor pairs, rules that out."""
     return _conclusion(case, [
         f"{pair} is a pair of maps with rational 3-cycles and a common "
         "finite-orbit point, which the 3-cycle+3-cycle classification "
         "rules out"])
 
 
-def _case1() -> list[CaseReport]:
-    (a, b), pairs = lemma_statement("2.1")
-    return [
-        _sub_family_family(1, "1.1", a, a, ["a - b"]),
-        _sub_family_family(1, "1.2", a, b, ["a*b^2 - a - 4*b"]),
-        _sub_family_pairs(1, "1.3", a, pairs, fam_first=True),
-        _sub_family_family(1, "1.4", b, a, ["a^2*b - 4*a - b"],
-                           mirrored=True),
-        _sub_family_family(1, "1.5", b, b, ["a - b", "a*b + 1"]),
-        _sub_family_pairs(1, "1.6", b, pairs, fam_first=True),
-        _sub_family_pairs(1, "1.7", a, pairs, fam_first=False, mirrored=True),
-        _sub_family_pairs(1, "1.8", b, pairs, fam_first=False, mirrored=True),
-        _sub_pairs_pairs(1, "1.9", pairs, pairs),
-    ]
-
-
-def _case2() -> list[CaseReport]:
-    (a11, b11), pairs11 = lemma_statement("2.1")
-    (a12, b12), pairs12 = lemma_statement("2.2")
-    return [
-        _sub_family_family(2, "2.1", a11, a12, ["a - b"]),
-        _sub_family_family(2, "2.2", a11, b12, ["a*b^2 - a + 4*b^2"]),
-        _sub_family_pairs(2, "2.3", a11, [pairs12[0]], fam_first=True),
-        _sub_family_pairs(2, "2.4", a11, [pairs12[1]], fam_first=True),
-        _sub_family_family(2, "2.5", b11, a12, ["a^2*b - 4*a - b"]),
-        _sub_family_family(2, "2.6", b11, b12,
-                           ["a^2*b^2 + a*b^2 - a - b^2"]),
-        _sub_family_pairs(2, "2.7", b11, [pairs12[0]], fam_first=True),
-        _sub_family_pairs(2, "2.8", b11, [pairs12[1]], fam_first=True),
-        _sub_family_pairs(2, "2.9", a12, pairs11, fam_first=False),
-        _sub_family_pairs(2, "2.10", b12, pairs11, fam_first=False),
-        _sub_pairs_pairs(2, "2.11", pairs11, pairs12),
-    ]
-
-
-def _case4() -> list[CaseReport]:
-    (a, b), (p1, p2) = lemma_statement("2.2")
-    return [
-        _sub_family_family(4, "4.1", a, a, ["a - b"]),
-        _sub_family_family(4, "4.2", a, b, ["a*b^2 - a + 4*b^2"]),
-        _sub_family_pairs(4, "4.3", a, [p1], fam_first=True),
-        _sub_family_pairs(4, "4.4", a, [p2], fam_first=True),
-        _sub_family_family(4, "4.5", b, a, ["a^2*b - b + 4*a^2"],
-                           mirrored=True),
-        _sub_family_family(4, "4.6", b, b, ["a - b", "a + b"]),
-        _sub_family_pairs(4, "4.7", b, [p1], fam_first=True),
-        _sub_family_pairs(4, "4.8", b, [p2], fam_first=True),
-        _sub_family_pairs(4, "4.9", a, [p1], fam_first=False, mirrored=True),
-        _sub_family_pairs(4, "4.10", b, [p1], fam_first=False, mirrored=True),
-        _sub_pairs_pairs(4, "4.11", [p1], [p1]),
-        _sub_pairs_pairs(4, "4.12", [p1], [p2]),
-        _sub_family_pairs(4, "4.13", a, [p2], fam_first=False, mirrored=True),
-        _sub_family_pairs(4, "4.14", b, [p2], fam_first=False, mirrored=True),
-        _sub_pairs_pairs(4, "4.15", [p2], [p1]),
-        _sub_pairs_pairs(4, "4.16", [p2], [p2]),
-    ]
-
-
-def _case7() -> list[CaseReport]:
-    (fam,), pairs = lemma_statement("2.3")
-    return [
-        _sub_family_family(7, "7.1", fam, fam, ["a - b", "a + b"]),
-        _sub_family_pairs(7, "7.2", fam, pairs, fam_first=True),
-        _sub_family_pairs(7, "7.3", fam, pairs, fam_first=False,
-                          mirrored=True),
-        _sub_pairs_pairs(7, "7.4", pairs, pairs),
-    ]
-
-
+# case -> (conclusion, the statements it consumes, prose of the conclusion)
 _CASES = {
-    1: _case1,
-    2: _case2,
-    3: lambda: _unique_pair(
-        3, "the fixed+3-cycle classification applied to {f1, f3}",
+    1: (_subcases, ("2.1", "2.1")),
+    2: (_subcases, ("2.1", "2.2")),
+    3: (_unique_pair, ("2.5",),
+        "the fixed+3-cycle classification applied to {f1, f3}",
         "applied to {f2, f3} it"),
-    4: _case4,
-    5: lambda: _no_points(5, "{f2, f3}"),
-    6: lambda: _unique_pair(
-        6, "the fixed+3-cycle classification on {f1, f3}",
+    4: (_subcases, ("2.2", "2.2")),
+    5: (_no_points, ("2.4",), "{f2, f3}"),
+    6: (_unique_pair, ("2.5",),
+        "the fixed+3-cycle classification on {f1, f3}",
         "the 2-cycle+3-cycle classification on {f2, f3}"),
-    7: _case7,
-    8: lambda: _no_points(8, "{f1, f2}"),
-    9: lambda: _unique_pair(
-        9, "the 2-cycle+3-cycle classification on {f1, f3}",
+    7: (_subcases, ("2.3", "2.3")),
+    8: (_no_points, ("2.4",), "{f1, f2}"),
+    9: (_unique_pair, ("2.5",),
+        "the 2-cycle+3-cycle classification on {f1, f3}",
         "applied to {f2, f3} it"),
-    10: lambda: _no_points(10, "{f2, f3}"),
+    10: (_no_points, ("2.4",), "{f2, f3}"),
 }

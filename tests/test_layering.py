@@ -21,6 +21,10 @@ with its own verb table.  Nor does importing the package import
 
 Every module parses at the Python floor that ``requires-python`` in
 pyproject.toml declares, with ``ast.parse(..., feature_version=floor)``.
+
+Every underscore function or class defined in the package is referenced by
+a ``Name`` or an ``Attribute`` somewhere in the package: no private helper
+outlives its last caller.
 """
 
 import ast
@@ -235,3 +239,51 @@ def test_the_floor_check_sees_newer_syntax():
     ast.parse(newer, feature_version=(3, 11))
     with pytest.raises(SyntaxError):
         ast.parse(newer, feature_version=(3, 10))
+
+
+def unreferenced_private_defs(paths: list[Path], root: Path = PACKAGE
+                              ) -> list[str]:
+    """The underscore functions and classes defined in paths whose name no
+    ``Name`` or ``Attribute`` anywhere in paths refers to."""
+    defined, used = [], set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)) and _is_private(node.name)):
+                defined.append((node.name,
+                                f"{_module_name(path, root)}:{node.lineno}"))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{where} defines {name}, never referenced"
+            for name, where in defined if name not in used]
+
+
+def test_every_private_helper_has_a_caller():
+    found = unreferenced_private_defs(sorted(PACKAGE.rglob("*.py")))
+    assert not found, found
+
+
+def test_unreferenced_checker_sees_names_and_attributes(tmp_path):
+    pkg = tmp_path / "quadorbits"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("def _dead():\n"
+                              "    pass\n"
+                              "def _called():\n"
+                              "    pass\n"
+                              "class _Helper:\n"
+                              "    def _method(self):\n"
+                              "        return self._other()\n"
+                              "    def _other(self):\n"
+                              "        return _called()\n"
+                              "    def __repr__(self):\n"
+                              "        return ''\n")
+    (pkg / "b.py").write_text("from . import a\n"
+                              "x = a._Helper\n"
+                              "def _unused_here():\n"
+                              "    return _dead\n")
+    assert unreferenced_private_defs(sorted(pkg.glob("*.py")), pkg) == [
+        "quadorbits.a:6 defines _method, never referenced",
+        "quadorbits.b:3 defines _unused_here, never referenced",
+    ]

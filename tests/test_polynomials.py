@@ -948,3 +948,34 @@ def test_is_prime_below_the_thirteen_base_bound():
         assert zp.is_prime(p)
     assert not zp.is_prime(2**61 + 1) and not zp.is_prime(
         (2**61 - 1) * (2**61 + 15))
+
+
+positive_lead = st.lists(coef, max_size=5).flatmap(
+    lambda low: st.integers(1, 20).map(lambda top: low + [top]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(positive_lead)
+def test_zsqrt_returns_the_root_of_a_square(r):
+    assert zp.zsqrt(zp.zmul(r, r)) == r
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    st.lists(coef, max_size=7).map(lambda p: zp.ztrim(list(p))),
+    # squares with one coefficient moved, so that the top-down read-off
+    # runs past the leading coefficient before it fails
+    st.tuples(positive_lead, st.integers(0, 10), coef.filter(bool)).map(
+        lambda t: zp.zadd(zp.zmul(t[0], t[0]),
+                          [0] * min(t[1], 2 * len(t[0]) - 2) + [t[2]]))))
+def test_zsqrt_is_none_or_squares_back(p):
+    r = zp.zsqrt(p)
+    assert r is None or zp.zmul(r, r) == p
+
+
+def test_zsqrt_cases():
+    assert zp.zsqrt([]) == []
+    assert zp.zsqrt([4, -12, 9]) == [-2, 3]
+    assert zp.zsqrt([0, 0, 4]) == [0, 2]
+    for p in ([-1], [1, 1], [2], [1, 0, 1], [1, 2, 1, 1], [0, 0, -4]):
+        assert zp.zsqrt(p) is None

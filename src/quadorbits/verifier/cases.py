@@ -11,9 +11,15 @@ are the ordered product of the conclusions of the lemmas on {f1, f2} and
 symbolic coefficient collision, an equation with no rational roots, a
 delegated elliptic-curve argument, or a concrete tuple disposed of by
 ``symbolic`` as in the lemmas.  The basepoint equation of two families is
-factored by the code and the factors checked by exact division.  A
-subcase branch in one parameter is a ``families.ParamTuple``, specialized
-only by ``ParamTuple.at``; each subcase records into one ``CaseReport``.
+factored by the code, and the factorization is certified: the pieces
+multiply back to it, and each is shown irreducible without the square
+root that split it.  When both lemmas are one, the subcase pairing y with
+x (mirrored roles) is derived from the one pairing x with y through
+sigma, the exchange of f2 and f3, and not run again: a point has a finite
+orbit under a set of maps whatever their order, so each tuple of the one
+is a tuple of the other with c2 and c3 exchanged.  A subcase branch in
+one parameter is a ``families.ParamTuple``, specialized only by
+``ParamTuple.at``; each subcase records into one ``CaseReport``.
 A case whose lemmas' catalog statements do not have the shape it consumes
 (so many families, so many sporadic pairs) returns one flagged report.
 Every exclusion carries a re-verifiable witness (a composition word and a
@@ -22,6 +28,7 @@ point failing the iterate criterion, or a collision deduction).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -31,8 +38,7 @@ from ..elliptic import MAZUR_CERTIFICATE, RANK_ZERO_CERTIFICATE, \
     c_rational_points, curve_c_poly, preimage_check, verify_curve_map
 from ..families import ExcludedParameter, FamilyDef, ParamTuple, \
     SporadicTuple, lemma_statement
-from ..polynomials import BiPoly, ExactDivisionError, UniPoly, \
-    bivariate_gcd
+from ..polynomials import BiPoly, UniPoly, bivariate_gcd
 from ..ratfunc import PoleError, RatFunc
 from ..rationals import rat_str
 from ..roots import rational_roots
@@ -59,6 +65,11 @@ CASE_DESCRIPTIONS = {
 # helpers
 # ---------------------------------------------------------------------------
 
+# a lone quadratic piece is certified irreducible at an integer a0 with
+# |a0| <= _CERTIFY_BOUND
+_CERTIFY_BOUND = 16
+
+
 def _p_equation(PA: RatFunc, PB: RatFunc) -> BiPoly:
     """Numerator of PA(a) - PB(b) as an integer-primitive BiPoly in (a, b),
     positive lex-leading coefficient.  PA and PB are reduced, so no factor
@@ -72,13 +83,31 @@ def _p_equation(PA: RatFunc, PB: RatFunc) -> BiPoly:
 
 
 def _verify_factorization(N: BiPoly, pieces: list[BiPoly]) -> bool:
-    q = N
-    try:
-        for p in pieces:
-            q = q.exact_divide(p)
-    except ExactDivisionError:
+    """Certify "N factors exactly as pieces": the pieces are not constant
+    and multiply to N, none has content in Z[a], two pieces are each linear
+    in b, and a lone piece quadratic in b has a discriminant B^2 - 4AC that
+    is negative or not a square at some integer a0, so it is not a square
+    in Z[a] and the piece has no factor linear in b (found without
+    ``zsqrt``, which the pieces rest on)."""
+    if any(p.total_degree() <= 0 for p in pieces) or \
+            not (N - math.prod(pieces)).is_zero():
         return False
-    return (not q.is_zero()) and q.total_degree() == 0
+    rows = [p.to_coeff_lists(1)[1] for p in pieces]
+    if any(zp.zzcontent(r) != [1] for r in rows):
+        return False
+    if len(rows) == 2:
+        return all(len(r) == 2 for r in rows)
+    if len(rows) != 1 or len(rows[0]) not in (2, 3):
+        return False
+    if len(rows[0]) == 2:
+        return True
+    C, B, A = rows[0]
+    disc = zp.zsub(zp.zmul(B, B), zp.zmul([4], zp.zmul(A, C)))
+    for a0 in sorted(range(-_CERTIFY_BOUND, _CERTIFY_BOUND + 1), key=abs):
+        d = zp.zeval_homogeneous(disc, a0, 1)
+        if d < 0 or math.isqrt(d) ** 2 != d:
+            return True
+    return False
 
 
 def _pieces(N: BiPoly) -> list[BiPoly]:
@@ -165,20 +194,72 @@ def _run_exclusion(rep: CaseReport, tup: ParamTuple, subject: str) -> None:
 # subcase drivers
 # ---------------------------------------------------------------------------
 
-def _sub_family_family(case: int, sub: str, famA: FamilyDef, famB: FamilyDef,
-                       mirrored: bool) -> CaseReport:
+def _describe(x, y) -> str:
+    """The subcase pairing conclusion x (a family or sporadic pairs) of the
+    lemma on {f1, f2} with y of the lemma on {f1, f3}."""
+    def side(z, k: int) -> str:
+        if isinstance(z, FamilyDef):
+            return f"(c1, c{k}, P) from {z.id}"
+        return f"(c1, c{k}) in {{{', '.join(fmt_pair(p.cs) for p in z)}}}"
+    return f"{side(x, 2)}, {side(y, 3)}"
+
+
+def _subcase(case: int, sub: str, x, y) -> CaseReport:
+    """Run the subcase pairing x on {f1, f2} with y on {f1, f3}."""
+    if isinstance(x, FamilyDef) and isinstance(y, FamilyDef):
+        return _sub_family_family(case, sub, x, y)
+    if isinstance(x, FamilyDef):
+        return _sub_family_pairs(case, sub, x, y, True)
+    if isinstance(y, FamilyDef):
+        return _sub_family_pairs(case, sub, y, x, False)
+    return _sub_pairs_pairs(case, sub, x, y)
+
+
+# sigma, the exchange of f2 and f3, on 1-based map numbers and word digits
+_SIGMA = {1: 1, 2: 3, 3: 2}
+_SIGMA_DIGITS = str.maketrans("23", "32")
+
+
+def _mirror(twin: CaseReport, sub: str, description: str) -> CaseReport:
+    """The subcase with the roles of f2 and f3 exchanged from twin's, read
+    off twin through sigma: a tuple (c1, c2, c3) is twin's (c1, c3, c2), so
+    its flags carry over, its tuples and witness tuples exchange c2 and c3,
+    and a witness word and map exchange maps 2 and 3.  Its points, orbits
+    and guards are twin's, since an orbit depends only on the set of maps."""
+    def swap(cs: list) -> list:
+        return [cs[0], cs[2], cs[1]]
+
+    def witness(w: dict) -> dict:
+        w = dict(w, tuple=swap(w["tuple"]))
+        if "word" in w:
+            w["word"] = w["word"].translate(_SIGMA_DIGITS)
+            w["map"] = _SIGMA[w["map"]]
+        return w
+
+    return _close(CaseReport(
+        twin.case, sub, description,
+        [f"subcase {twin.subcase} under sigma, the exchange of f2 and f3: "
+         "a point has a finite orbit under {f1, f2, f3} exactly when it has "
+         f"one under {{f1, f3, f2}}, so {twin.subcase}'s tuples, witnesses "
+         "and flags hold here with c2 and c3 exchanged"],
+        [witness(w) for w in twin.exclusion_witnesses],
+        [dict(t, c=swap(t["c"])) for t in twin.surviving_tuples],
+        flags=list(twin.flags)))
+
+
+def _sub_family_family(case: int, sub: str, famA: FamilyDef, famB: FamilyDef
+                       ) -> CaseReport:
     """Both conclusions parametrized: equate the shared basepoint and
     follow every branch of the resulting curve."""
-    rep = CaseReport(case, sub,
-                     f"(c1, c2, P) from {famA.id}, (c1, c3, P) from {famB.id}"
-                     + (" (mirrored roles)" if mirrored else ""))
+    rep = CaseReport(case, sub, _describe(famA, famB))
     A, B = famA.tup.relabel("a"), famB.tup.relabel("b")
     (cA1, cA2), (cB1, cB2) = A.cs, B.cs
     N = _p_equation(A.P, B.P)
     pieces = _pieces(N)
     if not _verify_factorization(N, pieces):
         rep.flags.append(f"computed factorization of the basepoint equation "
-                         f"failed: got {N}")
+                         f"{N} as {[str(p) for p in pieces]} failed its "
+                         "certificate")
         return _close(rep)
     rep.deductions.append("basepoint equation factors exactly as "
                           + " * ".join(f"({p})" for p in pieces))
@@ -250,20 +331,16 @@ def _elliptic_piece(rep: CaseReport, piece: BiPoly, famA: FamilyDef,
 
 
 def _sub_family_pairs(case: int, sub: str, fam: FamilyDef,
-                      pairs: Sequence[SporadicTuple], fam_first: bool,
-                      mirrored: bool) -> CaseReport:
+                      pairs: Sequence[SporadicTuple], fam_first: bool
+                      ) -> CaseReport:
     """A family against sporadic pairs: pin the shared c1, then dispose of
     the finitely many concrete triples.
 
     fam_first: the family supplies (c1, c2, P) and each pair (c1, c3);
     otherwise each pair supplies (c1, c2) and the family (c1, c3, P).
     """
-    labels = ", ".join(fmt_pair(sp.cs) for sp in pairs)
-    desc = (f"(c1, c2, P) from {fam.id}, (c1, c3) in {{{labels}}}"
-            if fam_first else
-            f"(c1, c2) in {{{labels}}}, (c1, c3, P) from {fam.id}")
-    rep = CaseReport(case, sub,
-                     desc + (" (mirrored roles)" if mirrored else ""))
+    rep = CaseReport(case, sub, _describe(fam, pairs) if fam_first
+                     else _describe(pairs, fam))
     for sp in pairs:
         q1, q2 = sp.cs
         label = fmt_pair(sp.cs)
@@ -294,8 +371,7 @@ def _sub_family_pairs(case: int, sub: str, fam: FamilyDef,
 
 def _sub_pairs_pairs(case: int, sub: str, pairsA: Sequence[SporadicTuple],
                      pairsB: Sequence[SporadicTuple]) -> CaseReport:
-    la, lb = (", ".join(fmt_pair(p.cs) for p in ps) for ps in (pairsA, pairsB))
-    rep = CaseReport(case, sub, f"(c1, c2) in {{{la}}}, (c1, c3) in {{{lb}}}")
+    rep = CaseReport(case, sub, _describe(pairsA, pairsB))
     for pa in pairsA:
         for pb in pairsB:
             q1, q2 = pa.cs
@@ -352,24 +428,29 @@ def _conclusions(lemma_id: str) -> tuple[list, bool]:
 def _subcases(case: int, statements: tuple[str, str]) -> list[CaseReport]:
     """Cases 1, 2, 4 and 7: a subcase {case}.{k} for each ordered pairing
     of a conclusion x of the lemma on {f1, f2} with a conclusion y of the
-    lemma on {f1, f3}, mirrored (the f2 <-> f3 image of an earlier one)
-    when the lemmas are one and y comes first.  Pairs meet pairs in one
-    last subcase over all pairs, unless both statements list them apart."""
+    lemma on {f1, f3}.  When the lemmas are one, a family is involved and
+    y comes first, the subcase (mirrored roles) is derived from its twin
+    (y, x) by ``_mirror``, not run: the two pair the same maps with f2 and
+    f3 exchanged, and an orbit depends only on the set of maps.  Pairs
+    meet pairs in one last subcase over all pairs, unless both statements
+    list them apart."""
     first, second = statements
     (xs, x_apart), (ys, y_apart) = _conclusions(first), _conclusions(second)
     reps: list[CaseReport] = []
+    done: dict[tuple[int, int], CaseReport] = {}
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
+            family = isinstance(x, FamilyDef) or isinstance(y, FamilyDef)
+            if not (family or x_apart and y_apart):
+                continue
             sub = f"{case}.{len(reps) + 1}"
-            mirrored = first == second and j < i
-            if isinstance(x, FamilyDef) and isinstance(y, FamilyDef):
-                reps.append(_sub_family_family(case, sub, x, y, mirrored))
-            elif isinstance(x, FamilyDef):
-                reps.append(_sub_family_pairs(case, sub, x, y, True, mirrored))
-            elif isinstance(y, FamilyDef):
-                reps.append(_sub_family_pairs(case, sub, y, x, False, mirrored))
-            elif x_apart and y_apart:
-                reps.append(_sub_pairs_pairs(case, sub, x, y))
+            if family and first == second and j < i:
+                rep = _mirror(done[j, i], sub,
+                              _describe(x, y) + " (mirrored roles)")
+            else:
+                rep = _subcase(case, sub, x, y)
+            done[i, j] = rep
+            reps.append(rep)
     if not (x_apart and y_apart):
         reps.append(_sub_pairs_pairs(case, f"{case}.{len(reps) + 1}",
                                      lemma_statement(first)[1],

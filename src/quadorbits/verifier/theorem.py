@@ -17,7 +17,7 @@ from ..dynamics import MapSet, QuadMap, apply_word, finite_orbit_points, \
 from ..families import sporadic_triples
 from ..rationals import rat, rat_str
 from .axioms import poonen_criterion
-from .cases import verify_theorem_case
+from .cases import CASE_DESCRIPTIONS, verify_theorem_case
 from .lemmas import LEMMA_IDS, verify_lemma
 from .reports import CaseReport, TheoremSummary
 
@@ -99,7 +99,8 @@ def verify_theorem(run_lemmas: bool = True, cases: list[int] | None = None
     """Run the classification end to end and compare the survivors with
     the two exceptional triples.  Lemma and case verifications are
     independent jobs, run on a process pool with one process per usable
-    CPU (and no more processes than jobs)."""
+    CPU (and no more processes than jobs).  cases, when given, names each
+    case of 1..10 at most once."""
     # imported here: every command imports this module, and most never
     # start the pool
     import multiprocessing
@@ -107,6 +108,10 @@ def verify_theorem(run_lemmas: bool = True, cases: list[int] | None = None
     flags: list[str] = []
     lemma_verdicts: dict[str, str] = {}
     case_list = list(cases or range(1, 11))
+    if len(set(case_list)) != len(case_list):
+        raise ValueError(f"cases {case_list} name a case more than once")
+    if not set(case_list) <= CASE_DESCRIPTIONS.keys():
+        raise ValueError(f"cases must be among 1..10, got {case_list}")
     lemma_ids = LEMMA_IDS if run_lemmas else ()
     jobs = len(lemma_ids) + len(case_list)
     with multiprocessing.Pool(min(_usable_cpus(), jobs)) as pool:

@@ -7,8 +7,8 @@ and ``verify_theorem().to_dict()``.  Each is hashed as
 ``json.dumps(section, sort_keys=True)``, so a failure names the lemma,
 case or family whose report changed.  Laid out as ``{"lemmas": {id: ...},
 "cases": {"n": [...]}, "families": {id: ...}, "theorem": ...}``, the
-whole dump hashes to 7cfadf118e17c78d6f533db59c1595b61788f93aa5d4832826a7
-7737a6c6a1f1.  A deliberate change to a report updates its hash here.
+whole dump hashes to ``WHOLE_DUMP``.  A deliberate change to a report
+updates its hash here, and the whole dump's.
 
 The orbit side is pinned the same way: the exact stdout bytes and exit code
 of ``quadorbits orbit``, ``preperiodic``, ``mu`` and ``periodic`` with
@@ -51,13 +51,13 @@ LEMMA_SYSTEMS = {
     "2.6": "b90076f2f03e96f79b5b087b00fafa346dcd19fa7db58320a4497381ad175fca",
 }
 CASES = {
-    1: "2871aad2569f8b4de76edc8c5e0d37d725d1a83b9aa85f70ae39bc36441a1419",
+    1: "8e1fe3e7bda7bcd68c7aa3e50eb6f37945e821fc27278f8735cfc1003dd9ac03",
     2: "9e9558c34f49d0023d06d5c108da363266fc4e242bb32f58f3555810ca095595",
     3: "78a4f70567abc7d1c39e491dc72f36852aa7e7e56f843f7c990ca7196d0255a3",
-    4: "4552d820ddefcf5b6c9ea9ea30ab35647a6a8935c77db776fa77777bd9910d06",
+    4: "67116fd79c6e06c00996f1a9e3b0607bb74ccade29ce9335264a3765a735d07a",
     5: "7c14a52b124c9b2694f86da3ca90440896f0be6a13e00e64a4f626d6a6d88abe",
     6: "bffc4a746d9708c5eeed11c26f02e330678be16adba46e8378533d3911fdeba4",
-    7: "3b1702fa854768bc5dc09971e24bccb1bac3bb9672e1aa4a7abcf5f60b29da3b",
+    7: "57f0cb97ec0b4603b172a1ca163eed399bee6b23d8980da0fdd1e93d28f8f1be",
     8: "d07a459bbd982b91e74bef0218e5dbf315a53e618695d6ed493740412b4ea171",
     9: "4e113f78728d81fec74263d6fc48074fb7738a6e94bbf0d146740c7b04fbae14",
     10: "3be915434bd797e33108422d5601ddff420cbbc187b59af06c7da53e50574032",
@@ -69,7 +69,9 @@ FAMILIES = {
     "F-12b": "38b4f96ddb60cc365722518daa18947c03f5a779ec4f0069c2b1cdd24c717942",
     "F-22a": "f757e5197af1ab327209a167e6604bf252e82c141b40ffaa25d66f59109c3ccf",
 }
-THEOREM = "f2b7dc7f174f23def90952a14297b99ff6afcd6c9dccb5c922c8bc113ff99e03"
+THEOREM = "afcb6149625ab04a4bf1c90f5c97e1fe76bb4c011554f728f744e22415825cb8"
+WHOLE_DUMP = \
+    "63401901c739e12625331f9f1697e49985f76b05734dd3e8d4e7967669b6e0b7"
 # command line (without "--format json") -> (exit code, SHA-256 of stdout)
 ORBIT_CLI = {
     "orbit --maps -21/16,-13/16,-5/16 --point 1/4":
@@ -204,6 +206,25 @@ def test_family_verify_json(capsys, family_id):
 
 def test_theorem_summary(theorem_summary):
     assert digest(theorem_summary.to_dict()) == THEOREM
+
+
+def test_whole_dump(capsys, lemma_report, theorem_summary):
+    lemmas = {}
+    for lemma_id in sorted(LEMMAS):
+        lemmas[lemma_id] = lemma_report(lemma_id).to_dict()
+        del lemmas[lemma_id]["seconds"]
+    families = {}
+    for family_id in sorted(FAMILIES):
+        assert cli.main(["family", "verify", "--id", family_id,
+                         "--format", "json"]) == 0
+        families[family_id] = json.loads(capsys.readouterr().out)
+    assert digest({
+        "lemmas": lemmas,
+        "cases": {str(n): [r.to_dict() for r in verify_theorem_case(n)]
+                  for n in sorted(CASES)},
+        "families": families,
+        "theorem": theorem_summary.to_dict(),
+    }) == WHOLE_DUMP
 
 
 @pytest.mark.parametrize("line", sorted(ORBIT_CLI))

@@ -638,7 +638,17 @@ def zzmul(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
     2^bits wide enough for every product coefficient with its sign, so one
     big-integer multiply does the whole product and the digits, read back
     signed, are its coefficients.  Rows are trimmed; the outer list is not
-    (its last row is nonzero, as the inputs' are)."""
+    (its last row is nonzero, as the inputs' are).
+
+    When both operands are even in a variable, the product is taken in its
+    square and spread back: y -> y^2 in the rows, z -> z^2 in the columns,
+    each of which halves both operands and so the integers multiplied."""
+    if len(p + q) > 2 and not any(p[1::2] + q[1::2]):
+        return _spread(zzmul(p[::2], q[::2]), [])
+    if max(map(len, p + q)) > 1 \
+            and not any(c for r in p + q for c in r[1::2]):
+        return [_spread(r, 0) for r in
+                zzmul([r[::2] for r in p], [r[::2] for r in q])]
     width = max(map(len, p)) + max(map(len, q)) - 1
     terms = min(sum(map(len, p)), sum(map(len, q)))
     # a product coefficient sums at most `terms` products, so its absolute
@@ -657,6 +667,13 @@ def zzmul(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
     digits = [int.from_bytes(data[i:i + nbytes], "little") - half
               for i in range(0, count * nbytes, nbytes)]
     return [ztrim(digits[k:k + width]) for k in range(0, count, width)]
+
+
+def _spread(xs: list, pad) -> list:
+    """The coefficients of F(x^2) from those of F(x), padded with pad."""
+    out = [pad] * (2 * len(xs) - 1)
+    out[::2] = xs
+    return out
 
 
 def _kronecker_pack(p: list[list[int]], width: int, nbytes: int) -> int:

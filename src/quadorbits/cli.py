@@ -27,8 +27,6 @@ from .families import catalog, family_by_id, family_verify_symbolic
 from .groebner import Budget
 from .rationals import rat, rat_str
 from .search import SearchSpec, search
-from .verifier import verify_lemma, verify_theorem
-from .verifier.lemmas import LEMMA_IDS
 
 __all__ = ["main"]
 
@@ -106,6 +104,7 @@ def _cmd_periodic(args) -> int:
 
 
 def _cmd_verify_lemma(args) -> int:
+    from .verifier import LEMMA_IDS, verify_lemma
     if args.id not in LEMMA_IDS:
         print(f"unknown lemma id {args.id!r}; choose from {LEMMA_IDS}",
               file=sys.stderr)
@@ -134,6 +133,7 @@ def _cmd_verify_lemma(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
+    from .verifier import verify_theorem
     cases = [args.case] if args.case else None
     summary = verify_theorem(run_lemmas=not args.skip_lemmas, cases=cases)
     _emit(args.format, summary.to_dict(), lambda: [

@@ -1,11 +1,11 @@
 """Candidate extraction by resultants over the factored generators.
 
-Given the generators of a lemma's iterate-difference system in factored
-form, the pipeline
+Given the generators of a lemma's system as products of pieces, the
+pipeline
 
-1. divides every declared structural factor out of every generator factor
-   (to full multiplicity) -- this removes the root mass attached to the
-   declared curves;
+1. divides every declared structural factor out of every piece (to full
+   multiplicity) -- this removes the root mass attached to the declared
+   curves -- and drops a piece that it leaves constant;
 2. takes the resultants between the factors of the first two generators,
    eliminating the first variable.  A factor pair whose resultant vanishes
    identically shares a curve component; the component is split off by a
@@ -25,7 +25,8 @@ form, the pipeline
    eliminated reuses that pair's degree and roots.  For a = A(y^2) and
    b = B(y^2), Res(a, b) = Res_u(A, B)^2, which has the same squarefree
    part, so the pair is eliminated over u = y^2 at half the degree.
-   ``eliminant_degrees`` holds deg Res(a, b) either way;
+   ``eliminant_degrees`` holds deg Res(a, b) for every pair, and
+   ``root_traces`` one root trace for each resultant taken;
 5. collects the rational roots of these eliminants, plus the roots of any
    factor's content in the second, surviving variable (which make that
    generator vanish identically).  By the specialization property of
@@ -46,7 +47,7 @@ from .. import _intpoly as zp
 from ..polynomials import BiPoly, UniPoly, bivariate_gcd, \
     localized_resultant
 from ..records import Mutable
-from ..roots import RootReport, rational_roots
+from ..roots import rational_roots
 
 __all__ = ["GeneratorFactors", "EliminationOutcome", "eliminate_candidates"]
 
@@ -115,9 +116,10 @@ def _divide_structural(gen: GeneratorFactors, structural: Sequence[BiPoly]
             f, m = f.divide_out(s)
             if m:
                 divisions[str(s)] = divisions.get(str(s), 0) + m
-        if not f.is_zero():
-            f = f.content_primitive()[1]
-        out.append(f)
+        if f.is_zero():
+            out.append(f)
+        elif f.total_degree() > 0:
+            out.append(f.content_primitive()[1])
     return GeneratorFactors(gen.name, tuple(out)), divisions
 
 
@@ -194,34 +196,33 @@ def eliminate_candidates(gens: Sequence[GeneratorFactors],
     degs: list[int] = []
     traces: list[dict] = []
     components: list[BiPoly] = []
-    # (a, b) up to sign in each slot -> deg Res(a, b) and its root report;
-    # Res(a(-y), b(-y)) = +-Res(a, b), so a flipped pair reuses the entry
-    done: dict[tuple[BiPoly, BiPoly], tuple[int, RootReport | None]] = {}
+    # (a, b) up to sign in each slot -> deg Res(a, b); Res(a(-y), b(-y)) =
+    # +-Res(a, b), so a flipped pair has its twin's degree and roots
+    done: dict[tuple[BiPoly, BiPoly], int] = {}
 
     def eliminate(a: BiPoly, b: BiPoly) -> None:
-        """Add the rational roots of Res(a, b) to the raw list; on an
-        identically zero resultant, split off the shared component and
-        retry the leftover of a."""
+        """Add the rational roots of Res(a, b) to the raw list, with their
+        trace when the resultant is taken; on an identically zero
+        resultant, split off the shared component and retry the leftover
+        of a."""
         while a.degree(0) > 0 and b.degree(0) > 0:
-            found = done.get((_up_to_sign(_flip(a)), _up_to_sign(_flip(b))))
-            if found is None:
+            deg = done.get((_up_to_sign(_flip(a)), _up_to_sign(_flip(b))))
+            if deg is None:
                 # a = A(y^2), b = B(y^2) give Res(a, b) = Res_u(A, B)^2
                 A, B = _deflate(a), _deflate(b)
                 even = A is not None and B is not None
                 exps, r = localized_resultant(*((A, B) if even else (a, b)),
                                               poles)
                 if not r.is_zero():
-                    deg = sum(exps) + r.degree
-                    found = ((2 if even else 1) * deg, rational_roots(
-                        _squarefree_eliminant(poles, exps, r))
-                        if deg > 0 else None)
-            if found is not None:
-                done[_up_to_sign(a), _up_to_sign(b)] = found
-                deg, rep = found
+                    deg = (2 if even else 1) * (sum(exps) + r.degree)
+                    if deg > 0:
+                        rep = rational_roots(
+                            _squarefree_eliminant(poles, exps, r))
+                        raw.update(rep.root_set())
+                        traces.append(rep.to_dict())
+            if deg is not None:
+                done[_up_to_sign(a), _up_to_sign(b)] = deg
                 degs.append(deg)
-                if rep is not None:
-                    raw.update(rep.root_set())
-                    traces.append(rep.to_dict())
                 return
             g = bivariate_gcd(a, b)
             if g.total_degree() <= 0:

@@ -6,11 +6,10 @@ names (1, 2 or 3), a basepoint P that is the first periodic point of one
 of them, and relations of (word, target), each licensed by a named axiom.
 If P has a finite orbit, so has x = w(P), and the target map's period
 gives the relation x satisfies: f^4(x) = f^2(x) for a rational fixed
-point or 2-cycle ("tail-two"), in the factors of
-``symbolic.iterate_diff_factors``; f(x) on the 3-cycle for a rational
-3-cycle ("three-cycle-funnel", under "periods-at-most-3"), one factor
-f(x) - P_i per cycle point.  ``_SYSTEMS`` holds one row per lemma, and
-``lemma_setup`` builds each generator by applying the maps along its word.
+point or 2-cycle ("tail-two"), f(x) on the 3-cycle for a rational 3-cycle
+("three-cycle-funnel", under "periods-at-most-3").  ``_SYSTEMS`` holds one
+row per lemma, and ``lemma_setup`` builds each generator by applying the
+maps along its word, as the exact pieces of ``_relation_pieces``.
 
 Each driver takes the system in factored form, eliminates one variable by
 resultants, extracts the complete rational candidate list and
@@ -35,6 +34,7 @@ fixed+3-cycle, 2-cycle+3-cycle.
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections.abc import Sequence
 from fractions import Fraction
@@ -55,7 +55,7 @@ from .elimination import GeneratorFactors, common_specialized_gcd, \
 from .reports import CurveBranchReport, Disposition, GroebnerOutcome, \
     LemmaReport, fmt_pair
 from .symbolic import BiRat, dispose_tuple, exclude_by_relation, \
-    iterate_diff_factors, three_cycle_parametrization
+    three_cycle_parametrization
 
 __all__ = ["LEMMA_IDS", "verify_lemma", "lemma_setup"]
 
@@ -211,16 +211,37 @@ LEMMA_IDS = tuple(_SYSTEMS)
 
 def _periodic_map(period: int, var: str) -> tuple[RatFunc, list[RatFunc]]:
     """(c, points) of x^2 + c with a rational point of the period,
-    parametrized by var: the fixed point (1 + v)/2 of c = (1 - v^2)/4, the
-    2-cycle point (-1 + v)/2 of c = -(3 + v^2)/4, or the 3-cycle of
-    ``three_cycle_parametrization``."""
+    parametrized by var: every point of that exact period, the first of
+    which is the basepoint's.  They are the fixed points (1 +- v)/2 of
+    c = (1 - v^2)/4, the 2-cycle (-1 +- v)/2 of c = -(3 + v^2)/4, or the
+    3-cycle of ``three_cycle_parametrization``."""
     if period == 3:
         c, *cycle = three_cycle_parametrization(var)
         return c, cycle
     v = RatFunc.t(var)
     if period == 1:
-        return (1 - v * v) / 4, [(1 + v) / 2]
-    return -(3 + v * v) / 4, [(-1 + v) / 2]
+        return (1 - v * v) / 4, [(1 + v) / 2, (1 - v) / 2]
+    return -(3 + v * v) / 4, [(-1 + v) / 2, (-1 - v) / 2]
+
+
+def _relation_pieces(x: BiRat, c: BiRat, period: int,
+                     points: list[BiRat]) -> list[BiRat]:
+    """The pieces of the relation of x under the target f(w) = w^2 + c with
+    these rational points of its period: f^k(x) is a root of Phi, the
+    product of the w - q over the points q of periods 1 and 2 (k = 2,
+    tail-two) or of period 3 (k = 1, the funnel).  As f(p) = q gives
+    f(w) - q = (w - p)(w + p), Phi(f(w)) = Phi(w) Phi(-w), and so Phi(f^2(x))
+    = Phi(x) Phi(-x) Phi(-f(x)): pieces w - q grouped by q, and whole the
+    quadratic of period 1 or 2 whose points are not parametrized."""
+    args = [x, -x]
+    if period < 3:
+        args.append(-(x.square() + c))
+    pieces = [w - q for q in points for w in args]
+    if period == 1:
+        pieces += [w.square() + w + c + 1 for w in args]
+    elif period == 2:
+        pieces += [w.square() - w + c for w in args]
+    return pieces
 
 
 @lru_cache(maxsize=None)
@@ -245,14 +266,10 @@ def lemma_setup(lemma_id: str) -> LemmaSetup:
         x = embed(P)
         for i in word:
             x = x.square() + cs[i]
-        period = row.periods[target]
-        if period == 3:
-            fx = x.square() + cs[target]
-            factors = [(fx - embed(p)).numerator() for p in maps[target][1]]
-        else:
-            factors = iterate_diff_factors(
-                cs[target], x, embed(RatFunc.t(V[target])), period)
-        gens.append(GeneratorFactors(name, tuple(factors)))
+        pieces = _relation_pieces(x, cs[target], row.periods[target],
+                                  [embed(q) for q in maps[target][1]])
+        gens.append(GeneratorFactors(name, tuple(p.numerator()
+                                                 for p in pieces)))
     axioms = []
     if 3 in row.periods:
         axioms += ["periods-at-most-3", "three-cycle-funnel"]
@@ -310,11 +327,16 @@ def _verify_branch(setup: LemmaSetup, br: BranchSpec,
 # the groebner route
 # ---------------------------------------------------------------------------
 
-def _expand(gen: GeneratorFactors, vars: tuple[str, str]) -> BiPoly:
-    prod = BiPoly.constant(1, vars)
-    for f in gen.factors:
-        prod = prod * f
-    return prod
+def _expand(gen: GeneratorFactors) -> BiPoly:
+    """The product of the generator's pieces, at every step of the two
+    operands with the fewest terms."""
+    heap = [(len(f.ints), i, f) for i, f in enumerate(gen.factors)]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        (_, i, a), (_, _, b) = heapq.heappop(heap), heapq.heappop(heap)
+        ab = a * b
+        heapq.heappush(heap, (len(ab.ints), i, ab))
+    return heap[0][2]
 
 
 def _divides_product(r: BiPoly, factors) -> bool:
@@ -335,7 +357,7 @@ def groebner_route(setup: LemmaSetup, budget: Budget) -> GroebnerOutcome:
     candidate-variable-only polynomial after dividing the structural
     cofactors out of a basis element, and confirm membership of the
     factored combination.  Budget exhaustion is an explicit outcome."""
-    gens = [_expand(g, setup.vars) for g in setup.gens]
+    gens = [_expand(g) for g in setup.gens]
     try:
         basis = buchberger(gens, budget=budget)
     except BudgetExhausted as e:

@@ -8,17 +8,6 @@ numerators are reduced against each denominator through single-variable
 contents, which matches reading off numerators of reduced rational
 functions in a computer algebra system.
 
-The quadratic-iterate difference f^4(x0) - f^2(x0) is never expanded
-whole.  With u = f^2(x0) it factors exactly as
-
-    (u^2 - u + c) * (u^2 + u + c + 1),
-
-and when c = (1 - s^2)/4 (rational fixed points) the first factor splits
-into (u - (1+s)/2)(u - (1-s)/2); when c = -(3 + s^2)/4 (rational 2-cycle)
-the second splits into (u + (1-s)/2)(u + (1+s)/2).  The elimination route
-works with these small factors throughout; resultant multiplicativity
-makes the product of the pairwise eliminants the full resultant.
-
 Every specialized candidate of the lemmas and the cases is disposed of
 here: ``dispose_at`` turns the ``ExcludedParameter`` that
 ``families.ParamTuple.at`` raises at a parameter value into a pole or
@@ -64,7 +53,6 @@ from .reports import Disposition, fmt_pair
 __all__ = [
     "BiRat",
     "three_cycle_parametrization",
-    "iterate_diff_factors",
     "dispose_at",
     "dispose_tuple",
     "find_exclusion_relation",
@@ -205,36 +193,6 @@ def three_cycle_parametrization(var: str = "t") -> tuple[RatFunc, RatFunc, RatFu
     p2 = (s3 + 2 * s2 + s + 1) / den
     p3 = -(s3 + 2 * s2 + 3 * s + 1) / den
     return c, p1, p2, p3
-
-
-# ---------------------------------------------------------------------------
-# iterate-difference factors
-# ---------------------------------------------------------------------------
-
-def iterate_diff_factors(c: BiRat, x0: BiRat, s: BiRat, period: int
-                         ) -> list[BiPoly]:
-    """Reduced numerator factors of f^4(x0) - f^2(x0) for f = x^2 + c,
-    where c is parametrized by s through a rational point of the period.
-
-    With u = f^2(x0) the difference equals (u^2 - u + c)(u^2 + u + c + 1),
-    that is (f(u) - u)(f(u) + u + 1).  For period 1, c = (1 - s^2)/4 and
-    the first quadratic splits as (u - (1+s)/2)(u - (1-s)/2); for period 2,
-    c = -(3 + s^2)/4 and the second splits as (u + (1-s)/2)(u + (1+s)/2).
-    A point zeroes the difference iff it zeroes one of the three returned
-    numerators (away from poles).
-    """
-    u = (x0.square() + c).square() + c
-    vars = u.vars
-    half = BiRat.from_poly(BiPoly.constant(Fraction(1, 2), vars))
-    one = BiRat.from_poly(BiPoly.constant(1, vars))
-    fu = u.square() + c
-    if period == 1:
-        return [(u - (one + s) * half).numerator(),
-                (u - (one - s) * half).numerator(),
-                (fu + u + one).numerator()]
-    return [(fu - u).numerator(),
-            (u + (one - s) * half).numerator(),
-            (u + (one + s) * half).numerator()]
 
 
 # ---------------------------------------------------------------------------

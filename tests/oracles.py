@@ -53,6 +53,9 @@ decides vanishing by equalities of shared iterates and skips the relations
 that an identity decides; ``ratfunc_family_accounts`` finds a
 family's parameters through the ``RatFunc`` difference c1(t) - c1, the
 reference for the integer numerator of ``symbolic._family_accounts``.
+``whole_relation_factors`` builds a lemma's generators as the numerators
+of whole relations of the iterates, the reference for the exact pieces of
+``lemmas.lemma_setup``.
 ``horner_compose`` is ``RatFunc.compose`` as Horner over Q(t) with a
 reduction after every step, the reference for its homogeneous evaluation
 over Z.
@@ -80,7 +83,9 @@ from quadorbits.roots import RootReport, _lift_roots, _multiplicity, \
 from quadorbits.search import FoundTuple, SearchSpec
 from quadorbits.verifier.elimination import GeneratorFactors, \
     _divide_structural, _split_survivor_content, common_specialized_gcd
-from quadorbits.verifier.symbolic import MAX_WORD_LEN
+from quadorbits.verifier.lemmas import _SYSTEMS
+from quadorbits.verifier.symbolic import MAX_WORD_LEN, BiRat, \
+    three_cycle_parametrization
 
 
 def is_square(x: Fraction) -> Fraction | None:
@@ -466,6 +471,53 @@ def expanded_divides(r: BiPoly, factors) -> bool:
         prod = schoolbook_product(prod, f)
     return FractionBiPoly(r.terms, r.vars).divides(
         FractionBiPoly(prod.terms, prod.vars))
+
+
+def whole_relation_factors(lemma_id: str) -> list[GeneratorFactors]:
+    """The generators of the lemma's ``_SYSTEMS`` row as the numerators of
+    whole relations of x = word(P), built from the iterates of x under the
+    target map f = x^2 + c: with u = f^2(x), f^4(x) - f^2(x) =
+    (f(u) - u)(f(u) + u + 1), split by the target's variable s as
+    (u - (1+s)/2)(u - (1-s)/2)(f(u) + u + 1) for c = (1 - s^2)/4 and as
+    (f(u) - u)(u + (1-s)/2)(u + (1+s)/2) for c = -(3 + s^2)/4; for a
+    3-cycle P1, P2, P3, the f(x) - P_i.  The reference for the pieces of
+    ``lemmas._relation_pieces``."""
+    row = _SYSTEMS[lemma_id]
+    V = row.vars
+
+    def embed(f: RatFunc) -> BiRat:
+        return BiRat.from_ratfunc(f, V.index(f.var), V)
+
+    maps = []
+    for period, var in zip(row.periods, V):
+        s = RatFunc.t(var)
+        if period == 3:
+            c, *cycle = three_cycle_parametrization(var)
+        elif period == 1:
+            c, cycle = (1 - s * s) / 4, [(1 + s) / 2]
+        else:
+            c, cycle = -(3 + s * s) / 4, [(-1 + s) / 2]
+        maps.append((embed(c), [embed(p) for p in cycle], embed(s)))
+    gens = []
+    for name, word, target in row.gens:
+        x = maps[row.basepoint][1][0]
+        for i in word:
+            x = x.square() + maps[i][0]
+        c, cycle, s = maps[target]
+        if row.periods[target] == 3:
+            fx = x.square() + c
+            rels = [fx - p for p in cycle]
+        else:
+            u = (x.square() + c).square() + c
+            fu = u.square() + c
+            half = Fraction(1, 2)
+            if row.periods[target] == 1:
+                rels = [u - (1 + s) * half, u - (1 - s) * half, fu + u + 1]
+            else:
+                rels = [fu - u, u + (1 - s) * half, u + (1 + s) * half]
+        gens.append(GeneratorFactors(name, tuple(r.numerator()
+                                                 for r in rels)))
+    return gens
 
 
 def all_pairs_candidates(gens: list[GeneratorFactors],

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import quadorbits
-from quadorbits import cli
+from quadorbits import cli, verifier
 from quadorbits.cli import main
 from quadorbits.dynamics import MapSet, MuReport, is_stable_set, monoid_orbit
 from quadorbits.groebner import Budget
@@ -114,7 +114,8 @@ class TestOtherVerbs:
     @staticmethod
     def _groebner_budget(monkeypatch, flags):
         """The Budget that `verify lemma --route groebner` hands to
-        verify_lemma, which is stubbed to stop there."""
+        verify_lemma, which is stubbed to stop there (the handler imports
+        it from ``quadorbits.verifier`` when it runs)."""
         seen = []
 
         class Stop(Exception):
@@ -124,7 +125,7 @@ class TestOtherVerbs:
             seen.append(budget)
             raise Stop
 
-        monkeypatch.setattr(cli, "verify_lemma", stop)
+        monkeypatch.setattr(verifier, "verify_lemma", stop)
         with pytest.raises(Stop):
             main(["verify", "lemma", "--id", "2.1", "--route", "groebner",
                   *flags])

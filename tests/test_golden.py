@@ -17,6 +17,12 @@ deep and on a later map, and the triple -21/16, -13/16, -5/16), the same
 command lines with ``--format text``, and the results of two criterion-9
 searches sorted by their c tuples.
 
+Each lemma report is pinned a second time, restricted to its
+conclusions (``CONCLUSION_KEYS``: the candidates, partners, dispositions,
+branches, families, sporadic pairs, conclusion, flags and verdict), so that
+a change to how a system is factored or eliminated, which moves the full
+report's hash, shows that it left every conclusion in place.
+
 The lemma systems themselves are pinned too, since the reports dump only
 the factors of at most 40 terms: one SHA-256 per ``lemma_setup(id)`` of
 ``system_dump``, which holds every generator factor exactly, the branches,
@@ -35,20 +41,34 @@ from quadorbits.verifier import verify_theorem_case
 from quadorbits.verifier.lemmas import lemma_setup
 
 LEMMAS = {
-    "2.1": "888438bd48c94811a6741f4085cfe13f0f4f7dbf3ba8ca45f52655cb14e016bf",
-    "2.2": "f343bc9a8121009d16b1aa3a844e55b596b9aed3d7dd540d56a1eae063854e56",
-    "2.3": "08de2f45f557dedeae99a7dd02f71f93f59ddea50b88ebf6588df46ac13c424e",
-    "2.4": "68031b71582f753652a8d6e84fcd79e13cd86a14e517f7dd20ecab6266dc5130",
-    "2.5": "c55a78d630a0f83409912353a5d9cf3885c48c1a86d69cb1994ac8be0b474a90",
-    "2.6": "60e3424cbd0a18be9679138bd82507ddff8a5f7026872660fe06ebaae5eb6668",
+    "2.1": "64f7373f195ab9520dbe93fb6550c4aa4aa8e6cb1f9f239e2480db8e3067a2c9",
+    "2.2": "d5b99477af79c17374df146227f194ae294e9284c85615d7319bf1c4fff12f13",
+    "2.3": "bdb96555700b3c2d5fed8a93750a6dd731b741cbc1f28166b46f8618ff493117",
+    "2.4": "a567aae0cce26d01b5f7ae04530aadfca60f11b65b17ba3aeba9d204c2a1b71b",
+    "2.5": "45ae73f9f0b8d5ddf297bd0024dd8585c8446217e88327504282b981e0104dda",
+    "2.6": "f14bbbb5b1babfccacd04d1dd26a5d740276a9c7f4a06bdc0a3f15ee51975240",
 }
 LEMMA_SYSTEMS = {
-    "2.1": "20e24ad1ce78210859de382ea59628efa3a9544d98fa7a5af7bd3676983582a1",
-    "2.2": "0c159da7c3d4ebda64e976663e42a057d3d22a5c1b2a882a180dfb7e33aa8132",
-    "2.3": "5367c9b395f598c933aba5d102772ffdc99b3ac890eb15000c4cd8e9289734e7",
-    "2.4": "c04abd21eb1f9269080039655bd002ccfd1b8dfe85d4391437df0808bd6d0cce",
-    "2.5": "d3f8fd115d5de56312f869b4d1e712c762407f0fe0367e056b2f75ecace41c53",
-    "2.6": "b90076f2f03e96f79b5b087b00fafa346dcd19fa7db58320a4497381ad175fca",
+    "2.1": "0d0dd646453e0cd29852644fea20acec64fe654d466ef5d7fc13ba24d4377548",
+    "2.2": "c26944a08cde051e1ef6ce8714be3b5571a44c748bff7156fc550946a92d1d1d",
+    "2.3": "cfb02c681c385254b17dba95c1267dc9cc560cc1bd236fe8be80b6486dde453a",
+    "2.4": "902943be15e57c9d2e72c7def0e5980860dfe0c1b866795e50e1016f6e492890",
+    "2.5": "2ed3d56fa5d6d53c2f71e33aef6fd333f0a1bdb32ba4409d483b87643526f41b",
+    "2.6": "235c7f42442af936d371448c6cf58ba5ec75bef351d9bc9d8984920ea79f2c9e",
+}
+# the report restricted to what it concludes: unchanged when only the
+# system's factorization or the elimination's route changes
+CONCLUSION_KEYS = ("raw_candidates", "dropped_artifacts", "candidates",
+                   "partners", "pair_dispositions", "curve_branches",
+                   "families", "sporadic_pairs", "conclusion", "flags",
+                   "verdict")
+LEMMA_CONCLUSIONS = {
+    "2.1": "663bb90cf2333710e3433b9639dc7827e49592811230262fcc5938ff40e910af",
+    "2.2": "e668c676bb779c2d8d297a17a1e56012717c67bd320f5875d161ad0ba0c8c571",
+    "2.3": "c75e7228c54d7ff7263c429a0eb867e2bf965d80fec2612b4527aa3210209630",
+    "2.4": "bed53a6d0997f908da4635da51f0730ded508750b645c6ebeb382a5ba994feeb",
+    "2.5": "54e0b4efa749a03831aa2e64c2c0350cd7d931ea9edb04b0e0778dcc128f5368",
+    "2.6": "6fcd28fe90ca4a2ed57a5997a6434e435978e7931f892c382d62d6c97cfa5383",
 }
 CASES = {
     1: "8e1fe3e7bda7bcd68c7aa3e50eb6f37945e821fc27278f8735cfc1003dd9ac03",
@@ -71,7 +91,7 @@ FAMILIES = {
 }
 THEOREM = "afcb6149625ab04a4bf1c90f5c97e1fe76bb4c011554f728f744e22415825cb8"
 WHOLE_DUMP = \
-    "63401901c739e12625331f9f1697e49985f76b05734dd3e8d4e7967669b6e0b7"
+    "22738f17ba62a94b1f6cd26c252d366d0510d69a111f81a8102cb607f1c32fab"
 # command line (without "--format json") -> (exit code, SHA-256 of stdout)
 ORBIT_CLI = {
     "orbit --maps -21/16,-13/16,-5/16 --point 1/4":
@@ -188,6 +208,13 @@ def test_lemma_report(lemma_report, lemma_id):
     d = lemma_report(lemma_id).to_dict()
     del d["seconds"]
     assert digest(d) == LEMMAS[lemma_id]
+
+
+@pytest.mark.parametrize("lemma_id", sorted(LEMMA_CONCLUSIONS))
+def test_lemma_conclusion(lemma_report, lemma_id):
+    d = lemma_report(lemma_id).to_dict()
+    assert digest({k: d[k] for k in CONCLUSION_KEYS}) == \
+        LEMMA_CONCLUSIONS[lemma_id]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

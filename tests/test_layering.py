@@ -15,9 +15,11 @@ Every expression the package reads goes through one reader,
 
 Importing ``quadorbits.cli``, which every command does, does not import
 ``multiprocessing``: only ``verify_theorem`` starts a process pool.  Nor
-does it import ``argparse`` or ``gettext``: the CLI reads its arguments
-with its own verb table.  Nor does importing the package import
-``dataclasses`` or ``inspect``: its records are written out, not generated.
+does it import ``quadorbits.verifier``: the verify verbs import it when
+they run.  Nor does it import ``argparse`` or ``gettext``: the CLI reads
+its arguments with its own verb table.  Nor does importing the package
+import ``dataclasses`` or ``inspect``: its records are written out, not
+generated.
 
 Every module parses at the Python floor that ``requires-python`` in
 pyproject.toml declares, with ``ast.parse(..., feature_version=floor)``.
@@ -207,6 +209,12 @@ def test_importing_the_cli_leaves_multiprocessing_unimported():
     assert loaded_after("quadorbits.cli",
                         "'multiprocessing' in m "
                         "or m in ('argparse', 'gettext')") == "[]\n"
+
+
+def test_importing_the_cli_leaves_the_verifier_unimported():
+    """Only the two verify verbs import the verifier, when they run."""
+    assert loaded_after("quadorbits.cli",
+                        "m.startswith('quadorbits.verifier')") == "[]\n"
 
 
 def test_importing_the_package_generates_no_code():

@@ -631,6 +631,47 @@ def test_kronecker_rows_match_schoolbook(p, q):
         BiPoly.from_coeff_lists(p, 0), BiPoly.from_coeff_lists(q, 0))
 
 
+@st.composite
+def _parity_operands(draw):
+    """An operand even in y, in z, in both or in neither: a box of terms
+    below or above KRONECKER_PAIRS in any product with another, with
+    y -> y^2 and z -> z^2 as drawn."""
+    terms = draw(st.one_of(_box_terms(0, 3), _box_terms(5, 9)))
+    ey, ez = draw(st.booleans()), draw(st.booleans())
+    return BiPoly.from_int(draw(st.integers(1, 10**30)),
+                           {(i * (1 + ey), j * (1 + ez)): c
+                            for (i, j), c in terms.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_parity_operands(), _parity_operands())
+def test_deflated_products_match_schoolbook(a, b):
+    """Two operands drawn apart are both, one or neither even in each
+    variable; ``zzmul`` takes the product in y^2 or z^2 where both are."""
+    assert a * b == schoolbook_product(a, b)
+    assume(not a.is_zero() and not b.is_zero())
+    rows = zp.zzmul(a.to_coeff_lists(0)[1], b.to_coeff_lists(0)[1])
+    assert rows[-1] and all(not r or r[-1] for r in rows)
+    assert BiPoly.from_coeff_lists(rows, 0) == a * b * (a.den * b.den)
+
+
+def test_kronecker_deflates_what_both_operands_are_even_in(monkeypatch):
+    shapes = []
+    kronecker = zp.zzmul
+    monkeypatch.setattr(zp, "zzmul", lambda p, q: shapes.append(
+        (len(p), max(map(len, p)))) or kronecker(p, q))
+    even = BiPoly({(2 * i, 2 * j): i - 2 * j + 7
+                   for i in range(6) for j in range(6)})
+    odd_y, odd_z = even * B("y + 1"), even * B("z + 1")
+    for a, b, route in [(even, even, [(11, 11), (6, 11), (6, 6)]),
+                        (even, odd_z, [(11, 11), (6, 11)]),
+                        (even, odd_y, [(11, 11), (11, 6)]),
+                        (odd_y, odd_z, [(12, 11)])]:
+        shapes.clear()
+        assert a * b == schoolbook_product(a, b)
+        assert shapes == route
+
+
 def test_product_selects_kronecker_by_size(monkeypatch):
     calls = []
     kronecker = zp.zzmul

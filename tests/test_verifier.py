@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import all_pairs_candidates, expanded_divides, \
-    squarefree_part, subres_resultant
+    squarefree_part, subres_resultant, whole_relation_factors
 from quadorbits import families
 from quadorbits.dynamics import MapSet, QuadMap, apply_word, \
     finite_orbit_points
@@ -65,6 +65,75 @@ class TestThreeCycleParametrization:
         c, p1, p2, p3 = three_cycle_parametrization()
         f = lambda x: x * x + c
         assert f(p1) == p3 and f(p3) == p2 and f(p2) == p1
+
+
+def _f(c: Fraction, x: Fraction) -> Fraction:
+    return x * x + c
+
+
+_q = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+class TestGeneratorPieces:
+    """``lemma_setup`` builds each generator as a product of exact pieces;
+    ``oracles.whole_relation_factors`` builds it from the whole relations
+    of the iterates.  The identities behind the pieces are checked on
+    rational points with plain ``Fraction`` steps of x -> x^2 + c, writing
+    z = f(x) and u = f(z)."""
+
+    @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+    def test_pieces_multiply_to_the_whole_relations(self, lemma_id):
+        setup = lemma_setup(lemma_id)
+        whole = whole_relation_factors(lemma_id)
+        assert [g.name for g in whole] == [g.name for g in setup.gens]
+        for old, new in zip(whole, setup.gens):
+            assert len(new.factors) > len(old.factors)
+            assert math.prod(new.factors).content_primitive()[1] == \
+                math.prod(old.factors).content_primitive()[1]
+
+    @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+    def test_structural_pieces_leave_no_constant_factor(self, lemma_id):
+        setup = lemma_setup(lemma_id)
+        out = eliminate_candidates(setup.gens, setup.structural,
+                                   setup.poles)
+        for gen in out.reduced:
+            assert gen.factors
+            assert all(f.total_degree() > 0 for f in gen.factors)
+        # in 2.1-2.3 some pieces are the declared curves themselves
+        dropped = sum(len(g.factors) - len(r.factors)
+                      for g, r in zip(setup.gens, out.reduced))
+        assert (dropped > 0) == (lemma_id <= "2.3")
+
+    @given(_q, _q)
+    def test_fixed_point(self, alpha, x):
+        c = alpha - alpha * alpha
+        z = _f(c, x)
+        assert _f(c, z) - alpha == (x - alpha) * (x + alpha) * (z + alpha)
+
+    @given(_q, _q)
+    def test_two_cycle(self, b1, x):
+        b2 = -1 - b1
+        c = b1 - b2 * b2
+        assert _f(c, b1) == b2 and _f(c, b2) == b1
+        z = _f(c, x)
+        assert _f(c, z) - b1 == (x - b1) * (x + b1) * (z + b2)
+
+    @given(_q, _q)
+    def test_points_of_period_two_or_less(self, c, x):
+        z = _f(c, x)
+        u = _f(c, z)
+        assert _f(c, u) + u + 1 == \
+            (z * z - z + c + 1) * (z * z + z + c + 1)
+        assert z * z + z + c + 1 == (x * x - x + c + 1) * (x * x + x + c + 1)
+        assert _f(c, u) - u == \
+            (x * x - x + c) * (x * x + x + c) * (z * z + z + c)
+
+    @given(_q.filter(lambda t: t not in (0, -1)), _q)
+    def test_three_cycle(self, t, x):
+        c, *cycle = (f.specialize(t) for f in three_cycle_parametrization())
+        assert {_f(c, p) for p in cycle} == set(cycle)
+        for p in cycle:
+            assert _f(c, x) - _f(c, p) == (x - p) * (x + p)
 
 
 class TestLemma24Fast:
@@ -568,9 +637,9 @@ class TestOnePairElimination:
     @pytest.mark.parametrize("lemma_id", ["2.5", "2.6"])
     def test_symmetric_pairs_are_eliminated_once(self, lemma_id,
                                                  monkeypatch):
-        # two of the four degree-138 eliminants and two of the four of
-        # degree 69 or 70 are conjugates of others under y -> -y, and the
-        # degree-278 one, of two factors even in y, is taken over u = y^2
+        # 36 of the 81 pairs of pieces are conjugates of others under
+        # y -> -y, and the nine pairs of pieces even in y are taken over
+        # u = y^2: the largest eliminant, of degree 70, at degree 35
         computed = []
 
         def counting(a, b, poles):
@@ -582,9 +651,9 @@ class TestOnePairElimination:
         setup = lemma_setup(lemma_id)
         out = eliminate_candidates(setup.gens, setup.structural,
                                    setup.poles)
-        assert len(computed) == 5 and max(computed) <= 139
-        assert len(out.eliminant_degrees) == 9
-        assert max(out.eliminant_degrees) == 278
+        assert len(computed) == 45 and max(computed) <= 35
+        assert len(out.eliminant_degrees) == 81
+        assert max(out.eliminant_degrees) == 70
 
     @pytest.mark.parametrize("lemma_id", ["2.4", "2.5", "2.6"])
     def test_pole_units_leave_every_eliminant_root_in_place(self, lemma_id):
